@@ -84,8 +84,8 @@ func BenchmarkMineExact(b *testing.B) {
 	}
 }
 
-// BenchmarkMineSelect measures full SELECT mining (scoring + re-check
-// rounds) serial vs parallel over a realistic candidate set. The k1
+// BenchmarkMineSelect measures full SELECT mining (incremental scoring
+// and add rounds) serial vs parallel over a realistic candidate set. The k1
 // variants force one accepted rule per round — the many-cheap-rounds
 // shape that stresses the per-phase overhead of the persistent pool.
 func BenchmarkMineSelect(b *testing.B) {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -228,12 +229,17 @@ func TestTranslatorHandleScriptedEpochChain(t *testing.T) {
 // Hammer the handle with concurrent readers while a writer swaps
 // between two tables, asserting (a) every read is internally
 // consistent — a request's translation matches the epoch it pinned,
-// never a mix — and (b) every retired epoch drains.
+// never a mix — and (b) every retired epoch drains. Readers yield after
+// each release: with more readers than CPUs, spinning readers would
+// otherwise starve the swapper until forced preemption, one time slice
+// per Drain. The swapper in turn waits for a new read before each swap,
+// so the readers cannot be starved either, and the read floor checks
+// that they really ran.
 func TestTranslatorHandleConcurrentSwapNoTornReads(t *testing.T) {
 	trA, trB, _ := handleFixture(t)
 	h := NewTranslatorHandle(trA)
 	stop := make(chan struct{})
-	var torn atomic.Int64
+	var torn, reads atomic.Int64
 	var wg sync.WaitGroup
 	for r := 0; r < 8; r++ {
 		wg.Add(1)
@@ -259,11 +265,16 @@ func TestTranslatorHandleConcurrentSwapNoTornReads(t *testing.T) {
 					}
 				}
 				e.Release()
+				reads.Add(1)
+				runtime.Gosched()
 			}
 		}()
 	}
 	cur := trA
 	for i := 0; i < 200; i++ {
+		for seen := reads.Load(); reads.Load() == seen; {
+			runtime.Gosched()
+		}
 		if cur == trA {
 			cur = trB
 		} else {
@@ -281,6 +292,10 @@ func TestTranslatorHandleConcurrentSwapNoTornReads(t *testing.T) {
 	wg.Wait()
 	if n := torn.Load(); n != 0 {
 		t.Fatalf("%d torn/inconsistent reads", n)
+	}
+	// No read was torn, so every counted read succeeded.
+	if n := reads.Load(); n < 200 {
+		t.Fatalf("only %d successful reads across 200 swaps", n)
 	}
 	if _, ep := h.Current(); ep != 201 {
 		t.Fatalf("final epoch = %d, want 201", ep)

@@ -4,7 +4,9 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
+	"time"
 
 	"twoview/internal/dataset"
 	"twoview/internal/itemset"
@@ -404,6 +406,44 @@ func TestMineCandidatesCapped(t *testing.T) {
 	for _, c := range capped {
 		if c.Supp < ms {
 			t.Fatalf("candidate below effective minsup: %d < %d", c.Supp, ms)
+		}
+	}
+}
+
+// A mined table must not keep the miner's cover state alive: callers
+// that keep tables and drop results (a benchmark keeping every
+// repetition's table, a server keeping the served one) would otherwise
+// hold every row and column bitset of the State.
+func TestResultTableDoesNotPinState(t *testing.T) {
+	d := plantedDataset(t, 51)
+	cands := mustCandidates(t, d, 1, 0, Parallel(1))
+	for _, tc := range []struct {
+		name string
+		mine func() *Result
+	}{
+		{"select", func() *Result { return mustSelect(t, d, cands, SelectOptions{K: 25, ParallelOptions: Parallel(2)}) }},
+		{"greedy", func() *Result { return mustGreedy(t, d, cands, GreedyOptions{ParallelOptions: Parallel(2)}) }},
+		{"exact", func() *Result { return mustExact(t, d, ExactOptions{MaxRules: 2, ParallelOptions: Parallel(2)}) }},
+	} {
+		res := tc.mine()
+		table := res.Table
+		freed := make(chan struct{})
+		runtime.SetFinalizer(res.State, func(*State) { close(freed) })
+		res = nil
+		collected := false
+		for i := 0; i < 20 && !collected; i++ {
+			runtime.GC()
+			select {
+			case <-freed:
+				collected = true
+			case <-time.After(10 * time.Millisecond):
+			}
+		}
+		if !collected {
+			t.Fatalf("%s: the State is still reachable from the kept table", tc.name)
+		}
+		if table.Size() == 0 {
+			t.Fatalf("%s: empty table", tc.name)
 		}
 	}
 }

@@ -141,7 +141,8 @@ func (ps *PartialState) ScoreDir(target dataset.View, tids *bitset.Set, cons ite
 // are computed into internal scratch — not safe concurrently; pass
 // cached tidsets from parallel scorers). The returned DirCounts always
 // carries both directions: the coordinator composes →/←/↔ gains from
-// the same two count vectors, like evaluate/scoreRange do from gainDir.
+// the same two count vectors, like evaluate (from gainDir) and the
+// SELECT scorer (from cached deltas) do.
 func (ps *PartialState) ScoreRule(x, y itemset.Itemset, tidX, tidY *bitset.Set, fwd, back []ItemCount) DirCounts {
 	if tidX == nil {
 		ps.d.SupportSetInto(ps.tids, dataset.Left, x)

@@ -7,15 +7,15 @@ import (
 )
 
 // miningScratch holds the per-call working buffers of the round-structured
-// miners (MineSelect's scored/gain slices and used-item masks, MineGreedy's
-// candidate order and block scores). The buffers are recycled through the
-// Session (or, for sessionless calls, a package-wide pool), so repeated
-// mining calls in one session reach a steady state where rounds allocate
-// nothing. Scratch never influences results: every buffer is either
+// miners (MineSelect's scoring cache, scored rules and used-item masks,
+// MineGreedy's candidate order and block scores). The buffers are
+// recycled through the Session (or, for sessionless calls, a package-wide
+// pool), so repeated mining calls in one session reach a steady state
+// where rounds allocate nothing. Scratch never influences results: every buffer is either
 // truncated to zero length or fully overwritten before it is read.
 type miningScratch struct {
+	cache  selectCache   // SELECT: incremental scoring state
 	scored []scoredRule  // SELECT: per-round scored rules
-	gains  []float64     // SELECT: per-round Line-8 re-check gains
 	usedL  bitset.Set    // SELECT: items used this round, left view
 	usedR  bitset.Set    // SELECT: items used this round, right view
 	order  []int         // GREEDY: candidate order

@@ -2,9 +2,12 @@ package core
 
 import (
 	"context"
+	"slices"
 	"sort"
 
+	"twoview/internal/bitset"
 	"twoview/internal/dataset"
+	"twoview/internal/itemset"
 	"twoview/internal/mdl"
 	"twoview/internal/pool"
 )
@@ -16,12 +19,33 @@ import (
 // by a rule already added in the same round. Rounds repeat until no rule
 // improves compression.
 //
-// Both per-round loops run on the internal/pool worker pool: candidate
-// scoring partitions the candidates into fixed-size chunks (the chunk
-// size, not the worker count, fixes the output order), and the Line-8
-// re-check gains of the selected top-k rules are precomputed in parallel
-// before the serial add walk (see the state-invariance note at
-// recheckGains).
+// Scoring is incremental (selectCache). The quick bound qub is
+// state-free, so the candidates it admits are the same every round and
+// are filtered once per run. For each admitted candidate the cache keeps
+// both rule lengths and, per rule direction and consequent item, the
+// integer gainDir weighs by the item's length (State.coverDelta). Adding
+// a rule changes the U and E columns only at the consequent items of the
+// directions it applies, so a round recounts only the (candidate, item)
+// pairs whose item the previous round touched (every pair in the first
+// round), then folds the cached integers in consequent order with
+// gainDir's arithmetic (State.foldGain). The scored gains are therefore
+// bit-identical to evaluating every rule from scratch, which
+// selectalg_test.go checks in every round.
+//
+// The Line-8 re-check (the rule must still improve compression against
+// the current table) reuses the scored gain. That is exact, not a
+// heuristic. A rule is only added if its X and Y are disjoint from every
+// item already used in this round, and the rules added earlier in the
+// round changed U and E only at items of their own X and Y. A rule that
+// passes the overlap filter therefore reads exactly the round-start
+// state at its turn in the walk. Its gain against that state, composed
+// direction by direction as (0 + a) + b − c, equals the scored a + b − c
+// bit for bit. Scored rules all have gain above gainEpsilon, so the
+// re-check never rejects a rule that passes the filter.
+//
+// Scoring runs on the internal/pool worker pool in fixed 256-candidate
+// chunks, and each chunk writes only its own candidates' cache slots, so
+// the result is identical for every worker count.
 
 // SelectOptions configures MineSelect.
 type SelectOptions struct {
@@ -35,24 +59,33 @@ type SelectOptions struct {
 	// OnIteration observes each added rule and may stop the run early by
 	// returning false (the partial table is returned with a nil error).
 	OnIteration IterationFunc
-	// ParallelOptions sets the worker-pool size for per-round scoring
-	// and re-checking; results are identical for any value.
+	// ParallelOptions sets the worker-pool size for per-round scoring;
+	// results are identical for any value.
 	ParallelOptions
 }
 
 type scoredRule struct {
 	rule Rule
 	gain float64
-	cand int // candidate index, for cached tidsets
+}
+
+// before is the order in which SELECT ranks scored rules: gain
+// descending, ties broken by Rule.Compare. It is total over distinct
+// rules.
+func (a scoredRule) before(b scoredRule) bool {
+	if a.gain != b.gain {
+		return a.gain > b.gain
+	}
+	return a.rule.Compare(b.rule) < 0
 }
 
 // MineSelect runs TRANSLATOR-SELECT(k) over the given candidates.
 //
 // Cancelling ctx aborts the run at the next checkpoint (a round
-// boundary or a task boundary inside the scoring/re-check phases) and
-// returns the table mined so far alongside ctx.Err(). With an
-// uncancelled context the result is bit-identical for every worker
-// count and the error is nil.
+// boundary or a chunk boundary inside the scoring phase) and returns
+// the table mined so far alongside ctx.Err(). With an uncancelled
+// context the result is bit-identical for every worker count and the
+// error is nil.
 func MineSelect(ctx context.Context, d *dataset.Dataset, cands []Candidate, opt SelectOptions) (*Result, error) {
 	if m, err := shardEngine(opt.ParallelOptions); err != nil {
 		return nil, err
@@ -69,11 +102,13 @@ func MineSelect(ctx context.Context, d *dataset.Dataset, cands []Candidate, opt 
 
 	// All rounds submit their phases to one persistent runtime (the
 	// workers park between rounds instead of being relaunched) and reuse
-	// one set of session-pooled buffers: the scored-rule slice, the
-	// Line-8 gain slice, and the per-round used-item masks all reach a
+	// one set of session-pooled buffers: the scoring cache, the
+	// scored-rule slice and the per-round used-item masks all reach a
 	// steady state where rounds allocate nothing.
 	rt := opt.runtime()
 	sc := opt.getScratch()
+	cache := &sc.cache
+	cache.reset(s, cands)
 	scored := sc.scored[:0]
 	usedL, usedR := &sc.usedL, &sc.usedR
 	var err error
@@ -87,65 +122,36 @@ func MineSelect(ctx context.Context, d *dataset.Dataset, cands []Candidate, opt 
 		}
 		// Line 3: select the k rules with the highest Δ_{D,T} among all
 		// rules constructible from the candidates.
-		if scored, err = scoreCandidates(ctx, rt, s, cands, scored[:0], opt.Workers); err != nil {
+		if scored, err = cache.score(ctx, rt, s, cands, scored[:0], opt.Workers); err != nil {
 			break
 		}
-		if len(scored) == 0 {
+		top := topK(scored, opt.K)
+		if len(top) == 0 {
 			break
-		}
-		sort.Slice(scored, func(a, b int) bool {
-			if scored[a].gain != scored[b].gain {
-				return scored[a].gain > scored[b].gain
-			}
-			return scored[a].rule.Compare(scored[b].rule) < 0
-		})
-		if len(scored) > opt.K {
-			scored = scored[:opt.K]
-		}
-		// Precomputing the Line-8 gains of all selected rules is
-		// speculative (overlap-filtered rules never consult theirs), so
-		// only do it when there are workers to amortize it; the serial
-		// walk computes each needed gain lazily at its turn instead.
-		var gains []float64
-		if opt.workerCount(len(scored)) > 1 {
-			if sc.gains, err = recheckGains(ctx, rt, s, cands, scored, sc.gains, opt.Workers); err != nil {
-				break
-			}
-			gains = sc.gains
 		}
 
 		// Lines 5-10: add the selected rules, skipping rules whose
 		// itemsets overlap items already used in this round (their gain
 		// has changed and they may no longer belong to the top-k). The
 		// used items are tracked as per-view bitmasks, reset (not
-		// reallocated) each round.
+		// reallocated) each round. The first selected rule is always
+		// added, so every round makes progress.
 		usedL.Reset(d.Items(dataset.Left))
 		usedR.Reset(d.Items(dataset.Right))
-		added := false
-		for i, sr := range scored {
+		for _, sr := range top {
 			if opt.MaxRules > 0 && len(s.table.Rules) >= opt.MaxRules {
 				break
 			}
 			if anyIn(sr.rule.X, usedL) || anyIn(sr.rule.Y, usedR) {
 				continue
 			}
-			// Line 8: the rule must still improve compression against
-			// the *current* table; the precomputed gains[i] is exactly
-			// that gain (see recheckGains), and the lazy serial
-			// computation trivially is.
-			var gain float64
-			if gains != nil {
-				gain = gains[i]
-			} else {
-				c := &cands[sr.cand]
-				gain = s.GainWithTids(sr.rule, c.TidX, c.TidY)
-			}
-			if gain <= gainEpsilon {
-				continue
-			}
+			// Line 8: sr.gain is the rule's gain against the current
+			// table (see the file comment).
 			s.AddRule(sr.rule)
-			if !res.record(s, sr.rule, gain, opt.Trace, opt.OnIteration) {
+			cache.touch(sr.rule)
+			if !res.record(s, sr.rule, sr.gain, opt.Trace, opt.OnIteration) {
 				stopped = true
+				break // OnIteration asked for an early stop
 			}
 			for _, it := range sr.rule.X {
 				usedL.Add(it)
@@ -153,13 +159,6 @@ func MineSelect(ctx context.Context, d *dataset.Dataset, cands []Candidate, opt 
 			for _, it := range sr.rule.Y {
 				usedR.Add(it)
 			}
-			added = true
-			if stopped {
-				break // OnIteration asked for an early stop
-			}
-		}
-		if !added {
-			break
 		}
 	}
 	sc.scored = scored // hand the grown capacity back to the pool
@@ -169,80 +168,160 @@ func MineSelect(ctx context.Context, d *dataset.Dataset, cands []Candidate, opt 
 	return res, err
 }
 
+// topK reorders scored so that its first min(k, len(scored)) entries are
+// the k best rules in SELECT's order (scoredRule.before), and returns
+// that prefix: sort-then-truncate without sorting the rest. The prefix
+// is kept sorted, and a later rule is inserted only if it ranks before
+// the current k-th. k must be at least 1.
+func topK(scored []scoredRule, k int) []scoredRule {
+	m := 0 // scored[:m] holds the best rules seen so far, in order
+	for i := range scored {
+		sr := scored[i]
+		if m == k {
+			if !sr.before(scored[k-1]) {
+				continue
+			}
+			scored[i] = scored[k-1] // evicted; slot i is never visited again
+		} else {
+			scored[i] = scored[m]
+			m++
+		}
+		// Insert sr into the hole at m-1, keeping scored[:m] sorted.
+		j := sort.Search(m-1, func(j int) bool { return sr.before(scored[j]) })
+		copy(scored[j+1:m], scored[j:m-1])
+		scored[j] = sr
+	}
+	return scored[:m]
+}
+
 // scoreChunk is the fixed candidate-chunk size of the scoring pass. It
 // bounds the scheduling granularity; because it never depends on the
-// worker count, the chunked output order — and hence the result — is
-// identical for every worker count.
+// worker count, neither does the work any cache slot sees.
 const scoreChunk = 256
 
-// scoreCandidates computes the positive-gain rules of every candidate,
-// appending to dst (reused across rounds). Scoring only reads the
-// state, so fixed-size candidate chunks are distributed over the pool
-// and their outputs concatenated in chunk order — i.e. candidate index
-// order, exactly what the serial path appends directly; the caller's
-// subsequent sort imposes a total order on top.
-func scoreCandidates(ctx context.Context, rt *pool.Runtime, s *State, cands []Candidate, dst []scoredRule, workers int) ([]scoredRule, error) {
-	tasks := (len(cands) + scoreChunk - 1) / scoreChunk
-	if pool.Size(workers, tasks) <= 1 {
-		// The serial pass probes ctx at the same chunk granularity the
-		// parallel path gets from its task boundaries, so cancellation
-		// latency does not depend on the worker count. Chunked scoring
-		// appends exactly what one pass would.
-		for lo := 0; lo < len(cands); lo += scoreChunk {
-			if err := ctx.Err(); err != nil {
-				return dst, err
-			}
-			dst = scoreRange(s, cands, lo, min(lo+scoreChunk, len(cands)), dst)
-		}
-		return dst, nil
-	}
-	return pool.MapChunksIntoCtxOn(rt, ctx, dst, workers, len(cands), scoreChunk, func(lo, hi int) []scoredRule {
-		return scoreRange(s, cands, lo, hi, nil)
-	})
+// selectCache is MineSelect's incremental scoring state (see the file
+// comment). It lives in miningScratch, so a session's repeated runs
+// reuse its storage; reset prepares it for a run.
+type selectCache struct {
+	slots []selectSlot
+	// delta holds, per slot, the cached State.coverDelta of each
+	// consequent item: the items of Y (the X→Y direction, target view
+	// Right), then those of X (X←Y, target view Left).
+	delta []int32
+	// dirty marks, per target view, the items whose U/E columns changed
+	// since the cached deltas were counted.
+	dirty [2]bitset.Set
 }
 
-// recheckGains returns, for each selected rule, its gain against the
-// current table (the Line-8 re-check), computed in parallel before the
-// serial add walk into dst's reused storage.
-//
-// Precomputing is exact, not heuristic: a rule is only added if its X
-// and Y are disjoint from every itemset already used in this round, and
-// rules added earlier in the round modify the correction state (U, E)
-// only at items of their own X and Y. A rule that passes the overlap
-// filter therefore reads exactly the same state entries at its turn in
-// the walk as at the start of the round, so the gain computed here is
-// bit-identical to the one the serial loop would compute mid-round.
-// Rules that fail the filter never have their gain consulted.
-func recheckGains(ctx context.Context, rt *pool.Runtime, s *State, cands []Candidate, scored []scoredRule, dst []float64, workers int) ([]float64, error) {
-	return pool.MapOrderedIntoCtxOn(rt, ctx, dst, workers, len(scored), func(i int) float64 {
-		c := &cands[scored[i].cand]
-		return s.GainWithTids(scored[i].rule, c.TidX, c.TidY)
-	})
+// selectSlot is the cache entry of one candidate that passed the qub
+// filter.
+type selectSlot struct {
+	cand          int     // index into the candidates
+	off           int     // start of the candidate's deltas in selectCache.delta
+	lenUni, lenBi float64 // L(X→Y) = L(X←Y), and L(X↔Y)
+	gainF, gainB  float64 // Δ_{D|T} of the X→Y and X←Y directions
 }
 
-// scoreRange scores candidates [lo, hi), appending positive-gain rules.
-func scoreRange(s *State, cands []Candidate, lo, hi int, dst []scoredRule) []scoredRule {
-	coder := s.coder
-	for ci := lo; ci < hi; ci++ {
-		c := &cands[ci]
-		// qub bounds all three directions; a candidate that cannot
-		// reach positive gain is skipped without exact evaluation.
-		if s.Qub(c.X, c.Y, c.TidX.Count(), c.TidY.Count()) <= gainEpsilon {
+// reset prepares the cache for a run over cands against the empty-table
+// state s: it applies the state-free qub filter, caches the rule lengths
+// of the candidates that pass, and marks every item dirty.
+func (c *selectCache) reset(s *State, cands []Candidate) {
+	c.slots = c.slots[:0]
+	n := 0
+	for ci := range cands {
+		cd := &cands[ci]
+		// qub bounds all three directions; a candidate that cannot reach
+		// positive gain is never evaluated.
+		if s.Qub(cd.X, cd.Y, cd.TidX.Count(), cd.TidY.Count()) <= gainEpsilon {
 			continue
 		}
-		gainF := s.gainDir(dataset.Left, c.TidX, c.Y)
-		gainB := s.gainDir(dataset.Right, c.TidY, c.X)
-		lenUni := coder.RuleLen(c.X, c.Y, false)
-		lenBi := coder.RuleLen(c.X, c.Y, true)
-		for _, sr := range [3]scoredRule{
-			{Rule{X: c.X, Dir: Forward, Y: c.Y}, gainF - lenUni, ci},
-			{Rule{X: c.X, Dir: Backward, Y: c.Y}, gainB - lenUni, ci},
-			{Rule{X: c.X, Dir: Both, Y: c.Y}, gainF + gainB - lenBi, ci},
-		} {
-			if sr.gain > gainEpsilon {
-				dst = append(dst, sr)
+		c.slots = append(c.slots, selectSlot{
+			cand:   ci,
+			off:    n,
+			lenUni: s.coder.RuleLen(cd.X, cd.Y, false),
+			lenBi:  s.coder.RuleLen(cd.X, cd.Y, true),
+		})
+		n += len(cd.Y) + len(cd.X)
+	}
+	c.delta = slices.Grow(c.delta[:0], n)[:n]
+	for _, v := range [2]dataset.View{dataset.Left, dataset.Right} {
+		c.dirty[v].Reset(s.d.Items(v))
+		c.dirty[v].Fill()
+	}
+}
+
+// score brings the cache up to date with s and appends every rule with
+// gain above gainEpsilon to dst: in candidate order, and per candidate in
+// the order →, ←, ↔, exactly what scoring every candidate from scratch
+// appends. It leaves no item dirty; touch marks the items that adding a
+// rule changes.
+func (c *selectCache) score(ctx context.Context, rt *pool.Runtime, s *State, cands []Candidate, dst []scoredRule, workers int) ([]scoredRule, error) {
+	if err := pool.ForChunksCtxOn(rt, ctx, workers, len(c.slots), scoreChunk, func(lo, hi int) {
+		c.refresh(s, cands, lo, hi)
+	}); err != nil {
+		return dst, err
+	}
+	c.dirty[dataset.Left].Clear()
+	c.dirty[dataset.Right].Clear()
+	for i := range c.slots {
+		sl := &c.slots[i]
+		cd := &cands[sl.cand]
+		gains := [3]float64{sl.gainF - sl.lenUni, sl.gainB - sl.lenUni, sl.gainF + sl.gainB - sl.lenBi}
+		for dir, g := range gains {
+			if g > gainEpsilon {
+				dst = append(dst, scoredRule{Rule{X: cd.X, Dir: Directions[dir], Y: cd.Y}, g})
 			}
 		}
 	}
-	return dst
+	return dst, nil
+}
+
+// refresh recounts the dirty (candidate, item) pairs of slots [lo, hi)
+// and refolds the gain of every direction that had one. It only reads
+// the state and the dirty masks and only writes its own slots, so
+// disjoint ranges may run concurrently.
+func (c *selectCache) refresh(s *State, cands []Candidate, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		sl := &c.slots[i]
+		cd := &cands[sl.cand]
+		fwd := c.delta[sl.off : sl.off+len(cd.Y)]
+		back := c.delta[sl.off+len(cd.Y) : sl.off+len(cd.Y)+len(cd.X)]
+		if c.recount(s, dataset.Right, cd.TidX, cd.Y, fwd) {
+			sl.gainF = s.foldGain(dataset.Right, cd.Y, fwd)
+		}
+		if c.recount(s, dataset.Left, cd.TidY, cd.X, back) {
+			sl.gainB = s.foldGain(dataset.Left, cd.X, back)
+		}
+	}
+}
+
+// recount refreshes the cached delta of each dirty item of cons, for the
+// rule direction with antecedent support tids and consequent cons in the
+// target view, and reports whether it refreshed any.
+func (c *selectCache) recount(s *State, target dataset.View, tids *bitset.Set, cons itemset.Itemset, delta []int32) bool {
+	dirty := &c.dirty[target]
+	stale := false
+	//lint:ctxprobe-ok bounded per-rule work (|cons| kernel calls); score probes ctx at chunk granularity
+	for j, y := range cons {
+		if dirty.Contains(y) {
+			delta[j] = int32(s.coverDelta(target, tids, y))
+			stale = true
+		}
+	}
+	return stale
+}
+
+// touch marks the items whose U/E columns adding r changes: the
+// consequent items of each direction r applies in.
+func (c *selectCache) touch(r Rule) {
+	if r.AppliesTo(dataset.Left) {
+		for _, y := range r.Y {
+			c.dirty[dataset.Right].Add(y)
+		}
+	}
+	if r.AppliesTo(dataset.Right) {
+		for _, x := range r.X {
+			c.dirty[dataset.Left].Add(x)
+		}
+	}
 }

@@ -96,7 +96,14 @@ func (s *State) Dataset() *dataset.Dataset { return s.d }
 func (s *State) Coder() *mdl.Coder { return s.coder }
 
 // Table returns the current translation table. Callers must not modify it.
-func (s *State) Table() *Table { return &s.table }
+// The table shares the rules' storage but not the State: it is a fresh
+// Table over a capacity-clipped slice (rules added later never show
+// through it), so holding a mined table does not keep the cover state's
+// row and column bitsets alive.
+func (s *State) Table() *Table {
+	n := len(s.table.Rules)
+	return &Table{Rules: s.table.Rules[:n:n]}
+}
 
 // Uncovered returns U_t for the given target view. Read-only.
 func (s *State) Uncovered(target dataset.View, t int) *bitset.Set { return &s.u[target][t] }
@@ -156,27 +163,42 @@ func (s *State) SumTub(target dataset.View, tids *bitset.Set) float64 {
 // the opposite view. It does not subtract the rule length.
 //
 // This is the innermost loop of all three miners, and it runs entirely on
-// the columnar mirror: per consequent item y, the number of transactions
-// where y becomes covered is |tids ∩ ucol[y]| and the number where y
-// becomes an error is |tids \ (supp(y) ∪ ecol[y])| — two fused popcount
-// word loops (bitset.AndCount / AndNotAndNotCount), no per-transaction
-// branching, no allocation.
+// the columnar mirror: per consequent item y, two fused popcount word
+// loops (coverDelta), no per-transaction branching, no allocation. The
+// accumulation is foldGain's, item by item in consequent order.
 func (s *State) gainDir(from dataset.View, tids *bitset.Set, cons itemset.Itemset) float64 {
 	target := from.Opposite()
-	ucol, ecol := s.ucol[target], s.ecol[target]
-	cols := s.d.Columns(target)
 	gain := 0.0
 	//lint:ctxprobe-ok bounded per-rule work (|cons| kernel calls); callers probe ctx at rule granularity
 	for _, y := range cons {
-		covered := bitset.AndCount(tids, &ucol[y])                // L(Y ∩ U_t) terms
-		errs := bitset.AndNotAndNotCount(tids, cols[y], &ecol[y]) // L(Y \ (t_R ∪ E_t)) terms
-		if covered == errs {
-			// Skip the multiply: ±0 contributions cancel, and a
-			// zero-support item (ItemLen +Inf) over an empty tidset
-			// must contribute 0, not Inf·0 = NaN.
-			continue
+		if delta := s.coverDelta(target, tids, y); delta != 0 {
+			gain += s.coder.ItemLen(target, y) * float64(delta)
 		}
-		gain += s.coder.ItemLen(target, y) * float64(covered-errs)
+	}
+	return gain
+}
+
+// coverDelta returns, for consequent item y of the target view and an
+// antecedent support tidset, the number of transactions where y becomes
+// covered, |tids ∩ ucol[y]| (the L(Y ∩ U_t) terms), minus the number
+// where it becomes a new error, |tids \ (supp(y) ∪ ecol[y])| (the
+// L(Y \ (t ∪ E_t)) terms): the integer gainDir weighs by L(y).
+func (s *State) coverDelta(target dataset.View, tids *bitset.Set, y int) int {
+	return bitset.AndCount(tids, &s.ucol[target][y]) -
+		bitset.AndNotAndNotCount(tids, s.d.Columns(target)[y], &s.ecol[target][y])
+}
+
+// foldGain accumulates per-item cover deltas (coverDelta, one per item
+// of cons) into a direction's Δ_{D|T}, with gainDir's arithmetic: in
+// consequent order, one multiply-add per item, skipping zero deltas.
+// The skip is not an optimization: a zero-support item (ItemLen +Inf)
+// over an empty tidset must contribute 0, not Inf·0 = NaN.
+func (s *State) foldGain(target dataset.View, cons itemset.Itemset, delta []int32) float64 {
+	gain := 0.0
+	for j, y := range cons {
+		if delta[j] != 0 {
+			gain += s.coder.ItemLen(target, y) * float64(delta[j])
+		}
 	}
 	return gain
 }

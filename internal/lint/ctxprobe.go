@@ -50,8 +50,7 @@ var ctxprobeScopes = []string{
 var poolPhaseFuncs = map[string]bool{
 	"Run": true, "RunErr": true, "RunCtx": true, "RunErrCtx": true,
 	"MapOrdered": true, "MapOrderedOn": true, "MapOrderedIntoOn": true,
-	"MapOrderedIntoCtxOn": true, "MapChunksInto": true,
-	"MapChunksIntoOn": true, "MapChunksIntoCtxOn": true,
+	"MapOrderedIntoCtxOn": true, "ForChunksCtxOn": true,
 }
 
 // kernelFuncs are the fused word-loop kernels of internal/bitset (the

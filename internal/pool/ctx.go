@@ -96,30 +96,19 @@ func MapOrderedIntoCtxOn[T any](rt *Runtime, ctx context.Context, dst []T, worke
 	return dst, ctx.Err()
 }
 
-// MapChunksIntoCtxOn is MapChunksIntoOn with the cancellation cut of
-// RunCtx. On cancellation the returned slice is dst unchanged (no
-// partial chunks are appended) alongside ctx.Err().
-func MapChunksIntoCtxOn[T any](rt *Runtime, ctx context.Context, dst []T, workers, n, chunk int, fn func(lo, hi int) []T) ([]T, error) {
-	if n <= 0 {
-		return dst, ctx.Err()
-	}
+// ForChunksCtxOn splits [0, n) into fixed-size chunks and runs fn on
+// each, dynamically scheduled on rt (nil means Default) with the
+// cancellation cut of RunCtx. Each chunk writes its results in place,
+// into its own slots of caller-owned storage, so a round-structured
+// caller allocates no per-phase output. The chunk size is the
+// caller's constant, never derived from the worker count, so every
+// chunk computes the same thing for every worker count. With one worker
+// the chunks run inline, in order, with ctx probed before each.
+func ForChunksCtxOn(rt *Runtime, ctx context.Context, workers, n, chunk int, fn func(lo, hi int)) error {
 	if chunk < 1 {
 		chunk = 1
 	}
 	tasks := (n + chunk - 1) / chunk
-	if tasks == 1 {
-		if err := ctx.Err(); err != nil {
-			return dst, err
-		}
-		part := fn(0, n)
-		// Honour the no-partial-appends contract: a cancellation during
-		// the chunk leaves dst untouched, like the multi-task path.
-		if err := ctx.Err(); err != nil {
-			return dst, err
-		}
-		return append(dst, part...), nil
-	}
-	parts := make([][]T, tasks)
 	if rt == nil {
 		rt = Default()
 	}
@@ -128,27 +117,8 @@ func MapChunksIntoCtxOn[T any](rt *Runtime, ctx context.Context, dst []T, worker
 			return false
 		}
 		lo := t * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		parts[t] = fn(lo, hi)
+		fn(lo, min(lo+chunk, n))
 		return true
 	})
-	if err := ctx.Err(); err != nil {
-		return dst, err
-	}
-	total := 0
-	for _, part := range parts {
-		total += len(part)
-	}
-	if free := cap(dst) - len(dst); free < total {
-		grown := make([]T, len(dst), len(dst)+total)
-		copy(grown, dst)
-		dst = grown
-	}
-	for _, part := range parts {
-		dst = append(dst, part...)
-	}
-	return dst, nil
+	return ctx.Err()
 }

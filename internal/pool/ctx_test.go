@@ -108,31 +108,48 @@ func TestCtxVariantsMatchPlainOnes(t *testing.T) {
 			t.Fatalf("MapOrderedIntoCtxOn[%d] = %d, want %d", i, got[i], want[i])
 		}
 	}
+}
 
-	chunkFn := func(lo, hi int) []int {
-		out := make([]int, 0, hi-lo)
-		for i := lo; i < hi; i++ {
-			out = append(out, 3*i)
+// ForChunksCtxOn visits every index of [0, n) exactly once, in the
+// same fixed chunks for every worker count, and runs no chunk once the
+// context is cancelled.
+func TestForChunksCtxOn(t *testing.T) {
+	rt := NewRuntime()
+	defer rt.Close()
+	for _, n := range []int{0, 1, 63, 64, 65, 500} {
+		for _, workers := range []int{1, 2, 4, 7} {
+			owner := make([]int, n)
+			err := ForChunksCtxOn(rt, context.Background(), workers, n, 64, func(lo, hi int) {
+				if lo%64 != 0 || hi != min(lo+64, n) {
+					t.Errorf("n=%d workers=%d: chunk [%d, %d)", n, workers, lo, hi)
+				}
+				for i := lo; i < hi; i++ {
+					owner[i]++
+				}
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, c := range owner {
+				if c != 1 {
+					t.Fatalf("n=%d workers=%d: index %d visited %d times", n, workers, i, c)
+				}
+			}
 		}
-		return out
 	}
-	wantC := MapChunksIntoOn(rt, nil, 4, n, 64, chunkFn)
-	gotC, err := MapChunksIntoCtxOn(rt, context.Background(), nil, 4, n, 64, chunkFn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(gotC) != len(wantC) {
-		t.Fatalf("len = %d, want %d", len(gotC), len(wantC))
-	}
-	for i := range wantC {
-		if gotC[i] != wantC[i] {
-			t.Fatalf("MapChunksIntoCtxOn[%d] = %d, want %d", i, gotC[i], wantC[i])
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, workers := range []int{1, 4} {
+		ran := false
+		err := ForChunksCtxOn(rt, ctx, workers, 100, 8, func(lo, hi int) { ran = true })
+		if !errors.Is(err, context.Canceled) || ran {
+			t.Fatalf("workers=%d: cancelled ForChunksCtxOn err = %v, ran = %v", workers, err, ran)
 		}
 	}
 }
 
-// Cancelled map phases return the context error and never append
-// partial chunks.
+// Cancelled map phases return the context error.
 func TestMapCtxCancelled(t *testing.T) {
 	rt := NewRuntime()
 	defer rt.Close()
@@ -141,14 +158,6 @@ func TestMapCtxCancelled(t *testing.T) {
 
 	if _, err := MapOrderedIntoCtxOn(rt, ctx, nil, 4, 100, func(i int) int { return i }); !errors.Is(err, context.Canceled) {
 		t.Fatalf("MapOrderedIntoCtxOn err = %v, want context.Canceled", err)
-	}
-	dst := []int{7}
-	out, err := MapChunksIntoCtxOn(rt, ctx, dst, 4, 100, 8, func(lo, hi int) []int { return []int{lo} })
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("MapChunksIntoCtxOn err = %v, want context.Canceled", err)
-	}
-	if len(out) != 1 || out[0] != 7 {
-		t.Fatalf("MapChunksIntoCtxOn appended partial chunks: %v", out)
 	}
 }
 

@@ -1,15 +1,15 @@
 // Package pool is the single worker-pool abstraction behind every
 // parallel search in this repository: the TRANSLATOR-EXACT
-// branch-and-bound, TRANSLATOR-SELECT scoring and re-checking,
+// branch-and-bound, TRANSLATOR-SELECT scoring,
 // TRANSLATOR-GREEDY block scoring, and the ECLAT candidate walk.
 //
 // # Persistent runtime
 //
 // All parallel execution happens on a Runtime: a set of long-lived
 // worker goroutines parked on a run queue. Pool.Run, Pool.RunErr,
-// MapOrdered and MapChunksInto are *phases* — batches of dynamically
+// MapOrdered and ForChunksCtxOn are *phases* — batches of dynamically
 // scheduled tasks — submitted to an already-running Runtime, so the
-// round-structured searches (SELECT re-scores every candidate each
+// round-structured searches (SELECT rescores its candidates each
 // round, GREEDY scores block after block, EXACT runs a seed and a DFS
 // phase per added rule) pay one wake-all broadcast per phase instead of
 // a goroutine launch per worker per phase. Parked workers also keep their
@@ -31,7 +31,7 @@
 //     per-task computations (and their floating-point evaluation order)
 //     does not depend on the number of workers;
 //   - each task writes only its own slot (MapOrdered), its own chunk
-//     (MapChunksInto), or its own worker-local state (Pool), so no result
+//     (ForChunksCtxOn), or its own worker-local state (Pool), so no result
 //     depends on cross-worker timing;
 //   - cross-worker communication is restricted to monotone values (Max,
 //     Counter) that callers may only use in ways that are insensitive to
@@ -46,11 +46,12 @@
 // # Cancellation
 //
 // Every primitive has a context-aware sibling (RunCtx, RunErrCtx,
-// MapOrderedIntoCtxOn, MapChunksIntoCtxOn — see ctx.go): cancelling the
-// context stops the dispensing of new tasks, drains the running ones,
-// and returns ctx.Err(), leaving the Runtime parked and reusable. With
-// an uncancelled context the ctx variants are bit-identical to the
-// plain ones.
+// MapOrderedIntoCtxOn — see ctx.go; ForChunksCtxOn exists only in that
+// form): cancelling the context stops the
+// dispensing of new tasks, drains the running ones, and returns
+// ctx.Err(), leaving the Runtime parked and reusable. With an
+// uncancelled context the ctx variants are bit-identical to the plain
+// ones.
 package pool
 
 import (
@@ -506,7 +507,7 @@ func (p *Pool[S]) RunErr(tasks int, fn func(s S, task int) error) error {
 // dynamically. Each index writes only its own slot, so the result is
 // independent of the worker count. Intended for expensive per-item work
 // (gain evaluations); for cheap per-item work over large n, prefer
-// MapChunksInto.
+// ForChunksCtxOn.
 func MapOrdered[T any](workers, n int, fn func(i int) T) []T {
 	return MapOrderedOn(nil, workers, n, fn)
 }
@@ -519,32 +520,12 @@ func MapOrderedOn[T any](rt *Runtime, workers, n int, fn func(i int) T) []T {
 
 // MapOrderedIntoOn is MapOrderedOn writing into dst's storage when its
 // capacity suffices (the returned slice always has length n), so
-// round-structured callers — SELECT's per-round re-check, GREEDY's
-// per-block speculative scoring — can reuse one result buffer across
-// rounds instead of allocating a fresh slice per phase. Stale dst
-// contents are never read: every slot in [0, n) is overwritten. It is
-// the ctx variant on the background context, sharing one body.
+// round-structured callers — GREEDY's per-block speculative scoring —
+// can reuse one result buffer across rounds instead of allocating a
+// fresh slice per phase. Stale dst contents are never read: every slot
+// in [0, n) is overwritten. It is the ctx variant on the background
+// context, sharing one body.
 func MapOrderedIntoOn[T any](rt *Runtime, dst []T, workers, n int, fn func(i int) T) []T {
 	out, _ := MapOrderedIntoCtxOn(rt, context.Background(), dst, workers, n, fn)
-	return out
-}
-
-// MapChunksInto splits [0, n) into fixed-size chunks, applies fn to
-// each chunk (dynamically scheduled on the Default runtime), and
-// appends the per-chunk slices to dst in chunk order, so callers
-// invoking it repeatedly (e.g. once per search round) can reuse one
-// destination buffer. Because the chunk size is a caller-fixed constant
-// — never derived from the worker count — both the per-chunk
-// computations and the concatenation order are identical for every
-// worker count.
-func MapChunksInto[T any](dst []T, workers, n, chunk int, fn func(lo, hi int) []T) []T {
-	return MapChunksIntoOn(nil, dst, workers, n, chunk, fn)
-}
-
-// MapChunksIntoOn is MapChunksInto on an explicit runtime; rt == nil
-// means Default. It is the ctx variant on the background context,
-// sharing one body.
-func MapChunksIntoOn[T any](rt *Runtime, dst []T, workers, n, chunk int, fn func(lo, hi int) []T) []T {
-	out, _ := MapChunksIntoCtxOn(rt, context.Background(), dst, workers, n, chunk, fn)
 	return out
 }

@@ -139,54 +139,3 @@ func TestMapOrdered(t *testing.T) {
 		t.Fatal("empty map not empty")
 	}
 }
-
-// MapChunksInto output must be the in-order concatenation, independent of
-// worker count, including chunks that produce a variable number of
-// results.
-func TestMapChunksIntoDeterministic(t *testing.T) {
-	fn := func(lo, hi int) []int {
-		var out []int
-		for i := lo; i < hi; i++ {
-			if i%3 != 0 { // variable-length chunk output
-				out = append(out, i)
-			}
-		}
-		return out
-	}
-	want := MapChunksInto(nil, 1, 1000, 64, fn)
-	for _, workers := range []int{2, 4, 7} {
-		got := MapChunksInto(nil, workers, 1000, 64, fn)
-		if len(got) != len(want) {
-			t.Fatalf("workers=%d: %d results, want %d", workers, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("workers=%d: result %d = %d, want %d", workers, i, got[i], want[i])
-			}
-		}
-	}
-}
-
-// MapChunksInto must append to the destination and reuse its capacity
-// when it suffices (the per-round buffer-reuse pattern of MineSelect).
-func TestMapChunksInto(t *testing.T) {
-	fn := func(lo, hi int) []int {
-		out := make([]int, 0, hi-lo)
-		for i := lo; i < hi; i++ {
-			out = append(out, i)
-		}
-		return out
-	}
-	got := MapChunksInto([]int{-1}, 4, 100, 16, fn)
-	if len(got) != 101 || got[0] != -1 || got[1] != 0 || got[100] != 99 {
-		t.Fatalf("prefix not preserved: len=%d got[0]=%d", len(got), got[0])
-	}
-	buf := make([]int, 0, 256)
-	out := MapChunksInto(buf, 4, 100, 16, fn)
-	if &out[:1][0] != &buf[:1][0] {
-		t.Fatal("sufficient capacity was not reused")
-	}
-	if out2 := MapChunksInto(nil, 3, 0, 16, fn); len(out2) != 0 {
-		t.Fatal("n=0 must return dst unchanged")
-	}
-}

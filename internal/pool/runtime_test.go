@@ -1,6 +1,7 @@
 package pool
 
 import (
+	"context"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -50,16 +51,17 @@ func TestRuntimeSharedAcrossPools(t *testing.T) {
 	if len(out) != 100 || total.Load() != 100 {
 		t.Fatalf("MapOrderedOn: len=%d calls=%d", len(out), total.Load())
 	}
-	chunks := MapChunksIntoOn(rt, nil, 4, 100, 8, func(lo, hi int) []int {
-		out := make([]int, 0, hi-lo)
+	chunks := make([]int, 100)
+	if err := ForChunksCtxOn(rt, context.Background(), 4, 100, 8, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			out = append(out, i)
+			chunks[i] = i
 		}
-		return out
-	})
+	}); err != nil {
+		t.Fatal(err)
+	}
 	for i, v := range chunks {
 		if v != i {
-			t.Fatalf("MapChunksIntoOn: chunks[%d] = %d", i, v)
+			t.Fatalf("ForChunksCtxOn: chunks[%d] = %d", i, v)
 		}
 	}
 }

@@ -17,15 +17,13 @@ import (
 //
 //   - the shards' merged integer counts reproduce gainDir's floats
 //     exactly (core.GainFromCounts);
-//   - the candidate quick bound is state-free, so the monolith's
-//     per-round qub filter admits the same candidate set every round —
-//     computed here once up front;
-//   - the monolith's Line-8 re-check gain equals the scored gain
-//     bit-for-bit (the re-check reads exactly the round-start state, by
-//     the overlap-filter invariance argument at core's recheckGains,
-//     and (0+a)+b−c ≡ a+b−c in IEEE arithmetic for the direction
-//     compositions involved), so the add walk can reuse the scored
-//     values.
+//   - the candidate quick bound is state-free, so the qub filter admits
+//     the same candidate set every round — applied once up front, as
+//     the monolith's scoring cache does;
+//   - the Line-8 re-check gain equals the scored gain bit-for-bit, so
+//     the add walk reuses the scored values like the monolith does (the
+//     overlap-filter argument in the file comment of core's
+//     selectalg.go).
 
 type scoredRule struct {
 	rule core.Rule
@@ -66,7 +64,7 @@ func mineSelect(ctx context.Context, d *dataset.Dataset, cands []core.Candidate,
 		}
 		// Line 3: one SCORE round scores every surviving candidate on
 		// its owning shards; the merge walks candidates in index order,
-		// appending the same three directions the monolith's scoreRange
+		// appending the same three directions the monolith's scoring
 		// does.
 		scored = scored[:0]
 		if len(survivors) > 0 {
@@ -134,7 +132,7 @@ func mineSelect(ctx context.Context, d *dataset.Dataset, cands []core.Candidate,
 
 // mergeScored folds one SCORE round's replies into scored rules, in
 // candidate-index order — the same order, content and float bits as the
-// monolith's scoreRange over the qub-surviving candidates.
+// monolith's scoring over the qub-surviving candidates.
 func (r *run) mergeScored(survivors []int32, reps []*reply, dst []scoredRule) []scoredRule {
 	coder := r.coder
 	for i, ci := range survivors {
