@@ -93,9 +93,10 @@ func (h *host) score(scorers *pool.Pool[*scorer], ps *core.PartialState, req *wi
 	var err error
 	if len(req.CandIdx) > 0 {
 		rep.Counts = make([]core.DirCounts, len(req.CandIdx))
+		dirty := core.NewDirtyItems(h.d, req.Dirty)
 		err = scorers.RunCtx(lease.Context(), len(req.CandIdx), func(s *scorer, i int) {
 			c := &h.cands[req.CandIdx[i]]
-			rep.Counts[i] = ps.ScoreRule(c.X, c.Y, c.TidX, c.TidY, nil, nil)
+			rep.Counts[i] = ps.ScoreRule(c.X, c.Y, c.TidX, c.TidY, dirty)
 		})
 	} else {
 		rep.Counts = make([]core.DirCounts, len(req.Pairs))
@@ -103,7 +104,7 @@ func (h *host) score(scorers *pool.Pool[*scorer], ps *core.PartialState, req *wi
 			pr := req.Pairs[i]
 			h.d.SupportSetInto(s.tidX, dataset.Left, pr.X)
 			h.d.SupportSetInto(s.tidY, dataset.Right, pr.Y)
-			rep.Counts[i] = ps.ScoreRule(pr.X, pr.Y, s.tidX, s.tidY, nil, nil)
+			rep.Counts[i] = ps.ScoreRule(pr.X, pr.Y, s.tidX, s.tidY, nil)
 		})
 	}
 	if err != nil {

@@ -108,25 +108,26 @@ func (ps *PartialState) ErrorsCol(target dataset.View, i int) *bitset.Set {
 }
 
 // ScoreDir computes the per-item counts of one rule direction for the
-// consequent items this partition owns, appending to dst: per owned
-// item y of cons, the covered count |tids ∩ ucol[y]| and the new-error
-// count |tids \ (supp(y) ∪ ecol[y])| — the same two fused kernels as
-// State.gainDir, yielding the same integers. Items outside the
-// partition are someone else's; items inside are emitted even at
-// (0, 0), so a coordinator can concatenate the partitions' slices in
-// partition order and walk cons exactly once (a wire transport may
-// compress the zero entries; see internal/shard's protocol doc).
+// consequent items this partition owns and dirty marks (nil marks
+// every item): per such item y of cons, the covered count
+// |tids ∩ ucol[y]| and the new-error count |tids \ (supp(y) ∪ ecol[y])|
+// — the same two fused kernels as State.gainDir, yielding the same
+// integers. Items outside the partition are someone else's; items
+// inside are emitted even at (0, 0), so a coordinator can place every
+// requested item's counts and walk cons exactly once (a wire transport
+// may compress the zero entries; see internal/shard's protocol doc).
 //
 // ScoreDir only reads the partition, so any number of concurrent
 // ScoreDir calls (a shard's worker pool scoring a candidate batch) are
 // safe against each other.
-func (ps *PartialState) ScoreDir(target dataset.View, tids *bitset.Set, cons itemset.Itemset, dst []ItemCount) []ItemCount {
+func (ps *PartialState) ScoreDir(target dataset.View, tids *bitset.Set, cons itemset.Itemset, dirty *bitset.Set) []ItemCount {
 	lo, hi := ps.lo[target], ps.hi[target]
 	ucol, ecol := ps.ucol[target], ps.ecol[target]
 	cols := ps.d.Columns(target)
+	var dst []ItemCount
 	//lint:ctxprobe-ok bounded per-rule work (|cons| kernel calls); shard drivers probe ctx at message granularity
 	for _, y := range cons {
-		if y < lo || y >= hi {
+		if y < lo || y >= hi || (dirty != nil && !dirty.Contains(y)) {
 			continue
 		}
 		covered := bitset.AndCount(tids, &ucol[y-lo])
@@ -139,21 +140,27 @@ func (ps *PartialState) ScoreDir(target dataset.View, tids *bitset.Set, cons ite
 // ScoreRule scores both directions of the rule skeleton (x, y) against
 // the partition, with optional precomputed support tidsets (nil tidsets
 // are computed into internal scratch — not safe concurrently; pass
-// cached tidsets from parallel scorers). The returned DirCounts always
-// carries both directions: the coordinator composes →/←/↔ gains from
-// the same two count vectors, like evaluate (from gainDir) and the
-// SELECT scorer (from cached deltas) do.
-func (ps *PartialState) ScoreRule(x, y itemset.Itemset, tidX, tidY *bitset.Set, fwd, back []ItemCount) DirCounts {
+// cached tidsets from parallel scorers). dirty restricts each direction
+// to the consequent items it marks in the target view; nil scores every
+// owned item. The returned DirCounts always carries both directions:
+// the coordinator composes →/←/↔ gains from the same two count
+// vectors, like evaluate (from gainDir) and the SELECT scorer (from
+// cached deltas) do.
+func (ps *PartialState) ScoreRule(x, y itemset.Itemset, tidX, tidY *bitset.Set, dirty *DirtyItems) DirCounts {
+	var dirtyL, dirtyR *bitset.Set
+	if dirty != nil {
+		dirtyL, dirtyR = &dirty[dataset.Left], &dirty[dataset.Right]
+	}
 	if tidX == nil {
 		ps.d.SupportSetInto(ps.tids, dataset.Left, x)
 		tidX = ps.tids
 	}
-	fwd = ps.ScoreDir(dataset.Right, tidX, y, fwd)
+	fwd := ps.ScoreDir(dataset.Right, tidX, y, dirtyR)
 	if tidY == nil {
 		ps.d.SupportSetInto(ps.tids, dataset.Right, y)
 		tidY = ps.tids
 	}
-	back = ps.ScoreDir(dataset.Left, tidY, x, back)
+	back := ps.ScoreDir(dataset.Left, tidY, x, dirtyL)
 	return DirCounts{Fwd: fwd, Back: back}
 }
 

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"twoview/internal/bitset"
 	"twoview/internal/dataset"
+	"twoview/internal/itemset"
 	"twoview/internal/mdl"
 )
 
@@ -132,8 +134,8 @@ func TestPartialStateScoreRuleMatchesScoreDir(t *testing.T) {
 	ps := NewPartialState(d, 0, d.Items(dataset.Left), 0, d.Items(dataset.Right))
 	for ci := range cands {
 		c := &cands[ci]
-		cached := ps.ScoreRule(c.X, c.Y, c.TidX, c.TidY, nil, nil)
-		fresh := ps.ScoreRule(c.X, c.Y, nil, nil, nil, nil)
+		cached := ps.ScoreRule(c.X, c.Y, c.TidX, c.TidY, nil)
+		fresh := ps.ScoreRule(c.X, c.Y, nil, nil, nil)
 		if len(cached.Fwd) != len(fresh.Fwd) || len(cached.Back) != len(fresh.Back) {
 			t.Fatalf("cand %d: count lengths diverge", ci)
 		}
@@ -145,6 +147,44 @@ func TestPartialStateScoreRuleMatchesScoreDir(t *testing.T) {
 		for i := range cached.Back {
 			if cached.Back[i] != fresh.Back[i] {
 				t.Fatalf("cand %d back[%d]: %+v != %+v", ci, i, cached.Back[i], fresh.Back[i])
+			}
+		}
+	}
+}
+
+// TestPartialStateScoreRuleMask pins the dirty filter: a masked
+// ScoreRule returns exactly the unmasked counts of the items the mask
+// marks in each direction's target view, in the same order, and a mask
+// with no items returns no counts.
+func TestPartialStateScoreRuleMask(t *testing.T) {
+	d := plantedDataset(t, 103)
+	cands := mustCandidates(t, d, 5, 0, ParallelOptions{Workers: 1})
+	ps := NewPartialState(d, 1, d.Items(dataset.Left), 0, d.Items(dataset.Right)-1)
+	masks := []*[2]itemset.Itemset{
+		{itemset.New(0, 1, 4), itemset.New(1, 2, 5)},
+		{nil, itemset.New(0, 1, 2, 3, 4, 5)},
+		{nil, nil},
+	}
+	filter := func(counts []ItemCount, keep itemset.Itemset) []ItemCount {
+		var out []ItemCount
+		for _, c := range counts {
+			if keep.Contains(int(c.Item)) {
+				out = append(out, c)
+			}
+		}
+		return out
+	}
+	for _, items := range masks {
+		dirty := NewDirtyItems(d, items)
+		for ci := range cands {
+			c := &cands[ci]
+			all := ps.ScoreRule(c.X, c.Y, c.TidX, c.TidY, nil)
+			got := ps.ScoreRule(c.X, c.Y, c.TidX, c.TidY, dirty)
+			if want := filter(all.Fwd, items[dataset.Right]); !slices.Equal(got.Fwd, want) {
+				t.Fatalf("mask %v cand %d fwd: %+v, want %+v", *items, ci, got.Fwd, want)
+			}
+			if want := filter(all.Back, items[dataset.Left]); !slices.Equal(got.Back, want) {
+				t.Fatalf("mask %v cand %d back: %+v, want %+v", *items, ci, got.Back, want)
 			}
 		}
 	}

@@ -15,7 +15,7 @@ import (
 // truncated to zero length or fully overwritten before it is read.
 type miningScratch struct {
 	cache  selectCache   // SELECT: incremental scoring state
-	scored []scoredRule  // SELECT: per-round scored rules
+	scored []ScoredRule  // SELECT: per-round scored rules
 	usedL  bitset.Set    // SELECT: items used this round, left view
 	usedR  bitset.Set    // SELECT: items used this round, right view
 	order  []int         // GREEDY: candidate order

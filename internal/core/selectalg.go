@@ -64,19 +64,21 @@ type SelectOptions struct {
 	ParallelOptions
 }
 
-type scoredRule struct {
-	rule Rule
-	gain float64
+// ScoredRule is a rule SELECT considers in a round, with its gain
+// against the round-start table.
+type ScoredRule struct {
+	Rule Rule
+	Gain float64
 }
 
-// before is the order in which SELECT ranks scored rules: gain
+// Before is the order in which SELECT ranks scored rules: gain
 // descending, ties broken by Rule.Compare. It is total over distinct
 // rules.
-func (a scoredRule) before(b scoredRule) bool {
-	if a.gain != b.gain {
-		return a.gain > b.gain
+func (a ScoredRule) Before(b ScoredRule) bool {
+	if a.Gain != b.Gain {
+		return a.Gain > b.Gain
 	}
-	return a.rule.Compare(b.rule) < 0
+	return a.Rule.Compare(b.Rule) < 0
 }
 
 // MineSelect runs TRANSLATOR-SELECT(k) over the given candidates.
@@ -125,7 +127,7 @@ func MineSelect(ctx context.Context, d *dataset.Dataset, cands []Candidate, opt 
 		if scored, err = cache.score(ctx, rt, s, cands, scored[:0], opt.Workers); err != nil {
 			break
 		}
-		top := topK(scored, opt.K)
+		top := TopK(scored, opt.K)
 		if len(top) == 0 {
 			break
 		}
@@ -142,21 +144,21 @@ func MineSelect(ctx context.Context, d *dataset.Dataset, cands []Candidate, opt 
 			if opt.MaxRules > 0 && len(s.table.Rules) >= opt.MaxRules {
 				break
 			}
-			if anyIn(sr.rule.X, usedL) || anyIn(sr.rule.Y, usedR) {
+			if anyIn(sr.Rule.X, usedL) || anyIn(sr.Rule.Y, usedR) {
 				continue
 			}
-			// Line 8: sr.gain is the rule's gain against the current
+			// Line 8: sr.Gain is the rule's gain against the current
 			// table (see the file comment).
-			s.AddRule(sr.rule)
-			cache.touch(sr.rule)
-			if !res.record(s, sr.rule, sr.gain, opt.Trace, opt.OnIteration) {
+			s.AddRule(sr.Rule)
+			cache.dirty.Touch(sr.Rule)
+			if !res.record(s, sr.Rule, sr.Gain, opt.Trace, opt.OnIteration) {
 				stopped = true
 				break // OnIteration asked for an early stop
 			}
-			for _, it := range sr.rule.X {
+			for _, it := range sr.Rule.X {
 				usedL.Add(it)
 			}
-			for _, it := range sr.rule.Y {
+			for _, it := range sr.Rule.Y {
 				usedR.Add(it)
 			}
 		}
@@ -168,17 +170,17 @@ func MineSelect(ctx context.Context, d *dataset.Dataset, cands []Candidate, opt 
 	return res, err
 }
 
-// topK reorders scored so that its first min(k, len(scored)) entries are
-// the k best rules in SELECT's order (scoredRule.before), and returns
+// TopK reorders scored so that its first min(k, len(scored)) entries are
+// the k best rules in SELECT's order (ScoredRule.Before), and returns
 // that prefix: sort-then-truncate without sorting the rest. The prefix
 // is kept sorted, and a later rule is inserted only if it ranks before
 // the current k-th. k must be at least 1.
-func topK(scored []scoredRule, k int) []scoredRule {
+func TopK(scored []ScoredRule, k int) []ScoredRule {
 	m := 0 // scored[:m] holds the best rules seen so far, in order
 	for i := range scored {
 		sr := scored[i]
 		if m == k {
-			if !sr.before(scored[k-1]) {
+			if !sr.Before(scored[k-1]) {
 				continue
 			}
 			scored[i] = scored[k-1] // evicted; slot i is never visited again
@@ -187,7 +189,7 @@ func topK(scored []scoredRule, k int) []scoredRule {
 			m++
 		}
 		// Insert sr into the hole at m-1, keeping scored[:m] sorted.
-		j := sort.Search(m-1, func(j int) bool { return sr.before(scored[j]) })
+		j := sort.Search(m-1, func(j int) bool { return sr.Before(scored[j]) })
 		copy(scored[j+1:m], scored[j:m-1])
 		scored[j] = sr
 	}
@@ -210,7 +212,7 @@ type selectCache struct {
 	delta []int32
 	// dirty marks, per target view, the items whose U/E columns changed
 	// since the cached deltas were counted.
-	dirty [2]bitset.Set
+	dirty DirtyItems
 }
 
 // selectSlot is the cache entry of one candidate that passed the qub
@@ -244,32 +246,28 @@ func (c *selectCache) reset(s *State, cands []Candidate) {
 		n += len(cd.Y) + len(cd.X)
 	}
 	c.delta = slices.Grow(c.delta[:0], n)[:n]
-	for _, v := range [2]dataset.View{dataset.Left, dataset.Right} {
-		c.dirty[v].Reset(s.d.Items(v))
-		c.dirty[v].Fill()
-	}
+	c.dirty.Fill(s.d)
 }
 
 // score brings the cache up to date with s and appends every rule with
 // gain above gainEpsilon to dst: in candidate order, and per candidate in
 // the order →, ←, ↔, exactly what scoring every candidate from scratch
-// appends. It leaves no item dirty; touch marks the items that adding a
-// rule changes.
-func (c *selectCache) score(ctx context.Context, rt *pool.Runtime, s *State, cands []Candidate, dst []scoredRule, workers int) ([]scoredRule, error) {
+// appends. It leaves no item dirty; dirty.Touch marks the items that
+// adding a rule changes.
+func (c *selectCache) score(ctx context.Context, rt *pool.Runtime, s *State, cands []Candidate, dst []ScoredRule, workers int) ([]ScoredRule, error) {
 	if err := pool.ForChunksCtxOn(rt, ctx, workers, len(c.slots), scoreChunk, func(lo, hi int) {
 		c.refresh(s, cands, lo, hi)
 	}); err != nil {
 		return dst, err
 	}
-	c.dirty[dataset.Left].Clear()
-	c.dirty[dataset.Right].Clear()
+	c.dirty.Clear()
 	for i := range c.slots {
 		sl := &c.slots[i]
 		cd := &cands[sl.cand]
 		gains := [3]float64{sl.gainF - sl.lenUni, sl.gainB - sl.lenUni, sl.gainF + sl.gainB - sl.lenBi}
 		for dir, g := range gains {
 			if g > gainEpsilon {
-				dst = append(dst, scoredRule{Rule{X: cd.X, Dir: Directions[dir], Y: cd.Y}, g})
+				dst = append(dst, ScoredRule{Rule{X: cd.X, Dir: Directions[dir], Y: cd.Y}, g})
 			}
 		}
 	}
@@ -311,17 +309,62 @@ func (c *selectCache) recount(s *State, target dataset.View, tids *bitset.Set, c
 	return stale
 }
 
-// touch marks the items whose U/E columns adding r changes: the
+// DirtyItems marks, per target view (indexed by dataset.View), the
+// consequent items whose U/E columns changed since a cached count of
+// them was taken. It is the dirty set of SELECT's incremental scoring
+// in both engines (selectCache here, the coordinator's cache in
+// internal/shard) and the item filter of a masked
+// PartialState.ScoreRule.
+type DirtyItems [2]bitset.Set
+
+// NewDirtyItems returns the mask of the given per-view item lists over
+// d's alphabets, or nil (every item) when items is nil. Items must be
+// within the alphabets.
+func NewDirtyItems(d *dataset.Dataset, items *[2]itemset.Itemset) *DirtyItems {
+	if items == nil {
+		return nil
+	}
+	di := new(DirtyItems)
+	for _, v := range [2]dataset.View{dataset.Left, dataset.Right} {
+		di[v].Reset(d.Items(v))
+		for _, it := range items[v] {
+			di[v].Add(it)
+		}
+	}
+	return di
+}
+
+// Fill sizes the masks to d's alphabets and marks every item dirty.
+func (di *DirtyItems) Fill(d *dataset.Dataset) {
+	for _, v := range [2]dataset.View{dataset.Left, dataset.Right} {
+		di[v].Reset(d.Items(v))
+		di[v].Fill()
+	}
+}
+
+// Clear marks every item clean.
+func (di *DirtyItems) Clear() {
+	di[dataset.Left].Clear()
+	di[dataset.Right].Clear()
+}
+
+// Items returns the dirty items of each view as freshly allocated
+// ascending lists.
+func (di *DirtyItems) Items() [2]itemset.Itemset {
+	return [2]itemset.Itemset{di[dataset.Left].Indices(), di[dataset.Right].Indices()}
+}
+
+// Touch marks the items whose U/E columns adding r changes: the
 // consequent items of each direction r applies in.
-func (c *selectCache) touch(r Rule) {
+func (di *DirtyItems) Touch(r Rule) {
 	if r.AppliesTo(dataset.Left) {
 		for _, y := range r.Y {
-			c.dirty[dataset.Right].Add(y)
+			di[dataset.Right].Add(y)
 		}
 	}
 	if r.AppliesTo(dataset.Right) {
 		for _, x := range r.X {
-			c.dirty[dataset.Left].Add(x)
+			di[dataset.Left].Add(x)
 		}
 	}
 }

@@ -19,9 +19,9 @@ import (
 // every candidate from scratch with gainDir and returns those with gain
 // above gainEpsilon, in candidate order and per candidate in the order
 // →, ←, ↔.
-func scoreUncached(s *State, cands []Candidate) []scoredRule {
+func scoreUncached(s *State, cands []Candidate) []ScoredRule {
 	coder := s.coder
-	var dst []scoredRule
+	var dst []ScoredRule
 	for ci := range cands {
 		c := &cands[ci]
 		if s.Qub(c.X, c.Y, c.TidX.Count(), c.TidY.Count()) <= gainEpsilon {
@@ -31,12 +31,12 @@ func scoreUncached(s *State, cands []Candidate) []scoredRule {
 		gainB := s.gainDir(dataset.Right, c.TidY, c.X)
 		lenUni := coder.RuleLen(c.X, c.Y, false)
 		lenBi := coder.RuleLen(c.X, c.Y, true)
-		for _, sr := range [3]scoredRule{
+		for _, sr := range [3]ScoredRule{
 			{Rule{X: c.X, Dir: Forward, Y: c.Y}, gainF - lenUni},
 			{Rule{X: c.X, Dir: Backward, Y: c.Y}, gainB - lenUni},
 			{Rule{X: c.X, Dir: Both, Y: c.Y}, gainF + gainB - lenBi},
 		} {
-			if sr.gain > gainEpsilon {
+			if sr.Gain > gainEpsilon {
 				dst = append(dst, sr)
 			}
 		}
@@ -45,7 +45,7 @@ func scoreUncached(s *State, cands []Candidate) []scoredRule {
 }
 
 // checkSelectAgainstOracle runs SELECT(k) round by round on MineSelect's
-// own pieces (selectCache, topK, the overlap-filtered add walk) and
+// own pieces (selectCache, TopK, the overlap-filtered add walk) and
 // asserts that:
 //   - every round's cached scored list equals scoreUncached's exactly: same
 //     rules, same gain bits, same order;
@@ -63,7 +63,7 @@ func checkSelectAgainstOracle(t testing.TB, d *dataset.Dataset, cands []Candidat
 	c.reset(s, cands)
 	usedL := bitset.New(d.Items(dataset.Left))
 	usedR := bitset.New(d.Items(dataset.Right))
-	var got []scoredRule
+	var got []ScoredRule
 	rounds := 0
 	for maxRules == 0 || len(s.table.Rules) < maxRules {
 		var err error
@@ -76,13 +76,13 @@ func checkSelectAgainstOracle(t testing.TB, d *dataset.Dataset, cands []Candidat
 			t.Fatalf("round %d: %d scored rules, want %d", rounds, len(got), len(want))
 		}
 		for i := range want {
-			if got[i].rule.Compare(want[i].rule) != 0 ||
-				math.Float64bits(got[i].gain) != math.Float64bits(want[i].gain) {
+			if got[i].Rule.Compare(want[i].Rule) != 0 ||
+				math.Float64bits(got[i].Gain) != math.Float64bits(want[i].Gain) {
 				t.Fatalf("round %d, rule %d: cached %v gain %v, uncached %v gain %v",
-					rounds, i, got[i].rule, got[i].gain, want[i].rule, want[i].gain)
+					rounds, i, got[i].Rule, got[i].Gain, want[i].Rule, want[i].Gain)
 			}
 		}
-		top := topK(got, k)
+		top := TopK(got, k)
 		if len(top) == 0 {
 			break
 		}
@@ -92,18 +92,18 @@ func checkSelectAgainstOracle(t testing.TB, d *dataset.Dataset, cands []Candidat
 			if maxRules > 0 && len(s.table.Rules) >= maxRules {
 				break
 			}
-			if anyIn(sr.rule.X, usedL) || anyIn(sr.rule.Y, usedR) {
+			if anyIn(sr.Rule.X, usedL) || anyIn(sr.Rule.Y, usedR) {
 				continue
 			}
-			if g := s.Gain(sr.rule); math.Float64bits(g) != math.Float64bits(sr.gain) {
-				t.Fatalf("round %d: %v scored gain %v, gain at its turn %v", rounds, sr.rule, sr.gain, g)
+			if g := s.Gain(sr.Rule); math.Float64bits(g) != math.Float64bits(sr.Gain) {
+				t.Fatalf("round %d: %v scored gain %v, gain at its turn %v", rounds, sr.Rule, sr.Gain, g)
 			}
-			s.AddRule(sr.rule)
-			c.touch(sr.rule)
-			for _, it := range sr.rule.X {
+			s.AddRule(sr.Rule)
+			c.dirty.Touch(sr.Rule)
+			for _, it := range sr.Rule.X {
 				usedL.Add(it)
 			}
-			for _, it := range sr.rule.Y {
+			for _, it := range sr.Rule.Y {
 				usedR.Add(it)
 			}
 		}
@@ -129,13 +129,13 @@ func checkSelectAgainstOracle(t testing.TB, d *dataset.Dataset, cands []Candidat
 	}
 }
 
-// topK must return exactly sort-then-truncate under SELECT's order,
+// TopK must return exactly sort-then-truncate under SELECT's order,
 // including among rules with equal gains.
 func TestTopKMatchesSortThenTruncate(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 300; trial++ {
 		n := r.Intn(200)
-		scored := make([]scoredRule, n)
+		scored := make([]ScoredRule, n)
 		for i := range scored {
 			// Distinct rules; gains drawn from a handful of values so that
 			// ties, broken by Rule.Compare, are frequent.
@@ -143,24 +143,24 @@ func TestTopKMatchesSortThenTruncate(t *testing.T) {
 			if trial%3 == 0 {
 				gain = r.Float64()
 			}
-			scored[i] = scoredRule{
-				rule: Rule{X: itemset.Itemset{i / 3}, Dir: Directions[i%3], Y: itemset.Itemset{r.Intn(4)}},
-				gain: gain,
+			scored[i] = ScoredRule{
+				Rule: Rule{X: itemset.Itemset{i / 3}, Dir: Directions[i%3], Y: itemset.Itemset{r.Intn(4)}},
+				Gain: gain,
 			}
 		}
 		r.Shuffle(n, func(i, j int) { scored[i], scored[j] = scored[j], scored[i] })
 		want := slices.Clone(scored)
-		sort.Slice(want, func(a, b int) bool { return want[a].before(want[b]) })
+		sort.Slice(want, func(a, b int) bool { return want[a].Before(want[b]) })
 		for _, k := range []int{1, 25, n + 1} {
-			got := topK(slices.Clone(scored), k)
+			got := TopK(slices.Clone(scored), k)
 			w := want[:min(k, n)]
 			if len(got) != len(w) {
 				t.Fatalf("trial %d k=%d: %d rules, want %d", trial, k, len(got), len(w))
 			}
 			for i := range w {
-				if got[i].rule.Compare(w[i].rule) != 0 || got[i].gain != w[i].gain {
+				if got[i].Rule.Compare(w[i].Rule) != 0 || got[i].Gain != w[i].Gain {
 					t.Fatalf("trial %d k=%d: position %d is %v (%v), want %v (%v)",
-						trial, k, i, got[i].rule, got[i].gain, w[i].rule, w[i].gain)
+						trial, k, i, got[i].Rule, got[i].Gain, w[i].Rule, w[i].Gain)
 				}
 			}
 		}

@@ -11,6 +11,7 @@ import (
 
 	"twoview/internal/core"
 	"twoview/internal/fault"
+	"twoview/internal/mdl"
 )
 
 // leaseForTest is the short lease the lease-driven scenarios run under:
@@ -30,7 +31,9 @@ const leaseForTest = 100 * time.Millisecond
 //
 // The scenarios map onto the protocol's failure modes:
 //
-//	shard.task      a scoring task panics mid-phase (crash mid-round)
+//	shard.task      a scoring task panics mid-phase (crash mid-round),
+//	                or stalls past its lease while it still holds its
+//	                request
 //	shard.recv      a shard dies on receive, or stalls past its lease
 //	shard.reply     a completion is lost in transit
 //	shard.reply.dup a completion is delivered twice (dedup/reorder)
@@ -64,6 +67,107 @@ func TestChaosShardCrashMidScore(t *testing.T) {
 		t.Fatal("no partition was rebuilt; the crash went unsupervised")
 	}
 	sameResult(t, "crash mid-score", ref, res)
+}
+
+// A panic scheduled past the first SCORE round's tasks lands in an
+// incremental round: the rebuilt incarnation, replaying the log, must
+// answer a masked request (only the dirty items of the stale
+// candidates) with exactly the counts the coordinator's cache expects.
+func TestChaosShardCrashOnMaskedScore(t *testing.T) {
+	defer fault.Reset()
+	d := twoPlantDataset(t, 67)
+	cands := mustCandidates(t, d)
+	ref, err := core.MineSelect(context.Background(), d, cands, core.SelectOptions{K: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ref.Table.Rules) < 2 {
+		t.Fatal("need at least 2 reference rules, so that a masked round runs")
+	}
+
+	// Round 1 runs one task per surviving candidate on each shard.
+	s := core.NewState(d, mdl.NewCoder(d))
+	survivors := 0
+	for i := range cands {
+		c := &cands[i]
+		if s.Qub(c.X, c.Y, c.TidX.Count(), c.TidY.Count()) > core.GainEpsilon {
+			survivors++
+		}
+	}
+	const shards = 2
+	fault.Set("shard.task", fault.Action{Skip: shards * survivors, Panic: "chaos: poisoned masked task"})
+	res, stats, err := mineSelect(context.Background(), d, cands,
+		core.SelectOptions{K: 1}, Config{Shards: shards, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fault.Hits("shard.task") == 0 {
+		t.Fatal("schedule never fired; scenario is vacuous")
+	}
+	if stats.restarts == 0 {
+		t.Fatal("no partition was rebuilt; the crash went unsupervised")
+	}
+	if len(stats.requested) < 2 || stats.requested[1] >= stats.requested[0] {
+		t.Fatalf("requested pairs per round %v: round 2 was not masked", stats.requested)
+	}
+	sameResult(t, "crash on masked score", ref, res)
+}
+
+// stalledReaderReps is how often the stalled-reader scenarios repeat.
+// One run exposes a payload-reuse race to -race only when the stalled
+// read and the coordinator's overwrite happen to be unordered (under
+// half the runs for GREEDY), so the repeats make `make chaos-shard`
+// catch a regression all but surely.
+const stalledReaderReps = 12
+
+// checkStalledReader mines under a schedule that stalls one scoring
+// task past its lease, reps times. The supervisor replaces the stalled
+// incarnation and moves on to later rounds while the stalled task is
+// still to read its request's payload (the candidate indices or the
+// pairs). Payloads belong to their request once dispatched, so the
+// drivers must never reuse a payload buffer for a later round: -race
+// reports it if they do.
+func checkStalledReader(t *testing.T, label string, ref *core.Result, reps int, mine func() (*core.Result, *runStats, error)) {
+	t.Helper()
+	defer fault.Reset()
+	for rep := 0; rep < reps; rep++ {
+		fault.Reset()
+		fault.Set("shard.task", fault.Action{Skip: 5, Delay: 3 * leaseForTest})
+		res, stats, err := mine()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.restarts == 0 {
+			t.Fatalf("%s rep %d: the stalled incarnation was never replaced", label, rep)
+		}
+		sameResult(t, label, ref, res)
+	}
+}
+
+func TestChaosShardStalledReaderGreedy(t *testing.T) {
+	d := plantedDataset(t, 13)
+	cands := mustCandidates(t, d)
+	opt := core.GreedyOptions{BlockSize: 16}
+	ref, err := core.MineGreedy(context.Background(), d, cands, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkStalledReader(t, "greedy stalled reader", ref, stalledReaderReps, func() (*core.Result, *runStats, error) {
+		return mineGreedy(context.Background(), d, cands, opt, Config{Shards: 2, Workers: 2, Lease: leaseForTest})
+	})
+}
+
+// The EXACT twin needs fewer repeats: its pair batches are rescored in
+// many short rounds, so nearly every run exposes a reuse.
+func TestChaosShardStalledReaderExact(t *testing.T) {
+	d := plantedDataset(t, 13)
+	ref, err := core.MineExact(context.Background(), d, core.ExactOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkStalledReader(t, "exact stalled reader", ref, 3, func() (*core.Result, *runStats, error) {
+		return mineExact(context.Background(), d, core.ExactOptions{}, Config{Shards: 2, Workers: 2, Lease: leaseForTest})
+	})
 }
 
 // A shard that panics on receive dies before producing anything; the

@@ -70,11 +70,18 @@
 //	SCORE     coordinator → shard: {seq, term, lease} plus either
 //	          candidate indices (SELECT/GREEDY: u32 indices into the
 //	          announced candidate list) or inline pairs (EXACT: two
-//	          item-id arrays per pair). Shard replies with, per entry,
-//	          the owned consequent items' (item, covered, errors)
+//	          item-id arrays per pair), and the dirty items: either
+//	          "all items" or, per view, an ascending item list (SELECT
+//	          names the items the rules applied since its previous
+//	          round touched). Shard replies with, per entry, the owned
+//	          requested consequent items' (item, covered, errors)
 //	          integer triples in item order — both rule directions.
-//	          Zero triples may be run-length compressed on the wire;
-//	          the fold skips them by value either way.
+//	          The shard keeps no scoring cache: SELECT's coordinator
+//	          caches every candidate's merged triples and overwrites
+//	          only the dirty ones, so a SCORE round after the first
+//	          rescores only the candidates with a dirty consequent
+//	          item. Zero triples may be run-length compressed on the
+//	          wire; the fold skips them by value either way.
 //	APPLY     coordinator → shard: {seq, term, lease, rule}. The shard
 //	          updates its columns and replies with the same per-item
 //	          triples for the applied rule; when the request sets

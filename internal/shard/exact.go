@@ -52,10 +52,9 @@ type exactDriver struct {
 	// levels is the per-depth DFS scratch, grown on first descent.
 	levels []exLevel
 	// batch accumulates enumerated pairs between SCORE rounds; keep is
-	// the flush-local surviving-index scratch and pairs the wire view.
+	// the flush-local surviving-index scratch.
 	batch []pairEval
 	keep  []int
-	pairs []pairMsg
 
 	full, fullY, fullXY *bitset.Set
 
@@ -291,7 +290,9 @@ func (ed *exactDriver) flush() error {
 	batch := ed.batch
 	ed.batch = ed.batch[:0]
 	keep := ed.keep[:0]
-	pairs := ed.pairs[:0]
+	// The pair list is fresh per round: once dispatched it belongs to
+	// the request (see request).
+	var pairs []pairMsg
 	for i := range batch {
 		pe := &batch[i]
 		if !ed.opt.DisableQub {
@@ -303,7 +304,7 @@ func (ed *exactDriver) flush() error {
 		keep = append(keep, i)
 		pairs = append(pairs, pairMsg{x: pe.x, y: pe.y})
 	}
-	ed.keep, ed.pairs = keep, pairs
+	ed.keep = keep
 	if len(pairs) == 0 {
 		return nil
 	}

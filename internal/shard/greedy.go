@@ -69,7 +69,6 @@ func mineGreedy(ctx context.Context, d *dataset.Dataset, cands []core.Candidate,
 	if maxBlock <= 0 {
 		maxBlock = greedyMaxBlock
 	}
-	var idx []int32
 	var scores []greedyScore
 	pos, block := 0, min(greedyMinBlock, maxBlock)
 	var err error
@@ -83,8 +82,10 @@ func mineGreedy(ctx context.Context, d *dataset.Dataset, cands []core.Candidate,
 		}
 		end := min(pos+block, len(order))
 		// One SCORE round evaluates the window's qub-surviving
-		// candidates against the current (round-start) cover state.
-		idx = idx[:0]
+		// candidates against the current (round-start) cover state. The
+		// index list is fresh per window: once dispatched it belongs to
+		// the request (see request).
+		var idx []int32
 		for j := pos; j < end; j++ {
 			if qubOK[order[j]] {
 				idx = append(idx, int32(order[j]))
@@ -96,7 +97,7 @@ func mineGreedy(ctx context.Context, d *dataset.Dataset, cands []core.Candidate,
 		}
 		if len(idx) > 0 {
 			var reps []*reply
-			if reps, err = r.sv.scoreCands(idx); err != nil {
+			if reps, err = r.sv.scoreCands(idx, nil); err != nil {
 				break
 			}
 			k := 0

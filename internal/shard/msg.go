@@ -38,9 +38,15 @@ type request struct {
 	lease time.Duration
 
 	// msgScore payload: either indices into the run's announced
-	// candidate list (SELECT/GREEDY) or inline pairs (EXACT).
+	// candidate list (SELECT/GREEDY) or inline pairs (EXACT). dirty,
+	// when non-nil, restricts a candIdx request to the consequent items
+	// it lists per target view (SELECT's incremental rounds); nil scores
+	// every owned item. A payload belongs to its request once
+	// dispatched: a replaced incarnation may still be reading it, so
+	// drivers build a fresh one per round instead of reusing buffers.
 	candIdx []int32
 	pairs   []pairMsg
+	dirty   *[2]itemset.Itemset
 
 	// msgApply payload: the accepted rule, and whether the
 	// acknowledgement must carry per-item covered tidsets (EXACT, for
@@ -75,7 +81,8 @@ type reply struct {
 	crash     bool
 
 	// counts holds one DirCounts per scored entry (msgScore) or exactly
-	// one (msgApply), restricted to the partition's owned items.
+	// one (msgApply), restricted to the partition's owned items (and,
+	// for a masked SCORE, to the request's dirty items).
 	counts []core.DirCounts
 	// covers accompanies counts[0] of an apply acknowledgement when the
 	// request set wantCover.

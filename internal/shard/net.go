@@ -168,7 +168,7 @@ func (m *connMgr) helloFrame(part int, term uint64, log []core.Rule) []byte {
 func encodeRequest(part int32, req *request) ([]byte, error) {
 	switch req.kind {
 	case msgScore:
-		s := &wire.Score{Part: part, Term: req.term, Seq: req.seq, Lease: req.lease, CandIdx: req.candIdx}
+		s := &wire.Score{Part: part, Term: req.term, Seq: req.seq, Lease: req.lease, CandIdx: req.candIdx, Dirty: req.dirty}
 		if len(req.pairs) > 0 {
 			s.Pairs = make([]wire.Pair, len(req.pairs))
 			for i, pr := range req.pairs {

@@ -108,12 +108,13 @@ func (p *proc) handleScore(scorers *pool.Pool[*scorer], ps *core.PartialState, r
 	var err error
 	if len(req.candIdx) > 0 {
 		cands := p.run.cands
+		dirty := core.NewDirtyItems(p.run.d, req.dirty)
 		err = scorers.RunCtx(lease.Context(), len(req.candIdx), func(s *scorer, i int) {
 			if fault.Enabled {
 				fault.Fire("shard.task")
 			}
 			c := &cands[req.candIdx[i]]
-			rep.counts[i] = ps.ScoreRule(c.X, c.Y, c.TidX, c.TidY, nil, nil)
+			rep.counts[i] = ps.ScoreRule(c.X, c.Y, c.TidX, c.TidY, dirty)
 		})
 	} else {
 		err = scorers.RunCtx(lease.Context(), len(req.pairs), func(s *scorer, i int) {
@@ -123,7 +124,7 @@ func (p *proc) handleScore(scorers *pool.Pool[*scorer], ps *core.PartialState, r
 			pr := req.pairs[i]
 			p.run.d.SupportSetInto(s.tidX, dataset.Left, pr.x)
 			p.run.d.SupportSetInto(s.tidY, dataset.Right, pr.y)
-			rep.counts[i] = ps.ScoreRule(pr.x, pr.y, s.tidX, s.tidY, nil, nil)
+			rep.counts[i] = ps.ScoreRule(pr.x, pr.y, s.tidX, s.tidY, nil)
 		})
 	}
 	if err != nil {

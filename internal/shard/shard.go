@@ -139,6 +139,11 @@ type runStats struct {
 	// actually performed; cacheHits counts the HELLOs a worker answered
 	// entirely from its content-hash cache.
 	blobsSent, cacheHits int
+
+	// requested holds, per SELECT round, the number of (candidate,
+	// consequent item) pairs its SCORE request asked every shard to
+	// count: how much work the coordinator's cache saves.
+	requested []int
 }
 
 // run is the per-mining-call context shared by the supervisor and every
@@ -160,6 +165,8 @@ type run struct {
 	// Reused coordinator-side merge scratch: the partitions' count
 	// slices of the entry being folded, in partition order.
 	fwdParts, backParts [][]core.ItemCount
+	// requested feeds runStats.requested.
+	requested []int
 
 	// Content-addressed transfer blobs of the TCP transport, computed
 	// once per run (empty for in-process runs): the dataset in its text
@@ -216,7 +223,7 @@ func (r *run) close() {
 }
 
 func (r *run) stats() *runStats {
-	rs := &runStats{restarts: r.sv.restarts, stale: r.sv.stale}
+	rs := &runStats{restarts: r.sv.restarts, stale: r.sv.stale, requested: r.requested}
 	r.sv.tr.stats(rs)
 	return rs
 }

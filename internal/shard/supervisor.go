@@ -7,6 +7,7 @@ import (
 
 	"twoview/internal/core"
 	"twoview/internal/fault"
+	"twoview/internal/itemset"
 )
 
 // supervisor is the coordinator side of a sharded run: it owns the
@@ -169,10 +170,10 @@ func (sv *supervisor) round(mk func(part int) *request) ([]*reply, error) {
 }
 
 // scoreCands runs a SCORE round over indices into the run's candidate
-// list.
-func (sv *supervisor) scoreCands(idx []int32) ([]*reply, error) {
+// list, restricted to the dirty consequent items when dirty is non-nil.
+func (sv *supervisor) scoreCands(idx []int32, dirty *[2]itemset.Itemset) ([]*reply, error) {
 	return sv.round(func(int) *request {
-		return &request{kind: msgScore, candIdx: idx}
+		return &request{kind: msgScore, candIdx: idx, dirty: dirty}
 	})
 }
 

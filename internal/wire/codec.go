@@ -378,8 +378,21 @@ func appendScore(dst []byte, m *Score) []byte {
 		dst = appendItemset(dst, p.X)
 		dst = appendItemset(dst, p.Y)
 	}
-	return dst
+	if m.Dirty == nil {
+		return append(dst, dirtyAll)
+	}
+	dst = append(dst, dirtyMasked)
+	dst = appendItemset(dst, m.Dirty[0])
+	return appendItemset(dst, m.Dirty[1])
 }
+
+// The flag byte of Score's dirty section: every item (one byte in
+// total, the form GREEDY and EXACT requests use), or two delta-encoded
+// item lists, left view then right view.
+const (
+	dirtyAll    uint8 = 0
+	dirtyMasked uint8 = 1
+)
 
 func decodeScore(d *dec) *Score {
 	m := &Score{Part: d.int32(), Term: d.uvarint(), Seq: d.uvarint()}
@@ -410,6 +423,17 @@ func decodeScore(d *dec) *Score {
 		for i := 0; i < nPairs && d.err == nil; i++ {
 			m.Pairs = append(m.Pairs, Pair{X: d.itemset(), Y: d.itemset()})
 		}
+	}
+	switch d.u8() {
+	case dirtyAll:
+	case dirtyMasked:
+		if len(m.Pairs) > 0 {
+			d.fail(errCorrupt) // pairs are always scored in full
+			return m
+		}
+		m.Dirty = &[2]itemset.Itemset{d.itemset(), d.itemset()}
+	default:
+		d.fail(errCorrupt)
 	}
 	return m
 }

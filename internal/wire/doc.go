@@ -24,7 +24,9 @@
 // bytes actually remaining in the frame before any allocation.
 // A version byte other than Version fails the frame immediately —
 // framing changes bump Version and old peers reject new frames at
-// offset 4, not mid-payload.
+// offset 4, not mid-payload. The current version is 2: it added the
+// dirty-item section of Score, so a version-1 peer fails at the first
+// frame.
 //
 // # Payload encoding
 //
@@ -37,6 +39,13 @@
 // index slices are the one exception — their order is part of the
 // request (the greedy driver walks candidates in its own order), so
 // they ride as plain uvarints.
+//
+// A Score ends with its dirty-item section, one flag byte: 0 asks for
+// every owned item (GREEDY and EXACT, and any request that is not
+// masked), 1 is followed by two delta-encoded item lists, left view
+// then right view, naming the consequent items to score (SELECT's
+// incremental rounds). The decoder rejects any other flag byte, and a
+// masked Score that carries inline pairs.
 //
 // Count slices (core.ItemCount) are run-length encoded around their
 // zero triples: a partition answers a SCORE entry with every owned

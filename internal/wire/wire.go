@@ -13,7 +13,8 @@ import (
 // Version is the protocol version carried by every frame header. Peers
 // reject frames with any other value, so incompatible codec changes
 // fail the connection at the first frame instead of corrupting a run.
-const Version = 1
+// Version 2 added Score's dirty-item section.
+const Version = 2
 
 // MaxFrame is the payload-size ceiling enforced by Encode and Decode.
 // It must admit the largest legitimate frame — a dataset Blob — and
@@ -137,6 +138,12 @@ type Score struct {
 
 	CandIdx []int32
 	Pairs   []Pair
+
+	// Dirty, when non-nil, masks a CandIdx request: per target view
+	// (indexed by dataset.View), the strictly ascending consequent items
+	// to score; the reply carries counts for those items only. nil
+	// scores every owned item. A Pairs request is never masked.
+	Dirty *[2]itemset.Itemset
 }
 
 func (*Score) Kind() Kind { return KindScore }

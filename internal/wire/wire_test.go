@@ -49,6 +49,12 @@ func sampleMsgs() []Msg {
 			{X: itemset.New(1, 5), Y: itemset.New(0)},
 		}},
 		&Score{Part: 3, Term: 0, Seq: 2, Lease: 0},
+		// Masked SELECT requests: dirty items in both views, and an
+		// empty left list (nothing dirty there, distinct from "all").
+		&Score{Part: 1, Term: 3, Seq: 9, Lease: time.Second, CandIdx: []int32{0, 2, 7},
+			Dirty: &[2]itemset.Itemset{itemset.New(1), itemset.New(0, 3, 40)}},
+		&Score{Part: 0, Term: 0, Seq: 10, Lease: time.Second, CandIdx: []int32{5},
+			Dirty: &[2]itemset.Itemset{nil, itemset.New(2)}},
 		&Apply{Part: 0, Term: 4, Seq: 17, Lease: 10 * time.Second,
 			Rule: core.Rule{X: itemset.New(0, 2), Dir: core.Backward, Y: itemset.New(1)}, WantCover: true},
 		&Reply{Part: 2, Term: 5, Seq: 40, Counts: []core.DirCounts{
@@ -213,6 +219,52 @@ func TestHeaderValidation(t *testing.T) {
 	binary.BigEndian.PutUint32(trailing, uint32(len(valid)-HeaderSize+1))
 	if _, _, err := Decode(trailing); err == nil {
 		t.Fatal("trailing payload bytes decoded without error")
+	}
+}
+
+// TestScoreDirtySection pins the masked-SCORE section of protocol v2:
+// an unmasked request pays one byte for it, and decodeScore rejects an
+// unknown flag byte, item lists that are not strictly ascending or leave
+// the int32 range, and a mask on an inline-pairs request.
+func TestScoreDirtySection(t *testing.T) {
+	base := &Score{Part: 1, Term: 2, Seq: 3, Lease: time.Second, CandIdx: []int32{4, 1}}
+	enc, err := Encode(nil, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	masked := *base
+	masked.Dirty = &[2]itemset.Itemset{nil, nil}
+	encMasked, err := Encode(nil, &masked)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if enc[len(enc)-1] != dirtyAll || len(encMasked) != len(enc)+2 {
+		t.Fatalf("unmasked frame ends in %#x, masked frame is %d bytes vs %d; want the one-byte all-items form",
+			enc[len(enc)-1], len(encMasked), len(enc))
+	}
+
+	badFlag := append([]byte(nil), enc...)
+	badFlag[len(badFlag)-1] = dirtyMasked + 1
+	if _, _, err := Decode(badFlag); err == nil {
+		t.Error("unknown dirty flag byte decoded without error")
+	}
+
+	for _, bad := range []struct {
+		label string
+		m     *Score
+	}{
+		{"descending items", &Score{CandIdx: []int32{0}, Dirty: &[2]itemset.Itemset{{5, 3}, nil}}},
+		{"repeated item", &Score{CandIdx: []int32{0}, Dirty: &[2]itemset.Itemset{nil, {2, 2}}}},
+		{"item above MaxInt32", &Score{CandIdx: []int32{0}, Dirty: &[2]itemset.Itemset{nil, {1 << 31}}}},
+		{"mask on pairs", &Score{Pairs: []Pair{{X: itemset.New(0), Y: itemset.New(1)}}, Dirty: &[2]itemset.Itemset{nil, nil}}},
+	} {
+		frame, err := Encode(nil, bad.m)
+		if err != nil {
+			t.Fatalf("%s: encode: %v", bad.label, err)
+		}
+		if _, _, err := Decode(frame); err == nil {
+			t.Errorf("%s: decoded without error", bad.label)
+		}
 	}
 }
 
