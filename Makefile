@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: test lint chaos chaos-shard chaos-net fuzz-smoke bench-kernels promote-baseline
+.PHONY: test lint loc chaos chaos-shard chaos-net fuzz-smoke bench-kernels promote-baseline
 
 # The tier-1 gate: everything CI's build/test steps enforce.
 test:
@@ -12,6 +12,14 @@ test:
 lint:
 	$(GO) vet ./...
 	$(GO) run ./cmd/twovet ./...
+
+# Non-test Go lines per package of the module (every .go file of the
+# package directory but the _test.go ones, build-tagged files included),
+# the tracked size number of ROADMAP's design-quality aim.
+loc:
+	@$(GO) list -f '{{.ImportPath}} {{.Dir}}' ./... | while read pkg dir; do \
+		printf '%6d  %s\n' $$(find $$dir -maxdepth 1 -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l) $$pkg; \
+	done
 
 # The chaos suite: the deterministic failpoint registry (internal/fault)
 # compiles in under -tags faultinject, and the scripted failure

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -13,9 +14,10 @@ import (
 )
 
 // This file pins the columnar cover state (ucol/ecol + fused popcount
-// kernels) to a row-wise reference, in the spirit of
-// eclat/reference_test.go: refGainDir walks the support
-// transaction-by-transaction and probes the *row* mirror bit-by-bit —
+// kernels) to a reference taken straight from Algorithm 1, in the
+// spirit of eclat/reference_test.go: refCover derives each
+// transaction's U and E from TranslateRow, and refGainDir walks the
+// support transaction-by-transaction probing those rows bit-by-bit —
 // the pre-columnar evaluation strategy — and accumulates per-item
 // integer counts. Counting in integers makes the per-item tallies
 // exact, and the reference combines them with the identical
@@ -23,8 +25,34 @@ import (
 // tests can demand agreement to the last bit (==, no tolerance) on
 // random datasets and random partially-applied tables.
 
+// refCover is the reference cover state of a State's current table:
+// per target view and transaction, U_t = t \ t′ and E_t = t′ \ t, with
+// t′ the translation TranslateRow gives.
+type refCover struct {
+	u, e [2][]*bitset.Set
+}
+
+func newRefCover(s *State) *refCover {
+	d := s.Dataset()
+	ref := &refCover{}
+	for _, target := range []dataset.View{dataset.Left, dataset.Right} {
+		from := target.Opposite()
+		for t := 0; t < d.Size(); t++ {
+			row := d.Row(target, t)
+			tp := TranslateRow(d, s.Table(), from, d.Row(from, t))
+			u := row.Clone()
+			u.AndNot(tp)
+			e := tp.Clone()
+			e.AndNot(row)
+			ref.u[target] = append(ref.u[target], u)
+			ref.e[target] = append(ref.e[target], e)
+		}
+	}
+	return ref
+}
+
 // refGainDir is the row-wise reference for State.gainDir.
-func refGainDir(s *State, from dataset.View, tids *bitset.Set, cons itemset.Itemset) float64 {
+func refGainDir(s *State, ref *refCover, from dataset.View, tids *bitset.Set, cons itemset.Itemset) float64 {
 	target := from.Opposite()
 	d := s.Dataset()
 	gain := 0.0
@@ -32,9 +60,9 @@ func refGainDir(s *State, from dataset.View, tids *bitset.Set, cons itemset.Item
 		covered, errs := 0, 0
 		tids.ForEach(func(t int) bool {
 			switch {
-			case s.Uncovered(target, t).Contains(y):
+			case ref.u[target][t].Contains(y):
 				covered++
-			case !d.Row(target, t).Contains(y) && !s.Errors(target, t).Contains(y):
+			case !d.Row(target, t).Contains(y) && !ref.e[target][t].Contains(y):
 				errs++
 			}
 			return true
@@ -48,13 +76,13 @@ func refGainDir(s *State, from dataset.View, tids *bitset.Set, cons itemset.Item
 }
 
 // refGainWithTids is the row-wise reference for State.GainWithTids.
-func refGainWithTids(s *State, r Rule, tidX, tidY *bitset.Set) float64 {
+func refGainWithTids(s *State, ref *refCover, r Rule, tidX, tidY *bitset.Set) float64 {
 	gain := 0.0
 	if r.AppliesTo(dataset.Left) {
-		gain += refGainDir(s, dataset.Left, tidX, r.Y)
+		gain += refGainDir(s, ref, dataset.Left, tidX, r.Y)
 	}
 	if r.AppliesTo(dataset.Right) {
-		gain += refGainDir(s, dataset.Right, tidY, r.X)
+		gain += refGainDir(s, ref, dataset.Right, tidY, r.X)
 	}
 	return gain - r.Len(s.Coder())
 }
@@ -75,30 +103,41 @@ func refRub(s *State, x, y itemset.Itemset, tidX, tidY *bitset.Set) float64 {
 		s.Coder().RuleLen(x, y, true)
 }
 
-// columnsMatchRowTranspose checks ucol/ecol against a fresh transpose of
-// the row mirror: ucol[v][i] must be exactly {t : i ∈ u[v][t]}.
-func columnsMatchRowTranspose(t *testing.T, s *State, ctx string) {
-	t.Helper()
+// columnMismatch compares ucol/ecol against a transpose of the
+// reference rows: ucol[v][i] must be exactly {t : i ∈ U_t} and
+// ecol[v][i] exactly {t : i ∈ E_t}. It describes the first mismatch, or
+// returns "" when the columns match.
+func columnMismatch(s *State, ref *refCover) string {
 	d := s.Dataset()
 	for _, v := range []dataset.View{dataset.Left, dataset.Right} {
 		for i := 0; i < d.Items(v); i++ {
 			wantU := bitset.New(d.Size())
 			wantE := bitset.New(d.Size())
 			for tr := 0; tr < d.Size(); tr++ {
-				if s.Uncovered(v, tr).Contains(i) {
+				if ref.u[v][tr].Contains(i) {
 					wantU.Add(tr)
 				}
-				if s.Errors(v, tr).Contains(i) {
+				if ref.e[v][tr].Contains(i) {
 					wantE.Add(tr)
 				}
 			}
 			if !s.UncoveredCol(v, i).Equal(wantU) {
-				t.Fatalf("%s: ucol[%v][%d] = %v, transpose %v", ctx, v, i, s.UncoveredCol(v, i), wantU)
+				return fmt.Sprintf("ucol[%v][%d] = %v, reference %v", v, i, s.UncoveredCol(v, i), wantU)
 			}
 			if !s.ErrorsCol(v, i).Equal(wantE) {
-				t.Fatalf("%s: ecol[%v][%d] = %v, transpose %v", ctx, v, i, s.ErrorsCol(v, i), wantE)
+				return fmt.Sprintf("ecol[%v][%d] = %v, reference %v", v, i, s.ErrorsCol(v, i), wantE)
 			}
 		}
+	}
+	return ""
+}
+
+// columnsMatchReference fails the test unless s's columns match the
+// reference cover of its table.
+func columnsMatchReference(t *testing.T, s *State, ctx string) {
+	t.Helper()
+	if msg := columnMismatch(s, newRefCover(s)); msg != "" {
+		t.Fatalf("%s: %s", ctx, msg)
 	}
 }
 
@@ -128,6 +167,7 @@ func TestQuickColumnarMatchesRowReference(t *testing.T) {
 		step := -1
 		check := func() bool {
 			step++
+			ref := newRefCover(s)
 			// Probe rules: a few random ones plus every table rule.
 			probes := append([]Rule(nil), tab.Rules...)
 			for k := 0; k < 4; k++ {
@@ -136,11 +176,11 @@ func TestQuickColumnarMatchesRowReference(t *testing.T) {
 			for _, probe := range probes {
 				tidX := d.SupportSet(dataset.Left, probe.X)
 				tidY := d.SupportSet(dataset.Right, probe.Y)
-				if s.GainWithTids(probe, tidX, tidY) != refGainWithTids(s, probe, tidX, tidY) {
+				if s.GainWithTids(probe, tidX, tidY) != refGainWithTids(s, ref, probe, tidX, tidY) {
 					t.Logf("seed %d step %d: GainWithTids differs for %v", seed, step, probe)
 					return false
 				}
-				if s.Gain(probe) != refGainWithTids(s, probe, tidX, tidY) {
+				if s.Gain(probe) != refGainWithTids(s, ref, probe, tidX, tidY) {
 					t.Logf("seed %d step %d: Gain differs for %v", seed, step, probe)
 					return false
 				}
@@ -166,7 +206,7 @@ func TestQuickColumnarMatchesRowReference(t *testing.T) {
 				return false
 			}
 		}
-		columnsMatchRowTranspose(t, s, "after replay")
+		columnsMatchReference(t, s, "after replay")
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
@@ -176,7 +216,7 @@ func TestQuickColumnarMatchesRowReference(t *testing.T) {
 
 // All three miners must produce bit-identical gains, rules and final
 // tables for workers ∈ {1, 2, 4, 7} on random datasets, and their final
-// states' columnar mirrors must match the row transpose. Run under
+// states' columns must match the reference cover. Run under
 // -race this also exercises the concurrent columnar reads.
 func TestMinersColumnarBitIdenticalAcrossWorkers(t *testing.T) {
 	workerSets := []int{1, 2, 4, 7}
@@ -206,13 +246,13 @@ func TestMinersColumnarBitIdenticalAcrossWorkers(t *testing.T) {
 			if base.Table.Size() == 0 {
 				t.Fatalf("%s seed %d: mined nothing", m.name, seed)
 			}
-			columnsMatchRowTranspose(t, base.State, m.name+" serial")
+			columnsMatchReference(t, base.State, m.name+" serial")
 			// The final state must replay to the same gains the miner saw.
 			replay := NewState(d, mdl.NewCoder(d))
 			for i, rule := range base.Table.Rules {
 				tidX := d.SupportSet(dataset.Left, rule.X)
 				tidY := d.SupportSet(dataset.Right, rule.Y)
-				if g := refGainWithTids(replay, rule, tidX, tidY); g != base.Iterations[i].Gain {
+				if g := refGainWithTids(replay, newRefCover(replay), rule, tidX, tidY); g != base.Iterations[i].Gain {
 					t.Fatalf("%s seed %d: rule %d recorded gain %v, row-wise replay %v",
 						m.name, seed, i, base.Iterations[i].Gain, g)
 				}
@@ -235,7 +275,7 @@ func TestMinersColumnarBitIdenticalAcrossWorkers(t *testing.T) {
 				if got.State.Score() != base.State.Score() {
 					t.Fatalf("%s seed %d workers %d: score differs", m.name, seed, w)
 				}
-				columnsMatchRowTranspose(t, got.State, m.name+" parallel")
+				columnsMatchReference(t, got.State, m.name+" parallel")
 			}
 		}
 	}

@@ -72,12 +72,16 @@ type ExactOptions struct {
 // alongside ctx.Err(). With an uncancelled context the result is
 // bit-identical for every worker count and the error is nil.
 func MineExact(ctx context.Context, d *dataset.Dataset, opt ExactOptions) (*Result, error) {
+	elapsed := stopwatch()
 	if m, err := shardEngine(opt.ParallelOptions); err != nil {
 		return nil, err
 	} else if m != nil {
-		return m.MineExact(ctx, d, opt)
+		res, err := m.MineExact(ctx, d, opt)
+		if res != nil {
+			res.Runtime = elapsed()
+		}
+		return res, err
 	}
-	elapsed := stopwatch()
 	coder := mdl.NewCoder(d)
 	s := NewState(d, coder)
 	res := &Result{State: s}
@@ -97,7 +101,7 @@ func MineExact(ctx context.Context, d *dataset.Dataset, opt ExactOptions) (*Resu
 			break
 		}
 		s.AddRule(r)
-		if !res.record(s, r, gain, opt.Trace, opt.OnIteration) {
+		if !res.Record(s.totals, &s.table, r, gain, opt.Trace, opt.OnIteration) {
 			break
 		}
 	}
@@ -425,7 +429,7 @@ func (se *exactSearch) extend(x, y itemset.Itemset, tidX, tidY, tidXY *bitset.Se
 		cx, cy = bufs.set, y
 		ctX = bufs.side
 		if useRub {
-			csumRX = bitset.IntersectIntoSum(ctX, tidX, it.col, se.s.tub[dataset.Right])
+			csumRX = bitset.IntersectIntoSum(ctX, tidX, it.col, se.s.tubm.tub[dataset.Right])
 		} else {
 			bitset.IntersectInto(ctX, tidX, it.col)
 		}
@@ -436,7 +440,7 @@ func (se *exactSearch) extend(x, y itemset.Itemset, tidX, tidY, tidXY *bitset.Se
 		ctX = tidX
 		ctY = bufs.side
 		if useRub {
-			csumLY = bitset.IntersectIntoSum(ctY, tidY, it.col, se.s.tub[dataset.Left])
+			csumLY = bitset.IntersectIntoSum(ctY, tidY, it.col, se.s.tubm.tub[dataset.Left])
 		} else {
 			bitset.IntersectInto(ctY, tidY, it.col)
 		}
@@ -480,8 +484,7 @@ func (se *exactSearch) evaluate(x, y itemset.Itemset, tidX, tidY *bitset.Set, le
 	if !se.opt.DisableQub {
 		// qub(X◇Y) = |supp(X)|·L(Y) + |supp(Y)|·L(X) − L(X↔Y) bounds all
 		// three directions; skip the exact gain computation if hopeless.
-		qub := float64(tidX.Count())*lenY + float64(tidY.Count())*lenX - lenBi
-		if qub < se.threshold() {
+		if PathQub(tidX.Count(), tidY.Count(), lenX, lenY) < se.threshold() {
 			return
 		}
 	}

@@ -6,7 +6,6 @@ import (
 
 	"twoview/internal/dataset"
 	"twoview/internal/mdl"
-	"twoview/internal/pool"
 )
 
 // This file implements TRANSLATOR-GREEDY (§5.4): single-pass filtering in
@@ -15,15 +14,22 @@ import (
 // of its three rule instantiations is added if its gain is strictly
 // positive, and discarded candidates are never revisited.
 //
+// The driver below is the only GREEDY: it runs unchanged against the
+// local State and against internal/shard's supervised run, both behind
+// the Cover interface, and does every float operation itself.
+//
 // The pass is sequential by definition — every accepted rule changes the
 // state all later candidates are scored against — so it parallelizes by
-// speculation: candidates are scored against the current state in blocks
-// on the internal/pool worker pool, the block is walked serially, and on
-// the first accepted rule the not-yet-walked remainder of the block is
-// discarded and re-scored against the updated state. Every decision is
-// therefore made against exactly the state the serial pass would have
-// used, and since most candidates are rejected (their state-dependent
-// scores untouched by the rare accepts), most speculative work is kept.
+// speculation: candidates are scored against the current state in
+// windows (one Cover.Score batch each), the window is walked serially,
+// and on the first accepted rule the not-yet-walked remainder of the
+// window is discarded and re-scored against the updated state. Every
+// decision is therefore made against exactly the state the serial pass
+// would have used, and since most candidates are rejected (their
+// state-dependent scores untouched by the rare accepts), most
+// speculative work is kept. A cover that does not score ahead
+// (Cover.ScoresAhead) gets windows of one candidate: the lazy walk,
+// which scores each candidate exactly once at its turn.
 
 // GreedyOptions configures MineGreedy.
 type GreedyOptions struct {
@@ -48,58 +54,51 @@ type GreedyOptions struct {
 
 // The speculation window grows geometrically from greedyMinBlock to
 // GreedyOptions.BlockSize (default greedyMaxBlock): each accepted rule
-// invalidates the rest of its block, and accepts cluster at the head of
+// invalidates the rest of its window, and accepts cluster at the head of
 // the length/support-descending candidate order, so the window restarts
-// small after every accept and doubles across accept-free blocks.
-// Window boundaries depend only on the accept positions — which are
-// schedule-independent — never on the worker count, so the scored
-// values (and all decisions) are identical for any parallelism; the
-// sizes only trade re-scored waste on accept against scheduling
-// granularity.
+// small after every accept and doubles across accept-free windows.
+// Every candidate is judged against the state after all accepts before
+// it, whatever the window sizes, so the decisions are identical for any
+// parallelism and backend; the sizes only trade re-scored waste on
+// accept against scheduling granularity.
 const (
 	greedyMinBlock = 8
 	greedyMaxBlock = 512
 )
 
-// greedyCtxProbeMask gates the lazy serial walk's cancellation probe:
-// one ctx.Err() call per 256 scored candidates.
-const greedyCtxProbeMask = 1<<8 - 1
-
-// greedyScore is one candidate's speculative evaluation: the best of its
-// three rule instantiations, or ok=false when the candidate is discarded
-// (qub hopeless or no strictly positive gain).
-type greedyScore struct {
-	rule Rule
-	gain float64
-	ok   bool
-}
-
-// MineGreedy runs TRANSLATOR-GREEDY over the given candidates.
+// MineGreedy runs TRANSLATOR-GREEDY over the given candidates, on the
+// cover opt.ParallelOptions selects (see MineGreedyOn).
 //
-// Cancelling ctx aborts the pass at the next checkpoint (a block
+// Cancelling ctx aborts the pass at the next checkpoint (a window
 // boundary or a task boundary inside the speculative scoring phase) and
 // returns the table mined so far alongside ctx.Err(). With an
 // uncancelled context the result is bit-identical for every worker
-// count and the error is nil.
+// count and shard layout, and the error is nil.
 func MineGreedy(ctx context.Context, d *dataset.Dataset, cands []Candidate, opt GreedyOptions) (*Result, error) {
-	if m, err := shardEngine(opt.ParallelOptions); err != nil {
-		return nil, err
-	} else if m != nil {
-		return m.MineGreedy(ctx, d, cands, opt)
-	}
 	elapsed := stopwatch()
+	c, err := NewCover(ctx, d, cands, opt.ParallelOptions)
+	if err != nil {
+		return nil, err
+	}
+	defer c.Close()
+	res, err := MineGreedyOn(ctx, c, d, cands, opt)
+	res.Runtime = elapsed()
+	return res, err
+}
+
+// MineGreedyOn runs TRANSLATOR-GREEDY against the cover c of d's empty
+// table, built over cands. The caller owns c.
+func MineGreedyOn(ctx context.Context, c Cover, d *dataset.Dataset, cands []Candidate, opt GreedyOptions) (*Result, error) {
 	coder := mdl.NewCoder(d)
-	s := NewState(d, coder)
-	res := &Result{State: s}
+	res := &Result{}
+	var table Table
 
 	// Order: length desc, then support desc, then deterministic. The
-	// order slice and the per-block score buffer come from the session's
-	// scratch pool, so repeated greedy passes allocate nothing here.
+	// order, the qub verdicts and the window buffers come from the
+	// session's scratch pool, so repeated greedy passes allocate nothing
+	// here.
 	scr := opt.getScratch()
-	if cap(scr.order) < len(cands) {
-		scr.order = make([]int, len(cands))
-	}
-	order := scr.order[:len(cands)]
+	order := slices.Grow(scr.order[:0], len(cands))[:len(cands)]
 	for i := range order {
 		order[i] = i
 	}
@@ -116,104 +115,109 @@ func MineGreedy(ctx context.Context, d *dataset.Dataset, cands []Candidate, opt 
 		rb := Rule{X: cb.X, Y: cb.Y}
 		return ra.Compare(rb)
 	})
-
-	// Speculation only pays when there are workers to keep busy: with a
-	// single worker the lazy walk below scores each candidate exactly
-	// once at its turn, which strictly dominates scoring ahead and
-	// discarding on accept. Results are identical either way — every
-	// decision is made against the same state in the same order.
-	speculate := opt.workerCount(len(order)) > 1
-	rt := opt.runtime()
-	maxBlock := opt.BlockSize
-	if maxBlock <= 0 {
-		maxBlock = greedyMaxBlock
+	// The state-free qub verdict of every candidate, once for the run.
+	ok := slices.Grow(scr.qubOK[:0], len(cands))[:len(cands)]
+	for ci := range cands {
+		ok[ci] = qubOK(coder, &cands[ci])
 	}
-	pos, block := 0, min(greedyMinBlock, maxBlock)
+
+	minBlock, maxBlock := 1, 1
+	if c.ScoresAhead() {
+		maxBlock = opt.BlockSize
+		if maxBlock <= 0 {
+			maxBlock = greedyMaxBlock
+		}
+		minBlock = min(greedyMinBlock, maxBlock)
+	}
+	idx, delta, views := scr.idx, scr.delta, scr.views
+	pos, block := 0, minBlock
 	var err error
 	stopped := false
 	for pos < len(order) && !stopped {
 		if err = ctx.Err(); err != nil {
 			break
 		}
-		if opt.MaxRules > 0 && len(s.table.Rules) >= opt.MaxRules {
+		if opt.MaxRules > 0 && len(table.Rules) >= opt.MaxRules {
 			break
 		}
-		end := pos + block
-		if end > len(order) {
-			end = len(order)
+		end := min(pos+block, len(order))
+		// Score the window's qub survivors against the current state.
+		idx, views = idx[:0], views[:0]
+		n := 0
+		for j := pos; j < end; j++ {
+			if ci := order[j]; ok[ci] {
+				idx = append(idx, int32(ci))
+				n += len(cands[ci].Y) + len(cands[ci].X)
+			}
 		}
-		// Speculatively score the block against the current state, into
-		// the reused block buffer.
-		var scores []greedyScore
-		if speculate {
-			if scr.scores, err = pool.MapOrderedIntoCtxOn(rt, ctx, scr.scores, opt.Workers, end-pos, func(i int) greedyScore {
-				return scoreGreedyCandidate(s, &cands[order[pos+i]])
-			}); err != nil {
+		delta = slices.Grow(delta[:0], n)[:n]
+		off := 0
+		for _, ci := range idx {
+			m := len(cands[ci].Y) + len(cands[ci].X)
+			views = append(views, delta[off:off+m])
+			off += m
+		}
+		if len(idx) > 0 {
+			if err = c.Score(ctx, idx, nil, views); err != nil {
 				break
 			}
-			scores = scr.scores
 		}
 		// Serial walk: the first accepted rule invalidates the remaining
 		// speculative scores (the state changed), so the walk restarts
-		// right after it with a fresh, minimum-size block.
+		// right after it with a fresh, minimum-size window.
 		next := end
 		block = min(block*2, maxBlock)
+		k := 0
 		for j := pos; j < end; j++ {
-			var sc greedyScore
-			if speculate {
-				sc = scores[j-pos]
-			} else {
-				// The lazy serial walk probes ctx at the granularity the
-				// speculative path gets from its phase task boundaries;
-				// BlockSize may be arbitrarily large, so the block loop
-				// alone does not bound cancellation latency.
-				if (j-pos)&greedyCtxProbeMask == greedyCtxProbeMask {
-					if err = ctx.Err(); err != nil {
-						break
-					}
-				}
-				sc = scoreGreedyCandidate(s, &cands[order[j]])
-			}
-			if !sc.ok {
+			ci := order[j]
+			if !ok[ci] {
 				continue // discarded and never considered again
 			}
-			s.AddRule(sc.rule)
-			if !res.record(s, sc.rule, sc.gain, opt.Trace, opt.OnIteration) {
+			rule, gain, accept := bestOfThree(coder, &cands[ci], views[k])
+			k++
+			if !accept {
+				continue
+			}
+			var totals *CoverTotals
+			if totals, err = c.Apply(rule); err != nil {
+				break
+			}
+			table.Rules = append(table.Rules, rule)
+			if !res.Record(totals, &table, rule, gain, opt.Trace, opt.OnIteration) {
 				stopped = true
 			}
 			next = j + 1
-			block = min(greedyMinBlock, maxBlock)
+			block = minBlock
+			break
+		}
+		if err != nil {
 			break
 		}
 		pos = next
 	}
+	scr.order, scr.qubOK, scr.idx, scr.delta, scr.views = order, ok, idx, delta, views
 	opt.putScratch(scr)
-	res.Table = s.Table()
-	res.Runtime = elapsed()
+	res.Table = table.clipped()
+	res.State = c.State()
 	return res, err
 }
 
-// scoreGreedyCandidate evaluates one candidate against the current state:
-// the single-pass filter's per-candidate body.
-func scoreGreedyCandidate(s *State, c *Candidate) greedyScore {
-	if s.Qub(c.X, c.Y, c.TidX.Count(), c.TidY.Count()) <= gainEpsilon {
-		return greedyScore{}
-	}
-	gainF := s.gainDir(dataset.Left, c.TidX, c.Y)
-	gainB := s.gainDir(dataset.Right, c.TidY, c.X)
-	lenUni := s.coder.RuleLen(c.X, c.Y, false)
-	lenBi := s.coder.RuleLen(c.X, c.Y, true)
+// bestOfThree is the single-pass filter's per-candidate verdict: the best
+// of the candidate's three rule instantiations (strictly-greater updates
+// in the order →, ←, ↔), accepted only if its gain exceeds gainEpsilon.
+// delta holds the candidate's cover deltas.
+func bestOfThree(coder *mdl.Coder, cd *Candidate, delta []int32) (Rule, float64, bool) {
+	gainF, gainB := ruleGains(coder, cd, delta)
+	lenUni := coder.RuleLen(cd.X, cd.Y, false)
+	lenBi := coder.RuleLen(cd.X, cd.Y, true)
 
-	best := Rule{X: c.X, Dir: Forward, Y: c.Y}
+	best := Rule{X: cd.X, Dir: Forward, Y: cd.Y}
 	bestGain := gainF - lenUni
 	if g := gainB - lenUni; g > bestGain {
-		best, bestGain = Rule{X: c.X, Dir: Backward, Y: c.Y}, g
+		best, bestGain = Rule{X: cd.X, Dir: Backward, Y: cd.Y}, g
 	}
 	if g := gainF + gainB - lenBi; g > bestGain {
-		best, bestGain = Rule{X: c.X, Dir: Both, Y: c.Y}, g
+		best, bestGain = Rule{X: cd.X, Dir: Both, Y: cd.Y}, g
 	}
-	if bestGain <= gainEpsilon {
-		return greedyScore{}
-	}
-	return greedyScore{rule: best, gain: bestGain, ok: true}
+	return best, bestGain, bestGain > gainEpsilon
 }

@@ -9,9 +9,11 @@ import (
 
 // This file is the state side of the sharded mining engine
 // (internal/shard): PartialState is the columnar cover state restricted
-// to one item-range partition, and ItemCount/GainFromCounts/CoverTotals
-// are the pieces a coordinator needs to reassemble the monolith's exact
-// float arithmetic from the partitions' integer summaries.
+// to one item-range partition, and ItemCount/GainFromCounts/CoverTotals/
+// TubMirror are the pieces a coordinator needs to reassemble the
+// monolith's exact float arithmetic from the partitions' integer
+// summaries (State itself keeps its scalars and tub in a CoverTotals
+// and a TubMirror).
 //
 // The split of responsibilities is what makes sharding bit-identical:
 //
@@ -20,7 +22,9 @@ import (
 //     and ships per-item (covered, errors) pairs;
 //   - the coordinator performs all *float* accumulation, in exactly the
 //     order gainDir/applyDir would (consequent-item order, with the
-//     same skip-on-equal guard), via GainFromCounts and CoverTotals.
+//     same skip-on-equal guard): the SELECT and GREEDY drivers through
+//     foldGain over Cover.Score's deltas, the sharded EXACT search via
+//     GainFromCounts, and both through CoverTotals.
 //
 // Integer counts are schedule- and failure-independent, so the merged
 // floats are too: any shard count, any worker count, and any recovery
@@ -268,12 +272,12 @@ func GainFromCounts(coder *mdl.Coder, target dataset.View, parts ...[]ItemCount)
 	return gain
 }
 
-// CoverTotals mirrors, on the coordinator side of a sharded run, the
-// scalar summaries the monolithic State maintains: |U| and |E| per
-// target view and the correction lengths L(C|T). It is fed by the
-// per-item counts of the shards' Apply replies and reproduces
-// State.applyDir's scalar updates bit-for-bit, so a sharded run reports
-// the same IterationStats as the monolith.
+// CoverTotals holds the scalar summaries of a cover state: |U| and |E|
+// per target view and the correction lengths L(C|T). A State keeps one
+// and updates it from its own counts; on the coordinator side of a
+// sharded run one is fed by the per-item counts of the shards' Apply
+// replies. Both make the same updates in the same order (applyItem),
+// so a sharded run reports the same IterationStats as the monolith.
 type CoverTotals struct {
 	coder *mdl.Coder
 
@@ -282,9 +286,9 @@ type CoverTotals struct {
 	CorrLen [2]float64
 }
 
-// NewCoverTotals returns the empty-table scalars, accumulated in the
-// same order as NewState (transactions ascending, per view): uOnes from
-// the row popcounts and corrLen from the per-row encoded lengths.
+// NewCoverTotals returns the empty-table scalars, accumulated per view
+// with transactions ascending: UOnes from the row popcounts and CorrLen
+// from the per-row encoded lengths.
 func NewCoverTotals(d *dataset.Dataset, coder *mdl.Coder) *CoverTotals {
 	ct := &CoverTotals{coder: coder}
 	n := d.Size()
@@ -299,22 +303,29 @@ func NewCoverTotals(d *dataset.Dataset, coder *mdl.Coder) *CoverTotals {
 }
 
 // ApplyDir folds the per-item counts of one applied rule direction into
-// the scalars, mirroring the tail of State.applyDir per item in
-// consequent order: covered items leave U, new errors enter E, and the
-// correction length moves by ItemLen·(errs−covered) in a single
-// multiply (skipped when the counts cancel, like gainDir — so the gain
-// accepted for the rule equals the score change exactly). parts are the
-// partitions' slices in partition order, concatenating to the full
-// consequent walk.
+// the scalars with applyItem, item by item in consequent order, as
+// State.applyDir does. parts are the partitions' slices in partition
+// order, concatenating to the full consequent walk.
 func (ct *CoverTotals) ApplyDir(target dataset.View, parts ...[]ItemCount) {
 	for _, part := range parts {
 		for _, c := range part {
-			ct.UOnes[target] -= int(c.Covered)
-			ct.EOnes[target] += int(c.Errors)
-			if c.Covered != c.Errors {
-				ct.CorrLen[target] += ct.coder.ItemLen(target, int(c.Item)) * float64(int(c.Errors)-int(c.Covered))
-			}
+			ct.applyItem(target, int(c.Item), int(c.Covered), int(c.Errors))
 		}
+	}
+}
+
+// applyItem folds one applied consequent item's counts into the
+// scalars: the covered transactions leave U, the new errors enter E,
+// and the correction length moves by ItemLen·(errs−covered) in a single
+// multiply, skipped when the counts cancel.
+func (ct *CoverTotals) applyItem(target dataset.View, item, covered, errs int) {
+	ct.UOnes[target] -= covered
+	ct.EOnes[target] += errs
+	if covered != errs {
+		// Same single-multiply form as gainDir, so the gain accepted for
+		// a rule equals the score change exactly (negation is lossless
+		// in floating point).
+		ct.CorrLen[target] += ct.coder.ItemLen(target, item) * float64(errs-covered)
 	}
 }
 
@@ -338,20 +349,20 @@ func (ct *CoverTotals) Score(table *Table) float64 {
 }
 
 // TubMirror maintains the transaction-based upper bounds tub(t) =
-// L(U_t | D_target) on the coordinator side of a sharded run, fed by
-// the per-item covered tidsets the shards' apply acknowledgements carry
-// (see CoverObserver). The sharded EXACT driver needs it for the
-// monolith's item potential ordering (bestRule sorts by Σ tub), whose
-// float accumulation history must be reproduced exactly; SELECT and
-// GREEDY never read tub and run without one.
+// L(U_t | D_target). A State keeps one, fed by its own covered tidsets;
+// on the coordinator side of a sharded run one is fed by the per-item
+// covered tidsets the shards' apply acknowledgements carry (see
+// CoverObserver). The sharded EXACT driver needs it for the monolith's
+// item potential ordering (bestRule sorts by Σ tub), whose float
+// accumulation history must be reproduced exactly; SELECT and GREEDY
+// never read tub and their shard covers run without one.
 type TubMirror struct {
 	coder *mdl.Coder
 	tub   [2][]float64
 }
 
-// NewTubMirror returns the empty-table bounds, initialized like
-// NewState: tub(t) = L(row | D_target) per transaction in ascending
-// order.
+// NewTubMirror returns the empty-table bounds: tub(t) =
+// L(row | D_target) per transaction in ascending order.
 func NewTubMirror(d *dataset.Dataset, coder *mdl.Coder) *TubMirror {
 	tm := &TubMirror{coder: coder}
 	n := d.Size()

@@ -53,8 +53,8 @@ func TestPartialStateMirrorsState(t *testing.T) {
 		totals := NewCoverTotals(d, coder)
 		tubm := NewTubMirror(d, coder)
 
-		if totals.UOnes != [2]int{s.uOnes[0], s.uOnes[1]} || totals.CorrLen != s.corrLen {
-			t.Fatalf("shards=%d: initial totals diverge: %+v vs %v/%v", shards, totals, s.uOnes, s.corrLen)
+		if totals.UOnes != [2]int{s.totals.UOnes[0], s.totals.UOnes[1]} || totals.CorrLen != s.totals.CorrLen {
+			t.Fatalf("shards=%d: initial totals diverge: %+v vs %v/%v", shards, totals, s.totals.UOnes, s.totals.CorrLen)
 		}
 
 		for ri, r := range table.Rules {
@@ -85,9 +85,9 @@ func TestPartialStateMirrorsState(t *testing.T) {
 			totals.Apply(r, fwdParts, backParts)
 			s.AddRule(r)
 
-			if totals.UOnes != s.uOnes || totals.EOnes != s.eOnes || totals.CorrLen != s.corrLen {
+			if totals.UOnes != s.totals.UOnes || totals.EOnes != s.totals.EOnes || totals.CorrLen != s.totals.CorrLen {
 				t.Fatalf("shards=%d rule %d: totals diverge:\n got %+v\nwant %v %v %v",
-					shards, ri, totals, s.uOnes, s.eOnes, s.corrLen)
+					shards, ri, totals, s.totals.UOnes, s.totals.EOnes, s.totals.CorrLen)
 			}
 			sub := &Table{Rules: table.Rules[:ri+1]}
 			if got, want := totals.Score(sub), s.Score(); got != want {
@@ -95,7 +95,7 @@ func TestPartialStateMirrorsState(t *testing.T) {
 			}
 			for _, v := range []dataset.View{dataset.Left, dataset.Right} {
 				for tr := 0; tr < d.Size(); tr++ {
-					if got, want := tubm.tub[v][tr], s.tub[v][tr]; got != want {
+					if got, want := tubm.tub[v][tr], s.tubm.tub[v][tr]; got != want {
 						t.Fatalf("shards=%d rule %d: tub[%v][%d] %v != %v", shards, ri, v, tr, got, want)
 					}
 				}

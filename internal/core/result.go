@@ -41,23 +41,25 @@ type Result struct {
 	Runtime    time.Duration
 }
 
-// record captures the state after adding rule r and appends it to the
-// result, forwarding to the trace and progress callbacks if any. It
+// Record captures the state after adding rule r, read off the cover
+// totals and the table that now ends with r, appends it to the result,
+// and forwards it to the trace and progress callbacks if any. It
 // reports whether mining should continue: false as soon as the
-// OnIteration hook asks for an early stop.
-func (res *Result) record(s *State, r Rule, gain float64, trace TraceFunc, onIter IterationFunc) bool {
+// OnIteration hook asks for an early stop. Every miner records through
+// it, the sharded EXACT search included.
+func (res *Result) Record(totals *CoverTotals, table *Table, r Rule, gain float64, trace TraceFunc, onIter IterationFunc) bool {
 	it := IterationStats{
 		Iteration:  len(res.Iterations) + 1,
 		Rule:       r,
 		Gain:       gain,
-		Score:      s.Score(),
-		UncoveredL: s.UncoveredOnes(dataset.Left),
-		UncoveredR: s.UncoveredOnes(dataset.Right),
-		ErrorsL:    s.ErrorOnes(dataset.Left),
-		ErrorsR:    s.ErrorOnes(dataset.Right),
-		TableLen:   s.TableLen(),
-		CorrLenL:   s.CorrLen(dataset.Left),
-		CorrLenR:   s.CorrLen(dataset.Right),
+		Score:      totals.Score(table),
+		UncoveredL: totals.UOnes[dataset.Left],
+		UncoveredR: totals.UOnes[dataset.Right],
+		ErrorsL:    totals.EOnes[dataset.Left],
+		ErrorsR:    totals.EOnes[dataset.Right],
+		TableLen:   table.Len(totals.coder),
+		CorrLenL:   totals.CorrLen[dataset.Left],
+		CorrLenR:   totals.CorrLen[dataset.Right],
 	}
 	res.Iterations = append(res.Iterations, it)
 	if trace != nil {
@@ -70,9 +72,9 @@ func (res *Result) record(s *State, r Rule, gain float64, trace TraceFunc, onIte
 }
 
 // GainEpsilon guards against accepting rules whose gain is positive
-// only through floating-point noise. Exported for the sharded engine
-// (internal/shard), which must apply the identical acceptance threshold
-// to stay bit-identical to the monolith.
+// only through floating-point noise. Exported for the sharded EXACT
+// search (internal/shard), which must apply the identical acceptance
+// threshold to stay bit-identical to the monolith.
 const GainEpsilon = 1e-9
 
 // gainEpsilon is the package-internal name the miners predate the
@@ -80,11 +82,12 @@ const GainEpsilon = 1e-9
 const gainEpsilon = GainEpsilon
 
 // stopwatch starts timing and returns a function reporting the elapsed
-// wall time. It is the single sanctioned wall-clock read in this
-// package: the duration lands in Result.Runtime, which is observational
-// metadata and never feeds back into a mining decision, so confining
-// time.Now/Since here keeps the nowallclock invariant auditable at one
-// site.
+// wall time. It is the single sanctioned wall-clock read of the miners,
+// sharded runs included (the Mine* entry points time the dispatch to
+// the shard engine too): the duration lands in Result.Runtime, which is
+// observational metadata and never feeds back into a mining decision,
+// so confining time.Now/Since here keeps the nowallclock invariant
+// auditable at one site.
 func stopwatch() func() time.Duration {
 	start := time.Now() //lint:wallclock-ok observational: feeds Result.Runtime only, never a mining decision
 	return func() time.Duration {

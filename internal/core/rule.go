@@ -143,6 +143,14 @@ func (t *Table) Len(c *mdl.Coder) float64 {
 // Size returns |T|, the number of rules.
 func (t *Table) Size() int { return len(t.Rules) }
 
+// clipped returns a Table over a capacity-clipped view of t's rules:
+// rules appended to t later never show through it, and it does not
+// reference t itself.
+func (t *Table) clipped() *Table {
+	n := len(t.Rules)
+	return &Table{Rules: t.Rules[:n:n]}
+}
+
 // AvgRuleItems returns the average number of items per rule (|X|+|Y|),
 // the "l" column of Table 3.
 func (t *Table) AvgRuleItems() float64 {

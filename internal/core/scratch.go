@@ -8,18 +8,22 @@ import (
 
 // miningScratch holds the per-call working buffers of the round-structured
 // miners (MineSelect's scoring cache, scored rules and used-item masks,
-// MineGreedy's candidate order and block scores). The buffers are
-// recycled through the Session (or, for sessionless calls, a package-wide
-// pool), so repeated mining calls in one session reach a steady state
-// where rounds allocate nothing. Scratch never influences results: every buffer is either
-// truncated to zero length or fully overwritten before it is read.
+// MineGreedy's candidate order, qub verdicts and window buffers). The
+// buffers are recycled through the Session (or, for sessionless calls, a
+// package-wide pool), so repeated mining calls in one session reach a
+// steady state where rounds allocate nothing. Scratch never influences
+// results: every buffer is either truncated to zero length or fully
+// overwritten before it is read.
 type miningScratch struct {
-	cache  selectCache   // SELECT: incremental scoring state
-	scored []ScoredRule  // SELECT: per-round scored rules
-	usedL  bitset.Set    // SELECT: items used this round, left view
-	usedR  bitset.Set    // SELECT: items used this round, right view
-	order  []int         // GREEDY: candidate order
-	scores []greedyScore // GREEDY: per-block speculative scores
+	cache  selectCache  // SELECT: incremental scoring state
+	scored []scoredRule // SELECT: per-round scored rules
+	usedL  bitset.Set   // SELECT: items used this round, left view
+	usedR  bitset.Set   // SELECT: items used this round, right view
+	order  []int        // GREEDY: candidate order
+	qubOK  []bool       // GREEDY: per-candidate qub verdicts
+	idx    []int32      // GREEDY: the window's qub survivors
+	delta  []int32      // GREEDY: the window's cover deltas
+	views  [][]int32    // GREEDY: per-survivor slices of delta
 }
 
 // defaultScratchPool recycles scratch for callers without a Session.

@@ -19,9 +19,9 @@ import (
 // every candidate from scratch with gainDir and returns those with gain
 // above gainEpsilon, in candidate order and per candidate in the order
 // →, ←, ↔.
-func scoreUncached(s *State, cands []Candidate) []ScoredRule {
+func scoreUncached(s *State, cands []Candidate) []scoredRule {
 	coder := s.coder
-	var dst []ScoredRule
+	var dst []scoredRule
 	for ci := range cands {
 		c := &cands[ci]
 		if s.Qub(c.X, c.Y, c.TidX.Count(), c.TidY.Count()) <= gainEpsilon {
@@ -31,7 +31,7 @@ func scoreUncached(s *State, cands []Candidate) []ScoredRule {
 		gainB := s.gainDir(dataset.Right, c.TidY, c.X)
 		lenUni := coder.RuleLen(c.X, c.Y, false)
 		lenBi := coder.RuleLen(c.X, c.Y, true)
-		for _, sr := range [3]ScoredRule{
+		for _, sr := range [3]scoredRule{
 			{Rule{X: c.X, Dir: Forward, Y: c.Y}, gainF - lenUni},
 			{Rule{X: c.X, Dir: Backward, Y: c.Y}, gainB - lenUni},
 			{Rule{X: c.X, Dir: Both, Y: c.Y}, gainF + gainB - lenBi},
@@ -45,7 +45,7 @@ func scoreUncached(s *State, cands []Candidate) []ScoredRule {
 }
 
 // checkSelectAgainstOracle runs SELECT(k) round by round on MineSelect's
-// own pieces (selectCache, TopK, the overlap-filtered add walk) and
+// own pieces (selectCache, topK, the overlap-filtered add walk) and
 // asserts that:
 //   - every round's cached scored list equals scoreUncached's exactly: same
 //     rules, same gain bits, same order;
@@ -59,15 +59,16 @@ func checkSelectAgainstOracle(t testing.TB, d *dataset.Dataset, cands []Candidat
 	s := NewState(d, mdl.NewCoder(d))
 	rt := pool.NewRuntime()
 	defer rt.Close()
+	cv := newLocalCover(s, cands, rt, workers)
 	var c selectCache
-	c.reset(s, cands)
+	c.reset(d, s.coder, cands)
 	usedL := bitset.New(d.Items(dataset.Left))
 	usedR := bitset.New(d.Items(dataset.Right))
-	var got []ScoredRule
+	var got []scoredRule
 	rounds := 0
 	for maxRules == 0 || len(s.table.Rules) < maxRules {
 		var err error
-		if got, err = c.score(ctx, rt, s, cands, got[:0], workers); err != nil {
+		if got, err = c.score(ctx, cv, s.coder, cands, got[:0]); err != nil {
 			t.Fatal(err)
 		}
 		rounds++
@@ -82,7 +83,7 @@ func checkSelectAgainstOracle(t testing.TB, d *dataset.Dataset, cands []Candidat
 					rounds, i, got[i].Rule, got[i].Gain, want[i].Rule, want[i].Gain)
 			}
 		}
-		top := TopK(got, k)
+		top := topK(got, k)
 		if len(top) == 0 {
 			break
 		}
@@ -129,13 +130,13 @@ func checkSelectAgainstOracle(t testing.TB, d *dataset.Dataset, cands []Candidat
 	}
 }
 
-// TopK must return exactly sort-then-truncate under SELECT's order,
+// topK must return exactly sort-then-truncate under SELECT's order,
 // including among rules with equal gains.
 func TestTopKMatchesSortThenTruncate(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 300; trial++ {
 		n := r.Intn(200)
-		scored := make([]ScoredRule, n)
+		scored := make([]scoredRule, n)
 		for i := range scored {
 			// Distinct rules; gains drawn from a handful of values so that
 			// ties, broken by Rule.Compare, are frequent.
@@ -143,16 +144,16 @@ func TestTopKMatchesSortThenTruncate(t *testing.T) {
 			if trial%3 == 0 {
 				gain = r.Float64()
 			}
-			scored[i] = ScoredRule{
+			scored[i] = scoredRule{
 				Rule: Rule{X: itemset.Itemset{i / 3}, Dir: Directions[i%3], Y: itemset.Itemset{r.Intn(4)}},
 				Gain: gain,
 			}
 		}
 		r.Shuffle(n, func(i, j int) { scored[i], scored[j] = scored[j], scored[i] })
 		want := slices.Clone(scored)
-		sort.Slice(want, func(a, b int) bool { return want[a].Before(want[b]) })
+		sort.Slice(want, func(a, b int) bool { return want[a].before(want[b]) })
 		for _, k := range []int{1, 25, n + 1} {
-			got := TopK(slices.Clone(scored), k)
+			got := topK(slices.Clone(scored), k)
 			w := want[:min(k, n)]
 			if len(got) != len(w) {
 				t.Fatalf("trial %d k=%d: %d rules, want %d", trial, k, len(got), len(w))

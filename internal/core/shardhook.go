@@ -12,12 +12,13 @@ import (
 // which core cannot import (shard builds on core), so the engine is
 // injected: internal/shard registers itself in an init function, and
 // linking it in — the twoview facade and both CLIs blank-import it —
-// arms the knob. The engine receives the same options the monolithic
-// entry point got, Shards > 0 included; it must not dispatch back.
+// arms the knob. The engine provides its own EXACT search and, for
+// SELECT and GREEDY, a Cover that core's drivers mine against. It
+// receives the options the entry point got, Shards > 0 included; it
+// must not dispatch back.
 type ShardMiner interface {
 	MineExact(ctx context.Context, d *dataset.Dataset, opt ExactOptions) (*Result, error)
-	MineSelect(ctx context.Context, d *dataset.Dataset, cands []Candidate, opt SelectOptions) (*Result, error)
-	MineGreedy(ctx context.Context, d *dataset.Dataset, cands []Candidate, opt GreedyOptions) (*Result, error)
+	NewCover(ctx context.Context, d *dataset.Dataset, cands []Candidate, par ParallelOptions) Cover
 }
 
 // shardMiner is written once from internal/shard's init (which

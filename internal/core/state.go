@@ -10,35 +10,30 @@ import (
 )
 
 // State maintains, incrementally, everything needed to score a growing
-// translation table: per transaction and per target view the uncovered
-// items U (in the data but not yet translated) and the errors E
-// (translated but not in the data), the encoded correction lengths, the
-// table length, and the transaction-based upper bounds tub (§5.1–5.2).
+// translation table: per target view the uncovered items U (in the data
+// but not yet translated) and the errors E (translated but not in the
+// data), the encoded correction lengths, the table length, and the
+// transaction-based upper bounds tub (§5.1–5.2).
 //
-// The correction state is kept in two layouts at once:
+// U and E are kept columnar, ucol[v][i]/ecol[v][i]: one tidset over the
+// transactions per *item*, the same vertical layout as Dataset.Columns.
+// Scoring a candidate rule against a support tidset is then a handful of
+// fused popcount loops per consequent item (see gainDir) instead of
+// per-transaction bit probes. The scalars (|U|, |E|, L(C|T)) live in a
+// CoverTotals and tub in a TubMirror, the same types a sharded run's
+// coordinator keeps, so each scalar and tub update has one
+// implementation. The columns are property-tested against the
+// correction tables Algorithm 1 defines (TranslateRow) in
+// columnar_test.go and state_test.go. All column bitsets are carved out
+// of per-view batch allocations (bitset.NewBatch), so building a State
+// costs O(1) allocations per view.
 //
-//   - row-wise, u[v][t]/e[v][t]: one bitset over I_v per transaction,
-//     the layout of Algorithm 1 and of the read accessors
-//     (Uncovered/Errors, table reports, reconstruction tests);
-//   - columnar, ucol[v][i]/ecol[v][i]: one tidset over the transactions
-//     per *item*, the same vertical layout as Dataset.Columns. This is
-//     the layout every gain evaluation reads: scoring a candidate rule
-//     against a support tidset becomes a handful of fused
-//     popcount loops per consequent item (see gainDir) instead of
-//     per-transaction bit probes.
-//
-// Both mirrors are updated together by AddRule/applyDir; the columnar
-// mirror is property-tested against a row-wise reference in
-// columnar_test.go. All bitsets are carved out of per-view batch
-// allocations (bitset.NewBatch), so building a State costs O(1)
-// allocations per view rather than O(|D| + |I|).
-//
-// Invariants (checked in tests):
-//   - U_t ⊆ t and E_t ∩ t = ∅ for the target view's row t;
-//   - t′ = (t \ U_t) ∪ E_t matches TranslateRow for the current table;
+// Invariants (checked in tests), with t′ = TranslateRow(t) for the
+// current table:
+//   - ucol[v][i] = {t : i ∈ t \ t′} and ecol[v][i] = {t : i ∈ t′ \ t};
 //   - E only grows as rules are added (errors are never removed);
-//   - ucol[v][i] = {t : i ∈ u[v][t]} and ecol[v][i] = {t : i ∈ e[v][t]};
-//   - corrLen[v] = Σ_t BitsLen(U_t) + BitsLen(E_t).
+//   - totals.CorrLen[v] = Σ_t BitsLen(U_t) + BitsLen(E_t) and
+//     tub(t) = BitsLen(U_t).
 type State struct {
 	d     *dataset.Dataset
 	coder *mdl.Coder
@@ -46,14 +41,10 @@ type State struct {
 
 	// Arrays indexed by the *target* view of a translation:
 	// target Right ⇔ translation D_L→R, target Left ⇔ D_L←R.
-	u       [2][]bitset.Set // row-wise U, indexed by transaction
-	e       [2][]bitset.Set // row-wise E, indexed by transaction
-	ucol    [2][]bitset.Set // columnar U, indexed by item (tidsets)
-	ecol    [2][]bitset.Set // columnar E, indexed by item (tidsets)
-	uOnes   [2]int
-	eOnes   [2]int
-	corrLen [2]float64
-	tub     [2][]float64 // tub(t) = L(U_t | D_target) per transaction
+	ucol   [2][]bitset.Set // columnar U, indexed by item (tidsets)
+	ecol   [2][]bitset.Set // columnar E, indexed by item (tidsets)
+	totals *CoverTotals    // |U|, |E| and L(C|T) per target view
+	tubm   *TubMirror      // tub(t) = L(U_t | D_target) per transaction
 
 	scratch *bitset.Set // width |D|, used serially by applyDir
 }
@@ -61,20 +52,10 @@ type State struct {
 // NewState returns the state of the empty translation table: everything is
 // uncovered, nothing is in error, and the score is the baseline L(D,∅).
 func NewState(d *dataset.Dataset, coder *mdl.Coder) *State {
-	s := &State{d: d, coder: coder}
+	s := &State{d: d, coder: coder, totals: NewCoverTotals(d, coder), tubm: NewTubMirror(d, coder)}
 	n := d.Size()
 	for _, v := range []dataset.View{dataset.Left, dataset.Right} {
 		items := d.Items(v)
-		s.u[v] = bitset.NewBatch(n, items)
-		s.e[v] = bitset.NewBatch(n, items)
-		s.tub[v] = make([]float64, n)
-		for t := 0; t < n; t++ {
-			row := d.Row(v, t)
-			s.u[v][t].Copy(row)
-			s.uOnes[v] += row.Count()
-			s.tub[v][t] = coder.BitsLen(v, row)
-			s.corrLen[v] += s.tub[v][t]
-		}
 		// Initially U_t = t, so the U column of item i is exactly the
 		// item's support tidset. Materializing Columns here also makes
 		// the lazily built cache safe to read from parallel phases.
@@ -96,76 +77,65 @@ func (s *State) Dataset() *dataset.Dataset { return s.d }
 func (s *State) Coder() *mdl.Coder { return s.coder }
 
 // Table returns the current translation table. Callers must not modify it.
-// The table shares the rules' storage but not the State: it is a fresh
-// Table over a capacity-clipped slice (rules added later never show
-// through it), so holding a mined table does not keep the cover state's
-// row and column bitsets alive.
-func (s *State) Table() *Table {
-	n := len(s.table.Rules)
-	return &Table{Rules: s.table.Rules[:n:n]}
-}
+// The table shares the rules' storage but not the State (see
+// Table.clipped), so holding a mined table does not keep the cover
+// state's column bitsets alive.
+func (s *State) Table() *Table { return s.table.clipped() }
 
-// Uncovered returns U_t for the given target view. Read-only.
-func (s *State) Uncovered(target dataset.View, t int) *bitset.Set { return &s.u[target][t] }
-
-// Errors returns E_t for the given target view. Read-only.
-func (s *State) Errors(target dataset.View, t int) *bitset.Set { return &s.e[target][t] }
-
-// UncoveredCol returns the columnar mirror of U for item i of the target
-// view: the tidset {t : i ∈ U_t}. Read-only.
+// UncoveredCol returns the U column of item i of the target view: the
+// tidset {t : i ∈ U_t}. Read-only.
 func (s *State) UncoveredCol(target dataset.View, i int) *bitset.Set { return &s.ucol[target][i] }
 
-// ErrorsCol returns the columnar mirror of E for item i of the target
-// view: the tidset {t : i ∈ E_t}. Read-only.
+// ErrorsCol returns the E column of item i of the target view: the
+// tidset {t : i ∈ E_t}. Read-only.
 func (s *State) ErrorsCol(target dataset.View, i int) *bitset.Set { return &s.ecol[target][i] }
 
 // UncoveredOnes returns |U| for the target view (Fig. 2, top).
-func (s *State) UncoveredOnes(target dataset.View) int { return s.uOnes[target] }
+func (s *State) UncoveredOnes(target dataset.View) int { return s.totals.UOnes[target] }
 
 // ErrorOnes returns |E| for the target view (Fig. 2, top).
-func (s *State) ErrorOnes(target dataset.View) int { return s.eOnes[target] }
+func (s *State) ErrorOnes(target dataset.View) int { return s.totals.EOnes[target] }
 
 // CorrectionOnes returns |C| = |U|+|E| summed over both views, the
 // numerator of the |C|% metric of Table 3.
 func (s *State) CorrectionOnes() int {
-	return s.uOnes[0] + s.uOnes[1] + s.eOnes[0] + s.eOnes[1]
+	return s.totals.UOnes[0] + s.totals.UOnes[1] + s.totals.EOnes[0] + s.totals.EOnes[1]
 }
 
 // CorrLen returns L(C_target | T) in bits.
-func (s *State) CorrLen(target dataset.View) float64 { return s.corrLen[target] }
+func (s *State) CorrLen(target dataset.View) float64 { return s.totals.CorrLen[target] }
 
 // TableLen returns L(T) in bits.
 func (s *State) TableLen() float64 { return s.table.Len(s.coder) }
 
 // Score returns the total encoded size L(D_L↔R, T) = L(T) + L(C_L|T) +
 // L(C_R|T) minimized in Problem 1.
-func (s *State) Score() float64 {
-	return s.TableLen() + s.corrLen[dataset.Left] + s.corrLen[dataset.Right]
-}
+func (s *State) Score() float64 { return s.totals.Score(&s.table) }
 
 // Baseline returns L(D,∅), the score of the empty table.
 func (s *State) Baseline() float64 { return s.coder.BaselineLen(s.d) }
 
 // Tub returns the transaction-based upper bound tub(t) = L(U_t|D_target)
 // for the given target view (§5.2). It is kept up to date by AddRule.
-func (s *State) Tub(target dataset.View, t int) float64 { return s.tub[target][t] }
+func (s *State) Tub(target dataset.View, t int) float64 { return s.tubm.tub[target][t] }
 
 // SumTub returns Σ_{t ∈ tids} tub(t) for the target view, accumulated in
 // ascending transaction order (the same order ForEach would visit, so
 // the value is bit-identical to the closure-based walk it replaced —
 // WeightedSum guarantees that order under both kernel builds).
 func (s *State) SumTub(target dataset.View, tids *bitset.Set) float64 {
-	return bitset.WeightedSum(tids, s.tub[target])
+	return s.tubm.SumTub(target, tids)
 }
 
 // gainDir computes Δ_{D|T} for one direction of a rule (Equation 2): the
 // antecedent's support tidset in view `from` and the consequent itemset in
 // the opposite view. It does not subtract the rule length.
 //
-// This is the innermost loop of all three miners, and it runs entirely on
-// the columnar mirror: per consequent item y, two fused popcount word
-// loops (coverDelta), no per-transaction branching, no allocation. The
-// accumulation is foldGain's, item by item in consequent order.
+// This is EXACT's innermost loop, and it runs entirely on the U and E
+// columns: per consequent item y, two fused popcount word loops
+// (coverDelta), no per-transaction branching, no allocation. The
+// accumulation is foldGain's, item by item in consequent order, which is
+// how SELECT and GREEDY fold the same deltas from Cover.Score.
 func (s *State) gainDir(from dataset.View, tids *bitset.Set, cons itemset.Itemset) float64 {
 	target := from.Opposite()
 	gain := 0.0
@@ -188,19 +158,16 @@ func (s *State) coverDelta(target dataset.View, tids *bitset.Set, y int) int {
 		bitset.AndNotAndNotCount(tids, s.d.Columns(target)[y], &s.ecol[target][y])
 }
 
-// foldGain accumulates per-item cover deltas (coverDelta, one per item
-// of cons) into a direction's Δ_{D|T}, with gainDir's arithmetic: in
-// consequent order, one multiply-add per item, skipping zero deltas.
-// The skip is not an optimization: a zero-support item (ItemLen +Inf)
-// over an empty tidset must contribute 0, not Inf·0 = NaN.
-func (s *State) foldGain(target dataset.View, cons itemset.Itemset, delta []int32) float64 {
-	gain := 0.0
+// coverDeltas writes coverDelta of each item of cons into dst (dst[j]
+// for cons[j]), for the rule direction with antecedent support tids and
+// the target view's consequent cons; with dirty non-nil only for the
+// items it marks. It only reads the state, so concurrent calls are safe.
+func (s *State) coverDeltas(target dataset.View, tids *bitset.Set, cons itemset.Itemset, dirty *DirtyItems, dst []int32) {
 	for j, y := range cons {
-		if delta[j] != 0 {
-			gain += s.coder.ItemLen(target, y) * float64(delta[j])
+		if dirty == nil || dirty[target].Contains(y) {
+			dst[j] = int32(s.coverDelta(target, tids, y))
 		}
 	}
-	return gain
 }
 
 // Gain returns Δ_{D,T}(r) = Δ_{D|T}(r) − L(r) (Equation 1): the decrease in
@@ -235,9 +202,7 @@ func (s *State) GainWithTids(r Rule, tidX, tidY *bitset.Set) float64 {
 // L(X↔Y). It cannot be used for subtree pruning but safely skips exact
 // gain computations.
 func (s *State) Qub(x, y itemset.Itemset, suppX, suppY int) float64 {
-	return float64(suppX)*s.coder.SetLen(dataset.Right, y) +
-		float64(suppY)*s.coder.SetLen(dataset.Left, x) -
-		s.coder.RuleLen(x, y, true)
+	return qub(s.coder, x, y, suppX, suppY)
 }
 
 // Rub returns the rule-based upper bound rub(X ◇ Y) of §5.2: it bounds the
@@ -248,23 +213,22 @@ func (s *State) Rub(x, y itemset.Itemset, tidX, tidY *bitset.Set) float64 {
 		s.coder.RuleLen(x, y, true)
 }
 
-// applyDir updates U, E (both layouts), tub and corrLen for one direction
-// of a rule. Like gainDir it works item-major: per consequent item y it
-// materializes the covered tidset tids ∩ ucol[y] and the new-error tidset
-// tids \ (supp(y) ∪ ecol[y]) with word-level operations, updates the
-// columns wholesale, and walks only the affected transactions to keep the
-// row mirror and tub in sync. For each transaction the per-item deltas are
-// applied in consequent order, exactly as the row-wise version did, so tub
-// stays bit-identical. applyDir is only called between search phases
-// (AddRule), never concurrently, so it may use the state's scratch set.
+// applyDir updates the U and E columns, the totals and tub for one
+// direction of a rule. Like gainDir it works item-major: per consequent
+// item y it materializes the covered tidset tids ∩ ucol[y] and the
+// new-error tidset tids \ (supp(y) ∪ ecol[y]) with word-level
+// operations, updates the columns wholesale, walks only the covered
+// transactions to keep tub in sync (TubMirror.ApplyItem), and folds the
+// two counts into the totals (CoverTotals.applyItem) — the updates a
+// sharded run's coordinator makes from its shards' counts, in the same
+// order, so both stay bit-identical. applyDir is only called between
+// search phases (AddRule), never concurrently, so it may use the
+// state's scratch set.
 func (s *State) applyDir(from dataset.View, tids *bitset.Set, cons itemset.Itemset) {
 	target := from.Opposite()
-	u, e := s.u[target], s.e[target]
 	cols := s.d.Columns(target)
-	tub := s.tub[target]
 	//lint:ctxprobe-ok bounded per-rule work (|cons| kernel calls); AddRule runs between iteration checkpoints
 	for _, y := range cons {
-		l := s.coder.ItemLen(target, y)
 		ucol, ecol := &s.ucol[target][y], &s.ecol[target][y]
 
 		// Transactions where y was still uncovered: it becomes covered.
@@ -273,11 +237,7 @@ func (s *State) applyDir(from dataset.View, tids *bitset.Set, cons itemset.Items
 		covCnt := covered.Count()
 		if covCnt > 0 {
 			ucol.AndNot(covered)
-			covered.ForEach(func(t int) bool {
-				u[t].Remove(y)
-				tub[t] -= l
-				return true
-			})
+			s.tubm.ApplyItem(target, y, covered)
 		}
 
 		// Transactions where y is neither in the data nor already an
@@ -289,20 +249,9 @@ func (s *State) applyDir(from dataset.View, tids *bitset.Set, cons itemset.Items
 		errCnt := errs.Count()
 		if errCnt > 0 {
 			ecol.Or(errs)
-			errs.ForEach(func(t int) bool {
-				e[t].Add(y)
-				return true
-			})
 		}
 
-		s.uOnes[target] -= covCnt
-		s.eOnes[target] += errCnt
-		if covCnt != errCnt {
-			// Same single-multiply form as gainDir, so Gain(r) computed
-			// immediately before AddRule(r) matches the score change
-			// exactly (negation is lossless in floating point).
-			s.corrLen[target] += l * float64(errCnt-covCnt)
-		}
+		s.totals.applyItem(target, y, covCnt, errCnt)
 	}
 }
 

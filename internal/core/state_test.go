@@ -65,17 +65,18 @@ func TestGainMatchesScoreDelta(t *testing.T) {
 }
 
 // stateMatchesReference checks every incremental structure against the
-// non-incremental reference implementation in translate.go.
+// reference cover of the table (refCover, from TranslateRow): the
+// columns, |U|, |E|, L(C|T) and tub.
 func stateMatchesReference(s *State) bool {
 	d := s.Dataset()
-	for _, from := range []dataset.View{dataset.Left, dataset.Right} {
-		target := from.Opposite()
-		u, e := CorrectionTables(d, s.Table(), from)
+	ref := newRefCover(s)
+	if columnMismatch(s, ref) != "" {
+		return false
+	}
+	for _, target := range []dataset.View{dataset.Left, dataset.Right} {
+		u, e := ref.u[target], ref.e[target]
 		uOnes, eOnes, corrLen := 0, 0, 0.0
 		for i := 0; i < d.Size(); i++ {
-			if !s.Uncovered(target, i).Equal(u[i]) || !s.Errors(target, i).Equal(e[i]) {
-				return false
-			}
 			uOnes += u[i].Count()
 			eOnes += e[i].Count()
 			corrLen += s.Coder().BitsLen(target, u[i]) + s.Coder().BitsLen(target, e[i])

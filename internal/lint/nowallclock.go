@@ -36,8 +36,9 @@ var Nowallclock = &Analyzer{
 // entirely on timers (lease expiry re-arms time.NewTimer) precisely so
 // no mining or recovery decision ever reads the clock — a clock-read
 // lease would make failure schedules, and therefore runStats,
-// machine-dependent. Its one observational read (Result.Runtime's
-// stopwatch) is the annotated helper. internal/wire and cmd/shardworker
+// machine-dependent. It reads the clock nowhere: core's Mine* entry
+// points time sharded runs too, with core.stopwatch, the repo's one
+// stopwatch. internal/wire and cmd/shardworker
 // extend the same discipline over TCP: redial backoff is deterministic
 // doubling, leases travel as durations and run on timers at the
 // receiver, and the wire format carries no timestamps — a clock read

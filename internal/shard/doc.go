@@ -2,10 +2,20 @@
 // core.ParallelOptions.Shards: the columnar cover state is partitioned
 // by item range into N shard goroutine groups that own their ucol/ecol
 // columns privately (core.PartialState) and exchange only small
-// messages with a coordinator — no shared State. The engine runs all
-// three TRANSLATOR searches (EXACT, SELECT, GREEDY) bit-identical to
-// the monolithic in-process miners for every shard count, worker
-// count, and injected failure schedule.
+// messages with a coordinator — no shared State. All three TRANSLATOR
+// searches (EXACT, SELECT, GREEDY) run on it bit-identical to the
+// monolithic in-process miners for every shard count, worker count,
+// and injected failure schedule.
+//
+// The coordinator hosts a backend, not drivers. SELECT and GREEDY have
+// one driver each, in internal/core, and they mine against the
+// core.Cover interface; this package's implementation of it (cover.go)
+// runs one SCORE round per Score batch and one APPLY round per Apply,
+// and turns each shard's (covered, errors) pair into the driver's
+// covered − errors delta as it places it. EXACT keeps its own search
+// here (exact.go): the monolith's rub pruning needs tub sums fused into
+// every tidset intersection, which this search deliberately does
+// without.
 //
 // # Architecture
 //
@@ -76,8 +86,8 @@
 //	          round touched). Shard replies with, per entry, the owned
 //	          requested consequent items' (item, covered, errors)
 //	          integer triples in item order — both rule directions.
-//	          The shard keeps no scoring cache: SELECT's coordinator
-//	          caches every candidate's merged triples and overwrites
+//	          The shard keeps no scoring cache: core's SELECT driver
+//	          caches every candidate's per-item deltas and overwrites
 //	          only the dirty ones, so a SCORE round after the first
 //	          rescores only the candidates with a dirty consequent
 //	          item. Zero triples may be run-length compressed on the

@@ -111,7 +111,6 @@ func newExactDriver(r *run, opt core.ExactOptions, tubm *core.TubMirror) *exactD
 }
 
 func mineExact(ctx context.Context, d *dataset.Dataset, opt core.ExactOptions, cfg Config) (*core.Result, *runStats, error) {
-	elapsed := stopwatch()
 	r := newRun(ctx, d, nil, cfg)
 	defer r.close()
 
@@ -132,16 +131,16 @@ func mineExact(ctx context.Context, d *dataset.Dataset, opt core.ExactOptions, c
 		if rule, gain, ok, err = ed.bestRule(ctx); err != nil || !ok || gain <= core.GainEpsilon {
 			break
 		}
-		if err = applyRule(r, totals, tubm, table, rule); err != nil {
+		if err = applyRule(r, totals, tubm, rule); err != nil {
 			break
 		}
-		if !record(res, r, totals, table, rule, gain, opt.Trace, opt.OnIteration) {
+		table.Rules = append(table.Rules, rule)
+		if !res.Record(totals, table, rule, gain, opt.Trace, opt.OnIteration) {
 			break
 		}
 	}
 	res.Table = table
 	res.State = core.EvaluateTable(d, r.coder, table)
-	res.Runtime = elapsed()
 	return res, r.stats(), err
 }
 
@@ -296,8 +295,7 @@ func (ed *exactDriver) flush() error {
 	for i := range batch {
 		pe := &batch[i]
 		if !ed.opt.DisableQub {
-			qub := float64(pe.suppX)*pe.lenY + float64(pe.suppY)*pe.lenX - (pe.lenX + pe.lenY + 1)
-			if qub < ed.bestGain {
+			if core.PathQub(pe.suppX, pe.suppY, pe.lenX, pe.lenY) < ed.bestGain {
 				continue
 			}
 		}

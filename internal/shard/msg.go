@@ -43,7 +43,8 @@ type request struct {
 	// it lists per target view (SELECT's incremental rounds); nil scores
 	// every owned item. A payload belongs to its request once
 	// dispatched: a replaced incarnation may still be reading it, so
-	// drivers build a fresh one per round instead of reusing buffers.
+	// the senders (the cover's Score, the EXACT search) build a fresh one
+	// per round instead of reusing buffers.
 	candIdx []int32
 	pairs   []pairMsg
 	dirty   *[2]itemset.Itemset

@@ -7,9 +7,10 @@ import (
 	"twoview/internal/dataset"
 )
 
-// engine adapts the package's drivers to core.ShardMiner. core cannot
-// import this package (shard builds on core), so the wiring is
-// inverted: init below registers the engine, and anything that links
+// engine adapts the package to core.ShardMiner: its own EXACT search,
+// and the sharded cover core's SELECT and GREEDY drivers mine against.
+// core cannot import this package (shard builds on core), so the wiring
+// is inverted: init below registers the engine, and anything that links
 // internal/shard in — the twoview facade, both CLIs — arms
 // core.ParallelOptions.Shards.
 type engine struct{}
@@ -21,12 +22,6 @@ func (engine) MineExact(ctx context.Context, d *dataset.Dataset, opt core.ExactO
 	return res, err
 }
 
-func (engine) MineSelect(ctx context.Context, d *dataset.Dataset, cands []core.Candidate, opt core.SelectOptions) (*core.Result, error) {
-	res, _, err := mineSelect(ctx, d, cands, opt, configFrom(opt.ParallelOptions))
-	return res, err
-}
-
-func (engine) MineGreedy(ctx context.Context, d *dataset.Dataset, cands []core.Candidate, opt core.GreedyOptions) (*core.Result, error) {
-	res, _, err := mineGreedy(ctx, d, cands, opt, configFrom(opt.ParallelOptions))
-	return res, err
+func (engine) NewCover(ctx context.Context, d *dataset.Dataset, cands []core.Candidate, par core.ParallelOptions) core.Cover {
+	return newCover(ctx, d, cands, configFrom(par))
 }

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"time"
 
-	"twoview/internal/bitset"
 	"twoview/internal/core"
 	"twoview/internal/dataset"
 	"twoview/internal/mdl"
@@ -140,9 +139,9 @@ type runStats struct {
 	// entirely from its content-hash cache.
 	blobsSent, cacheHits int
 
-	// requested holds, per SELECT round, the number of (candidate,
-	// consequent item) pairs its SCORE request asked every shard to
-	// count: how much work the coordinator's cache saves.
+	// requested holds, per masked SCORE round (one per SELECT round),
+	// the number of (candidate, consequent item) pairs it asked every
+	// shard to count: how much work SELECT's scoring cache saves.
 	requested []int
 }
 
@@ -228,22 +227,12 @@ func (r *run) stats() *runStats {
 	return rs
 }
 
-// qub is the candidate quick bound of §5.2 — State.Qub, which reads
-// only the coder, never the cover state. Because it is state-free, the
-// set of candidates that can ever score positive is fixed for the whole
-// run and the drivers compute it once.
-func (r *run) qub(c *core.Candidate) float64 {
-	return float64(c.TidX.Count())*r.coder.SetLen(dataset.Right, c.Y) +
-		float64(c.TidY.Count())*r.coder.SetLen(dataset.Left, c.X) -
-		r.coder.RuleLen(c.X, c.Y, true)
-}
-
 // applyRule runs an APPLY round for an accepted rule and folds the
 // acknowledgements into the coordinator mirrors: the scalar totals
 // always, and — when tubm is non-nil (EXACT) — the per-item covered
 // tidsets into the tub mirror, in the monolith's application order
 // (consequent order within a direction, X→Y direction before X←Y).
-func applyRule(r *run, totals *core.CoverTotals, tubm *core.TubMirror, table *core.Table, rule core.Rule) error {
+func applyRule(r *run, totals *core.CoverTotals, tubm *core.TubMirror, rule core.Rule) error {
 	reps, err := r.sv.apply(rule, tubm != nil)
 	if err != nil {
 		return err
@@ -265,44 +254,5 @@ func applyRule(r *run, totals *core.CoverTotals, tubm *core.TubMirror, table *co
 			}
 		}
 	}
-	table.Rules = append(table.Rules, rule)
 	return nil
-}
-
-// record appends the iteration's stats to the result, built from the
-// coordinator mirrors with exactly the fields Result.record reads off
-// the monolithic State, and forwards to the callbacks. It reports
-// whether mining should continue.
-func record(res *core.Result, r *run, totals *core.CoverTotals, table *core.Table, rule core.Rule, gain float64, trace core.TraceFunc, onIter core.IterationFunc) bool {
-	it := core.IterationStats{
-		Iteration:  len(res.Iterations) + 1,
-		Rule:       rule,
-		Gain:       gain,
-		Score:      totals.Score(table),
-		UncoveredL: totals.UOnes[dataset.Left],
-		UncoveredR: totals.UOnes[dataset.Right],
-		ErrorsL:    totals.EOnes[dataset.Left],
-		ErrorsR:    totals.EOnes[dataset.Right],
-		TableLen:   table.Len(r.coder),
-		CorrLenL:   totals.CorrLen[dataset.Left],
-		CorrLenR:   totals.CorrLen[dataset.Right],
-	}
-	res.Iterations = append(res.Iterations, it)
-	if trace != nil {
-		trace(it)
-	}
-	if onIter != nil {
-		return onIter(it)
-	}
-	return true
-}
-
-// anyIn reports whether any item of s is in mask (core's anyIn).
-func anyIn(s []int, mask *bitset.Set) bool {
-	for _, it := range s {
-		if mask.Contains(it) {
-			return true
-		}
-	}
-	return false
 }

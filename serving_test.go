@@ -1,6 +1,3 @@
-//lint:file-ignore SA1019 this file deliberately exercises the deprecated
-// v1 compatibility wrappers against their v2 counterparts.
-
 package twoview_test
 
 import (
@@ -15,8 +12,8 @@ import (
 
 // The serving acceptance contract: on the paper's planted profiles, the
 // compiled Translator reproduces Apply's report bit for bit — one
-// compilation serving both directions, the batch path, the stream path
-// and the deprecated v1 wrapper all agreeing.
+// compilation serving both directions, the batch path and the stream
+// path all agreeing.
 func TestServingMatchesApplyOnPlantedProfiles(t *testing.T) {
 	ctx := context.Background()
 	for _, name := range []string{"car", "house", "yeast"} {
@@ -68,59 +65,7 @@ func TestServingMatchesApplyOnPlantedProfiles(t *testing.T) {
 				if streamed != want {
 					t.Fatalf("from %v: streamed %+v, Apply %+v", from, streamed, want)
 				}
-				if v1 := twoview.ApplyV1(d, res.Table, from); v1 != want {
-					t.Fatalf("from %v: ApplyV1 %+v, Apply %+v", from, v1, want)
-				}
 			}
 		})
-	}
-}
-
-// The deprecated v1 mining wrappers are thin: bit-identical tables and
-// scores to the v2 calls on context.Background().
-func TestV1WrappersMatchV2(t *testing.T) {
-	ctx := context.Background()
-	p, err := synth.ProfileByName("car")
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, _, err := twoview.Generate(p.Scaled(0.15))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cands, err := twoview.MineCandidates(ctx, d, p.MinSupport, 0, twoview.ParallelOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	candsV1, err := twoview.MineCandidatesV1(d, p.MinSupport, 0, twoview.ParallelOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cands) != len(candsV1) {
-		t.Fatalf("v1 candidates %d, v2 %d", len(candsV1), len(cands))
-	}
-	v2, err := twoview.MineSelect(ctx, d, cands, twoview.SelectOptions{K: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	v1 := twoview.MineSelectV1(d, cands, twoview.SelectOptions{K: 1})
-	if v1.Table.Size() != v2.Table.Size() || v1.State.Score() != v2.State.Score() {
-		t.Fatal("MineSelectV1 differs from MineSelect")
-	}
-	ex2, err := twoview.MineExact(ctx, d, twoview.ExactOptions{MaxRules: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ex1 := twoview.MineExactV1(d, twoview.ExactOptions{MaxRules: 2})
-	if ex1.Table.Size() != ex2.Table.Size() || ex1.State.Score() != ex2.State.Score() {
-		t.Fatal("MineExactV1 differs from MineExact")
-	}
-	gr2, err := twoview.MineGreedy(ctx, d, cands, twoview.GreedyOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gr1 := twoview.MineGreedyV1(d, cands, twoview.GreedyOptions{})
-	if gr1.Table.Size() != gr2.Table.Size() || gr1.State.Score() != gr2.State.Score() {
-		t.Fatal("MineGreedyV1 differs from MineGreedy")
 	}
 }
