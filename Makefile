@@ -15,11 +15,12 @@ lint:
 
 # Non-test Go lines per package of the module (every .go file of the
 # package directory but the _test.go ones, build-tagged files included),
-# the tracked size number of ROADMAP's design-quality aim.
+# then their sum on a final "total" line: the tracked size number of
+# ROADMAP's design-quality aim.
 loc:
 	@$(GO) list -f '{{.ImportPath}} {{.Dir}}' ./... | while read pkg dir; do \
 		printf '%6d  %s\n' $$(find $$dir -maxdepth 1 -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l) $$pkg; \
-	done
+	done | awk '{ print; total += $$1 } END { printf "%6d  total\n", total }'
 
 # The chaos suite: the deterministic failpoint registry (internal/fault)
 # compiles in under -tags faultinject, and the scripted failure

@@ -29,7 +29,8 @@ import (
 	"twoview/internal/core"
 	"twoview/internal/eval"
 
-	// Arm the -shards flag (registers the sharded engine with core).
+	// Arm the -shards flag for SELECT and GREEDY (registers the sharded
+	// cover with core).
 	_ "twoview/internal/shard"
 )
 
@@ -91,8 +92,8 @@ func main() {
 		out     = flag.String("out", "", "directory for per-experiment output files (default: stdout only)")
 		list    = flag.Bool("list", false, "list experiments and exit")
 		workers = flag.Int("workers", 0, "worker goroutines for mining and candidate generation (0 = GOMAXPROCS, 1 = serial); results are identical")
-		shards  = flag.Int("shards", 0, "item-range shards for the supervised sharded engine (0 = monolithic); results are identical")
-		shardAt = flag.String("shard-addrs", "", "comma-separated shardworker addresses; partitions run in those daemons over TCP instead of in-process (implies -shards len(addrs) when -shards is 0); results are identical")
+		shards  = flag.Int("shards", 0, "item-range shards for the supervised sharded SELECT/GREEDY engine (0 = monolithic; EXACT always runs in-process); results are identical")
+		shardAt = flag.String("shard-addrs", "", "comma-separated shardworker addresses; SELECT/GREEDY partitions run in those daemons over TCP instead of in-process (implies -shards len(addrs) when -shards is 0; EXACT ignores it); results are identical")
 	)
 	flag.Parse()
 	eval.Workers = *workers

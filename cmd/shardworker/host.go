@@ -3,7 +3,6 @@ package main
 import (
 	"context"
 
-	"twoview/internal/bitset"
 	"twoview/internal/core"
 	"twoview/internal/dataset"
 	"twoview/internal/pool"
@@ -37,12 +36,6 @@ type host struct {
 	mailbox chan wire.Msg
 }
 
-// scorer is one pool worker's scratch: support tidsets for inline-pair
-// scoring.
-type scorer struct {
-	tidX, tidY *bitset.Set
-}
-
 func (h *host) loop() {
 	defer h.sess.hostWG.Done()
 	defer h.cancel()
@@ -54,10 +47,7 @@ func (h *host) loop() {
 
 	ps := core.NewPartialState(h.d, h.loL, h.hiL, h.loR, h.hiR)
 	ps.Replay(h.log, func(int, core.Rule) {})
-	n := h.d.Size()
-	scorers := pool.NewOn(h.sess.w.rt, h.workers, func(int) *scorer {
-		return &scorer{tidX: bitset.New(n), tidY: bitset.New(n)}
-	})
+	scorers := pool.NewOn(h.sess.w.rt, h.workers, func(int) struct{} { return struct{}{} })
 
 	for {
 		select {
@@ -82,31 +72,20 @@ func (h *host) loop() {
 	}
 }
 
-// score runs the request's entries on the host's share of the worker
-// pool under the granted lease, exactly like an in-process shard: the
-// per-entry counts land in their own slots, so the reply is identical
-// for every worker count.
-func (h *host) score(scorers *pool.Pool[*scorer], ps *core.PartialState, req *wire.Score) (*wire.Reply, error) {
+// score runs the request's candidates on the host's share of the
+// worker pool under the granted lease, exactly like an in-process
+// shard: the per-entry counts land in their own slots, so the reply is
+// identical for every worker count.
+func (h *host) score(scorers *pool.Pool[struct{}], ps *core.PartialState, req *wire.Score) (*wire.Reply, error) {
 	rep := &wire.Reply{Part: h.part, Term: h.term, Seq: req.Seq}
+	rep.Counts = make([]core.DirCounts, len(req.CandIdx))
 	lease := pool.NewLease(h.ctx, req.Lease)
 	defer lease.End()
-	var err error
-	if len(req.CandIdx) > 0 {
-		rep.Counts = make([]core.DirCounts, len(req.CandIdx))
-		dirty := core.NewDirtyItems(h.d, req.Dirty)
-		err = scorers.RunCtx(lease.Context(), len(req.CandIdx), func(s *scorer, i int) {
-			c := &h.cands[req.CandIdx[i]]
-			rep.Counts[i] = ps.ScoreRule(c.X, c.Y, c.TidX, c.TidY, dirty)
-		})
-	} else {
-		rep.Counts = make([]core.DirCounts, len(req.Pairs))
-		err = scorers.RunCtx(lease.Context(), len(req.Pairs), func(s *scorer, i int) {
-			pr := req.Pairs[i]
-			h.d.SupportSetInto(s.tidX, dataset.Left, pr.X)
-			h.d.SupportSetInto(s.tidY, dataset.Right, pr.Y)
-			rep.Counts[i] = ps.ScoreRule(pr.X, pr.Y, s.tidX, s.tidY, nil)
-		})
-	}
+	dirty := core.NewDirtyItems(h.d, req.Dirty)
+	err := scorers.RunCtx(lease.Context(), len(req.CandIdx), func(_ struct{}, i int) {
+		c := &h.cands[req.CandIdx[i]]
+		rep.Counts[i] = ps.ScoreRule(c.X, c.Y, c.TidX, c.TidY, dirty)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -114,28 +93,12 @@ func (h *host) score(scorers *pool.Pool[*scorer], ps *core.PartialState, req *wi
 }
 
 // apply applies the accepted rule to the partition and acknowledges
-// with the per-item counts (and covered tidsets when asked — the
-// CoverObserver fires in the same owned-item order the counts are
-// emitted in, which is what keeps the coordinator's tub mirror folds
-// aligned).
+// with the per-item counts.
 func (h *host) apply(ps *core.PartialState, req *wire.Apply) *wire.Reply {
-	rep := &wire.Reply{Part: h.part, Term: h.term, Seq: req.Seq}
-	var onCover core.CoverObserver
-	if req.WantCover {
-		covers := &wire.Covers{}
-		rep.Covers = covers
-		onCover = func(target dataset.View, item int, covered *bitset.Set) {
-			c := covered.Clone()
-			if target == dataset.Right {
-				covers.Fwd = append(covers.Fwd, c)
-			} else {
-				covers.Back = append(covers.Back, c)
-			}
-		}
+	return &wire.Reply{
+		Part: h.part, Term: h.term, Seq: req.Seq,
+		Counts: []core.DirCounts{ps.Apply(req.Rule, nil, nil)},
 	}
-	dc := ps.Apply(req.Rule, nil, nil, onCover)
-	rep.Counts = []core.DirCounts{dc}
-	return rep
 }
 
 // crash retires the incarnation with a CRASH frame. Best-effort: if

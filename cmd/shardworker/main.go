@@ -1,5 +1,6 @@
-// Command shardworker hosts partitions of the sharded TRANSLATOR mining
-// engine for a remote coordinator. It is the TCP reading of
+// Command shardworker hosts partitions of the sharded TRANSLATOR-SELECT
+// and TRANSLATOR-GREEDY engine for a remote coordinator (EXACT always
+// runs in-process). It is the TCP reading of
 // internal/shard's proc: the coordinator (a miner run with
 // ParallelOptions.ShardAddrs set) dials in, announces partition
 // incarnations via HELLO, transfers the dataset and candidate list only

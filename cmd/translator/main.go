@@ -25,7 +25,8 @@ import (
 	"twoview/internal/mdl"
 	"twoview/internal/shutdown"
 
-	// Arm the -shards flag (registers the sharded engine with core).
+	// Arm the -shards flag for SELECT and GREEDY (registers the sharded
+	// cover with core).
 	_ "twoview/internal/shard"
 )
 
@@ -40,8 +41,8 @@ func main() {
 		minsup   = flag.Int("minsup", 1, "minimum candidate support for select/greedy")
 		maxRules = flag.Int("max-rules", 0, "stop after this many rules (0 = MDL stopping only)")
 		workers  = flag.Int("workers", 0, "worker goroutines for search and candidate mining (0 = GOMAXPROCS, 1 = serial); results are identical")
-		shards   = flag.Int("shards", 0, "item-range shards for the supervised sharded engine (0 = monolithic); results are identical")
-		shardAt  = flag.String("shard-addrs", "", "comma-separated shardworker addresses; partitions run in those daemons over TCP instead of in-process (implies -shards len(addrs) when -shards is 0); results are identical")
+		shards   = flag.Int("shards", 0, "item-range shards for the supervised sharded SELECT/GREEDY engine (0 = monolithic; EXACT always runs in-process); results are identical")
+		shardAt  = flag.String("shard-addrs", "", "comma-separated shardworker addresses; SELECT/GREEDY partitions run in those daemons over TCP instead of in-process (implies -shards len(addrs) when -shards is 0; EXACT ignores it); results are identical")
 		trace    = flag.Bool("trace", false, "print each iteration as it happens")
 		dotOut   = flag.String("dot", "", "also write a Graphviz visualization to this file")
 		saveOut  = flag.String("save", "", "write the mined translation table to this file")

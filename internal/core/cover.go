@@ -14,7 +14,8 @@ import (
 // the U and E columns of both target views, behind a narrow,
 // batch-granular boundary. There are two implementations, the local
 // columnar State (localCover) and internal/shard's supervised run, and
-// each driver runs unchanged against either.
+// each driver runs unchanged against either. EXACT does not use a
+// Cover: its search reads the local State directly.
 //
 // The boundary is integer. A Cover counts, the driver does every float
 // operation: it folds the per-item deltas Score writes with foldGain, in
@@ -46,12 +47,11 @@ type Cover interface {
 // it (see ParallelOptions.Shards), a local State otherwise. The caller
 // closes it.
 func NewCover(ctx context.Context, d *dataset.Dataset, cands []Candidate, par ParallelOptions) (Cover, error) {
-	m, err := shardEngine(par)
-	if err != nil {
-		return nil, err
-	}
-	if m != nil {
-		return m.NewCover(ctx, d, cands, par), nil
+	if par.Shards > 0 || len(par.ShardAddrs) > 0 {
+		if shardCover == nil {
+			return nil, errNoShardCover
+		}
+		return shardCover(ctx, d, cands, par), nil
 	}
 	return newLocalCover(NewState(d, mdl.NewCoder(d)), cands, par.runtime(), par.Workers), nil
 }
@@ -122,8 +122,7 @@ func (c *localCover) Close() {}
 // a direction's Δ_{D|T}, with gainDir's arithmetic: in consequent order,
 // one multiply-add per item, skipping zero deltas. The skip is not an
 // optimization: a zero-support item (ItemLen +Inf) over an empty tidset
-// must contribute 0, not Inf·0 = NaN. It is GainFromCounts' skip of
-// items whose counts are equal.
+// must contribute 0, not Inf·0 = NaN.
 func foldGain(coder *mdl.Coder, target dataset.View, cons itemset.Itemset, delta []int32) float64 {
 	gain := 0.0
 	for j, y := range cons {
@@ -155,11 +154,11 @@ func qub(coder *mdl.Coder, x, y itemset.Itemset, suppX, suppY int) float64 {
 		coder.RuleLen(x, y, true)
 }
 
-// PathQub is the quick upper bound of the EXACT searches, which carry
-// the summed item lengths L(X) and L(Y) down their search paths:
+// pathQub is the quick upper bound of the EXACT search, which carries
+// the summed item lengths L(X) and L(Y) down its search paths:
 // |supp(X)|·L(Y) + |supp(Y)|·L(X) − L(X↔Y), with L(X↔Y) taken as
 // L(X) + L(Y) + 1 in that order.
-func PathQub(suppX, suppY int, lenX, lenY float64) float64 {
+func pathQub(suppX, suppY int, lenX, lenY float64) float64 {
 	return float64(suppX)*lenY + float64(suppY)*lenX - (lenX + lenY + 1)
 }
 

@@ -71,17 +71,11 @@ type ExactOptions struct {
 // probe of the depth-first search — and returns the table mined so far
 // alongside ctx.Err(). With an uncancelled context the result is
 // bit-identical for every worker count and the error is nil.
+//
+// EXACT always runs in-process: ParallelOptions.Shards and ShardAddrs
+// are ignored (the table would be the same under any shard setting).
 func MineExact(ctx context.Context, d *dataset.Dataset, opt ExactOptions) (*Result, error) {
 	elapsed := stopwatch()
-	if m, err := shardEngine(opt.ParallelOptions); err != nil {
-		return nil, err
-	} else if m != nil {
-		res, err := m.MineExact(ctx, d, opt)
-		if res != nil {
-			res.Runtime = elapsed()
-		}
-		return res, err
-	}
 	coder := mdl.NewCoder(d)
 	s := NewState(d, coder)
 	res := &Result{State: s}
@@ -429,7 +423,7 @@ func (se *exactSearch) extend(x, y itemset.Itemset, tidX, tidY, tidXY *bitset.Se
 		cx, cy = bufs.set, y
 		ctX = bufs.side
 		if useRub {
-			csumRX = bitset.IntersectIntoSum(ctX, tidX, it.col, se.s.tubm.tub[dataset.Right])
+			csumRX = bitset.IntersectIntoSum(ctX, tidX, it.col, se.s.tub[dataset.Right])
 		} else {
 			bitset.IntersectInto(ctX, tidX, it.col)
 		}
@@ -440,7 +434,7 @@ func (se *exactSearch) extend(x, y itemset.Itemset, tidX, tidY, tidXY *bitset.Se
 		ctX = tidX
 		ctY = bufs.side
 		if useRub {
-			csumLY = bitset.IntersectIntoSum(ctY, tidY, it.col, se.s.tubm.tub[dataset.Left])
+			csumLY = bitset.IntersectIntoSum(ctY, tidY, it.col, se.s.tub[dataset.Left])
 		} else {
 			bitset.IntersectInto(ctY, tidY, it.col)
 		}
@@ -484,7 +478,7 @@ func (se *exactSearch) evaluate(x, y itemset.Itemset, tidX, tidY *bitset.Set, le
 	if !se.opt.DisableQub {
 		// qub(X◇Y) = |supp(X)|·L(Y) + |supp(Y)|·L(X) − L(X↔Y) bounds all
 		// three directions; skip the exact gain computation if hopeless.
-		if PathQub(tidX.Count(), tidY.Count(), lenX, lenY) < se.threshold() {
+		if pathQub(tidX.Count(), tidY.Count(), lenX, lenY) < se.threshold() {
 			return
 		}
 	}

@@ -66,7 +66,7 @@ type ParallelOptions struct {
 	// parallelism (no goroutines are spawned). Results are identical
 	// regardless of the value.
 	Workers int
-	// Shards opts the miner into the supervised sharded engine
+	// Shards opts SELECT and GREEDY into the supervised sharded engine
 	// (internal/shard): the columnar cover state is partitioned by item
 	// range into this many shard goroutine groups that exchange only
 	// messages with a coordinator — no shared State — with lease-based
@@ -77,18 +77,20 @@ type ParallelOptions struct {
 	// count, and injected failure schedule. Requires the shard engine
 	// to be linked in: importing the twoview facade (or
 	// twoview/internal/shard directly) registers it; with neither
-	// linked, Shards > 0 is an error.
+	// linked, Shards > 0 is an error. MineExact ignores Shards: EXACT
+	// always runs in-process.
 	Shards int
-	// ShardAddrs lifts the sharded engine onto TCP: each address is a
-	// shardworker daemon (cmd/shardworker) that hosts partitions, dialed
-	// and supervised by the coordinator with the same lease-based crash
-	// recovery as the in-process engine — a broken or timed-out
-	// connection is a crash, redialed with deterministic backoff.
-	// Partitions are placed round-robin over the addresses. Empty (the
-	// default) keeps every shard in-process. When ShardAddrs is set and
-	// Shards is 0, Shards defaults to len(ShardAddrs). Results are
-	// bit-identical to the monolith for every placement, connection-
-	// failure schedule, and worker count.
+	// ShardAddrs lifts the sharded SELECT and GREEDY engine onto TCP:
+	// each address is a shardworker daemon (cmd/shardworker) that hosts
+	// partitions, dialed and supervised by the coordinator with the
+	// same lease-based crash recovery as the in-process engine — a
+	// broken or timed-out connection is a crash, redialed with
+	// deterministic backoff. Partitions are placed round-robin over the
+	// addresses. Empty (the default) keeps every shard in-process. When
+	// ShardAddrs is set and Shards is 0, Shards defaults to
+	// len(ShardAddrs). Results are bit-identical to the monolith for
+	// every placement, connection-failure schedule, and worker count.
+	// MineExact ignores ShardAddrs and never dials.
 	ShardAddrs []string
 	// Session is the persistent worker runtime to run on; nil means the
 	// shared package-wide runtime. See Session.

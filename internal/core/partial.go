@@ -7,13 +7,12 @@ import (
 	"twoview/internal/mdl"
 )
 
-// This file is the state side of the sharded mining engine
+// This file is the state side of the sharded SELECT/GREEDY cover
 // (internal/shard): PartialState is the columnar cover state restricted
-// to one item-range partition, and ItemCount/GainFromCounts/CoverTotals/
-// TubMirror are the pieces a coordinator needs to reassemble the
-// monolith's exact float arithmetic from the partitions' integer
-// summaries (State itself keeps its scalars and tub in a CoverTotals
-// and a TubMirror).
+// to one item-range partition, and ItemCount/CoverTotals are the pieces
+// a coordinator needs to reassemble the monolith's exact float
+// arithmetic from the partitions' integer summaries (State itself keeps
+// its scalars in a CoverTotals).
 //
 // The split of responsibilities is what makes sharding bit-identical:
 //
@@ -22,9 +21,8 @@ import (
 //     and ships per-item (covered, errors) pairs;
 //   - the coordinator performs all *float* accumulation, in exactly the
 //     order gainDir/applyDir would (consequent-item order, with the
-//     same skip-on-equal guard): the SELECT and GREEDY drivers through
-//     foldGain over Cover.Score's deltas, the sharded EXACT search via
-//     GainFromCounts, and both through CoverTotals.
+//     same skip guard): the SELECT and GREEDY drivers through foldGain
+//     over Cover.Score's deltas, and the scalars through CoverTotals.
 //
 // Integer counts are schedule- and failure-independent, so the merged
 // floats are too: any shard count, any worker count, and any recovery
@@ -94,23 +92,6 @@ func NewPartialState(d *dataset.Dataset, loL, hiL, loR, hiR int) *PartialState {
 	return ps
 }
 
-// Range returns the partition's item range [lo, hi) for the target view.
-func (ps *PartialState) Range(target dataset.View) (lo, hi int) {
-	return ps.lo[target], ps.hi[target]
-}
-
-// UncoveredCol returns the partition's U column of item i (absolute id)
-// of the target view. i must be inside the partition. Read-only.
-func (ps *PartialState) UncoveredCol(target dataset.View, i int) *bitset.Set {
-	return &ps.ucol[target][i-ps.lo[target]]
-}
-
-// ErrorsCol returns the partition's E column of item i (absolute id) of
-// the target view. i must be inside the partition. Read-only.
-func (ps *PartialState) ErrorsCol(target dataset.View, i int) *bitset.Set {
-	return &ps.ecol[target][i-ps.lo[target]]
-}
-
 // ScoreDir computes the per-item counts of one rule direction for the
 // consequent items this partition owns and dirty marks (nil marks
 // every item): per such item y of cons, the covered count
@@ -142,40 +123,21 @@ func (ps *PartialState) ScoreDir(target dataset.View, tids *bitset.Set, cons ite
 }
 
 // ScoreRule scores both directions of the rule skeleton (x, y) against
-// the partition, with optional precomputed support tidsets (nil tidsets
-// are computed into internal scratch — not safe concurrently; pass
-// cached tidsets from parallel scorers). dirty restricts each direction
-// to the consequent items it marks in the target view; nil scores every
-// owned item. The returned DirCounts always carries both directions:
-// the coordinator composes →/←/↔ gains from the same two count
-// vectors, like evaluate (from gainDir) and the SELECT scorer (from
-// cached deltas) do.
+// the partition, given the support tidsets of x and y. dirty restricts
+// each direction to the consequent items it marks in the target view;
+// nil scores every owned item. The returned DirCounts always carries
+// both directions: the coordinator composes →/←/↔ gains from the same
+// two count vectors, like the SELECT scorer does from cached deltas.
 func (ps *PartialState) ScoreRule(x, y itemset.Itemset, tidX, tidY *bitset.Set, dirty *DirtyItems) DirCounts {
 	var dirtyL, dirtyR *bitset.Set
 	if dirty != nil {
 		dirtyL, dirtyR = &dirty[dataset.Left], &dirty[dataset.Right]
 	}
-	if tidX == nil {
-		ps.d.SupportSetInto(ps.tids, dataset.Left, x)
-		tidX = ps.tids
+	return DirCounts{
+		Fwd:  ps.ScoreDir(dataset.Right, tidX, y, dirtyR),
+		Back: ps.ScoreDir(dataset.Left, tidY, x, dirtyL),
 	}
-	fwd := ps.ScoreDir(dataset.Right, tidX, y, dirtyR)
-	if tidY == nil {
-		ps.d.SupportSetInto(ps.tids, dataset.Right, y)
-		tidY = ps.tids
-	}
-	back := ps.ScoreDir(dataset.Left, tidY, x, dirtyL)
-	return DirCounts{Fwd: fwd, Back: back}
 }
-
-// CoverObserver observes, during PartialState.Apply, the covered tidset
-// of each owned consequent item — the transactions where the item just
-// moved from U to covered — in application order. The set is scratch:
-// observers must copy what they keep. The sharded EXACT driver ships
-// these tidsets in the apply acknowledgement so the coordinator can
-// maintain its transaction-granular bounds (TubMirror); the other
-// drivers pass nil and the counts alone suffice.
-type CoverObserver func(target dataset.View, item int, covered *bitset.Set)
 
 // Apply adds rule r to the partition — the owned slice of
 // State.applyDir's column updates — and returns the per-item counts of
@@ -183,14 +145,14 @@ type CoverObserver func(target dataset.View, item int, covered *bitset.Set)
 // coordinator updates its scalar mirrors (CoverTotals.Apply). Like
 // applyDir it must never run concurrently with itself or ScoreDir on
 // the same partition; a shard applies between scoring phases.
-func (ps *PartialState) Apply(r Rule, fwd, back []ItemCount, onCover CoverObserver) DirCounts {
+func (ps *PartialState) Apply(r Rule, fwd, back []ItemCount) DirCounts {
 	if r.AppliesTo(dataset.Left) {
 		ps.d.SupportSetInto(ps.tids, dataset.Left, r.X)
-		fwd = ps.applyDir(dataset.Right, ps.tids, r.Y, fwd, onCover)
+		fwd = ps.applyDir(dataset.Right, ps.tids, r.Y, fwd)
 	}
 	if r.AppliesTo(dataset.Right) {
 		ps.d.SupportSetInto(ps.tids, dataset.Right, r.Y)
-		back = ps.applyDir(dataset.Left, ps.tids, r.X, back, onCover)
+		back = ps.applyDir(dataset.Left, ps.tids, r.X, back)
 	}
 	return DirCounts{Fwd: fwd, Back: back}
 }
@@ -199,7 +161,7 @@ func (ps *PartialState) Apply(r Rule, fwd, back []ItemCount, onCover CoverObserv
 // mirroring State.applyDir restricted to the partition: per owned
 // consequent item, materialize the covered tidset and the new-error
 // tidset, update the columns wholesale, and record the two counts.
-func (ps *PartialState) applyDir(target dataset.View, tids *bitset.Set, cons itemset.Itemset, dst []ItemCount, onCover CoverObserver) []ItemCount {
+func (ps *PartialState) applyDir(target dataset.View, tids *bitset.Set, cons itemset.Itemset, dst []ItemCount) []ItemCount {
 	lo, hi := ps.lo[target], ps.hi[target]
 	cols := ps.d.Columns(target)
 	//lint:ctxprobe-ok bounded per-rule work (|cons| kernel calls); shards apply between message checkpoints
@@ -212,9 +174,6 @@ func (ps *PartialState) applyDir(target dataset.View, tids *bitset.Set, cons ite
 		covered := ps.scratch
 		bitset.IntersectInto(covered, tids, ucol)
 		covCnt := covered.Count()
-		if onCover != nil {
-			onCover(target, y, covered)
-		}
 		if covCnt > 0 {
 			ucol.AndNot(covered)
 		}
@@ -247,29 +206,8 @@ func (ps *PartialState) Replay(log []Rule, onRule func(i int, r Rule)) {
 		if onRule != nil {
 			onRule(i, r)
 		}
-		ps.Apply(r, nil, nil, nil)
+		ps.Apply(r, nil, nil)
 	}
-}
-
-// GainFromCounts folds per-item count messages into the gain
-// contribution of one rule direction, with exactly State.gainDir's
-// float arithmetic: accumulate in consequent-item order, skip items
-// whose covered and error counts cancel (also guarding the
-// zero-support-item Inf·0 case), one multiply-add per remaining item.
-// parts are the partitions' ItemCount slices in partition order; since
-// partitions are ascending contiguous item ranges and each ScoreDir
-// emits in cons order, their concatenation is the full cons walk.
-func GainFromCounts(coder *mdl.Coder, target dataset.View, parts ...[]ItemCount) float64 {
-	gain := 0.0
-	for _, part := range parts {
-		for _, c := range part {
-			if c.Covered == c.Errors {
-				continue
-			}
-			gain += coder.ItemLen(target, int(c.Item)) * float64(c.Covered-c.Errors)
-		}
-	}
-	return gain
 }
 
 // CoverTotals holds the scalar summaries of a cover state: |U| and |E|
@@ -346,52 +284,4 @@ func (ct *CoverTotals) Apply(r Rule, fwdParts, backParts [][]ItemCount) {
 // like State.Score.
 func (ct *CoverTotals) Score(table *Table) float64 {
 	return table.Len(ct.coder) + ct.CorrLen[dataset.Left] + ct.CorrLen[dataset.Right]
-}
-
-// TubMirror maintains the transaction-based upper bounds tub(t) =
-// L(U_t | D_target). A State keeps one, fed by its own covered tidsets;
-// on the coordinator side of a sharded run one is fed by the per-item
-// covered tidsets the shards' apply acknowledgements carry (see
-// CoverObserver). The sharded EXACT driver needs it for the monolith's
-// item potential ordering (bestRule sorts by Σ tub), whose float
-// accumulation history must be reproduced exactly; SELECT and GREEDY
-// never read tub and their shard covers run without one.
-type TubMirror struct {
-	coder *mdl.Coder
-	tub   [2][]float64
-}
-
-// NewTubMirror returns the empty-table bounds: tub(t) =
-// L(row | D_target) per transaction in ascending order.
-func NewTubMirror(d *dataset.Dataset, coder *mdl.Coder) *TubMirror {
-	tm := &TubMirror{coder: coder}
-	n := d.Size()
-	for _, v := range []dataset.View{dataset.Left, dataset.Right} {
-		tm.tub[v] = make([]float64, n)
-		for t := 0; t < n; t++ {
-			tm.tub[v][t] = coder.BitsLen(v, d.Row(v, t))
-		}
-	}
-	return tm
-}
-
-// ApplyItem folds one applied consequent item's covered tidset into the
-// bounds, mirroring State.applyDir's per-item walk: each covered
-// transaction loses the item's length, visited in ascending transaction
-// order. Callers must feed items in application order (consequent order
-// within a direction, X→Y direction before X←Y) for the accumulation
-// history — and hence the bits — to match the monolith.
-func (tm *TubMirror) ApplyItem(target dataset.View, item int, covered *bitset.Set) {
-	l := tm.coder.ItemLen(target, item)
-	tub := tm.tub[target]
-	covered.ForEach(func(t int) bool {
-		tub[t] -= l
-		return true
-	})
-}
-
-// SumTub returns Σ_{t ∈ tids} tub(t) for the target view, accumulated
-// in ascending transaction order like State.SumTub.
-func (tm *TubMirror) SumTub(target dataset.View, tids *bitset.Set) float64 {
-	return bitset.WeightedSum(tids, tm.tub[target])
 }

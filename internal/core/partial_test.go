@@ -27,14 +27,26 @@ func partitionAll(d *dataset.Dataset, n int) []*PartialState {
 	return parts
 }
 
+// mergedDeltas concatenates the partitions' unmasked counts of one
+// direction, in partition order, into the per-item covered − errors
+// deltas of the full consequent.
+func mergedDeltas(parts [][]ItemCount) []int32 {
+	var delta []int32
+	for _, part := range parts {
+		for _, c := range part {
+			delta = append(delta, c.Covered-c.Errors)
+		}
+	}
+	return delta
+}
+
 // TestPartialStateMirrorsState drives a realistic rule sequence through
 // a monolithic State and, in parallel, through every partition count in
 // the acceptance grid, checking after every rule that
 //
-//   - the merged ScoreDir counts reproduce gainDir's floats exactly,
-//   - CoverTotals reproduces the scalar summaries exactly,
-//   - TubMirror (fed by the apply covered tidsets) reproduces tub
-//     exactly, and
+//   - the merged ScoreDir counts, folded by foldGain as the drivers
+//     fold Cover.Score's deltas, reproduce gainDir's floats exactly,
+//   - CoverTotals reproduces the scalar summaries exactly, and
 //   - the partitions' columns equal the owned slices of the State's.
 func TestPartialStateMirrorsState(t *testing.T) {
 	d := plantedDataset(t, 101)
@@ -51,7 +63,6 @@ func TestPartialStateMirrorsState(t *testing.T) {
 		s := NewState(d, coder)
 		parts := partitionAll(d, shards)
 		totals := NewCoverTotals(d, coder)
-		tubm := NewTubMirror(d, coder)
 
 		if totals.UOnes != [2]int{s.totals.UOnes[0], s.totals.UOnes[1]} || totals.CorrLen != s.totals.CorrLen {
 			t.Fatalf("shards=%d: initial totals diverge: %+v vs %v/%v", shards, totals, s.totals.UOnes, s.totals.CorrLen)
@@ -66,19 +77,17 @@ func TestPartialStateMirrorsState(t *testing.T) {
 				fwdParts = append(fwdParts, ps.ScoreDir(dataset.Right, tidX, r.Y, nil))
 				backParts = append(backParts, ps.ScoreDir(dataset.Left, tidY, r.X, nil))
 			}
-			if got, want := GainFromCounts(coder, dataset.Right, fwdParts...), s.gainDir(dataset.Left, tidX, r.Y); got != want {
+			if got, want := foldGain(coder, dataset.Right, r.Y, mergedDeltas(fwdParts)), s.gainDir(dataset.Left, tidX, r.Y); got != want {
 				t.Fatalf("shards=%d rule %d: fwd gain %v != gainDir %v", shards, ri, got, want)
 			}
-			if got, want := GainFromCounts(coder, dataset.Left, backParts...), s.gainDir(dataset.Right, tidY, r.X); got != want {
+			if got, want := foldGain(coder, dataset.Left, r.X, mergedDeltas(backParts)), s.gainDir(dataset.Right, tidY, r.X); got != want {
 				t.Fatalf("shards=%d rule %d: back gain %v != gainDir %v", shards, ri, got, want)
 			}
 
 			// Apply through both paths.
 			fwdParts, backParts = fwdParts[:0], backParts[:0]
 			for _, ps := range parts {
-				pc := ps.Apply(r, nil, nil, func(target dataset.View, item int, covered *bitset.Set) {
-					tubm.ApplyItem(target, item, covered)
-				})
+				pc := ps.Apply(r, nil, nil)
 				fwdParts = append(fwdParts, pc.Fwd)
 				backParts = append(backParts, pc.Back)
 			}
@@ -93,13 +102,6 @@ func TestPartialStateMirrorsState(t *testing.T) {
 			if got, want := totals.Score(sub), s.Score(); got != want {
 				t.Fatalf("shards=%d rule %d: score %v != %v", shards, ri, got, want)
 			}
-			for _, v := range []dataset.View{dataset.Left, dataset.Right} {
-				for tr := 0; tr < d.Size(); tr++ {
-					if got, want := tubm.tub[v][tr], s.tubm.tub[v][tr]; got != want {
-						t.Fatalf("shards=%d rule %d: tub[%v][%d] %v != %v", shards, ri, v, tr, got, want)
-					}
-				}
-			}
 		}
 
 		// Column parity and replay determinism after the full log.
@@ -109,14 +111,14 @@ func TestPartialStateMirrorsState(t *testing.T) {
 				ps.lo[dataset.Right], ps.hi[dataset.Right])
 			replayed.Replay(table.Rules, nil)
 			for _, v := range []dataset.View{dataset.Left, dataset.Right} {
-				lo, hi := ps.Range(v)
+				lo, hi := ps.lo[v], ps.hi[v]
 				for i := lo; i < hi; i++ {
-					if !ps.UncoveredCol(v, i).Equal(s.UncoveredCol(v, i)) ||
-						!ps.ErrorsCol(v, i).Equal(s.ErrorsCol(v, i)) {
+					if !ps.ucol[v][i-lo].Equal(s.UncoveredCol(v, i)) ||
+						!ps.ecol[v][i-lo].Equal(s.ErrorsCol(v, i)) {
 						t.Fatalf("shards=%d part %d: columns diverge at view %v item %d", shards, p, v, i)
 					}
-					if !replayed.UncoveredCol(v, i).Equal(ps.UncoveredCol(v, i)) ||
-						!replayed.ErrorsCol(v, i).Equal(ps.ErrorsCol(v, i)) {
+					if !replayed.ucol[v][i-lo].Equal(&ps.ucol[v][i-lo]) ||
+						!replayed.ecol[v][i-lo].Equal(&ps.ecol[v][i-lo]) {
 						t.Fatalf("shards=%d part %d: replay diverges at view %v item %d", shards, p, v, i)
 					}
 				}
@@ -125,17 +127,20 @@ func TestPartialStateMirrorsState(t *testing.T) {
 	}
 }
 
-// TestPartialStateScoreRuleMatchesScoreDir pins the convenience wrapper
-// (which computes supports itself when none are passed) to the explicit
-// path.
+// TestPartialStateScoreRuleMatchesScoreDir pins ScoreRule over the
+// candidates' cached support tidsets to ScoreRule over supports freshly
+// computed from the itemsets.
 func TestPartialStateScoreRuleMatchesScoreDir(t *testing.T) {
 	d := plantedDataset(t, 102)
 	cands := mustCandidates(t, d, 5, 0, ParallelOptions{Workers: 1})
 	ps := NewPartialState(d, 0, d.Items(dataset.Left), 0, d.Items(dataset.Right))
+	tidX, tidY := bitset.New(d.Size()), bitset.New(d.Size())
 	for ci := range cands {
 		c := &cands[ci]
 		cached := ps.ScoreRule(c.X, c.Y, c.TidX, c.TidY, nil)
-		fresh := ps.ScoreRule(c.X, c.Y, nil, nil, nil)
+		d.SupportSetInto(tidX, dataset.Left, c.X)
+		d.SupportSetInto(tidY, dataset.Right, c.Y)
+		fresh := ps.ScoreRule(c.X, c.Y, tidX, tidY, nil)
 		if len(cached.Fwd) != len(fresh.Fwd) || len(cached.Back) != len(fresh.Back) {
 			t.Fatalf("cand %d: count lengths diverge", ci)
 		}

@@ -20,10 +20,9 @@ import (
 // Scoring a candidate rule against a support tidset is then a handful of
 // fused popcount loops per consequent item (see gainDir) instead of
 // per-transaction bit probes. The scalars (|U|, |E|, L(C|T)) live in a
-// CoverTotals and tub in a TubMirror, the same types a sharded run's
-// coordinator keeps, so each scalar and tub update has one
-// implementation. The columns are property-tested against the
-// correction tables Algorithm 1 defines (TranslateRow) in
+// CoverTotals, the type a sharded run's coordinator keeps, so each
+// scalar update has one implementation. The columns are property-tested
+// against the correction tables Algorithm 1 defines (TranslateRow) in
 // columnar_test.go and state_test.go. All column bitsets are carved out
 // of per-view batch allocations (bitset.NewBatch), so building a State
 // costs O(1) allocations per view.
@@ -44,7 +43,7 @@ type State struct {
 	ucol   [2][]bitset.Set // columnar U, indexed by item (tidsets)
 	ecol   [2][]bitset.Set // columnar E, indexed by item (tidsets)
 	totals *CoverTotals    // |U|, |E| and L(C|T) per target view
-	tubm   *TubMirror      // tub(t) = L(U_t | D_target) per transaction
+	tub    [2][]float64    // tub(t) = L(U_t | D_target) per transaction
 
 	scratch *bitset.Set // width |D|, used serially by applyDir
 }
@@ -52,13 +51,18 @@ type State struct {
 // NewState returns the state of the empty translation table: everything is
 // uncovered, nothing is in error, and the score is the baseline L(D,∅).
 func NewState(d *dataset.Dataset, coder *mdl.Coder) *State {
-	s := &State{d: d, coder: coder, totals: NewCoverTotals(d, coder), tubm: NewTubMirror(d, coder)}
+	s := &State{d: d, coder: coder, totals: NewCoverTotals(d, coder)}
 	n := d.Size()
 	for _, v := range []dataset.View{dataset.Left, dataset.Right} {
+		// Initially U_t = t, so tub(t) = L(t | D_target) and the U
+		// column of item i is exactly the item's support tidset.
+		// Materializing Columns here also makes the lazily built cache
+		// safe to read from parallel phases.
+		s.tub[v] = make([]float64, n)
+		for t := 0; t < n; t++ {
+			s.tub[v][t] = coder.BitsLen(v, d.Row(v, t))
+		}
 		items := d.Items(v)
-		// Initially U_t = t, so the U column of item i is exactly the
-		// item's support tidset. Materializing Columns here also makes
-		// the lazily built cache safe to read from parallel phases.
 		cols := d.Columns(v)
 		s.ucol[v] = bitset.NewBatch(items, n)
 		s.ecol[v] = bitset.NewBatch(items, n)
@@ -117,14 +121,14 @@ func (s *State) Baseline() float64 { return s.coder.BaselineLen(s.d) }
 
 // Tub returns the transaction-based upper bound tub(t) = L(U_t|D_target)
 // for the given target view (§5.2). It is kept up to date by AddRule.
-func (s *State) Tub(target dataset.View, t int) float64 { return s.tubm.tub[target][t] }
+func (s *State) Tub(target dataset.View, t int) float64 { return s.tub[target][t] }
 
 // SumTub returns Σ_{t ∈ tids} tub(t) for the target view, accumulated in
 // ascending transaction order (the same order ForEach would visit, so
 // the value is bit-identical to the closure-based walk it replaced —
 // WeightedSum guarantees that order under both kernel builds).
 func (s *State) SumTub(target dataset.View, tids *bitset.Set) float64 {
-	return s.tubm.SumTub(target, tids)
+	return bitset.WeightedSum(tids, s.tub[target])
 }
 
 // gainDir computes Δ_{D|T} for one direction of a rule (Equation 2): the
@@ -218,12 +222,11 @@ func (s *State) Rub(x, y itemset.Itemset, tidX, tidY *bitset.Set) float64 {
 // item y it materializes the covered tidset tids ∩ ucol[y] and the
 // new-error tidset tids \ (supp(y) ∪ ecol[y]) with word-level
 // operations, updates the columns wholesale, walks only the covered
-// transactions to keep tub in sync (TubMirror.ApplyItem), and folds the
-// two counts into the totals (CoverTotals.applyItem) — the updates a
-// sharded run's coordinator makes from its shards' counts, in the same
-// order, so both stay bit-identical. applyDir is only called between
-// search phases (AddRule), never concurrently, so it may use the
-// state's scratch set.
+// transactions to keep tub in sync, and folds the two counts into the
+// totals (CoverTotals.applyItem) — the scalar updates a sharded run's
+// coordinator makes from its shards' counts, in the same order, so both
+// stay bit-identical. applyDir is only called between search phases
+// (AddRule), never concurrently, so it may use the state's scratch set.
 func (s *State) applyDir(from dataset.View, tids *bitset.Set, cons itemset.Itemset) {
 	target := from.Opposite()
 	cols := s.d.Columns(target)
@@ -237,7 +240,13 @@ func (s *State) applyDir(from dataset.View, tids *bitset.Set, cons itemset.Items
 		covCnt := covered.Count()
 		if covCnt > 0 {
 			ucol.AndNot(covered)
-			s.tubm.ApplyItem(target, y, covered)
+			// Each covered transaction loses y's length from its
+			// bound, visited in ascending transaction order.
+			l, tub := s.coder.ItemLen(target, y), s.tub[target]
+			covered.ForEach(func(t int) bool {
+				tub[t] -= l
+				return true
+			})
 		}
 
 		// Transactions where y is neither in the data nor already an

@@ -28,16 +28,17 @@ import (
 var Workers int
 
 // Shards is the item-range shard count every runner passes to the
-// miners: 0 runs the monolithic engine, > 0 opts into the supervised
-// sharded engine (which the caller must link in — cmd/experiments
-// blank-imports internal/shard and exposes this as -shards). Results
-// are identical regardless.
+// miners: 0 runs the monolithic engine, > 0 opts SELECT and GREEDY
+// into the supervised sharded engine (which the caller must link in —
+// cmd/experiments blank-imports internal/shard and exposes this as
+// -shards); EXACT always runs in-process. Results are identical
+// regardless.
 var Shards int
 
-// ShardAddrs lifts the sharded engine onto TCP: each entry is a
-// shardworker daemon address the coordinator dials and supervises
-// (cmd/experiments exposes this as -shard-addrs). Empty keeps every
-// shard in-process. Results are identical regardless.
+// ShardAddrs lifts the sharded SELECT and GREEDY engine onto TCP: each
+// entry is a shardworker daemon address the coordinator dials and
+// supervises (cmd/experiments exposes this as -shard-addrs). Empty keeps
+// every shard in-process. Results are identical regardless.
 var ShardAddrs []string
 
 // Session is the persistent worker runtime the runners mine on; nil

@@ -31,10 +31,11 @@ var Ctxprobe = &Analyzer{
 // internal/server is in scope because its handlers own per-request
 // deadlines: a serving loop that stops observing its context regresses
 // 504s back into held worker slots. internal/shard is in scope because
-// it runs the sharded EXACT search's DFS and every round gather: a
+// it runs every round gather of the sharded SELECT and GREEDY cover: a
 // sharded loop that stops observing its context turns cancellation
-// into a wedged supervisor holding N shard goroutine groups. cmd/shardworker is in scope for the same reason on
-// the far side of the wire: a host loop that stops observing its
+// into a wedged supervisor holding N shard goroutine groups.
+// cmd/shardworker is in scope for the same reason on the far side of
+// the wire: a host loop that stops observing its
 // incarnation context would keep scoring for a coordinator that has
 // already replaced it. internal/wire is registered so codec loops stay
 // covered if they ever grow a kernel call.

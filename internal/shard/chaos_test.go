@@ -123,8 +123,8 @@ const stalledReaderReps = 12
 // checkStalledReader mines under a schedule that stalls one scoring
 // task past its lease, reps times. The supervisor replaces the stalled
 // incarnation and moves on to later rounds while the stalled task is
-// still to read its request's payload (the candidate indices or the
-// pairs). Payloads belong to their request once dispatched, so the
+// still to read its request's payload (the candidate indices).
+// Payloads belong to their request once dispatched, so the
 // drivers must never reuse a payload buffer for a later round: -race
 // reports it if they do.
 func checkStalledReader(t *testing.T, label string, ref *core.Result, reps int, mine func() (*core.Result, *runStats, error)) {
@@ -154,19 +154,6 @@ func TestChaosShardStalledReaderGreedy(t *testing.T) {
 	}
 	checkStalledReader(t, "greedy stalled reader", ref, stalledReaderReps, func() (*core.Result, *runStats, error) {
 		return mineGreedy(context.Background(), d, cands, opt, Config{Shards: 2, Workers: 2, Lease: leaseForTest})
-	})
-}
-
-// The EXACT twin needs fewer repeats: its pair batches are rescored in
-// many short rounds, so nearly every run exposes a reuse.
-func TestChaosShardStalledReaderExact(t *testing.T) {
-	d := plantedDataset(t, 13)
-	ref, err := core.MineExact(context.Background(), d, core.ExactOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkStalledReader(t, "exact stalled reader", ref, 3, func() (*core.Result, *runStats, error) {
-		return mineExact(context.Background(), d, core.ExactOptions{}, Config{Shards: 2, Workers: 2, Lease: leaseForTest})
 	})
 }
 
@@ -308,13 +295,14 @@ func TestChaosShardCrashDuringApplyAndReplay(t *testing.T) {
 	sameResult(t, "crash during apply+replay", ref, res)
 }
 
-// The EXACT driver under a compound schedule — a poisoned pair-scoring
-// task and a killed apply in the same run — exercising the tub-mirror
-// acknowledgement path through a rebuilt incarnation.
-func TestChaosShardExactCompoundSchedule(t *testing.T) {
+// A compound schedule — a poisoned scoring task and a killed apply in
+// the same run — drives one incarnation through a score-round rebuild
+// and another through an apply-round rebuild that replays the log.
+func TestChaosShardCompoundSchedule(t *testing.T) {
 	defer fault.Reset()
 	d := plantedDataset(t, 59)
-	ref, err := core.MineExact(context.Background(), d, core.ExactOptions{})
+	cands := mustCandidates(t, d)
+	ref, err := core.MineSelect(context.Background(), d, cands, core.SelectOptions{K: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,17 +310,17 @@ func TestChaosShardExactCompoundSchedule(t *testing.T) {
 		t.Fatal("reference mined no rules; test is vacuous")
 	}
 
-	fault.Set("shard.task", fault.Action{Skip: 10, Panic: "chaos: poisoned pair task"})
+	fault.Set("shard.task", fault.Action{Skip: 10, Panic: "chaos: poisoned scoring task"})
 	fault.Set("shard.apply", fault.Action{Panic: "chaos: killed mid-apply"})
-	res, stats, err := mineExact(context.Background(), d,
-		core.ExactOptions{}, Config{Shards: 2, Workers: 2})
+	res, stats, err := mineSelect(context.Background(), d, cands,
+		core.SelectOptions{K: 1}, Config{Shards: 2, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if stats.restarts < 2 {
 		t.Fatalf("restarts = %d, want >= 2 (one per armed point)", stats.restarts)
 	}
-	sameResult(t, "exact compound schedule", ref, res)
+	sameResult(t, "compound schedule", ref, res)
 }
 
 // A partition that crashes past the run's restart budget fails the run

@@ -30,22 +30,19 @@ func newCover(ctx context.Context, d *dataset.Dataset, cands []core.Candidate, c
 // Covered − Errors.
 func (c *cover) Score(_ context.Context, idx []int32, dirty *core.DirtyItems, delta [][]int32) error {
 	cands := c.r.cands
-	var items *[2]itemset.Itemset
 	if dirty != nil {
 		pairs := 0
 		for _, ci := range idx {
 			pairs += dirty.Count(cands[ci].X, cands[ci].Y)
 		}
 		c.r.requested = append(c.r.requested, pairs)
-		lists := dirty.Items()
-		items = &lists
 	}
 	if len(idx) == 0 {
 		return nil
 	}
 	// Once dispatched, the index list belongs to the request: a replaced
 	// incarnation may still be reading it (see request).
-	reps, err := c.r.sv.scoreCands(slices.Clone(idx), items)
+	reps, err := c.r.sv.scoreCands(slices.Clone(idx), dirty)
 	if err != nil {
 		return err
 	}
@@ -60,7 +57,8 @@ func (c *cover) Score(_ context.Context, idx []int32, dirty *core.DirtyItems, de
 }
 
 // putDeltas writes each count into the delta of its item of cons. Both are
-// in item order, and every counted item is in cons.
+// in item order, and every counted item is in cons (the round checked
+// the reply with ownedCounts).
 func putDeltas(cons itemset.Itemset, delta []int32, counts []core.ItemCount) {
 	j := 0
 	for _, cnt := range counts {
@@ -72,7 +70,7 @@ func putDeltas(cons itemset.Itemset, delta []int32, counts []core.ItemCount) {
 }
 
 func (c *cover) Apply(rule core.Rule) (*core.CoverTotals, error) {
-	if err := applyRule(c.r, c.totals, nil, rule); err != nil {
+	if err := applyRule(c.r, c.totals, rule); err != nil {
 		return nil, err
 	}
 	return c.totals, nil

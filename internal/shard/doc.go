@@ -1,21 +1,19 @@
-// Package shard is the supervised sharded mining engine behind
-// core.ParallelOptions.Shards: the columnar cover state is partitioned
-// by item range into N shard goroutine groups that own their ucol/ecol
-// columns privately (core.PartialState) and exchange only small
-// messages with a coordinator — no shared State. All three TRANSLATOR
-// searches (EXACT, SELECT, GREEDY) run on it bit-identical to the
-// monolithic in-process miners for every shard count, worker count,
-// and injected failure schedule.
+// Package shard is the supervised sharded cover behind
+// core.ParallelOptions.Shards and ShardAddrs: the columnar cover state
+// is partitioned by item range into N shard goroutine groups that own
+// their ucol/ecol columns privately (core.PartialState) and exchange
+// only small messages with a coordinator — no shared State. SELECT and
+// GREEDY run on it bit-identical to the monolithic in-process miners
+// for every shard count, worker count, and injected failure schedule.
+// EXACT does not: it always runs in-process, whatever the sharding
+// options say.
 //
 // The coordinator hosts a backend, not drivers. SELECT and GREEDY have
 // one driver each, in internal/core, and they mine against the
 // core.Cover interface; this package's implementation of it (cover.go)
 // runs one SCORE round per Score batch and one APPLY round per Apply,
 // and turns each shard's (covered, errors) pair into the driver's
-// covered − errors delta as it places it. EXACT keeps its own search
-// here (exact.go): the monolith's rub pruning needs tub sums fused into
-// every tidset intersection, which this search deliberately does
-// without.
+// covered − errors delta as it places it.
 //
 // # Architecture
 //
@@ -38,8 +36,8 @@
 // coordinator, and hold no floats: a shard computes integer per-item
 // (covered, errors) pairs with the same fused popcount kernels the
 // monolith uses, and the coordinator performs all float accumulation
-// in exactly the monolith's order (core.GainFromCounts,
-// core.CoverTotals, core.TubMirror). Integer counts are schedule- and
+// in exactly the monolith's order (the drivers' gain folds and
+// core.CoverTotals). Integer counts are schedule- and
 // failure-independent, which is what makes the whole engine so.
 //
 // # Supervision: leases, terms, replay
@@ -56,7 +54,10 @@
 // incarnations are discarded by value, never by timing. The rule log
 // is appended only after an apply round fully completes, so a shard
 // rebuilt mid-apply replays the log without the in-flight rule and
-// then applies it via the re-dispatch — never twice.
+// then applies it via the re-dispatch — never twice. A shard that had
+// already answered the apply round when it died (a dropped connection
+// takes every partition on it down at once) is born with the in-flight
+// rule instead, since no re-dispatch will reach it.
 //
 // Shards also self-bound: each scoring phase runs under the granted
 // lease (pool.Lease), so a shard that cannot finish in time drains its
@@ -73,14 +74,12 @@
 //	HELLO     coordinator → shard: dataset (or its content hash for a
 //	          shard-local cache), the partition's item ranges
 //	          [loL,hiL)×[loR,hiR), and the candidate announcement (the
-//	          candidate itemsets, for SELECT/GREEDY runs; shards
-//	          compute and cache the support tidsets themselves — they
-//	          are dataset-static). In-process: the shared *Dataset and
+//	          candidate itemsets; shards compute and cache the support
+//	          tidsets themselves — they are dataset-static). In-process: the shared *Dataset and
 //	          []Candidate pointers carried by the run.
-//	SCORE     coordinator → shard: {seq, term, lease} plus either
-//	          candidate indices (SELECT/GREEDY: u32 indices into the
-//	          announced candidate list) or inline pairs (EXACT: two
-//	          item-id arrays per pair), and the dirty items: either
+//	SCORE     coordinator → shard: {seq, term, lease} plus candidate
+//	          indices (u32 indices into the announced candidate list)
+//	          and the dirty items: either
 //	          "all items" or, per view, an ascending item list (SELECT
 //	          names the items the rules applied since its previous
 //	          round touched). Shard replies with, per entry, the owned
@@ -94,12 +93,8 @@
 //	          wire; the fold skips them by value either way.
 //	APPLY     coordinator → shard: {seq, term, lease, rule}. The shard
 //	          updates its columns and replies with the same per-item
-//	          triples for the applied rule; when the request sets
-//	          want_cover (EXACT runs), each triple additionally carries
-//	          the covered transaction-id bitmap, from which the
-//	          coordinator maintains its transaction-granular bounds
-//	          (core.TubMirror). This is the only message whose size
-//	          scales with |D|, and it flows once per accepted rule.
+//	          triples for the applied rule, which the coordinator folds
+//	          into its scalar totals (core.CoverTotals).
 //	CRASH     shard → coordinator: {part, term} — a voluntary retire
 //	          notice (recovered panic or self-detected lease blowout).
 //	          On TCP the same path is a broken/timed-out connection;
@@ -107,7 +102,13 @@
 //
 // All replies carry (part, term, seq) for the dedup rule above, so the
 // transport may deliver duplicates or reorder freely; the protocol is
-// idempotent at the receiver by discard, not by re-execution.
+// idempotent at the receiver by discard, not by re-execution. The
+// coordinator also checks every accepted reply against its request —
+// one entry per scored candidate, and per entry exactly the owned
+// (and, when masked, dirty) consequent items in ascending order — and
+// a TCP reply or crash notice naming a partition the connection does
+// not host poisons the session. A malformed reply is a crash: it
+// never reaches a fold.
 //
 // # Transports: in-process and TCP
 //

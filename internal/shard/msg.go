@@ -3,7 +3,6 @@ package shard
 import (
 	"time"
 
-	"twoview/internal/bitset"
 	"twoview/internal/core"
 	"twoview/internal/itemset"
 )
@@ -21,12 +20,6 @@ const (
 	msgApply
 )
 
-// pairMsg is one inline (X, Y) pair of an EXACT scoring request. The
-// itemsets are owned by the coordinator and immutable once sent.
-type pairMsg struct {
-	x, y itemset.Itemset
-}
-
 // request is one leased work message from the supervisor to a shard.
 type request struct {
 	kind msgKind
@@ -37,38 +30,18 @@ type request struct {
 	// under a pool.Lease of this duration.
 	lease time.Duration
 
-	// msgScore payload: either indices into the run's announced
-	// candidate list (SELECT/GREEDY) or inline pairs (EXACT). dirty,
-	// when non-nil, restricts a candIdx request to the consequent items
-	// it lists per target view (SELECT's incremental rounds); nil scores
-	// every owned item. A payload belongs to its request once
-	// dispatched: a replaced incarnation may still be reading it, so
-	// the senders (the cover's Score, the EXACT search) build a fresh one
-	// per round instead of reusing buffers.
+	// msgScore payload: indices into the run's announced candidate
+	// list. dirty, when non-nil, restricts the request to the
+	// consequent items it lists per target view (SELECT's incremental
+	// rounds); nil scores every owned item. A payload belongs to its
+	// request once dispatched: a replaced incarnation may still be
+	// reading it, so the cover's Score builds a fresh one per round
+	// instead of reusing buffers.
 	candIdx []int32
-	pairs   []pairMsg
 	dirty   *[2]itemset.Itemset
 
-	// msgApply payload: the accepted rule, and whether the
-	// acknowledgement must carry per-item covered tidsets (EXACT, for
-	// the coordinator's tub mirror).
-	rule      core.Rule
-	wantCover bool
-}
-
-// tasks returns the number of scoring entries the request carries.
-func (req *request) tasks() int {
-	if len(req.candIdx) > 0 {
-		return len(req.candIdx)
-	}
-	return len(req.pairs)
-}
-
-// dirCovers carries, aligned with an apply acknowledgement's count
-// slices, the covered tidset of each owned consequent item — owned
-// clones, safe to retain on the coordinator.
-type dirCovers struct {
-	fwd, back []*bitset.Set
+	// msgApply payload: the accepted rule.
+	rule core.Rule
 }
 
 // reply is a shard's completion or crash notice. The supervisor accepts
@@ -85,7 +58,4 @@ type reply struct {
 	// one (msgApply), restricted to the partition's owned items (and,
 	// for a masked SCORE, to the request's dirty items).
 	counts []core.DirCounts
-	// covers accompanies counts[0] of an apply acknowledgement when the
-	// request set wantCover.
-	covers *dirCovers
 }

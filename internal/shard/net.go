@@ -168,18 +168,14 @@ func (m *connMgr) helloFrame(part int, term uint64, log []core.Rule) []byte {
 func encodeRequest(part int32, req *request) ([]byte, error) {
 	switch req.kind {
 	case msgScore:
-		s := &wire.Score{Part: part, Term: req.term, Seq: req.seq, Lease: req.lease, CandIdx: req.candIdx, Dirty: req.dirty}
-		if len(req.pairs) > 0 {
-			s.Pairs = make([]wire.Pair, len(req.pairs))
-			for i, pr := range req.pairs {
-				s.Pairs[i] = wire.Pair{X: pr.x, Y: pr.y}
-			}
-		}
-		return wire.Encode(nil, s)
+		return wire.Encode(nil, &wire.Score{
+			Part: part, Term: req.term, Seq: req.seq, Lease: req.lease,
+			CandIdx: req.candIdx, Dirty: req.dirty,
+		})
 	case msgApply:
 		return wire.Encode(nil, &wire.Apply{
 			Part: part, Term: req.term, Seq: req.seq, Lease: req.lease,
-			Rule: req.rule, WantCover: req.wantCover,
+			Rule: req.rule,
 		})
 	}
 	return nil, fmt.Errorf("shard: unencodable request kind %d", req.kind)
@@ -318,25 +314,30 @@ func (m *connMgr) serve(conn net.Conn) {
 }
 
 // handle processes one inbound frame. A false return poisons the
-// session: an unexpected kind means the peer and coordinator disagree
-// about the protocol state, and the only safe recovery is the redial
-// path.
+// session: an unexpected kind, or a reply for a partition this address
+// does not host, means the peer and coordinator disagree about the
+// protocol state, and the only safe recovery is the redial path.
 func (m *connMgr) handle(sess *session, msg wire.Msg) bool {
 	switch msg := msg.(type) {
 	case *wire.Reply:
-		rep := &reply{part: int(msg.Part), term: msg.Term, seq: msg.Seq, counts: msg.Counts}
-		if msg.Covers != nil {
-			rep.covers = &dirCovers{fwd: msg.Covers.Fwd, back: msg.Covers.Back}
-		}
-		return m.forward(rep)
+		return m.hosts(msg.Part) && m.forward(&reply{part: int(msg.Part), term: msg.Term, seq: msg.Seq, counts: msg.Counts})
 	case *wire.Crash:
-		return m.forward(&reply{part: int(msg.Part), term: msg.Term, crash: true})
+		return m.hosts(msg.Part) && m.forward(&reply{part: int(msg.Part), term: msg.Term, crash: true})
 	case *wire.HelloAck:
 		m.handleAck(sess, msg)
 		return true
 	default:
 		return false
 	}
+}
+
+// hosts reports whether partition part lives on this address. A reply
+// or crash notice naming any other partition is a protocol violation
+// that poisons the session.
+func (m *connMgr) hosts(part int32) bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return part >= 0 && int(part) < len(m.desired) && m.desired[part] != nil
 }
 
 func (m *connMgr) forward(rep *reply) bool {

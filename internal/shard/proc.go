@@ -3,9 +3,7 @@ package shard
 import (
 	"context"
 
-	"twoview/internal/bitset"
 	"twoview/internal/core"
-	"twoview/internal/dataset"
 	"twoview/internal/fault"
 	"twoview/internal/pool"
 )
@@ -36,12 +34,6 @@ type proc struct {
 	log []core.Rule
 }
 
-// scorer is one pool worker's scratch: support tidsets for inline-pair
-// scoring.
-type scorer struct {
-	tidX, tidY *bitset.Set
-}
-
 // loop is the proc's goroutine: rebuild the partition from the log,
 // then serve requests until cancelled. Any panic — injected or real —
 // is converted into a crash notice; the columns die with the
@@ -62,10 +54,7 @@ func (p *proc) loop() {
 			fault.Fire("shard.replay")
 		}
 	})
-	n := p.run.d.Size()
-	scorers := pool.NewOn(p.run.rt, p.run.workers, func(int) *scorer {
-		return &scorer{tidX: bitset.New(n), tidY: bitset.New(n)}
-	})
+	scorers := pool.NewOn(p.run.rt, p.run.workers, func(int) struct{} { return struct{}{} })
 
 	for {
 		select {
@@ -96,37 +85,24 @@ func (p *proc) loop() {
 	}
 }
 
-// handleScore scores the request's entries against the partition on the
-// proc's worker pool, under the granted lease. Scoring only reads the
-// partition, so the entries are one phase of independent tasks; the
+// handleScore scores the request's candidates against the partition on
+// the proc's worker pool, under the granted lease. Scoring only reads
+// the partition, so the entries are one phase of independent tasks; the
 // per-entry counts land in their own slots (the pool's own-slot rule).
-func (p *proc) handleScore(scorers *pool.Pool[*scorer], ps *core.PartialState, req *request) (*reply, error) {
+func (p *proc) handleScore(scorers *pool.Pool[struct{}], ps *core.PartialState, req *request) (*reply, error) {
 	rep := &reply{part: p.part.Index, term: p.term, seq: req.seq}
-	rep.counts = make([]core.DirCounts, req.tasks())
+	rep.counts = make([]core.DirCounts, len(req.candIdx))
 	lease := pool.NewLease(p.ctx, req.lease)
 	defer lease.End()
-	var err error
-	if len(req.candIdx) > 0 {
-		cands := p.run.cands
-		dirty := core.NewDirtyItems(p.run.d, req.dirty)
-		err = scorers.RunCtx(lease.Context(), len(req.candIdx), func(s *scorer, i int) {
-			if fault.Enabled {
-				fault.Fire("shard.task")
-			}
-			c := &cands[req.candIdx[i]]
-			rep.counts[i] = ps.ScoreRule(c.X, c.Y, c.TidX, c.TidY, dirty)
-		})
-	} else {
-		err = scorers.RunCtx(lease.Context(), len(req.pairs), func(s *scorer, i int) {
-			if fault.Enabled {
-				fault.Fire("shard.task")
-			}
-			pr := req.pairs[i]
-			p.run.d.SupportSetInto(s.tidX, dataset.Left, pr.x)
-			p.run.d.SupportSetInto(s.tidY, dataset.Right, pr.y)
-			rep.counts[i] = ps.ScoreRule(pr.x, pr.y, s.tidX, s.tidY, nil)
-		})
-	}
+	cands := p.run.cands
+	dirty := core.NewDirtyItems(p.run.d, req.dirty)
+	err := scorers.RunCtx(lease.Context(), len(req.candIdx), func(_ struct{}, i int) {
+		if fault.Enabled {
+			fault.Fire("shard.task")
+		}
+		c := &cands[req.candIdx[i]]
+		rep.counts[i] = ps.ScoreRule(c.X, c.Y, c.TidX, c.TidY, dirty)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -134,29 +110,15 @@ func (p *proc) handleScore(scorers *pool.Pool[*scorer], ps *core.PartialState, r
 }
 
 // handleApply applies the accepted rule to the partition and
-// acknowledges with the per-item counts (and, on request, the covered
-// tidsets for the coordinator's tub mirror).
+// acknowledges with the per-item counts.
 func (p *proc) handleApply(ps *core.PartialState, req *request) *reply {
 	if fault.Enabled {
 		fault.Fire("shard.apply")
 	}
-	rep := &reply{part: p.part.Index, term: p.term, seq: req.seq}
-	var onCover core.CoverObserver
-	if req.wantCover {
-		covers := &dirCovers{}
-		rep.covers = covers
-		onCover = func(target dataset.View, item int, covered *bitset.Set) {
-			c := covered.Clone()
-			if target == dataset.Right {
-				covers.fwd = append(covers.fwd, c)
-			} else {
-				covers.back = append(covers.back, c)
-			}
-		}
+	return &reply{
+		part: p.part.Index, term: p.term, seq: req.seq,
+		counts: []core.DirCounts{ps.Apply(req.rule, nil, nil)},
 	}
-	dc := ps.Apply(req.rule, nil, nil, onCover)
-	rep.counts = []core.DirCounts{dc}
-	return rep
 }
 
 // send delivers a completion, honouring the drop/duplicate failpoints:

@@ -228,12 +228,10 @@ func (r *run) stats() *runStats {
 }
 
 // applyRule runs an APPLY round for an accepted rule and folds the
-// acknowledgements into the coordinator mirrors: the scalar totals
-// always, and — when tubm is non-nil (EXACT) — the per-item covered
-// tidsets into the tub mirror, in the monolith's application order
-// (consequent order within a direction, X→Y direction before X←Y).
-func applyRule(r *run, totals *core.CoverTotals, tubm *core.TubMirror, rule core.Rule) error {
-	reps, err := r.sv.apply(rule, tubm != nil)
+// acknowledgements into the coordinator's scalar totals, in partition
+// order.
+func applyRule(r *run, totals *core.CoverTotals, rule core.Rule) error {
+	reps, err := r.sv.apply(rule)
 	if err != nil {
 		return err
 	}
@@ -242,17 +240,5 @@ func applyRule(r *run, totals *core.CoverTotals, tubm *core.TubMirror, rule core
 		r.backParts[p] = rep.counts[0].Back
 	}
 	totals.Apply(rule, r.fwdParts, r.backParts)
-	if tubm != nil {
-		for _, rep := range reps {
-			for i, c := range rep.counts[0].Fwd {
-				tubm.ApplyItem(dataset.Right, int(c.Item), rep.covers.fwd[i])
-			}
-		}
-		for _, rep := range reps {
-			for i, c := range rep.counts[0].Back {
-				tubm.ApplyItem(dataset.Left, int(c.Item), rep.covers.back[i])
-			}
-		}
-	}
 	return nil
 }

@@ -4,13 +4,15 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"net"
+	"sync/atomic"
 	"testing"
 
 	"twoview/internal/core"
 	"twoview/internal/dataset"
 )
 
-// The acceptance grid of the sharded engine: every miner must be
+// The acceptance grid of the sharded engine: SELECT and GREEDY must be
 // bit-identical to the monolith for shards ∈ {1,2,4,7} × workers ∈
 // {1,2,4,7} (7 > the 6-item alphabets, so the grid includes empty
 // partitions). "Bit-identical" is literal: rules compared rule-for-rule
@@ -117,10 +119,12 @@ func sameResult(t *testing.T, label string, want, got *core.Result) {
 	}
 }
 
-// TestShardedExactDeterminism pins MineExact across the shard × worker
-// grid to the monolith, through the public Shards knob (which also
-// proves the init registration is armed in this binary).
-func TestShardedExactDeterminism(t *testing.T) {
+// TestExactIgnoresShardKnobs pins that EXACT always runs in-process:
+// with Shards set, and with ShardAddrs naming a port nobody listens on,
+// MineExact returns the monolith's table with a nil error. A listener
+// that counts its connections stands in for a worker, to show that
+// MineExact never dials.
+func TestExactIgnoresShardKnobs(t *testing.T) {
 	d := plantedDataset(t, 7)
 	ref, err := core.MineExact(context.Background(), d, core.ExactOptions{})
 	if err != nil {
@@ -129,15 +133,49 @@ func TestShardedExactDeterminism(t *testing.T) {
 	if len(ref.Table.Rules) == 0 {
 		t.Fatal("reference mined no rules; test is vacuous")
 	}
-	for _, shards := range gridShards {
-		for _, workers := range gridWorkers {
-			opt := core.ExactOptions{ParallelOptions: core.ParallelOptions{Shards: shards, Workers: workers}}
-			res, err := core.MineExact(context.Background(), d, opt)
+
+	// A port nobody listens on: bind one, note it, release it.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dead := ln.Addr().String()
+	ln.Close()
+
+	watch, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer watch.Close()
+	var dials atomic.Int32
+	go func() {
+		for {
+			c, err := watch.Accept()
 			if err != nil {
-				t.Fatalf("shards=%d workers=%d: %v", shards, workers, err)
+				return
 			}
-			sameResult(t, formatCell("exact", shards, workers), ref, res)
+			dials.Add(1)
+			c.Close()
 		}
+	}()
+
+	for _, cell := range []struct {
+		label string
+		par   core.ParallelOptions
+	}{
+		{"shards=2", core.ParallelOptions{Shards: 2}},
+		{"shards=2 workers=2", core.ParallelOptions{Shards: 2, Workers: 2}},
+		{"unused address", core.ParallelOptions{ShardAddrs: []string{dead}}},
+		{"watched address", core.ParallelOptions{Shards: 2, ShardAddrs: []string{watch.Addr().String()}}},
+	} {
+		res, err := core.MineExact(context.Background(), d, core.ExactOptions{ParallelOptions: cell.par})
+		if err != nil {
+			t.Fatalf("%s: %v", cell.label, err)
+		}
+		sameResult(t, "exact "+cell.label, ref, res)
+	}
+	if n := dials.Load(); n != 0 {
+		t.Fatalf("MineExact dialed the shard address %d times, want 0", n)
 	}
 }
 

@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"time"
 
+	"twoview/internal/bitset"
 	"twoview/internal/core"
+	"twoview/internal/dataset"
 	"twoview/internal/fault"
 	"twoview/internal/itemset"
 )
@@ -43,9 +45,12 @@ type supervisor struct {
 
 	// log is the accepted-rule log: the authoritative mining history,
 	// appended only after the apply round for the rule has fully
-	// completed, so a mid-apply rebuild replays up to — never into —
-	// the in-flight rule.
+	// completed, so a mid-apply rebuild of a partition that has not
+	// answered yet replays up to — never into — the in-flight rule.
 	log []core.Rule
+	// applying is the rule of the APPLY round in flight, nil between
+	// APPLY rounds.
+	applying *core.Rule
 
 	restarts int
 	stale    int
@@ -87,14 +92,20 @@ func (sv *supervisor) close() {
 // (instantly staling everything the old one might still send) and
 // spawn a successor from the log; the transport replaces the old
 // incarnation as a side effect. When redispatch is set the successor
-// is immediately handed the in-flight request.
+// is immediately handed the in-flight request. Otherwise the partition
+// has already answered the round; if that round is an APPLY, the old
+// incarnation had applied the rule, so the successor is born with it.
 func (sv *supervisor) restart(part int, mk func(part int) *request, redispatch bool) error {
 	if sv.restarts >= sv.cfg.MaxRestarts {
 		return fmt.Errorf("shard: partition %d crashed with the run's restart budget (%d) exhausted", part, sv.cfg.MaxRestarts)
 	}
 	sv.restarts++
 	sv.terms[part]++
-	sv.tr.spawn(part, sv.terms[part], sv.log)
+	log := sv.log
+	if !redispatch && sv.applying != nil {
+		log = append(log[:len(log):len(log)], *sv.applying)
+	}
+	sv.tr.spawn(part, sv.terms[part], log)
 	if redispatch {
 		sv.dispatch(part, mk)
 	}
@@ -116,10 +127,12 @@ func (sv *supervisor) dispatch(part int, mk func(part int) *request) {
 // round runs one leased broadcast-gather: dispatch mk's request to
 // every partition, then gather until every partition has answered for
 // this round with its current term — restarting partitions as crash
-// notices arrive and leases expire. The returned replies are indexed by
-// partition, so the caller's merge runs in partition order regardless
-// of arrival order.
-func (sv *supervisor) round(mk func(part int) *request) ([]*reply, error) {
+// notices arrive and leases expire. valid checks each completion
+// against the request it answers; a malformed one (only a faulty peer
+// sends one) is a crash of its incarnation, so it never reaches the
+// caller's fold. The returned replies are indexed by partition, so the
+// caller's merge runs in partition order regardless of arrival order.
+func (sv *supervisor) round(mk func(part int) *request, valid func(p Partition, rep *reply) bool) ([]*reply, error) {
 	sv.seq++
 	out := make([]*reply, len(sv.parts))
 	pending := len(out)
@@ -151,6 +164,10 @@ func (sv *supervisor) round(mk func(part int) *request) ([]*reply, error) {
 				// discarded by value — correctness never depends on the
 				// transport not duplicating or reordering.
 				sv.stale++
+			case !valid(sv.parts[m.part], m):
+				if err := sv.restart(m.part, mk, true); err != nil {
+					return nil, err
+				}
 			default:
 				out[m.part] = m
 				pending--
@@ -170,32 +187,79 @@ func (sv *supervisor) round(mk func(part int) *request) ([]*reply, error) {
 }
 
 // scoreCands runs a SCORE round over indices into the run's candidate
-// list, restricted to the dirty consequent items when dirty is non-nil.
-func (sv *supervisor) scoreCands(idx []int32, dirty *[2]itemset.Itemset) ([]*reply, error) {
+// list, restricted to the dirty consequent items when dirty is
+// non-nil. Each partition must answer every candidate with its owned
+// dirty items.
+func (sv *supervisor) scoreCands(idx []int32, dirty *core.DirtyItems) ([]*reply, error) {
+	var items *[2]itemset.Itemset
+	var dirtyL, dirtyR *bitset.Set
+	if dirty != nil {
+		lists := dirty.Items()
+		items = &lists
+		dirtyL, dirtyR = &dirty[dataset.Left], &dirty[dataset.Right]
+	}
+	cands := sv.run.cands
 	return sv.round(func(int) *request {
-		return &request{kind: msgScore, candIdx: idx, dirty: dirty}
-	})
-}
-
-// scorePairs runs a SCORE round over inline (X, Y) pairs.
-func (sv *supervisor) scorePairs(pairs []pairMsg) ([]*reply, error) {
-	return sv.round(func(int) *request {
-		return &request{kind: msgScore, pairs: pairs}
+		return &request{kind: msgScore, candIdx: idx, dirty: items}
+	}, func(p Partition, rep *reply) bool {
+		if len(rep.counts) != len(idx) {
+			return false
+		}
+		for k, ci := range idx {
+			cd := &cands[ci]
+			if !ownedCounts(rep.counts[k].Fwd, cd.Y, p.LoR, p.HiR, dirtyR) ||
+				!ownedCounts(rep.counts[k].Back, cd.X, p.LoL, p.HiL, dirtyL) {
+				return false
+			}
+		}
+		return true
 	})
 }
 
 // apply runs an APPLY round for an accepted rule, then — and only
 // then — appends it to the log. A partition rebuilt while the round is
 // in flight therefore replays a log without r and receives r via the
-// re-dispatched request: the rule reaches every incarnation's columns
+// re-dispatched request, or, if it had already answered, is born with
+// r (see restart): the rule reaches every incarnation's columns
 // exactly once.
-func (sv *supervisor) apply(r core.Rule, wantCover bool) ([]*reply, error) {
+func (sv *supervisor) apply(r core.Rule) ([]*reply, error) {
+	var fwd, back itemset.Itemset
+	if r.AppliesTo(dataset.Left) {
+		fwd = r.Y
+	}
+	if r.AppliesTo(dataset.Right) {
+		back = r.X
+	}
+	sv.applying = &r
+	defer func() { sv.applying = nil }()
 	reps, err := sv.round(func(int) *request {
-		return &request{kind: msgApply, rule: r, wantCover: wantCover}
+		return &request{kind: msgApply, rule: r}
+	}, func(p Partition, rep *reply) bool {
+		return len(rep.counts) == 1 &&
+			ownedCounts(rep.counts[0].Fwd, fwd, p.LoR, p.HiR, nil) &&
+			ownedCounts(rep.counts[0].Back, back, p.LoL, p.HiL, nil)
 	})
 	if err != nil {
 		return nil, err
 	}
 	sv.log = append(sv.log, r)
 	return reps, nil
+}
+
+// ownedCounts reports whether counts names exactly the items of cons in
+// [lo, hi) that dirty marks (nil marks every item), in ascending order:
+// what a partition owes for one rule direction, and the shape the
+// coordinator's folds index by.
+func ownedCounts(counts []core.ItemCount, cons itemset.Itemset, lo, hi int, dirty *bitset.Set) bool {
+	j := 0
+	for _, y := range cons {
+		if y < lo || y >= hi || (dirty != nil && !dirty.Contains(y)) {
+			continue
+		}
+		if j == len(counts) || int(counts[j].Item) != y {
+			return false
+		}
+		j++
+	}
+	return j == len(counts)
 }

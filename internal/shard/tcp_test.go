@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"twoview/internal/core"
-	"twoview/internal/itemset"
 )
 
 // Worker-process harness shared by the TCP property tests, the network
@@ -145,9 +144,9 @@ var tcpShards = []int{2, 3}
 var tcpWorkers = []int{1, 4}
 
 // TestTCPShardedMatchesMonolith is the distributed acceptance property:
-// EXACT, SELECT and GREEDY mined over TCP — two real shardworker
-// processes on loopback — must be bit-identical to the monolith for
-// every (shards, workers) cell. It also pins the HELLO-time transfer
+// SELECT and GREEDY mined over TCP — two real shardworker processes on
+// loopback — must be bit-identical to the monolith for every (shards,
+// workers) cell. It also pins the HELLO-time transfer
 // economics across the runs sharing the workers: the dataset and
 // candidate blobs cross the wire once each, and every later run boots
 // from cache hits.
@@ -157,10 +156,6 @@ func TestTCPShardedMatchesMonolith(t *testing.T) {
 	}
 	d := plantedDataset(t, 29)
 	cands := mustCandidates(t, d)
-	refExact, err := core.MineExact(context.Background(), d, core.ExactOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	refSelect, err := core.MineSelect(context.Background(), d, cands, core.SelectOptions{K: 3})
 	if err != nil {
 		t.Fatal(err)
@@ -169,7 +164,7 @@ func TestTCPShardedMatchesMonolith(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(refExact.Table.Rules) == 0 || len(refSelect.Table.Rules) == 0 || len(refGreedy.Table.Rules) == 0 {
+	if len(refSelect.Table.Rules) == 0 || len(refGreedy.Table.Rules) == 0 {
 		t.Fatal("a reference mined no rules; test is vacuous")
 	}
 
@@ -179,26 +174,18 @@ func TestTCPShardedMatchesMonolith(t *testing.T) {
 
 	ctx := context.Background()
 	totalBlobs, totalHits := 0, 0
-	for runIdx, shards := range tcpShards {
+	for _, shards := range tcpShards {
 		for _, workers := range tcpWorkers {
 			cfg := Config{Shards: shards, Workers: workers, Addrs: addrs}
 
-			res, st, err := mineExact(ctx, d, core.ExactOptions{}, cfg)
-			if err != nil {
-				t.Fatalf("tcp exact shards=%d workers=%d: %v", shards, workers, err)
-			}
-			sameResult(t, formatCell("tcp exact", shards, workers), refExact, res)
-			if st.dials < 2 {
-				t.Fatalf("exact shards=%d: dialed %d workers, want 2", shards, st.dials)
-			}
-			totalBlobs += st.blobsSent
-			totalHits += st.cacheHits
-
-			res, st, err = mineSelect(ctx, d, cands, core.SelectOptions{K: 3}, cfg)
+			res, st, err := mineSelect(ctx, d, cands, core.SelectOptions{K: 3}, cfg)
 			if err != nil {
 				t.Fatalf("tcp select shards=%d workers=%d: %v", shards, workers, err)
 			}
 			sameResult(t, formatCell("tcp select", shards, workers), refSelect, res)
+			if st.dials < 2 {
+				t.Fatalf("select shards=%d: dialed %d workers, want 2", shards, st.dials)
+			}
 			totalBlobs += st.blobsSent
 			totalHits += st.cacheHits
 
@@ -209,8 +196,6 @@ func TestTCPShardedMatchesMonolith(t *testing.T) {
 			sameResult(t, formatCell("tcp greedy", shards, workers), refGreedy, res)
 			totalBlobs += st.blobsSent
 			totalHits += st.cacheHits
-
-			_ = runIdx
 		}
 	}
 	// Across all runs, each worker needed the dataset once and the
@@ -231,13 +216,15 @@ func TestTCPPublicDispatch(t *testing.T) {
 		t.Skip("spawns shardworker processes")
 	}
 	d := plantedDataset(t, 31)
-	ref, err := core.MineExact(context.Background(), d, core.ExactOptions{})
+	cands := mustCandidates(t, d)
+	ref, err := core.MineSelect(context.Background(), d, cands, core.SelectOptions{K: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	w1 := startWorker(t, "", "")
 	w2 := startWorker(t, "", "")
-	res, err := core.MineExact(context.Background(), d, core.ExactOptions{
+	res, err := core.MineSelect(context.Background(), d, cands, core.SelectOptions{
+		K:               3,
 		ParallelOptions: core.ParallelOptions{ShardAddrs: []string{w1.addr, w2.addr}},
 	})
 	if err != nil {
@@ -269,11 +256,12 @@ func TestMailboxBackpressure(t *testing.T) {
 	// and the supervisor rebuilds — queue-full is lease-expiry, not a
 	// hang.
 	d := plantedDataset(t, 37)
-	r := newRun(context.Background(), d, nil, Config{Shards: 2, Lease: 50 * time.Millisecond, MaxRestarts: 10})
+	cands := mustCandidates(t, d)
+	r := newRun(context.Background(), d, cands, Config{Shards: 2, Lease: 50 * time.Millisecond, MaxRestarts: 10})
 	defer r.close()
 	lt2 := r.sv.tr.(*localTransport)
 	lt2.procs[0].cancel() // wedge partition 0 silently
-	reps, err := r.sv.scorePairs([]pairMsg{{x: itemset.New(0), y: itemset.New(0)}})
+	reps, err := r.sv.scoreCands([]int32{0}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,6 @@ import (
 	"math"
 	"time"
 
-	"twoview/internal/bitset"
 	"twoview/internal/core"
 	"twoview/internal/itemset"
 )
@@ -254,44 +253,6 @@ func (d *dec) counts() []core.ItemCount {
 	return counts
 }
 
-// appendBitset writes a tidset as its bit length plus raw little-endian
-// words.
-func appendBitset(dst []byte, s *bitset.Set) []byte {
-	dst = binary.AppendUvarint(dst, uint64(s.Len()))
-	for _, w := range s.Words() {
-		dst = binary.LittleEndian.AppendUint64(dst, w)
-	}
-	return dst
-}
-
-func (d *dec) bitset() *bitset.Set {
-	n := d.uvarint()
-	if d.err != nil {
-		return nil
-	}
-	if n > math.MaxInt32 {
-		d.fail(errCorrupt)
-		return nil
-	}
-	words := (int(n) + 63) / 64
-	raw := d.bytes(8 * words)
-	if d.err != nil {
-		return nil
-	}
-	s := bitset.New(int(n))
-	dst := s.Words()
-	for i := range dst {
-		dst[i] = binary.LittleEndian.Uint64(raw[8*i:])
-	}
-	// Reject dirty trailing bits: the in-memory invariant is that bits
-	// past Len are zero, and popcount kernels depend on it.
-	if tail := int(n) % 64; tail != 0 && words > 0 && dst[words-1]>>tail != 0 {
-		d.fail(errCorrupt)
-		return nil
-	}
-	return s
-}
-
 // --- per-message payload codecs ---
 
 func appendHello(dst []byte, m *Hello) []byte {
@@ -373,11 +334,6 @@ func appendScore(dst []byte, m *Score) []byte {
 	for _, idx := range m.CandIdx {
 		dst = binary.AppendUvarint(dst, uint64(idx))
 	}
-	dst = binary.AppendUvarint(dst, uint64(len(m.Pairs)))
-	for _, p := range m.Pairs {
-		dst = appendItemset(dst, p.X)
-		dst = appendItemset(dst, p.Y)
-	}
 	if m.Dirty == nil {
 		return append(dst, dirtyAll)
 	}
@@ -387,8 +343,8 @@ func appendScore(dst []byte, m *Score) []byte {
 }
 
 // The flag byte of Score's dirty section: every item (one byte in
-// total, the form GREEDY and EXACT requests use), or two delta-encoded
-// item lists, left view then right view.
+// total, the form GREEDY requests use), or two delta-encoded item
+// lists, left view then right view.
 const (
 	dirtyAll    uint8 = 0
 	dirtyMasked uint8 = 1
@@ -413,24 +369,9 @@ func decodeScore(d *dec) *Score {
 			m.CandIdx = append(m.CandIdx, int32(idx))
 		}
 	}
-	nPairs := d.length(1)
-	if nPairs > 0 && d.err == nil {
-		if len(m.CandIdx) > 0 {
-			d.fail(errCorrupt) // a Score carries indices or pairs, never both
-			return m
-		}
-		m.Pairs = make([]Pair, 0, min(nPairs, preallocCap))
-		for i := 0; i < nPairs && d.err == nil; i++ {
-			m.Pairs = append(m.Pairs, Pair{X: d.itemset(), Y: d.itemset()})
-		}
-	}
 	switch d.u8() {
 	case dirtyAll:
 	case dirtyMasked:
-		if len(m.Pairs) > 0 {
-			d.fail(errCorrupt) // pairs are always scored in full
-			return m
-		}
 		m.Dirty = &[2]itemset.Itemset{d.itemset(), d.itemset()}
 	default:
 		d.fail(errCorrupt)
@@ -443,12 +384,7 @@ func appendApply(dst []byte, m *Apply) []byte {
 	dst = binary.AppendUvarint(dst, m.Term)
 	dst = binary.AppendUvarint(dst, m.Seq)
 	dst = binary.AppendUvarint(dst, uint64(m.Lease))
-	dst = appendRule(dst, m.Rule)
-	cover := byte(0)
-	if m.WantCover {
-		cover = 1
-	}
-	return append(dst, cover)
+	return appendRule(dst, m.Rule)
 }
 
 func decodeApply(d *dec) *Apply {
@@ -459,13 +395,6 @@ func decodeApply(d *dec) *Apply {
 		return m
 	}
 	m.Rule = d.rule()
-	switch d.u8() {
-	case 0:
-	case 1:
-		m.WantCover = true
-	default:
-		d.fail(errCorrupt)
-	}
 	return m
 }
 
@@ -478,18 +407,6 @@ func appendReply(dst []byte, m *Reply) []byte {
 		dst = appendCounts(dst, dc.Fwd)
 		dst = appendCounts(dst, dc.Back)
 	}
-	if m.Covers == nil {
-		return append(dst, 0)
-	}
-	dst = append(dst, 1)
-	dst = binary.AppendUvarint(dst, uint64(len(m.Covers.Fwd)))
-	for _, s := range m.Covers.Fwd {
-		dst = appendBitset(dst, s)
-	}
-	dst = binary.AppendUvarint(dst, uint64(len(m.Covers.Back)))
-	for _, s := range m.Covers.Back {
-		dst = appendBitset(dst, s)
-	}
 	return dst
 }
 
@@ -501,22 +418,6 @@ func decodeReply(d *dec) *Reply {
 		for i := 0; i < n && d.err == nil; i++ {
 			m.Counts = append(m.Counts, core.DirCounts{Fwd: d.counts(), Back: d.counts()})
 		}
-	}
-	switch d.u8() {
-	case 0:
-	case 1:
-		cov := &Covers{}
-		nf := d.length(1)
-		for i := 0; i < nf && d.err == nil; i++ {
-			cov.Fwd = append(cov.Fwd, d.bitset())
-		}
-		nb := d.length(1)
-		for i := 0; i < nb && d.err == nil; i++ {
-			cov.Back = append(cov.Back, d.bitset())
-		}
-		m.Covers = cov
-	default:
-		d.fail(errCorrupt)
 	}
 	return m
 }

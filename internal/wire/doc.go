@@ -24,28 +24,29 @@
 // bytes actually remaining in the frame before any allocation.
 // A version byte other than Version fails the frame immediately —
 // framing changes bump Version and old peers reject new frames at
-// offset 4, not mid-payload. The current version is 2: it added the
-// dirty-item section of Score, so a version-1 peer fails at the first
-// frame.
+// offset 4, not mid-payload. The current version is 3. Version 2 added
+// the dirty-item section of Score. Version 3 removed everything the
+// sharded EXACT search used, which now always runs in-process: Score's
+// inline (X, Y) pairs, Apply's want-cover flag and Reply's per-item
+// covered tidsets. A peer on an older version fails at the first frame.
 //
 // # Payload encoding
 //
 // Payload fields use unsigned varints (binary.AppendUvarint) for
-// integers, varint-length-prefixed byte strings for blobs, and raw
-// little-endian uint64 words for bitsets. Itemsets and per-item count
-// slices are delta-encoded: items are strictly ascending in every
-// message of the protocol, so the deltas stay small and the decoder
-// gets ascending order (and int32 range) validated for free. Candidate
+// integers and varint-length-prefixed byte strings for blobs.
+// Itemsets and per-item count slices are delta-encoded: items are
+// strictly ascending in every message of the protocol, so the deltas
+// stay small and the decoder gets ascending order (and int32 range)
+// validated for free. Candidate
 // index slices are the one exception — their order is part of the
 // request (the greedy driver walks candidates in its own order), so
 // they ride as plain uvarints.
 //
 // A Score ends with its dirty-item section, one flag byte: 0 asks for
-// every owned item (GREEDY and EXACT, and any request that is not
-// masked), 1 is followed by two delta-encoded item lists, left view
-// then right view, naming the consequent items to score (SELECT's
-// incremental rounds). The decoder rejects any other flag byte, and a
-// masked Score that carries inline pairs.
+// every owned item (GREEDY, and any request that is not masked), 1 is
+// followed by two delta-encoded item lists, left view then right view,
+// naming the consequent items to score (SELECT's incremental rounds).
+// The decoder rejects any other flag byte.
 //
 // Count slices (core.ItemCount) are run-length encoded around their
 // zero triples: a partition answers a SCORE entry with every owned

@@ -5,7 +5,6 @@ import (
 	"encoding/hex"
 	"time"
 
-	"twoview/internal/bitset"
 	"twoview/internal/core"
 	"twoview/internal/itemset"
 )
@@ -13,8 +12,9 @@ import (
 // Version is the protocol version carried by every frame header. Peers
 // reject frames with any other value, so incompatible codec changes
 // fail the connection at the first frame instead of corrupting a run.
-// Version 2 added Score's dirty-item section.
-const Version = 2
+// Version 2 added Score's dirty-item section; version 3 removed
+// Score's inline pairs, Apply's cover flag and Reply's covered tidsets.
+const Version = 3
 
 // MaxFrame is the payload-size ceiling enforced by Encode and Decode.
 // It must admit the largest legitimate frame — a dataset Blob — and
@@ -38,13 +38,11 @@ const (
 	// KindBlob transfers one content-addressed payload (dataset or
 	// candidate list) after a HelloAck requested it.
 	KindBlob
-	// KindScore is a leased scoring request (candidate indices or
-	// inline pairs).
+	// KindScore is a leased scoring request over candidate indices.
 	KindScore
 	// KindApply is a leased apply request for one accepted rule.
 	KindApply
-	// KindReply is a completion: per-entry counts, plus covered tidsets
-	// for apply-with-cover.
+	// KindReply is a completion: per-entry counts.
 	KindReply
 	// KindCrash is a shard host's voluntary retire notice.
 	KindCrash
@@ -90,7 +88,7 @@ type Hello struct {
 	Workers int32
 
 	DatasetHash Hash
-	// CandsHash is zero for runs without a candidate list (EXACT).
+	// CandsHash is zero for runs with an empty candidate list.
 	CandsHash Hash
 
 	// Log is the accepted-rule log snapshot this incarnation replays at
@@ -122,14 +120,8 @@ type Blob struct {
 
 func (*Blob) Kind() Kind { return KindBlob }
 
-// Pair is one inline (X, Y) pair of an EXACT scoring request.
-type Pair struct {
-	X, Y itemset.Itemset
-}
-
-// Score is a leased scoring request: either CandIdx (indices into the
-// announced candidate list; SELECT/GREEDY) or Pairs (EXACT), never
-// both.
+// Score is a leased scoring request over CandIdx, indices into the
+// announced candidate list.
 type Score struct {
 	Part  int32
 	Term  uint64
@@ -137,38 +129,27 @@ type Score struct {
 	Lease time.Duration
 
 	CandIdx []int32
-	Pairs   []Pair
 
-	// Dirty, when non-nil, masks a CandIdx request: per target view
-	// (indexed by dataset.View), the strictly ascending consequent items
-	// to score; the reply carries counts for those items only. nil
-	// scores every owned item. A Pairs request is never masked.
+	// Dirty, when non-nil, masks the request: per target view (indexed
+	// by dataset.View), the strictly ascending consequent items to
+	// score; the reply carries counts for those items only. nil scores
+	// every owned item.
 	Dirty *[2]itemset.Itemset
 }
 
 func (*Score) Kind() Kind { return KindScore }
 
-// Apply is a leased apply request for one accepted rule. WantCover asks
-// the reply to carry the per-item covered tidsets (EXACT runs, for the
-// coordinator's tub mirror).
+// Apply is a leased apply request for one accepted rule.
 type Apply struct {
 	Part  int32
 	Term  uint64
 	Seq   uint64
 	Lease time.Duration
 
-	Rule      core.Rule
-	WantCover bool
+	Rule core.Rule
 }
 
 func (*Apply) Kind() Kind { return KindApply }
-
-// Covers carries, aligned with a Reply's Counts[0] slices, the covered
-// tidset of each owned consequent item of an applied rule.
-type Covers struct {
-	Fwd  []*bitset.Set
-	Back []*bitset.Set
-}
 
 // Reply is a completion: one DirCounts per scored entry (Score) or
 // exactly one (Apply), restricted to the partition's owned items, with
@@ -181,8 +162,6 @@ type Reply struct {
 	Seq  uint64
 
 	Counts []core.DirCounts
-	// Covers accompanies Counts[0] of an apply-with-cover reply.
-	Covers *Covers
 }
 
 func (*Reply) Kind() Kind { return KindReply }

@@ -4,27 +4,22 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"os"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
-	"twoview/internal/bitset"
 	"twoview/internal/core"
 	"twoview/internal/itemset"
 )
 
 // sampleMsgs is one representative of every message kind, exercising
-// the interesting payload shapes: empty and multi-rule logs, candidate
-// indices and inline pairs, zero-triple runs inside count slices, and
-// covers with ragged bit widths.
+// the interesting payload shapes: empty and multi-rule logs, ordered
+// and multi-byte candidate indices, masked and unmasked scores, and
+// zero-triple runs inside count slices.
 func sampleMsgs() []Msg {
-	tid := func(n int, idx ...int) *bitset.Set {
-		s := bitset.New(n)
-		for _, i := range idx {
-			s.Add(i)
-		}
-		return s
-	}
 	return []Msg{
 		&Hello{
 			Part: 2, Term: 7, LoL: 0, HiL: 3, LoR: 1, HiR: 6, Workers: 4,
@@ -44,10 +39,7 @@ func sampleMsgs() []Msg {
 		// Non-ascending indices: the greedy driver scores candidates in
 		// length-descending order, so CandIdx order must survive the wire.
 		&Score{Part: 1, Term: 2, Seq: 41, Lease: 250 * time.Millisecond, CandIdx: []int32{100, 3, 7, 3, 0}},
-		&Score{Part: 0, Term: 1, Seq: 1, Lease: time.Second, Pairs: []Pair{
-			{X: itemset.New(0), Y: itemset.New(2, 3)},
-			{X: itemset.New(1, 5), Y: itemset.New(0)},
-		}},
+		&Score{Part: 0, Term: 1, Seq: 1, Lease: time.Second, CandIdx: []int32{1 << 20, 0, 65535}},
 		&Score{Part: 3, Term: 0, Seq: 2, Lease: 0},
 		// Masked SELECT requests: dirty items in both views, and an
 		// empty left list (nothing dirty there, distinct from "all").
@@ -56,7 +48,7 @@ func sampleMsgs() []Msg {
 		&Score{Part: 0, Term: 0, Seq: 10, Lease: time.Second, CandIdx: []int32{5},
 			Dirty: &[2]itemset.Itemset{nil, itemset.New(2)}},
 		&Apply{Part: 0, Term: 4, Seq: 17, Lease: 10 * time.Second,
-			Rule: core.Rule{X: itemset.New(0, 2), Dir: core.Backward, Y: itemset.New(1)}, WantCover: true},
+			Rule: core.Rule{X: itemset.New(0, 2), Dir: core.Backward, Y: itemset.New(1)}},
 		&Reply{Part: 2, Term: 5, Seq: 40, Counts: []core.DirCounts{
 			{
 				Fwd: []core.ItemCount{
@@ -69,12 +61,11 @@ func sampleMsgs() []Msg {
 			},
 			{Fwd: nil, Back: nil},
 		}},
-		&Reply{Part: 0, Term: 1, Seq: 3,
-			Counts: []core.DirCounts{{Fwd: []core.ItemCount{{Item: 7, Covered: 1, Errors: 0}}}},
-			Covers: &Covers{
-				Fwd:  []*bitset.Set{tid(80, 0, 63, 64, 79), tid(80)},
-				Back: []*bitset.Set{tid(1, 0)},
-			}},
+		// An apply acknowledgement: one entry, both directions.
+		&Reply{Part: 0, Term: 1, Seq: 3, Counts: []core.DirCounts{{
+			Fwd:  []core.ItemCount{{Item: 7, Covered: 1, Errors: 0}},
+			Back: []core.ItemCount{{Item: 0, Covered: 0, Errors: 2}, {Item: 40, Covered: 12, Errors: 0}},
+		}}},
 		&Crash{Part: 1, Term: 6},
 	}
 }
@@ -222,10 +213,33 @@ func TestHeaderValidation(t *testing.T) {
 	}
 }
 
-// TestScoreDirtySection pins the masked-SCORE section of protocol v2:
+// TestV2FrameRejected pins the version bump: the version-2 SCORE frame
+// kept in the fuzz corpus (its payload still carries the inline-pairs
+// count that version 3 dropped) must fail with ErrBadVersion at the
+// header, before any of its payload is read.
+func TestV2FrameRejected(t *testing.T) {
+	raw, err := os.ReadFile("testdata/fuzz/FuzzWireCodec/v2-score")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(string(raw)), "\n")
+	quoted := strings.TrimSuffix(strings.TrimPrefix(lines[len(lines)-1], "[]byte("), ")")
+	frame, err := strconv.Unquote(quoted)
+	if err != nil {
+		t.Fatalf("corpus entry: %v", err)
+	}
+	if frame[4] != 2 || Kind(frame[5]) != KindScore {
+		t.Fatalf("corpus entry is version %d kind %d, want a version-2 Score", frame[4], frame[5])
+	}
+	if _, _, err := Decode([]byte(frame)); !errors.Is(err, ErrBadVersion) {
+		t.Fatalf("v2 frame: err = %v, want ErrBadVersion", err)
+	}
+}
+
+// TestScoreDirtySection pins the masked-SCORE section of the protocol:
 // an unmasked request pays one byte for it, and decodeScore rejects an
-// unknown flag byte, item lists that are not strictly ascending or leave
-// the int32 range, and a mask on an inline-pairs request.
+// unknown flag byte and item lists that are not strictly ascending or
+// leave the int32 range.
 func TestScoreDirtySection(t *testing.T) {
 	base := &Score{Part: 1, Term: 2, Seq: 3, Lease: time.Second, CandIdx: []int32{4, 1}}
 	enc, err := Encode(nil, base)
@@ -256,7 +270,6 @@ func TestScoreDirtySection(t *testing.T) {
 		{"descending items", &Score{CandIdx: []int32{0}, Dirty: &[2]itemset.Itemset{{5, 3}, nil}}},
 		{"repeated item", &Score{CandIdx: []int32{0}, Dirty: &[2]itemset.Itemset{nil, {2, 2}}}},
 		{"item above MaxInt32", &Score{CandIdx: []int32{0}, Dirty: &[2]itemset.Itemset{nil, {1 << 31}}}},
-		{"mask on pairs", &Score{Pairs: []Pair{{X: itemset.New(0), Y: itemset.New(1)}}, Dirty: &[2]itemset.Itemset{nil, nil}}},
 	} {
 		frame, err := Encode(nil, bad.m)
 		if err != nil {
@@ -289,24 +302,6 @@ func TestEncodeRejectsOversizedPayload(t *testing.T) {
 	m := &Blob{Role: NeedDataset, Hash: HashBytes(nil), Data: make([]byte, MaxFrame)}
 	if _, err := Encode(nil, m); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("err = %v, want ErrFrameTooLarge", err)
-	}
-}
-
-// TestDirtyTrailingBitsRejected pins that a covers bitset with set bits
-// past its declared width is rejected: the in-memory invariant every
-// popcount kernel depends on must hold for decoded sets too.
-func TestDirtyTrailingBitsRejected(t *testing.T) {
-	m := &Reply{Counts: []core.DirCounts{{Fwd: []core.ItemCount{{Item: 0, Covered: 1}}}},
-		Covers: &Covers{Fwd: []*bitset.Set{bitset.New(3)}}}
-	enc, err := Encode(nil, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The 3-bit set's single word is the last 8 payload bytes; set a
-	// bit above position 3.
-	enc[len(enc)-1] |= 0x80
-	if _, _, err := Decode(enc); err == nil {
-		t.Fatal("dirty trailing bits decoded without error")
 	}
 }
 

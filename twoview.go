@@ -72,8 +72,9 @@ import (
 	"twoview/internal/mdl"
 	"twoview/internal/synth"
 
-	// Arm ParallelOptions.Shards: the sharded engine registers itself
-	// in an init (core cannot import it — see core.RegisterShardMiner).
+	// Arm ParallelOptions.Shards for SELECT and GREEDY: the sharded cover
+	// registers itself in an init (core cannot import it — see
+	// core.RegisterShardCover).
 	_ "twoview/internal/shard"
 )
 
