@@ -2,13 +2,13 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"log"
 	"os"
 	"path/filepath"
 	"sync"
 
-	"twoview/internal/bitset"
 	"twoview/internal/core"
 	"twoview/internal/dataset"
 	"twoview/internal/wire"
@@ -148,13 +148,10 @@ func (c *blobCache) materialize(h *wire.Hello) (*dataset.Dataset, []core.Candida
 	}
 	// Hydrate the support tidsets the wire encoding leaves out: they
 	// are dataset-static, so recomputing them here is both cheaper than
-	// shipping them and guaranteed identical to the coordinator's.
-	n := d.Size()
-	for i := range cs {
-		tx, ty := bitset.New(n), bitset.New(n)
-		d.SupportSetInto(tx, dataset.Left, cs[i].X)
-		d.SupportSetInto(ty, dataset.Right, cs[i].Y)
-		cs[i].TidX, cs[i].TidY = tx, ty
+	// shipping them and guaranteed identical to the coordinator's. Like
+	// MineCandidates, keep one set per distinct X and Y.
+	if err := core.MaterializeTids(context.Background(), d, cs, core.Parallel(1)); err != nil {
+		return nil, nil, err
 	}
 	c.hydrated[key] = cs
 	return d, cs, nil

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"encoding/binary"
 
 	"twoview/internal/bitset"
 	"twoview/internal/dataset"
@@ -18,7 +19,11 @@ type Candidate struct {
 	// Supp is the joint support |supp(X ∪ Y)|.
 	Supp int
 	// TidX and TidY are the per-view supports of X and Y, used to
-	// compute gains without re-intersecting columns.
+	// compute gains without re-intersecting columns. They are
+	// read-only and may be shared: MaterializeTids points every
+	// candidate with an equal X (or Y) at the same set, which is what
+	// lets the local Cover count each distinct (antecedent, item) pair
+	// once.
 	TidX, TidY *bitset.Set
 }
 
@@ -27,9 +32,9 @@ type Candidate struct {
 // itemsets Z with |supp(Z)| > minsup, Z ∩ I_L ≠ ∅ and Z ∩ I_R ≠ ∅",
 // restricted to closed sets as in §6.1). maxResults guards against
 // pattern explosion (0 = unbounded). Both the ECLAT walk and the
-// per-candidate tidset materialization run on the internal/pool worker
-// pool sized by par; the result is identical for any worker count.
-// Cancelling ctx aborts the walk and returns ctx.Err().
+// tidset materialization (MaterializeTids) run on the internal/pool
+// worker pool sized by par; the result is identical for any worker
+// count. Cancelling ctx aborts the walk and returns ctx.Err().
 func MineCandidates(ctx context.Context, d *dataset.Dataset, minSupport, maxResults int, par ParallelOptions) ([]Candidate, error) {
 	fis, err := eclat.Mine(ctx, d, eclat.Options{
 		MinSupport: minSupport,
@@ -45,25 +50,70 @@ func MineCandidates(ctx context.Context, d *dataset.Dataset, minSupport, maxResu
 	if err != nil {
 		return nil, err
 	}
+	// Split each mined itemset in place: the joined itemset is already a
+	// fresh, owned allocation (fis is discarded afterwards), so X and Y
+	// can alias its two halves.
 	nLeft := d.Items(dataset.Left)
-	// Bulk-allocate the retained per-candidate tidsets (two per
-	// candidate) and split each mined itemset in place: the joined
-	// itemset is already a fresh, owned allocation (fis is discarded
-	// afterwards), so X and Y can alias its two halves. Each task
-	// touches only its own candidate's slots, so the parallel
-	// materialization stays deterministic.
-	tids := bitset.NewBatch(2*len(fis), d.Size())
-	cands, err := pool.MapOrderedIntoCtxOn(par.runtime(), ctx, nil, par.Workers, len(fis), func(i int) Candidate {
+	cands := make([]Candidate, len(fis))
+	for i := range fis {
 		x, y := eclat.SplitInPlace(fis[i].Items, nLeft)
-		tidX, tidY := &tids[2*i], &tids[2*i+1]
-		d.SupportSetInto(tidX, dataset.Left, x)
-		d.SupportSetInto(tidY, dataset.Right, y)
-		return Candidate{X: x, Y: y, Supp: fis[i].Supp, TidX: tidX, TidY: tidY}
-	})
-	if err != nil {
+		cands[i] = Candidate{X: x, Y: y, Supp: fis[i].Supp}
+	}
+	if err := MaterializeTids(ctx, d, cands, par); err != nil {
 		return nil, err
 	}
 	return cands, nil
+}
+
+// tidChunk is the number of distinct tidsets one MaterializeTids task
+// fills: a constant, so the task split never depends on the worker
+// count.
+const tidChunk = 16
+
+// MaterializeTids sets TidX and TidY of every candidate to the support
+// of its X in the Left view and of its Y in the Right view, with one
+// shared, read-only set per distinct X and per distinct Y. The
+// distinct itemsets are interned serially in candidate order; the sets
+// are carved from one batch allocation and filled on the worker pool
+// sized by par, each task writing only its own sets, so the result is
+// identical for any worker count. Cancelling ctx aborts the fill and
+// returns ctx.Err(), leaving the candidates' tidsets unusable.
+func MaterializeTids(ctx context.Context, d *dataset.Dataset, cands []Candidate, par ParallelOptions) error {
+	// Intern: ids[2i] and ids[2i+1] index candidate i's X and Y into
+	// sups, keyed by the view and the items.
+	type support struct {
+		v     dataset.View
+		items itemset.Itemset
+	}
+	var sups []support
+	seen := make(map[string]int32)
+	var key []byte
+	intern := func(v dataset.View, items itemset.Itemset) int32 {
+		key = append(key[:0], byte(v))
+		for _, it := range items {
+			key = binary.AppendUvarint(key, uint64(it))
+		}
+		id, ok := seen[string(key)]
+		if !ok {
+			id = int32(len(sups))
+			seen[string(key)] = id
+			sups = append(sups, support{v, items})
+		}
+		return id
+	}
+	ids := make([]int32, 2*len(cands))
+	for i := range cands {
+		ids[2*i], ids[2*i+1] = intern(dataset.Left, cands[i].X), intern(dataset.Right, cands[i].Y)
+	}
+	tids := bitset.NewBatch(len(sups), d.Size())
+	for i := range cands {
+		cands[i].TidX, cands[i].TidY = &tids[ids[2*i]], &tids[ids[2*i+1]]
+	}
+	return pool.ForChunksCtxOn(par.runtime(), ctx, par.Workers, len(sups), tidChunk, func(lo, hi int) {
+		for k := lo; k < hi; k++ {
+			d.SupportSetInto(&tids[k], sups[k].v, sups[k].items)
+		}
+	})
 }
 
 // MineCandidatesCapped mines candidates like MineCandidates but, instead

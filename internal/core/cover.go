@@ -21,7 +21,12 @@ import (
 // operation: it folds the per-item deltas Score writes with foldGain, in
 // consequent order, and reads the scalars Apply returns. Integer counts
 // do not depend on where or in how many pieces they were taken, so the
-// mined tables are bit-identical for every backend.
+// mined tables are bit-identical for every backend. The local cover
+// also memoizes: it counts each distinct (antecedent tidset, consequent
+// item) pair once per change of the item's columns and serves every
+// candidate sharing the pair from the memo (see localCover); a
+// memoized delta is the integer a recount would give, so the memo
+// changes no result either.
 type Cover interface {
 	// Score writes into delta[k], for candidate idx[k], the cover delta
 	// (covered − errors, see State.coverDelta) of each consequent item:
@@ -57,51 +62,133 @@ func NewCover(ctx context.Context, d *dataset.Dataset, cands []Candidate, par Pa
 }
 
 // localCover is the in-process Cover: a State, scored on the session's
-// worker pool.
+// worker pool through a memo of cover deltas.
+//
+// A direction's cover delta of consequent item y depends only on the
+// antecedent's support tidset and on y's U/E columns in the target
+// view. Candidates share their antecedents (MaterializeTids points
+// equal X's, and equal Y's, at one set), so the cover keeps one cell per
+// distinct (target view, antecedent tidset, item) triple and counts
+// each once per state change. A cell is valid while its stamp equals
+// its item's State.version + 1 (zero: never counted); State.applyDir
+// bumps the version of every item whose columns it updates, so any
+// mutation path, Apply or a direct State.AddRule, invalidates exactly
+// the cells of the touched items. Cells are grouped by tidset pointer,
+// so candidates built elsewhere with equal but unshared tidsets stay
+// correct: they only do not share cells. A delta is an exact integer,
+// whoever counts it and however often it is reused, so the tables stay
+// bit-identical for any worker count.
 type localCover struct {
 	s       *State
 	cands   []Candidate
 	rt      *pool.Runtime
 	workers int
+
+	// cells holds one memo cell per distinct pair. cellOf lists, per
+	// candidate from cellOff[ci], the cell of each consequent item in
+	// the layout of Score: the items of Y, then those of X.
+	cells   []deltaCell
+	cellOf  []int32
+	cellOff []int32
+	// claims lists the cells the current Score counts: the stale ones
+	// the batch reads, each once.
+	claims []int32
+}
+
+// deltaCell is the memo cell of one (target view, antecedent tidset,
+// consequent item) triple.
+type deltaCell struct {
+	tids   *bitset.Set
+	item   int32
+	target dataset.View
+	stamp  uint32 // the item's State.version + 1 when delta was counted
+	delta  int32
 }
 
 func newLocalCover(s *State, cands []Candidate, rt *pool.Runtime, workers int) *localCover {
-	return &localCover{s: s, cands: cands, rt: rt, workers: workers}
+	c := &localCover{s: s, cands: cands, rt: rt, workers: workers, cellOff: make([]int32, len(cands)+1)}
+	type pairKey struct {
+		tids   *bitset.Set
+		item   int32
+		target dataset.View
+	}
+	ids := make(map[pairKey]int32)
+	cell := func(target dataset.View, tids *bitset.Set, item int) {
+		k := pairKey{tids, int32(item), target}
+		id, ok := ids[k]
+		if !ok {
+			id = int32(len(c.cells))
+			ids[k] = id
+			c.cells = append(c.cells, deltaCell{tids: tids, item: k.item, target: target})
+		}
+		c.cellOf = append(c.cellOf, id)
+	}
+	for ci := range cands {
+		cd := &cands[ci]
+		for _, y := range cd.Y {
+			cell(dataset.Right, cd.TidX, y)
+		}
+		for _, x := range cd.X {
+			cell(dataset.Left, cd.TidY, x)
+		}
+		c.cellOff[ci+1] = int32(len(c.cellOf))
+	}
+	return c
 }
 
-// scoreChunk caps the candidates per scoring task, and scoreTasks is
-// the number of tasks a smaller batch splits into, so that a short
+// scoreChunk caps the cells per counting task, and scoreTasks is the
+// number of tasks a smaller claim list splits into, so that a short
 // GREEDY window still spreads over the workers. The chunk size depends
-// only on the batch length, never on the worker count; and since every
-// candidate writes only its own deltas, the result does not depend on
+// only on the number of claims, never on the worker count; and since
+// every task writes only its own cells, the result does not depend on
 // it either.
 const (
 	scoreChunk = 256
 	scoreTasks = 64
 )
 
-// Score counts the batch on the worker pool. Each task only reads the
-// state and writes its own candidates' deltas, so tasks run
-// concurrently. A single candidate (the lazy GREEDY walk's window) has
-// nothing to schedule and is counted inline.
+// Score runs in three steps. A serial pass over the batch claims each
+// stale cell it reads (honouring dirty) and stamps it with its item's
+// current version, so a cell shared by many candidates is claimed once.
+// One pool phase then counts the claimed cells, each task writing only
+// its own cells. Last, a serial gather copies the cells into delta.
 func (c *localCover) Score(ctx context.Context, idx []int32, dirty *DirtyItems, delta [][]int32) error {
-	if len(idx) == 1 {
-		c.score(idx, dirty, delta)
-		return nil
+	c.claims = c.claims[:0]
+	for _, ci := range idx {
+		for _, id := range c.cellOf[c.cellOff[ci]:c.cellOff[ci+1]] {
+			cl := &c.cells[id]
+			if dirty != nil && !dirty[cl.target].Contains(int(cl.item)) {
+				continue
+			}
+			if stamp := c.s.version[cl.target][cl.item] + 1; cl.stamp != stamp {
+				cl.stamp = stamp
+				c.claims = append(c.claims, id)
+			}
+		}
 	}
-	chunk := max(1, min(scoreChunk, len(idx)/scoreTasks))
-	return pool.ForChunksCtxOn(c.rt, ctx, c.workers, len(idx), chunk, func(lo, hi int) {
-		c.score(idx[lo:hi], dirty, delta[lo:hi])
+	chunk := max(1, min(scoreChunk, len(c.claims)/scoreTasks))
+	err := pool.ForChunksCtxOn(c.rt, ctx, c.workers, len(c.claims), chunk, func(lo, hi int) {
+		for _, id := range c.claims[lo:hi] {
+			cl := &c.cells[id]
+			cl.delta = int32(c.s.coverDelta(cl.target, cl.tids, int(cl.item)))
+		}
 	})
-}
-
-// score writes the deltas of the candidates idx into delta.
-func (c *localCover) score(idx []int32, dirty *DirtyItems, delta [][]int32) {
-	for k, ci := range idx {
-		cd := &c.cands[ci]
-		c.s.coverDeltas(dataset.Right, cd.TidX, cd.Y, dirty, delta[k])
-		c.s.coverDeltas(dataset.Left, cd.TidY, cd.X, dirty, delta[k][len(cd.Y):])
+	if err != nil {
+		// A cancelled phase may have skipped claimed cells: invalidate
+		// them all.
+		for _, id := range c.claims {
+			c.cells[id].stamp = 0
+		}
+		return err
 	}
+	for k, ci := range idx {
+		for j, id := range c.cellOf[c.cellOff[ci]:c.cellOff[ci+1]] {
+			if cl := &c.cells[id]; dirty == nil || dirty[cl.target].Contains(int(cl.item)) {
+				delta[k][j] = cl.delta
+			}
+		}
+	}
+	return nil
 }
 
 func (c *localCover) Apply(r Rule) (*CoverTotals, error) {

@@ -1,0 +1,103 @@
+package core_test
+
+import (
+	"context"
+	"testing"
+
+	"twoview/internal/bitset"
+	"twoview/internal/core"
+	"twoview/internal/dataset"
+	"twoview/internal/synth"
+)
+
+// synthCandidates mines the candidates of a paper profile at the given
+// scale and minimum support.
+func synthCandidates(t *testing.T, profile string, scale float64, minsup, workers int) (*dataset.Dataset, []core.Candidate) {
+	t.Helper()
+	p, err := synth.ProfileByName(profile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, _, err := synth.Generate(p.Scaled(scale))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cands, err := core.MineCandidates(context.Background(), d, minsup, 0, core.Parallel(workers))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d, cands
+}
+
+// The local cover counts each distinct (antecedent, item) pair of a
+// paper profile's candidates once, and after a rule only the pairs of
+// the items the rule touched.
+func TestCoverMemoCountsDistinctPairsOnce(t *testing.T) {
+	d, cands := synthCandidates(t, "tictactoe", 0.5, 10, 0)
+	core.CheckMemoSavesWork(t, d, cands)
+}
+
+// sharing checks that two candidates' tidsets on one side are the same
+// pointer exactly when their itemsets there (keys) are equal, and
+// returns, per candidate, the first candidate sharing its tidset.
+func sharing(t *testing.T, side string, keys []string, tids []*bitset.Set) []int {
+	t.Helper()
+	byKey, byPtr := map[string]int{}, map[*bitset.Set]int{}
+	first := make([]int, len(keys))
+	for i, k := range keys {
+		a, okA := byKey[k]
+		b, okB := byPtr[tids[i]]
+		if okA != okB || a != b {
+			t.Fatalf("candidate %d: %s %s: equal itemset seen %v (at %d), same tidset seen %v (at %d)", i, side, k, okA, a, okB, b)
+		}
+		if !okA {
+			a = i
+			byKey[k], byPtr[tids[i]] = i, i
+		}
+		first[i] = a
+	}
+	return first
+}
+
+// MineCandidates shares tidsets exactly among equal itemsets: equal X's
+// have the same TidX pointer and unequal ones different pointers (Y and
+// TidY alike), every set is its itemset's support, and the candidates,
+// sharing included, are the same at 1 and 4 workers.
+func TestMineCandidatesSharesTidsets(t *testing.T) {
+	d, serial := synthCandidates(t, "tictactoe", 0.5, 10, 1)
+	_, par := synthCandidates(t, "tictactoe", 0.5, 10, 4)
+	if len(par) != len(serial) {
+		t.Fatalf("%d candidates at 4 workers, %d at 1", len(par), len(serial))
+	}
+	pattern := func(cands []core.Candidate) (firstX, firstY []int) {
+		var xs, ys []string
+		var tx, ty []*bitset.Set
+		for i := range cands {
+			cd := &cands[i]
+			if !cd.TidX.Equal(d.SupportSet(dataset.Left, cd.X)) || !cd.TidY.Equal(d.SupportSet(dataset.Right, cd.Y)) {
+				t.Fatalf("candidate %d: a tidset is not its itemset's support", i)
+			}
+			xs, ys = append(xs, cd.X.String()), append(ys, cd.Y.String())
+			tx, ty = append(tx, cd.TidX), append(ty, cd.TidY)
+		}
+		return sharing(t, "X", xs, tx), sharing(t, "Y", ys, ty)
+	}
+	sx, sy := pattern(serial)
+	px, py := pattern(par)
+	shared := 0
+	for i := range serial {
+		if !par[i].X.Equal(serial[i].X) || !par[i].Y.Equal(serial[i].Y) || par[i].Supp != serial[i].Supp ||
+			!par[i].TidX.Equal(serial[i].TidX) || !par[i].TidY.Equal(serial[i].TidY) {
+			t.Fatalf("candidate %d differs between 1 and 4 workers", i)
+		}
+		if sx[i] != px[i] || sy[i] != py[i] {
+			t.Fatalf("candidate %d shares differently at 1 and 4 workers", i)
+		}
+		if sx[i] != i {
+			shared++
+		}
+	}
+	if shared == 0 {
+		t.Fatal("no two candidates share an X: the test proves nothing")
+	}
+}

@@ -27,7 +27,9 @@ import (
 // decision is therefore made against exactly the state the serial pass
 // would have used, and since most candidates are rejected (their
 // state-dependent scores untouched by the rare accepts), most
-// speculative work is kept. A cover that does not score ahead
+// speculative work is kept. On the local cover the re-score is cheap as
+// well: its memo recounts only the (antecedent, item) pairs of the
+// items the accepted rule touched. A cover that does not score ahead
 // (Cover.ScoresAhead) gets windows of one candidate: the lazy walk,
 // which scores each candidate exactly once at its turn.
 

@@ -28,10 +28,11 @@ import (
 // a rule changes the U and E columns only at the consequent items of the
 // directions it applies, so a round asks the cover to recount only the
 // (candidate, item) pairs whose item the previous round touched (every
-// pair in the first round), then folds the cached integers in consequent
-// order with gainDir's arithmetic (foldGain). The scored gains are
-// therefore bit-identical to evaluating every rule from scratch, which
-// selectalg_test.go checks in every round.
+// pair in the first round; the local cover counts each distinct
+// (antecedent, item) pair among them once), then folds the cached
+// integers in consequent order with gainDir's arithmetic (foldGain).
+// The scored gains are therefore bit-identical to evaluating every rule
+// from scratch, which selectalg_test.go checks in every round.
 //
 // The Line-8 re-check (the rule must still improve compression against
 // the current table) reuses the scored gain. That is exact, not a

@@ -32,7 +32,14 @@ import (
 //   - ucol[v][i] = {t : i ∈ t \ t′} and ecol[v][i] = {t : i ∈ t′ \ t};
 //   - E only grows as rules are added (errors are never removed);
 //   - totals.CorrLen[v] = Σ_t BitsLen(U_t) + BitsLen(E_t) and
-//     tub(t) = BitsLen(U_t).
+//     tub(t) = BitsLen(U_t);
+//   - version[v][i] changes whenever ucol[v][i] or ecol[v][i] may have:
+//     applyDir, the only writer after NewState, bumps it for every item
+//     it updates. A cover delta (coverDelta) reads nothing else of the
+//     state, so a delta counted at one version is exact for as long as
+//     the version stands. localCover's memo rests on this; keeping the
+//     version here rather than in the cover means every mutation path
+//     (Cover.Apply or a direct AddRule) invalidates the memo.
 type State struct {
 	d     *dataset.Dataset
 	coder *mdl.Coder
@@ -44,6 +51,9 @@ type State struct {
 	ecol   [2][]bitset.Set // columnar E, indexed by item (tidsets)
 	totals *CoverTotals    // |U|, |E| and L(C|T) per target view
 	tub    [2][]float64    // tub(t) = L(U_t | D_target) per transaction
+	// version counts, per item, the applyDir updates of its U/E
+	// columns: the stamp that validates localCover's memo cells.
+	version [2][]uint32
 
 	scratch *bitset.Set // width |D|, used serially by applyDir
 }
@@ -66,6 +76,7 @@ func NewState(d *dataset.Dataset, coder *mdl.Coder) *State {
 		cols := d.Columns(v)
 		s.ucol[v] = bitset.NewBatch(items, n)
 		s.ecol[v] = bitset.NewBatch(items, n)
+		s.version[v] = make([]uint32, items)
 		for i := 0; i < items; i++ {
 			s.ucol[v][i].Copy(cols[i])
 		}
@@ -162,18 +173,6 @@ func (s *State) coverDelta(target dataset.View, tids *bitset.Set, y int) int {
 		bitset.AndNotAndNotCount(tids, s.d.Columns(target)[y], &s.ecol[target][y])
 }
 
-// coverDeltas writes coverDelta of each item of cons into dst (dst[j]
-// for cons[j]), for the rule direction with antecedent support tids and
-// the target view's consequent cons; with dirty non-nil only for the
-// items it marks. It only reads the state, so concurrent calls are safe.
-func (s *State) coverDeltas(target dataset.View, tids *bitset.Set, cons itemset.Itemset, dirty *DirtyItems, dst []int32) {
-	for j, y := range cons {
-		if dirty == nil || dirty[target].Contains(y) {
-			dst[j] = int32(s.coverDelta(target, tids, y))
-		}
-	}
-}
-
 // Gain returns Δ_{D,T}(r) = Δ_{D|T}(r) − L(r) (Equation 1): the decrease in
 // total compressed size obtained by adding r to the current table.
 func (s *State) Gain(r Rule) float64 {
@@ -233,6 +232,7 @@ func (s *State) applyDir(from dataset.View, tids *bitset.Set, cons itemset.Items
 	//lint:ctxprobe-ok bounded per-rule work (|cons| kernel calls); AddRule runs between iteration checkpoints
 	for _, y := range cons {
 		ucol, ecol := &s.ucol[target][y], &s.ecol[target][y]
+		s.version[target][y]++
 
 		// Transactions where y was still uncovered: it becomes covered.
 		covered := s.scratch
