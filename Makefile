@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: test lint loc chaos chaos-shard chaos-net fuzz-smoke bench-kernels promote-baseline
+.PHONY: test lint loc chaos chaos-shard chaos-net fuzz-smoke bench-kernels
 
 # The tier-1 gate: everything CI's build/test steps enforce.
 test:
@@ -66,18 +66,3 @@ bench-kernels:
 	$(GO) test -run='^$$' -bench '$(BENCH_KERNELS)' -benchtime 200ms -count 3 ./internal/bitset/ ./internal/pool/
 	@echo '=== scalar (-tags bitset_scalar) ==='
 	$(GO) test -tags bitset_scalar -run='^$$' -bench '$(BENCH_KERNELS)' -benchtime 200ms -count 3 ./internal/bitset/ ./internal/pool/
-
-# Arm (or re-anchor) the benchmark regression gate from a green CI run:
-# every run uploads a promotion-ready bench-baseline artifact recorded
-# on the runner class the gate compares against. Usage:
-#
-#	make promote-baseline RUN=<ci-run-id>
-#
-# then review and commit bench/baseline.json.
-promote-baseline:
-ifndef RUN
-	$(error usage: make promote-baseline RUN=<ci-run-id>)
-endif
-	gh run download $(RUN) -n bench-baseline -D bench
-	git add bench/baseline.json
-	@echo "bench/baseline.json staged; commit it to arm the regression gate"

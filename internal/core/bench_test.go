@@ -211,8 +211,7 @@ func BenchmarkApply(b *testing.B) {
 // the Translator is compiled once outside the loop and each iteration
 // runs TranslateBatch over the whole view, materializing the per-row
 // translations — the "mine once, Apply many" steady state. Its ns/op
-// against BenchmarkApply quantifies the amortized preparation; both
-// enter cmd/benchreport's parsed set and the CI regression gate.
+// against BenchmarkApply quantifies the amortized preparation.
 func BenchmarkTranslatorBatch(b *testing.B) {
 	d, tab := servingFixture(b)
 	tr, err := CompileTranslator(d, tab)

@@ -91,8 +91,9 @@ type localCover struct {
 	cellOf  []int32
 	cellOff []int32
 	// claims lists the cells the current Score counts: the stale ones
-	// the batch reads, each once.
-	claims []int32
+	// the batch reads, each once; counted sums them over all calls.
+	claims  []int32
+	counted int64
 }
 
 // deltaCell is the memo cell of one (target view, antecedent tidset,
@@ -166,6 +167,7 @@ func (c *localCover) Score(ctx context.Context, idx []int32, dirty *DirtyItems, 
 			}
 		}
 	}
+	c.counted += int64(len(c.claims))
 	chunk := max(1, min(scoreChunk, len(c.claims)/scoreTasks))
 	err := pool.ForChunksCtxOn(c.rt, ctx, c.workers, len(c.claims), chunk, func(lo, hi int) {
 		for _, id := range c.claims[lo:hi] {
@@ -204,6 +206,15 @@ func (c *localCover) ScoresAhead() bool { return pool.Size(c.workers, len(c.cand
 func (c *localCover) State() *State { return c.s }
 
 func (c *localCover) Close() {}
+
+// countedCells returns the number of memo cells c counted, for
+// Work.Cells; zero for a cover other than the local one.
+func countedCells(c Cover) int64 {
+	if lc, ok := c.(*localCover); ok {
+		return lc.counted
+	}
+	return 0
+}
 
 // foldGain accumulates per-item cover deltas (one per item of cons) into
 // a direction's Δ_{D|T}, with gainDir's arithmetic: in consequent order,

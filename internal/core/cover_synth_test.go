@@ -10,9 +10,8 @@ import (
 	"twoview/internal/synth"
 )
 
-// synthCandidates mines the candidates of a paper profile at the given
-// scale and minimum support.
-func synthCandidates(t *testing.T, profile string, scale float64, minsup, workers int) (*dataset.Dataset, []core.Candidate) {
+// synthDataset generates a paper profile at the given scale.
+func synthDataset(t *testing.T, profile string, scale float64) *dataset.Dataset {
 	t.Helper()
 	p, err := synth.ProfileByName(profile)
 	if err != nil {
@@ -22,6 +21,14 @@ func synthCandidates(t *testing.T, profile string, scale float64, minsup, worker
 	if err != nil {
 		t.Fatal(err)
 	}
+	return d
+}
+
+// synthCandidates mines the candidates of a paper profile at the given
+// scale and minimum support.
+func synthCandidates(t *testing.T, profile string, scale float64, minsup, workers int) (*dataset.Dataset, []core.Candidate) {
+	t.Helper()
+	d := synthDataset(t, profile, scale)
 	cands, err := core.MineCandidates(context.Background(), d, minsup, 0, core.Parallel(workers))
 	if err != nil {
 		t.Fatal(err)

@@ -99,6 +99,12 @@ func MineExact(ctx context.Context, d *dataset.Dataset, opt ExactOptions) (*Resu
 			break
 		}
 	}
+	for _, se := range search.pool.States() {
+		res.Work.Nodes += int64(se.ticks)
+		res.Work.Pairs += se.pairs
+		res.Work.RubPrunes += se.rubPrunes
+		res.Work.QubSkips += se.qubSkips
+	}
 	res.Table = s.Table()
 	res.Runtime = elapsed()
 	return res, err
@@ -165,6 +171,10 @@ type exactSearch struct {
 	// the recursion unwinds without re-probing at every level.
 	ticks   uint
 	stopped bool
+
+	// The worker's remaining work counts over the run, for Result.Work:
+	// pairs evaluated, rub prunes and qub skips.
+	pairs, rubPrunes, qubSkips int64
 }
 
 // exactCtxProbeMask gates the in-branch cancellation probe of the
@@ -445,6 +455,7 @@ func (se *exactSearch) extend(x, y itemset.Itemset, tidX, tidY, tidXY *bitset.Se
 		// antitone under extension, so it prunes the whole subtree.
 		rub := csumRX + csumLY - (clenX + clenY + 1)
 		if rub < se.threshold() {
+			se.rubPrunes++
 			return
 		}
 	}
@@ -479,9 +490,11 @@ func (se *exactSearch) evaluate(x, y itemset.Itemset, tidX, tidY *bitset.Set, le
 		// qub(X◇Y) = |supp(X)|·L(Y) + |supp(Y)|·L(X) − L(X↔Y) bounds all
 		// three directions; skip the exact gain computation if hopeless.
 		if pathQub(tidX.Count(), tidY.Count(), lenX, lenY) < se.threshold() {
+			se.qubSkips++
 			return
 		}
 	}
+	se.pairs++
 	gainF := s.gainDir(dataset.Left, tidX, y)
 	gainB := s.gainDir(dataset.Right, tidY, x)
 	for _, cand := range [3]struct {

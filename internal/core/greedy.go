@@ -84,6 +84,7 @@ func MineGreedy(ctx context.Context, d *dataset.Dataset, cands []Candidate, opt 
 	}
 	defer c.Close()
 	res, err := MineGreedyOn(ctx, c, d, cands, opt)
+	res.Work.Cells = countedCells(c)
 	res.Runtime = elapsed()
 	return res, err
 }
@@ -159,6 +160,8 @@ func MineGreedyOn(ctx context.Context, c Cover, d *dataset.Dataset, cands []Cand
 			views = append(views, delta[off:off+m])
 			off += m
 		}
+		res.Work.Windows++
+		res.Work.Scored += int64(len(idx))
 		if len(idx) > 0 {
 			if err = c.Score(ctx, idx, nil, views); err != nil {
 				break

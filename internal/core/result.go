@@ -39,6 +39,32 @@ type Result struct {
 	State      *State           // final state; Score, L%, |C|% etc.
 	Iterations []IterationStats // one entry per added rule
 	Runtime    time.Duration
+	Work       Work // the run's algorithmic work
+}
+
+// Work counts the algorithmic work of one run. Each miner fills only
+// its own fields, and at one worker every count is an exact function of
+// the input. Counting is always on and write-only: no mining decision
+// reads a count. TestWorkBudget gates the counts against the budgets in
+// testdata/work.json.
+type Work struct {
+	// SELECT: scoring rounds, and the (candidate, item) pairs the driver
+	// asks the cover to recount (the dirty consequent items of the stale
+	// candidates).
+	Rounds   int64 `json:"rounds,omitempty"`
+	Recounts int64 `json:"recounts,omitempty"`
+	// GREEDY: speculation windows, and the candidates scored in them.
+	Windows int64 `json:"windows,omitempty"`
+	Scored  int64 `json:"scored,omitempty"`
+	// SELECT and GREEDY: the memo cells the local cover counted.
+	Cells int64 `json:"cells,omitempty"`
+	// EXACT, over all iterations: DFS nodes visited, pairs whose exact
+	// gains were evaluated, subtrees pruned by rub and evaluations
+	// skipped by qub.
+	Nodes     int64 `json:"nodes,omitempty"`
+	Pairs     int64 `json:"pairs,omitempty"`
+	RubPrunes int64 `json:"rub_prunes,omitempty"`
+	QubSkips  int64 `json:"qub_skips,omitempty"`
 }
 
 // Record captures the state after adding rule r, read off the cover
@@ -46,7 +72,7 @@ type Result struct {
 // and forwards it to the trace and progress callbacks if any. It
 // reports whether mining should continue: false as soon as the
 // OnIteration hook asks for an early stop. Every miner records through
-// it, the sharded EXACT search included.
+// it.
 func (res *Result) Record(totals *CoverTotals, table *Table, r Rule, gain float64, trace TraceFunc, onIter IterationFunc) bool {
 	it := IterationStats{
 		Iteration:  len(res.Iterations) + 1,
@@ -72,9 +98,9 @@ func (res *Result) Record(totals *CoverTotals, table *Table, r Rule, gain float6
 }
 
 // GainEpsilon guards against accepting rules whose gain is positive
-// only through floating-point noise. Exported for the sharded EXACT
-// search (internal/shard), which must apply the identical acceptance
-// threshold to stay bit-identical to the monolith.
+// only through floating-point noise. Exported for internal/shard's
+// chaos test, which counts the candidates that pass the qub filter
+// against the threshold the miners apply.
 const GainEpsilon = 1e-9
 
 // gainEpsilon is the package-internal name the miners predate the

@@ -95,6 +95,7 @@ func MineSelect(ctx context.Context, d *dataset.Dataset, cands []Candidate, opt 
 	}
 	defer c.Close()
 	res, err := MineSelectOn(ctx, c, d, cands, opt)
+	res.Work.Cells = countedCells(c)
 	res.Runtime = elapsed()
 	return res, err
 }
@@ -128,6 +129,7 @@ func MineSelectOn(ctx context.Context, c Cover, d *dataset.Dataset, cands []Cand
 		}
 		// Line 3: select the k rules with the highest Δ_{D,T} among all
 		// rules constructible from the candidates.
+		res.Work.Rounds++
 		if scored, err = cache.score(ctx, c, coder, cands, scored[:0]); err != nil {
 			break
 		}
@@ -174,6 +176,7 @@ func MineSelectOn(ctx context.Context, c Cover, d *dataset.Dataset, cands []Cand
 			break
 		}
 	}
+	res.Work.Recounts = cache.recounts
 	sc.scored = scored // hand the grown capacity back to the pool
 	opt.putScratch(sc)
 	res.Table = table.clipped()
@@ -224,6 +227,9 @@ type selectCache struct {
 	stale []int
 	idx   []int32
 	views [][]int32
+	// recounts sums, over the run, the pairs score asks the cover to
+	// recount, for Work.Recounts.
+	recounts int64
 }
 
 // selectSlot is the cache entry of one candidate that passed the qub
@@ -258,6 +264,7 @@ func (c *selectCache) reset(d *dataset.Dataset, coder *mdl.Coder, cands []Candid
 	}
 	c.delta = slices.Grow(c.delta[:0], n)[:n]
 	c.dirty.Fill(d)
+	c.recounts = 0
 }
 
 // score has the cover recount the dirty (candidate, item) pairs, refolds
@@ -271,7 +278,8 @@ func (c *selectCache) score(ctx context.Context, cv Cover, coder *mdl.Coder, can
 	for i := range c.slots {
 		sl := &c.slots[i]
 		cd := &cands[sl.cand]
-		if c.dirty.Count(cd.X, cd.Y) > 0 {
+		if n := c.dirty.Count(cd.X, cd.Y); n > 0 {
+			c.recounts += int64(n)
 			c.stale = append(c.stale, i)
 			c.idx = append(c.idx, sl.cand)
 			c.views = append(c.views, c.delta[sl.off:sl.off+len(cd.Y)+len(cd.X)])

@@ -1,19 +1,20 @@
 package pool
 
-import "context"
+import (
+	"context"
+	"sync"
+)
 
-// Context-aware phase submission. Every primitive in this file is the
-// exact counterpart of its ctx-less sibling with one extra rule: once
-// ctx is cancelled, no new tasks are dispensed. Tasks already running
-// finish normally, the phase barrier releases as usual, and the Runtime
-// stays fully reusable — a cancelled phase drains its workers back to
-// the parked state instead of wedging them. The primitives then report
-// ctx.Err().
+// Context-aware phase submission. Every primitive in this file follows
+// one rule: once ctx is cancelled, no new tasks are dispensed. Tasks
+// already running finish normally, the phase barrier releases as usual,
+// and the Runtime stays fully reusable — a cancelled phase drains its
+// workers back to the parked state instead of wedging them. The
+// primitives then report ctx.Err().
 //
 // The determinism contract is unaffected: with an uncancelled context
-// the per-task ctx.Err() probe reads nil and the execution is
-// instruction-for-instruction the one the ctx-less primitive performs,
-// so results stay bit-identical for every worker count. Under
+// the per-task ctx.Err() probe reads nil and every task runs, so
+// results stay bit-identical for every worker count. Under
 // cancellation the partial work is discarded by the callers (they
 // return the context error), so the schedule-dependence of *which*
 // tasks ran before the cut is never observable.
@@ -46,54 +47,48 @@ func (p *Pool[S]) RunCtx(ctx context.Context, tasks int, fn func(s S, task int))
 	return ctx.Err()
 }
 
-// RunErrCtx is RunErr with the cancellation cut of RunCtx. When the
-// context is cancelled its error takes precedence over any task error:
-// task errors observed mid-cancellation are schedule-dependent, while
-// ctx.Err() is not.
+// RunErrCtx is RunCtx for fallible tasks. After the first failure no
+// new tasks are dispensed (running ones finish), and the error of the
+// lowest-indexed failed task among those that ran is returned. Tasks
+// are dispensed in index order, so every task below a failed one has
+// run: the returned error is the lowest-indexed failure overall, and
+// when the failure condition is schedule-independent — ECLAT's
+// result-cap overflow trips in every schedule iff the total result
+// count exceeds the cap — it is deterministic too. When the context is
+// cancelled its error takes precedence over any task error: task errors
+// observed mid-cancellation are schedule-dependent, while ctx.Err() is
+// not.
 func (p *Pool[S]) RunErrCtx(ctx context.Context, tasks int, fn func(s S, task int) error) error {
-	err := p.RunErr(tasks, func(s S, task int) error {
-		if cerr := ctx.Err(); cerr != nil {
-			return cerr
+	var first error
+	if len(p.states) == 1 {
+		for t := 0; t < tasks && first == nil && ctx.Err() == nil; t++ {
+			first = fn(p.states[0], t)
 		}
-		return fn(s, task)
-	})
+	} else {
+		var (
+			mu    sync.Mutex
+			errAt = -1
+		)
+		p.rt.phase(len(p.states), tasks, func(slot, t int) bool {
+			if ctx.Err() != nil {
+				return false
+			}
+			err := fn(p.states[slot], t)
+			if err == nil {
+				return true
+			}
+			mu.Lock()
+			if errAt < 0 || t < errAt {
+				errAt, first = t, err
+			}
+			mu.Unlock()
+			return false
+		})
+	}
 	if cerr := ctx.Err(); cerr != nil {
 		return cerr
 	}
-	return err
-}
-
-// MapOrderedIntoCtxOn is MapOrderedIntoOn with the cancellation cut of
-// RunCtx. On cancellation the returned slice (resized to length n, with
-// only some slots written) is scratch for reuse, never data: callers
-// must discard its contents alongside the returned ctx.Err().
-func MapOrderedIntoCtxOn[T any](rt *Runtime, ctx context.Context, dst []T, workers, n int, fn func(i int) T) ([]T, error) {
-	if cap(dst) >= n {
-		dst = dst[:n]
-	} else {
-		dst = make([]T, n)
-	}
-	workers = Size(workers, n)
-	if workers == 1 {
-		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				return dst, err
-			}
-			dst[i] = fn(i)
-		}
-		return dst, ctx.Err()
-	}
-	if rt == nil {
-		rt = Default()
-	}
-	rt.phase(workers, n, func(_, i int) bool {
-		if ctx.Err() != nil {
-			return false
-		}
-		dst[i] = fn(i)
-		return true
-	})
-	return dst, ctx.Err()
+	return first
 }
 
 // ForChunksCtxOn splits [0, n) into fixed-size chunks and runs fn on

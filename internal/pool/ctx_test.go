@@ -19,6 +19,10 @@ func TestRunCtxPreCancelled(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
+	err = p.RunErrCtx(ctx, 100, func(int, int) error { ran.Add(1); return nil })
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("RunErrCtx err = %v, want context.Canceled", err)
+	}
 	if n := ran.Load(); n != 0 {
 		t.Fatalf("%d tasks ran on a pre-cancelled context", n)
 	}
@@ -90,22 +94,39 @@ func TestRunErrCtx(t *testing.T) {
 	}
 }
 
-// With an uncancelled context the ctx variants compute exactly what the
-// ctx-less primitives compute.
+// With an uncancelled context the ctx primitives compute exactly what
+// Run computes: each task writing its own slot yields the ordered
+// output for every worker count.
 func TestCtxVariantsMatchPlainOnes(t *testing.T) {
 	rt := NewRuntime()
 	defer rt.Close()
-	n := 500
-	fn := func(i int) int { return i * i }
-
-	want := MapOrderedOn(rt, 4, n, fn)
-	got, err := MapOrderedIntoCtxOn(rt, context.Background(), nil, 4, n, fn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("MapOrderedIntoCtxOn[%d] = %d, want %d", i, got[i], want[i])
+	const n = 500
+	for _, workers := range []int{1, 2, 4, 7} {
+		p := NewOn(rt, workers, func(int) struct{} { return struct{}{} })
+		outs := make([][]int, 4)
+		for k := range outs {
+			outs[k] = make([]int, n)
+		}
+		p.Run(n, func(_ struct{}, i int) { outs[0][i] = i * i })
+		if err := p.RunCtx(context.Background(), n, func(_ struct{}, i int) { outs[1][i] = i * i }); err != nil {
+			t.Fatal(err)
+		}
+		if err := p.RunErrCtx(context.Background(), n, func(_ struct{}, i int) error { outs[2][i] = i * i; return nil }); err != nil {
+			t.Fatal(err)
+		}
+		if err := ForChunksCtxOn(rt, context.Background(), workers, n, 16, func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				outs[3][i] = i * i
+			}
+		}); err != nil {
+			t.Fatal(err)
+		}
+		for k, out := range outs {
+			for i, v := range out {
+				if v != i*i {
+					t.Fatalf("workers=%d: primitive %d: out[%d] = %d, want %d", workers, k, i, v, i*i)
+				}
+			}
 		}
 	}
 }
@@ -146,18 +167,6 @@ func TestForChunksCtxOn(t *testing.T) {
 		if !errors.Is(err, context.Canceled) || ran {
 			t.Fatalf("workers=%d: cancelled ForChunksCtxOn err = %v, ran = %v", workers, err, ran)
 		}
-	}
-}
-
-// Cancelled map phases return the context error.
-func TestMapCtxCancelled(t *testing.T) {
-	rt := NewRuntime()
-	defer rt.Close()
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-
-	if _, err := MapOrderedIntoCtxOn(rt, ctx, nil, 4, 100, func(i int) int { return i }); !errors.Is(err, context.Canceled) {
-		t.Fatalf("MapOrderedIntoCtxOn err = %v, want context.Canceled", err)
 	}
 }
 

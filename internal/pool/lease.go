@@ -17,8 +17,8 @@ import (
 // detects the blown lease and rebuilds the partition.
 //
 // Determinism is unaffected in the usual way: an unexpired lease is an
-// uncancelled context, under which the ctx-aware primitives are
-// bit-identical to their plain siblings; an expired lease surfaces as
+// uncancelled context, under which the ctx-aware primitives run every
+// task; an expired lease surfaces as
 // context.DeadlineExceeded and the caller discards the partial work.
 type Lease struct {
 	ctx    context.Context
@@ -33,7 +33,7 @@ func NewLease(parent context.Context, d time.Duration) Lease {
 }
 
 // Context returns the lease's deadline-bounded context, for the ctx
-// phase primitives (RunCtx, MapOrderedIntoCtxOn, ...).
+// phase primitives (RunCtx, RunErrCtx, ForChunksCtxOn).
 func (l Lease) Context() context.Context { return l.ctx }
 
 // Expired reports whether the lease can no longer authorize work:

@@ -9,14 +9,15 @@ import (
 )
 
 // An unexpired lease is an uncancelled context: the phase runs every
-// task and the results are exactly those of the plain primitive.
+// task, each writing its own slot.
 func TestLeaseUnexpiredRunsAllTasks(t *testing.T) {
 	rt := NewRuntime()
 	defer rt.Close()
 	l := NewLease(context.Background(), time.Hour)
 	defer l.End()
 
-	got, err := MapOrderedIntoCtxOn(rt, l.Context(), nil, 4, 64, func(i int) int { return i * i })
+	got := make([]int, 64)
+	err := ForChunksCtxOn(rt, l.Context(), 4, len(got), 1, func(i, _ int) { got[i] = i * i })
 	if err != nil {
 		t.Fatalf("unexpired lease: err = %v", err)
 	}
@@ -39,10 +40,9 @@ func TestLeaseExpiryStopsDispensing(t *testing.T) {
 
 	var ran atomic.Int64
 	const tasks = 1 << 20
-	_, err := MapOrderedIntoCtxOn(rt, l.Context(), nil, 2, tasks, func(i int) int {
+	err := ForChunksCtxOn(rt, l.Context(), 2, tasks, 1, func(int, int) {
 		ran.Add(1)
 		time.Sleep(200 * time.Microsecond) // ensure the deadline lands mid-phase
-		return i
 	})
 	l.End()
 	if !errors.Is(err, context.DeadlineExceeded) {
@@ -57,9 +57,10 @@ func TestLeaseExpiryStopsDispensing(t *testing.T) {
 
 	// The drained runtime must accept the next phase as if nothing
 	// happened.
-	got, err := MapOrderedIntoCtxOn(rt, context.Background(), nil, 2, 8, func(i int) int { return i })
-	if err != nil || len(got) != 8 {
-		t.Fatalf("runtime unusable after blown lease: %v %v", got, err)
+	ran.Store(0)
+	err = ForChunksCtxOn(rt, context.Background(), 2, 8, 1, func(int, int) { ran.Add(1) })
+	if err != nil || ran.Load() != 8 {
+		t.Fatalf("runtime unusable after blown lease: %d of 8 tasks ran, err %v", ran.Load(), err)
 	}
 }
 

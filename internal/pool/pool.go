@@ -6,8 +6,8 @@
 // # Persistent runtime
 //
 // All parallel execution happens on a Runtime: a set of long-lived
-// worker goroutines parked on a run queue. Pool.Run, Pool.RunErr,
-// MapOrdered and ForChunksCtxOn are *phases* — batches of dynamically
+// worker goroutines parked on a run queue. Pool.Run, Pool.RunCtx,
+// Pool.RunErrCtx and ForChunksCtxOn are *phases* — batches of dynamically
 // scheduled tasks — submitted to an already-running Runtime, so the
 // round-structured searches (SELECT rescores its candidates each
 // round, GREEDY scores block after block, EXACT runs a seed and a DFS
@@ -30,9 +30,9 @@
 //     task-level chunking uses sizes fixed by the caller, so the set of
 //     per-task computations (and their floating-point evaluation order)
 //     does not depend on the number of workers;
-//   - each task writes only its own slot (MapOrdered), its own chunk
-//     (ForChunksCtxOn), or its own worker-local state (Pool), so no result
-//     depends on cross-worker timing;
+//   - each task writes only its own chunk (ForChunksCtxOn) or its own
+//     worker-local state (Pool), so no result depends on cross-worker
+//     timing;
 //   - cross-worker communication is restricted to monotone values (Max,
 //     Counter) that callers may only use in ways that are insensitive to
 //     the order of updates — e.g. pruning thresholds that are strict
@@ -45,13 +45,11 @@
 //
 // # Cancellation
 //
-// Every primitive has a context-aware sibling (RunCtx, RunErrCtx,
-// MapOrderedIntoCtxOn — see ctx.go; ForChunksCtxOn exists only in that
-// form): cancelling the context stops the
-// dispensing of new tasks, drains the running ones, and returns
-// ctx.Err(), leaving the Runtime parked and reusable. With an
-// uncancelled context the ctx variants are bit-identical to the plain
-// ones.
+// Every phase primitive but Run takes a context (RunCtx, RunErrCtx,
+// ForChunksCtxOn — see ctx.go): cancelling it stops the dispensing of
+// new tasks, drains the running ones, and returns ctx.Err(), leaving
+// the Runtime parked and reusable. Run is RunCtx on the background
+// context.
 package pool
 
 import (
@@ -464,68 +462,4 @@ func (p *Pool[S]) States() []S { return p.states }
 // Err probe is a constant nil), so the two share one body.
 func (p *Pool[S]) Run(tasks int, fn func(s S, task int)) {
 	p.RunCtx(context.Background(), tasks, fn)
-}
-
-// RunErr is Run for fallible tasks. After the first failure no new
-// tasks are dispensed (running ones finish), and the error of the
-// lowest-indexed failed task among those that ran is returned. When the
-// failure condition is schedule-independent — the only use in this
-// repository is the ECLAT result-cap overflow, which trips in every
-// schedule iff the total result count exceeds the cap — the returned
-// error is deterministic too.
-func (p *Pool[S]) RunErr(tasks int, fn func(s S, task int) error) error {
-	if len(p.states) == 1 {
-		for t := 0; t < tasks; t++ {
-			if err := fn(p.states[0], t); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	var (
-		mu    sync.Mutex
-		errAt = -1
-		first error
-	)
-	p.rt.phase(len(p.states), tasks, func(slot, t int) bool {
-		err := fn(p.states[slot], t)
-		if err == nil {
-			return true
-		}
-		mu.Lock()
-		if errAt < 0 || t < errAt {
-			errAt, first = t, err
-		}
-		mu.Unlock()
-		return false
-	})
-	return first
-}
-
-// MapOrdered returns out with out[i] = fn(i) for i in [0, n), computed
-// on the Default runtime by up to `workers` executors pulling indices
-// dynamically. Each index writes only its own slot, so the result is
-// independent of the worker count. Intended for expensive per-item work
-// (gain evaluations); for cheap per-item work over large n, prefer
-// ForChunksCtxOn.
-func MapOrdered[T any](workers, n int, fn func(i int) T) []T {
-	return MapOrderedOn(nil, workers, n, fn)
-}
-
-// MapOrderedOn is MapOrdered on an explicit runtime; rt == nil means
-// Default.
-func MapOrderedOn[T any](rt *Runtime, workers, n int, fn func(i int) T) []T {
-	return MapOrderedIntoOn(rt, nil, workers, n, fn)
-}
-
-// MapOrderedIntoOn is MapOrderedOn writing into dst's storage when its
-// capacity suffices (the returned slice always has length n), so
-// round-structured callers — GREEDY's per-block speculative scoring —
-// can reuse one result buffer across rounds instead of allocating a
-// fresh slice per phase. Stale dst contents are never read: every slot
-// in [0, n) is overwritten. It is the ctx variant on the background
-// context, sharing one body.
-func MapOrderedIntoOn[T any](rt *Runtime, dst []T, workers, n int, fn func(i int) T) []T {
-	out, _ := MapOrderedIntoCtxOn(rt, context.Background(), dst, workers, n, fn)
-	return out
 }

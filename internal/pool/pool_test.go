@@ -1,7 +1,8 @@
 package pool
 
 import (
-	"errors"
+	"context"
+	"fmt"
 	"sort"
 	"sync"
 	"testing"
@@ -107,35 +108,27 @@ func TestPoolPhases(t *testing.T) {
 	}
 }
 
+// RunErrCtx on an uncancelled context returns the lowest-indexed
+// failure for every worker count, and nil when no task fails.
 func TestPoolRunErr(t *testing.T) {
-	errBoom := errors.New("boom")
 	for _, workers := range []int{1, 2, 4} {
 		p := New(workers, func(w int) struct{} { return struct{}{} })
-		err := p.RunErr(50, func(_ struct{}, task int) error {
+		err := p.RunErrCtx(context.Background(), 50, func(_ struct{}, task int) error {
 			if task >= 10 {
-				return errBoom
+				return taskErr(task)
 			}
 			return nil
 		})
-		if !errors.Is(err, errBoom) {
-			t.Fatalf("workers=%d: err = %v, want boom", workers, err)
+		if err != taskErr(10) {
+			t.Fatalf("workers=%d: err = %v, want %v", workers, err, taskErr(10))
 		}
-		if err := p.RunErr(20, func(struct{}, int) error { return nil }); err != nil {
+		if err := p.RunErrCtx(context.Background(), 20, func(struct{}, int) error { return nil }); err != nil {
 			t.Fatalf("workers=%d: unexpected error %v", workers, err)
 		}
 	}
 }
 
-func TestMapOrdered(t *testing.T) {
-	for _, workers := range []int{1, 2, 4, 7} {
-		out := MapOrdered(workers, 100, func(i int) int { return i * i })
-		for i, v := range out {
-			if v != i*i {
-				t.Fatalf("workers=%d: out[%d] = %d", workers, i, v)
-			}
-		}
-	}
-	if out := MapOrdered(4, 0, func(i int) int { return i }); len(out) != 0 {
-		t.Fatal("empty map not empty")
-	}
-}
+// taskErr is the error of a failed task, comparable by task index.
+type taskErr int
+
+func (e taskErr) Error() string { return fmt.Sprintf("task %d failed", int(e)) }

@@ -46,11 +46,6 @@ func TestRuntimeSharedAcrossPools(t *testing.T) {
 			t.Fatalf("pool %d: %d tasks ran, want 50", i, n)
 		}
 	}
-	var total atomic.Int64
-	out := MapOrderedOn(rt, 4, 100, func(i int) int { total.Add(1); return i })
-	if len(out) != 100 || total.Load() != 100 {
-		t.Fatalf("MapOrderedOn: len=%d calls=%d", len(out), total.Load())
-	}
 	chunks := make([]int, 100)
 	if err := ForChunksCtxOn(rt, context.Background(), 4, 100, 8, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
@@ -141,20 +136,20 @@ func TestPoolEdgeCases(t *testing.T) {
 	if ran {
 		t.Fatal("zero-task phase ran a task")
 	}
-	if err := p.RunErr(0, func(*[]int, int) error { return nil }); err != nil {
-		t.Fatalf("zero-task RunErr: %v", err)
+	if err := p.RunErrCtx(context.Background(), 0, func(*[]int, int) error { return nil }); err != nil {
+		t.Fatalf("zero-task RunErrCtx: %v", err)
 	}
 }
 
-// RunErr on the runtime: failures stop dispensing, the runtime stays
-// usable, and the phase barrier releases with undispensed tasks
+// RunErrCtx on the runtime: failures stop dispensing, the runtime
+// stays usable, and the phase barrier releases with undispensed tasks
 // refunded.
 func TestRuntimeRunErrStops(t *testing.T) {
 	rt := NewRuntime()
 	defer rt.Close()
 	p := NewOn(rt, 4, func(w int) struct{} { return struct{}{} })
 	var dispensed atomic.Int64
-	err := p.RunErr(10_000, func(_ struct{}, task int) error {
+	err := p.RunErrCtx(context.Background(), 10_000, func(_ struct{}, task int) error {
 		dispensed.Add(1)
 		if task >= 5 {
 			return errBoom{}
@@ -171,7 +166,7 @@ func TestRuntimeRunErrStops(t *testing.T) {
 	var ran atomic.Int64
 	p.Run(32, func(struct{}, int) { ran.Add(1) })
 	if ran.Load() != 32 {
-		t.Fatalf("%d tasks ran after RunErr stop, want 32", ran.Load())
+		t.Fatalf("%d tasks ran after RunErrCtx stop, want 32", ran.Load())
 	}
 }
 

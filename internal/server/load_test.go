@@ -18,9 +18,9 @@ import (
 // BenchmarkTranslatordLoad is the daemon's closed-loop load harness:
 // a fixed client herd drives /translate/batch over real HTTP against
 // planted synthetic data at GOMAXPROCS=4 and reports end-to-end
-// throughput (rows/s) and served tail latency (p99-ms). benchreport
-// tracks both across commits; a shedding or admission regression shows
-// up as a p99 cliff long before correctness tests would notice.
+// throughput (rows/s) and served tail latency (p99-ms). A shedding or
+// admission regression shows up as a p99 cliff long before correctness
+// tests would notice.
 func BenchmarkTranslatordLoad(b *testing.B) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 

@@ -43,10 +43,8 @@
 // boundary, a worker-phase task boundary, or the periodic probe inside
 // a deep search branch — and returns the rules mined so far alongside
 // ctx.Err(). A cancelled run leaves its Session reusable. With an
-// uncancelled context results are bit-identical to the pre-context API
-// for every worker count, and the error is nil for the in-memory
-// miners. The v1 signatures survive one release as deprecated wrappers
-// (MineExactV1 etc.); see README.md's "Migrating to the v2 API".
+// uncancelled context results are bit-identical for every worker
+// count, and the error is nil for the in-memory miners.
 //
 // # Serving
 //
