@@ -1,7 +1,7 @@
 // Command twovet is the repo's multichecker: it runs the custom
 // static-analysis suite of internal/lint (detorder, ctxprobe,
-// freelistown, nowallclock, scratchescape) over the module, next to
-// `go vet` and staticcheck in CI.
+// nowallclock, scratchescape) over the module, next to `go vet` and
+// staticcheck in CI.
 //
 // Usage:
 //

@@ -97,12 +97,33 @@ func BenchmarkAndNotAndNotCount(b *testing.B) {
 	})
 }
 
+func BenchmarkAndOrCount(b *testing.B) {
+	benchWidths(b, 3, func(b *testing.B, x, y *Set, _ []float64) {
+		z := y.Clone()
+		z.Xor(x)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			sinkInt = AndOrCount(x, y, z)
+		}
+	})
+}
+
 func BenchmarkIntersectInto(b *testing.B) {
 	benchWidths(b, 4, func(b *testing.B, x, y *Set, _ []float64) {
 		dst := New(x.Len())
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			IntersectInto(dst, x, y)
+		}
+	})
+}
+
+func BenchmarkIntersectIntoCount(b *testing.B) {
+	benchWidths(b, 4, func(b *testing.B, x, y *Set, _ []float64) {
+		dst := New(x.Len())
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			sinkInt = IntersectIntoCount(dst, x, y)
 		}
 	})
 }
@@ -185,16 +206,5 @@ func BenchmarkForEach(b *testing.B) {
 			return true
 		})
 		sinkInt = sum
-	}
-}
-
-// BenchmarkFreeList measures the Get/Put pair on the hot (inline) size
-// class — the ECLAT walk's per-node recycling cost.
-func BenchmarkFreeList(b *testing.B) {
-	var f FreeList
-	f.Put(New(4096))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f.Put(f.Get(4096))
 	}
 }

@@ -206,6 +206,16 @@ func IntersectInto(dst, a, b *Set) {
 	intersectWords(dst.words, a.words, b.words)
 }
 
+// IntersectIntoCount sets dst = a ∩ b like IntersectInto and returns
+// |dst| from the same pass over the words. It is the kernel behind the
+// ECLAT walk's kid pass, which needs every extension's tidset and
+// support together.
+func IntersectIntoCount(dst, a, b *Set) int {
+	a.mustMatch(b)
+	a.mustMatch(dst)
+	return intersectCountWords(dst.words, a.words, b.words)
+}
+
 // IntersectIntoSum sets dst = a ∩ b like IntersectInto and returns
 // Σ_{i ∈ dst} w[i], accumulated in ascending bit order — the same order
 // as ForEach, so the sum is bit-identical to iterating the intersection
@@ -268,6 +278,15 @@ func AndNotAndNotCount(a, b, c *Set) int {
 	a.mustMatch(b)
 	a.mustMatch(c)
 	return andNotAndNotCountWords(a.words, b.words, c.words)
+}
+
+// AndOrCount returns |a ∩ (b ∪ c)| in one fused pass. It is the kernel
+// behind the local cover's recount: with U and E disjoint, one pass
+// over a tidset and both columns counts |tids ∩ U| + |tids ∩ E|.
+func AndOrCount(a, b, c *Set) int {
+	a.mustMatch(b)
+	a.mustMatch(c)
+	return andOrCountWords(a.words, b.words, c.words)
 }
 
 // Equal reports whether s and o contain exactly the same bits. It

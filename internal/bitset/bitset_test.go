@@ -113,39 +113,6 @@ func TestReset(t *testing.T) {
 	}
 }
 
-func TestFreeList(t *testing.T) {
-	var f FreeList
-	a := f.Get(100)
-	if a.Len() != 100 || !a.Empty() {
-		t.Fatalf("fresh Get: len=%d empty=%v", a.Len(), a.Empty())
-	}
-	a.Add(7)
-	f.Put(a)
-	if f.Len() != 1 {
-		t.Fatalf("free list holds %d, want 1", f.Len())
-	}
-	// Same size class: recycled, contents unspecified (may be dirty).
-	b := f.Get(100)
-	if b != a {
-		t.Fatal("matching class was not recycled")
-	}
-	if f.Len() != 0 {
-		t.Fatal("recycled set still on the list")
-	}
-	// A different word-count class misses and allocates fresh.
-	f.Put(b)
-	c := f.Get(1000)
-	if c == b || c.Len() != 1000 {
-		t.Fatal("class mismatch must allocate")
-	}
-	// Same word count, different bit width: recycled with the new width.
-	e := f.Get(90) // 90 and 100 bits are both two words
-	if e != b || e.Len() != 90 {
-		t.Fatalf("width-compatible class not recycled (len=%d)", e.Len())
-	}
-	f.Put(nil) // must not panic
-}
-
 func TestNewBatch(t *testing.T) {
 	batch := NewBatch(5, 70)
 	if len(batch) != 5 {

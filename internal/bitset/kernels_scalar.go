@@ -56,6 +56,24 @@ func andNotAndNotCountWords(a, b, c []uint64) int {
 	return n
 }
 
+func andOrCountWords(a, b, c []uint64) int {
+	n := 0
+	for i := range a {
+		n += bits.OnesCount64(a[i] & (b[i] | c[i]))
+	}
+	return n
+}
+
+func intersectCountWords(dst, a, b []uint64) int {
+	c := 0
+	for i := range dst {
+		w := a[i] & b[i]
+		dst[i] = w
+		c += bits.OnesCount64(w)
+	}
+	return c
+}
+
 func intersectWords(dst, a, b []uint64) {
 	for i := range dst {
 		dst[i] = a[i] & b[i]

@@ -136,6 +136,55 @@ func andNotAndNotCountWords(a, b, c []uint64) int {
 	return out
 }
 
+// andOrCountWords returns Σ popcount(a[i] & (b[i] | c[i])).
+func andOrCountWords(a, b, c []uint64) int {
+	b = b[:len(a)]
+	c = c[:len(a)]
+	i, out := 0, 0
+	if len(a) >= stripeMinWords {
+		var c0, c1, c2, c3 int
+		n := len(a) &^ (stripeWords - 1)
+		for ; i < n; i += stripeWords {
+			c0 += bits.OnesCount64(a[i] & (b[i] | c[i]))
+			c1 += bits.OnesCount64(a[i+1] & (b[i+1] | c[i+1]))
+			c2 += bits.OnesCount64(a[i+2] & (b[i+2] | c[i+2]))
+			c3 += bits.OnesCount64(a[i+3] & (b[i+3] | c[i+3]))
+		}
+		out = c0 + c1 + c2 + c3
+	}
+	for ; i < len(a); i++ {
+		out += bits.OnesCount64(a[i] & (b[i] | c[i]))
+	}
+	return out
+}
+
+// intersectCountWords sets dst[i] = a[i] & b[i] and returns the
+// popcount of the result. dst may alias a or b.
+func intersectCountWords(dst, a, b []uint64) int {
+	a = a[:len(dst)]
+	b = b[:len(dst)]
+	i, c := 0, 0
+	if len(dst) >= stripeMinWords {
+		var c0, c1, c2, c3 int
+		n := len(dst) &^ (stripeWords - 1)
+		for ; i < n; i += stripeWords {
+			w0, w1, w2, w3 := a[i]&b[i], a[i+1]&b[i+1], a[i+2]&b[i+2], a[i+3]&b[i+3]
+			dst[i], dst[i+1], dst[i+2], dst[i+3] = w0, w1, w2, w3
+			c0 += bits.OnesCount64(w0)
+			c1 += bits.OnesCount64(w1)
+			c2 += bits.OnesCount64(w2)
+			c3 += bits.OnesCount64(w3)
+		}
+		c = c0 + c1 + c2 + c3
+	}
+	for ; i < len(dst); i++ {
+		w := a[i] & b[i]
+		dst[i] = w
+		c += bits.OnesCount64(w)
+	}
+	return c
+}
+
 // intersectWords sets dst[i] = a[i] & b[i]. dst may alias a or b.
 func intersectWords(dst, a, b []uint64) {
 	a = a[:len(dst)]

@@ -95,6 +95,16 @@ func refAndNotAndNotCount(a, b, c *Set) int {
 	return n
 }
 
+func refAndOrCount(a, b, c *Set) int {
+	n := 0
+	for i := 0; i < a.Len(); i++ {
+		if a.Contains(i) && (b.Contains(i) || c.Contains(i)) {
+			n++
+		}
+	}
+	return n
+}
+
 // refWeightedSum accumulates exactly like the contract demands: one
 // addition per set bit, ascending order.
 func refWeightedSum(s *Set, w []float64) float64 {
@@ -133,6 +143,9 @@ func TestKernelsMatchBitReference(t *testing.T) {
 				if got, want := AndNotAndNotCount(a, b, c), refAndNotAndNotCount(a, b, c); got != want {
 					t.Fatalf("n=%d da=%v db=%v: AndNotAndNotCount = %d, want %d", n, da, db, got, want)
 				}
+				if got, want := AndOrCount(a, b, c), refAndOrCount(a, b, c); got != want {
+					t.Fatalf("n=%d da=%v db=%v: AndOrCount = %d, want %d", n, da, db, got, want)
+				}
 				if got, want := a.Count(), refAndCount(a, a); got != want {
 					t.Fatalf("n=%d da=%v: Count = %d, want %d", n, da, got, want)
 				}
@@ -145,6 +158,14 @@ func TestKernelsMatchBitReference(t *testing.T) {
 					if dst.Contains(i) != (a.Contains(i) && b.Contains(i)) {
 						t.Fatalf("n=%d: IntersectInto wrong at bit %d", n, i)
 					}
+				}
+				dst1 := New(n)
+				fillRandom(r, dst1, 0.5) // fully overwritten
+				if got, want := IntersectIntoCount(dst1, a, b), refAndCount(a, b); got != want {
+					t.Fatalf("n=%d da=%v db=%v: IntersectIntoCount = %d, want %d", n, da, db, got, want)
+				}
+				if !dst1.Equal(dst) {
+					t.Fatalf("n=%d: IntersectIntoCount set differs from IntersectInto", n)
 				}
 				dst2 := New(n)
 				sum := IntersectIntoSum(dst2, a, b, w)
@@ -232,49 +253,5 @@ func TestKernelsTrailingWordMasking(t *testing.T) {
 		if n == 0 && a.Intersects(b) {
 			t.Fatal("width-0 sets cannot intersect")
 		}
-	}
-}
-
-// TestFreeListClasses pins the inline hot class and the map fallback:
-// recycling through one width never allocates a map, and a second width
-// falls back without disturbing the first.
-func TestFreeListClasses(t *testing.T) {
-	var f FreeList
-	a := f.Get(100)
-	b := f.Get(100)
-	f.Put(a)
-	f.Put(b)
-	if f.Len() != 2 {
-		t.Fatalf("Len = %d after two Puts, want 2", f.Len())
-	}
-	if f.classes != nil {
-		t.Fatal("single-width recycling must not allocate the class map")
-	}
-	got := f.Get(100)
-	if got != b && got != a {
-		t.Fatal("Get did not recycle a hot-class set")
-	}
-	if got.Len() != 100 {
-		t.Fatalf("recycled width = %d, want 100", got.Len())
-	}
-
-	// A different word capacity lands in the map, and both classes keep
-	// recycling independently.
-	wide := f.Get(1000)
-	f.Put(wide)
-	if f.Len() != 2 {
-		t.Fatalf("Len = %d with two classes, want 2", f.Len())
-	}
-	if w := f.Get(1000); w != wide {
-		t.Fatal("map-class set was not recycled")
-	}
-	if s := f.Get(100); s == nil || s.Len() != 100 {
-		t.Fatal("hot class disturbed by map fallback")
-	}
-
-	// Same word capacity, different bit width: recycles and re-widths.
-	f.Put(f.Get(97))
-	if s := f.Get(99); s.Len() != 99 {
-		t.Fatalf("re-width within a class: Len = %d, want 99", s.Len())
 	}
 }

@@ -42,7 +42,7 @@ func MineCandidates(ctx context.Context, d *dataset.Dataset, minSupport, maxResu
 		TwoView:    true,
 		MaxResults: maxResults,
 		// Candidates carry per-view tidsets, not the joint ones, so the
-		// walk can recycle every tidset it touches.
+		// walk need not copy out any tidset it computes.
 		DropTids: true,
 		Workers:  par.Workers,
 		Runtime:  par.runtime(),

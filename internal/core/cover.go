@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"slices"
 
 	"twoview/internal/bitset"
 	"twoview/internal/dataset"
@@ -67,23 +68,28 @@ func NewCover(ctx context.Context, d *dataset.Dataset, cands []Candidate, par Pa
 // A direction's cover delta of consequent item y depends only on the
 // antecedent's support tidset and on y's U/E columns in the target
 // view. Candidates share their antecedents (MaterializeTids points
-// equal X's, and equal Y's, at one set), so the cover keeps one cell per
-// distinct (target view, antecedent tidset, item) triple and counts
-// each once per state change. A cell is valid while its stamp equals
-// its item's State.version + 1 (zero: never counted); State.applyDir
-// bumps the version of every item whose columns it updates, so any
-// mutation path, Apply or a direct State.AddRule, invalidates exactly
-// the cells of the touched items. Cells are grouped by tidset pointer,
-// so candidates built elsewhere with equal but unshared tidsets stay
-// correct: they only do not share cells. A delta is an exact integer,
-// whoever counts it and however often it is reused, so the tables stay
-// bit-identical for any worker count.
+// equal X's, and equal Y's, at one set), so the cover interns the
+// distinct tidsets to dense ids, keeps one cell per distinct (target
+// view, tidset id, item) triple and counts each once per state change.
+// A cell is valid while its stamp equals its item's State.version + 1
+// (zero: never counted); State.applyDir bumps the version of every item
+// whose columns it updates, so any mutation path, Apply or a direct
+// State.AddRule, invalidates exactly the cells of the touched items.
+// Tidsets are interned by pointer, so candidates built elsewhere with
+// equal but unshared tidsets stay correct: they only do not share
+// cells. A delta is an exact integer, whoever counts it and however
+// often it is reused, so the tables stay bit-identical for any worker
+// count.
 type localCover struct {
 	s       *State
 	cands   []Candidate
 	rt      *pool.Runtime
 	workers int
 
+	// tids lists the distinct antecedent tidsets by id, size their
+	// counts.
+	tids []*bitset.Set
+	size []int32
 	// cells holds one memo cell per distinct pair. cellOf lists, per
 	// candidate from cellOff[ci], the cell of each consequent item in
 	// the layout of Score: the items of Y, then those of X.
@@ -97,30 +103,38 @@ type localCover struct {
 }
 
 // deltaCell is the memo cell of one (target view, antecedent tidset,
-// consequent item) triple.
+// consequent item) triple. The delta splits as coverHits + offset (see
+// State.coverHits): offset does not depend on the cover state, so it is
+// counted once, at the cell's first count, and every later recount is
+// one fused pass.
 type deltaCell struct {
-	tids   *bitset.Set
+	tid    int32 // index into localCover.tids
 	item   int32
 	target dataset.View
+	known  bool   // offset has been counted
 	stamp  uint32 // the item's State.version + 1 when delta was counted
 	delta  int32
+	offset int32 // |t ∩ supp(y)| − |t|
 }
 
 func newLocalCover(s *State, cands []Candidate, rt *pool.Runtime, workers int) *localCover {
 	c := &localCover{s: s, cands: cands, rt: rt, workers: workers, cellOff: make([]int32, len(cands)+1)}
-	type pairKey struct {
-		tids   *bitset.Set
-		item   int32
-		target dataset.View
-	}
-	ids := make(map[pairKey]int32)
+	tidOf := make(map[*bitset.Set]int32)
+	ids := make(map[uint64]int32)
 	cell := func(target dataset.View, tids *bitset.Set, item int) {
-		k := pairKey{tids, int32(item), target}
+		tid, ok := tidOf[tids]
+		if !ok {
+			tid = int32(len(c.tids))
+			tidOf[tids] = tid
+			c.tids = append(c.tids, tids)
+			c.size = append(c.size, int32(tids.Count()))
+		}
+		k := uint64(tid)<<33 | uint64(item)<<1 | uint64(target)
 		id, ok := ids[k]
 		if !ok {
 			id = int32(len(c.cells))
 			ids[k] = id
-			c.cells = append(c.cells, deltaCell{tids: tids, item: k.item, target: target})
+			c.cells = append(c.cells, deltaCell{tid: tid, item: int32(item), target: target})
 		}
 		c.cellOf = append(c.cellOf, id)
 	}
@@ -135,6 +149,23 @@ func newLocalCover(s *State, cands []Candidate, rt *pool.Runtime, workers int) *
 		c.cellOff[ci+1] = int32(len(c.cellOf))
 	}
 	return c
+}
+
+// count recounts cl against the current state. The first count also
+// takes offset; at version 0 the item's U column is its support and its E
+// column empty, so coverHits is |t ∩ supp(y)| too and that one pass
+// gives the whole delta.
+func (c *localCover) count(cl *deltaCell) {
+	t, y := c.tids[cl.tid], int(cl.item)
+	if !cl.known {
+		inSupp := int32(bitset.AndCount(t, c.s.d.Columns(cl.target)[y]))
+		cl.offset, cl.known = inSupp-c.size[cl.tid], true
+		if c.s.version[cl.target][y] == 0 {
+			cl.delta = inSupp + cl.offset
+			return
+		}
+	}
+	cl.delta = int32(c.s.coverHits(cl.target, t, y)) + cl.offset
 }
 
 // scoreChunk caps the cells per counting task, and scoreTasks is the
@@ -171,8 +202,7 @@ func (c *localCover) Score(ctx context.Context, idx []int32, dirty *DirtyItems, 
 	chunk := max(1, min(scoreChunk, len(c.claims)/scoreTasks))
 	err := pool.ForChunksCtxOn(c.rt, ctx, c.workers, len(c.claims), chunk, func(lo, hi int) {
 		for _, id := range c.claims[lo:hi] {
-			cl := &c.cells[id]
-			cl.delta = int32(c.s.coverDelta(cl.target, cl.tids, int(cl.item)))
+			c.count(&c.cells[id])
 		}
 	})
 	if err != nil {
@@ -237,12 +267,28 @@ func ruleGains(coder *mdl.Coder, cd *Candidate, delta []int32) (gainF, gainB flo
 	return foldGain(coder, dataset.Right, cd.Y, delta), foldGain(coder, dataset.Left, cd.X, delta[len(cd.Y):])
 }
 
-// qubOK reports whether the quick bound qub (State.Qub) lets cd reach
-// positive gain. qub reads only the coder, never the cover state, so a
-// candidate's verdict holds for a whole run and the drivers filter the
-// candidates once up front.
-func qubOK(coder *mdl.Coder, cd *Candidate) bool {
-	return qub(coder, cd.X, cd.Y, cd.TidX.Count(), cd.TidY.Count()) > gainEpsilon
+// qubVerdicts sets ok[ci], for every candidate, to whether the quick
+// bound qub (State.Qub) lets it reach positive gain, and returns ok
+// (grown as needed). qub reads only the coder, never the cover state,
+// so a candidate's verdict holds for a whole run and the drivers filter
+// the candidates once up front. Candidates share their tidsets (see
+// MaterializeTids), so each distinct tidset is counted once.
+func qubVerdicts(coder *mdl.Coder, cands []Candidate, ok []bool) []bool {
+	supps := make(map[*bitset.Set]int)
+	count := func(t *bitset.Set) int {
+		n, seen := supps[t]
+		if !seen {
+			n = t.Count()
+			supps[t] = n
+		}
+		return n
+	}
+	ok = slices.Grow(ok[:0], len(cands))[:len(cands)]
+	for ci := range cands {
+		cd := &cands[ci]
+		ok[ci] = qub(coder, cd.X, cd.Y, count(cd.TidX), count(cd.TidY)) > gainEpsilon
+	}
+	return ok
 }
 
 // qub is State.Qub, which reads only the coder.

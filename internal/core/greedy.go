@@ -119,10 +119,7 @@ func MineGreedyOn(ctx context.Context, c Cover, d *dataset.Dataset, cands []Cand
 		return ra.Compare(rb)
 	})
 	// The state-free qub verdict of every candidate, once for the run.
-	ok := slices.Grow(scr.qubOK[:0], len(cands))[:len(cands)]
-	for ci := range cands {
-		ok[ci] = qubOK(coder, &cands[ci])
-	}
+	ok := qubVerdicts(coder, cands, scr.qubOK)
 
 	minBlock, maxBlock := 1, 1
 	if c.ScoresAhead() {

@@ -20,8 +20,11 @@ import (
 type Session struct {
 	rt *pool.Runtime
 	// scratch recycles the round-structured miners' working buffers
-	// (see miningScratch) across the session's mining calls.
-	scratch sync.Pool
+	// (see miningScratch) across the session's mining calls. It is a
+	// plain free list, not a sync.Pool, so whether a call gets its
+	// buffers back does not depend on where garbage collections fell.
+	mu      sync.Mutex
+	scratch []*miningScratch
 }
 
 // NewSession starts a session with its own worker runtime. Workers are
@@ -31,12 +34,19 @@ func NewSession() *Session {
 	return &Session{rt: pool.NewRuntime()}
 }
 
-// Close shuts the session's workers down. The session must not be used
-// afterwards. Close on a nil Session is a no-op.
+// Close shuts the session's workers down and drops its scratch. The
+// session must not be used afterwards. Close on a nil Session is a
+// no-op.
 func (s *Session) Close() {
-	if s != nil && s.rt != nil {
+	if s == nil {
+		return
+	}
+	if s.rt != nil {
 		s.rt.Close()
 	}
+	s.mu.Lock()
+	s.scratch = nil
+	s.mu.Unlock()
 }
 
 // runtime resolves the session to a pool runtime (nil-safe).
@@ -45,15 +55,6 @@ func (s *Session) runtime() *pool.Runtime {
 		return pool.Default()
 	}
 	return s.rt
-}
-
-// scratchPool resolves the session to a miner-scratch pool (nil-safe):
-// sessionless calls share the package-wide pool.
-func (s *Session) scratchPool() *sync.Pool {
-	if s == nil {
-		return &defaultScratchPool
-	}
-	return &s.scratch
 }
 
 // ParallelOptions is the shared concurrency knob embedded by every

@@ -7,23 +7,24 @@ import (
 )
 
 // miningScratch holds the per-call working buffers of the round-structured
-// miners (MineSelect's scoring cache, scored rules and used-item masks,
-// MineGreedy's candidate order, qub verdicts and window buffers). The
-// buffers are recycled through the Session (or, for sessionless calls, a
-// package-wide pool), so repeated mining calls in one session reach a
+// miners (both miners' qub verdicts, MineSelect's scoring cache, top
+// rules and used-item masks, MineGreedy's candidate order and window
+// buffers). The buffers are recycled through the Session's free list
+// (or, for sessionless calls, a package-wide sync.Pool), so repeated
+// mining calls in one session reach a
 // steady state where rounds allocate nothing. Scratch never influences
 // results: every buffer is either truncated to zero length or fully
 // overwritten before it is read.
 type miningScratch struct {
-	cache  selectCache  // SELECT: incremental scoring state
-	scored []scoredRule // SELECT: per-round scored rules
-	usedL  bitset.Set   // SELECT: items used this round, left view
-	usedR  bitset.Set   // SELECT: items used this round, right view
-	order  []int        // GREEDY: candidate order
-	qubOK  []bool       // GREEDY: per-candidate qub verdicts
-	idx    []int32      // GREEDY: the window's qub survivors
-	delta  []int32      // GREEDY: the window's cover deltas
-	views  [][]int32    // GREEDY: per-survivor slices of delta
+	cache selectCache // SELECT: incremental scoring state
+	top   topRules    // SELECT: the round's k best rules
+	usedL bitset.Set  // SELECT: items used this round, left view
+	usedR bitset.Set  // SELECT: items used this round, right view
+	qubOK []bool      // per-candidate qub verdicts
+	order []int       // GREEDY: candidate order
+	idx   []int32     // GREEDY: the window's qub survivors
+	delta []int32     // GREEDY: the window's cover deltas
+	views [][]int32   // GREEDY: per-survivor slices of delta
 }
 
 // defaultScratchPool recycles scratch for callers without a Session.
@@ -32,7 +33,16 @@ var defaultScratchPool sync.Pool
 // getScratch borrows a scratch from the options' session (falling back
 // to the package-wide pool); return it with putScratch.
 func (o ParallelOptions) getScratch() *miningScratch {
-	sc, _ := o.Session.scratchPool().Get().(*miningScratch)
+	var sc *miningScratch
+	if s := o.Session; s != nil {
+		s.mu.Lock()
+		if n := len(s.scratch); n > 0 {
+			sc, s.scratch = s.scratch[n-1], s.scratch[:n-1]
+		}
+		s.mu.Unlock()
+	} else {
+		sc, _ = defaultScratchPool.Get().(*miningScratch)
+	}
 	if sc == nil {
 		sc = new(miningScratch)
 	}
@@ -43,7 +53,13 @@ func (o ParallelOptions) getScratch() *miningScratch {
 // their capacity (that is the point) but hold stale values; holders must
 // not use sc afterwards.
 func (o ParallelOptions) putScratch(sc *miningScratch) {
-	o.Session.scratchPool().Put(sc)
+	if s := o.Session; s != nil {
+		s.mu.Lock()
+		s.scratch = append(s.scratch, sc)
+		s.mu.Unlock()
+		return
+	}
+	defaultScratchPool.Put(sc)
 }
 
 // anyIn reports whether any item of s is set in mask. Items must be

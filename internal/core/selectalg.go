@@ -5,6 +5,7 @@ import (
 	"slices"
 	"sort"
 
+	"twoview/internal/bitset"
 	"twoview/internal/dataset"
 	"twoview/internal/mdl"
 )
@@ -115,8 +116,8 @@ func MineSelectOn(ctx context.Context, c Cover, d *dataset.Dataset, cands []Cand
 	// reach a steady state where rounds allocate nothing.
 	sc := opt.getScratch()
 	cache := &sc.cache
-	cache.reset(d, coder, cands)
-	scored := sc.scored[:0]
+	sc.qubOK = qubVerdicts(coder, cands, sc.qubOK)
+	cache.reset(d, coder, cands, sc.qubOK)
 	usedL, usedR := &sc.usedL, &sc.usedR
 	var err error
 	stopped := false
@@ -130,10 +131,10 @@ func MineSelectOn(ctx context.Context, c Cover, d *dataset.Dataset, cands []Cand
 		// Line 3: select the k rules with the highest Δ_{D,T} among all
 		// rules constructible from the candidates.
 		res.Work.Rounds++
-		if scored, err = cache.score(ctx, c, coder, cands, scored[:0]); err != nil {
+		if err = cache.score(ctx, c, coder, cands, &sc.top, opt.K); err != nil {
 			break
 		}
-		top := topK(scored, opt.K)
+		top := sc.top.rules
 		if len(top) == 0 {
 			break
 		}
@@ -177,37 +178,39 @@ func MineSelectOn(ctx context.Context, c Cover, d *dataset.Dataset, cands []Cand
 		}
 	}
 	res.Work.Recounts = cache.recounts
-	sc.scored = scored // hand the grown capacity back to the pool
 	opt.putScratch(sc)
 	res.Table = table.clipped()
 	res.State = c.State()
 	return res, err
 }
 
-// topK reorders scored so that its first min(k, len(scored)) entries are
-// the k best rules in SELECT's order (scoredRule.before), and returns
-// that prefix: sort-then-truncate without sorting the rest. The prefix
-// is kept sorted, and a later rule is inserted only if it ranks before
-// the current k-th. k must be at least 1.
-func topK(scored []scoredRule, k int) []scoredRule {
-	m := 0 // scored[:m] holds the best rules seen so far, in order
-	for i := range scored {
-		sr := scored[i]
-		if m == k {
-			if !sr.before(scored[k-1]) {
-				continue
-			}
-			scored[i] = scored[k-1] // evicted; slot i is never visited again
-		} else {
-			scored[i] = scored[m]
-			m++
+// topRules keeps the k best rules offered to it, sorted in SELECT's
+// order (scoredRule.before): sort-then-truncate without holding the
+// rest. A rule is inserted only if it ranks before the current k-th.
+type topRules struct {
+	k     int
+	rules []scoredRule
+}
+
+// reset empties t for a round that selects k ≥ 1 rules.
+func (t *topRules) reset(k int) {
+	t.k, t.rules = k, t.rules[:0]
+}
+
+// offer inserts sr if it ranks among the k best offered so far.
+func (t *topRules) offer(sr scoredRule) {
+	n := len(t.rules)
+	if n == t.k {
+		if !sr.before(t.rules[n-1]) {
+			return
 		}
-		// Insert sr into the hole at m-1, keeping scored[:m] sorted.
-		j := sort.Search(m-1, func(j int) bool { return sr.before(scored[j]) })
-		copy(scored[j+1:m], scored[j:m-1])
-		scored[j] = sr
+		n-- // the k-th is evicted
+	} else {
+		t.rules = append(t.rules, scoredRule{})
 	}
-	return scored[:m]
+	j := sort.Search(n, func(j int) bool { return sr.before(t.rules[j]) })
+	copy(t.rules[j+1:n+1], t.rules[j:n])
+	t.rules[j] = sr
 }
 
 // selectCache is MineSelect's incremental scoring state (see the file
@@ -222,6 +225,13 @@ type selectCache struct {
 	// dirty marks, per target view, the items whose U/E columns changed
 	// since the cached deltas were counted.
 	dirty DirtyItems
+	// post lists, per target view and consequent item, the slots whose
+	// candidate has the item on that view's side: the slots a dirty
+	// item makes stale.
+	post [2][][]int32
+	// isStale marks the current round's stale slots while they are
+	// collected.
+	isStale bitset.Set
 	// The current round's stale slots (those with a dirty consequent
 	// item), their candidate indices and their delta slices.
 	stale []int
@@ -241,19 +251,18 @@ type selectSlot struct {
 	gainF, gainB  float64 // Δ_{D|T} of the X→Y and X←Y directions
 }
 
-// reset prepares the cache for a run over cands: it applies the
-// state-free qub filter, caches the rule lengths of the candidates that
-// pass, and marks every item dirty.
-func (c *selectCache) reset(d *dataset.Dataset, coder *mdl.Coder, cands []Candidate) {
+// reset prepares the cache for a run over cands: it keeps the
+// candidates whose qub verdict ok holds (see qubVerdicts), caches their
+// rule lengths, indexes them by consequent item, and marks every item
+// dirty.
+func (c *selectCache) reset(d *dataset.Dataset, coder *mdl.Coder, cands []Candidate, ok []bool) {
 	c.slots = c.slots[:0]
 	n := 0
 	for ci := range cands {
-		cd := &cands[ci]
-		// qub bounds all three directions; a candidate that cannot reach
-		// positive gain is never evaluated.
-		if !qubOK(coder, cd) {
-			continue
+		if !ok[ci] {
+			continue // qub bounds all three directions: never evaluated
 		}
+		cd := &cands[ci]
 		c.slots = append(c.slots, selectSlot{
 			cand:   int32(ci),
 			off:    n,
@@ -263,45 +272,72 @@ func (c *selectCache) reset(d *dataset.Dataset, coder *mdl.Coder, cands []Candid
 		n += len(cd.Y) + len(cd.X)
 	}
 	c.delta = slices.Grow(c.delta[:0], n)[:n]
+	for v := range c.post {
+		items := d.Items(dataset.View(v))
+		c.post[v] = slices.Grow(c.post[v][:0], items)[:items]
+		for it := range c.post[v] {
+			c.post[v][it] = c.post[v][it][:0]
+		}
+	}
+	for i := range c.slots {
+		cd := &cands[c.slots[i].cand]
+		for _, y := range cd.Y {
+			c.post[dataset.Right][y] = append(c.post[dataset.Right][y], int32(i))
+		}
+		for _, x := range cd.X {
+			c.post[dataset.Left][x] = append(c.post[dataset.Left][x], int32(i))
+		}
+	}
+	c.isStale.Reset(len(c.slots))
 	c.dirty.Fill(d)
 	c.recounts = 0
 }
 
 // score has the cover recount the dirty (candidate, item) pairs, refolds
-// the gains of the slots it recounted, and appends every rule with gain
-// above gainEpsilon to dst: in candidate order, and per candidate in the
-// order →, ←, ↔, exactly what scoring every candidate from scratch
-// appends. It leaves no item dirty; dirty.Touch marks the items that
-// adding a rule changes.
-func (c *selectCache) score(ctx context.Context, cv Cover, coder *mdl.Coder, cands []Candidate, dst []scoredRule) ([]scoredRule, error) {
+// the gains of the slots it recounted, and leaves in top the k best
+// rules with gain above gainEpsilon, exactly what sort-then-truncate
+// over scoring every candidate from scratch gives. It leaves no item
+// dirty; dirty.Touch marks the items that adding a rule changes.
+func (c *selectCache) score(ctx context.Context, cv Cover, coder *mdl.Coder, cands []Candidate, top *topRules, k int) error {
+	// The stale slots, found through the postings of the dirty items
+	// and collected in slot order.
+	for _, v := range [2]dataset.View{dataset.Left, dataset.Right} {
+		c.dirty[v].ForEach(func(it int) bool {
+			for _, i := range c.post[v][it] {
+				c.isStale.Add(int(i))
+			}
+			return true
+		})
+	}
 	c.stale, c.idx, c.views = c.stale[:0], c.idx[:0], c.views[:0]
-	for i := range c.slots {
+	c.isStale.ForEach(func(i int) bool {
 		sl := &c.slots[i]
 		cd := &cands[sl.cand]
-		if n := c.dirty.Count(cd.X, cd.Y); n > 0 {
-			c.recounts += int64(n)
-			c.stale = append(c.stale, i)
-			c.idx = append(c.idx, sl.cand)
-			c.views = append(c.views, c.delta[sl.off:sl.off+len(cd.Y)+len(cd.X)])
-		}
-	}
+		c.recounts += int64(c.dirty.Count(cd.X, cd.Y))
+		c.stale = append(c.stale, i)
+		c.idx = append(c.idx, sl.cand)
+		c.views = append(c.views, c.delta[sl.off:sl.off+len(cd.Y)+len(cd.X)])
+		return true
+	})
+	c.isStale.Clear()
 	if err := cv.Score(ctx, c.idx, &c.dirty, c.views); err != nil {
-		return dst, err
+		return err
 	}
 	c.dirty.Clear()
-	for k, i := range c.stale {
+	for j, i := range c.stale {
 		sl := &c.slots[i]
-		sl.gainF, sl.gainB = ruleGains(coder, &cands[sl.cand], c.views[k])
+		sl.gainF, sl.gainB = ruleGains(coder, &cands[sl.cand], c.views[j])
 	}
+	top.reset(k)
 	for i := range c.slots {
 		sl := &c.slots[i]
 		cd := &cands[sl.cand]
 		gains := [3]float64{sl.gainF - sl.lenUni, sl.gainB - sl.lenUni, sl.gainF + sl.gainB - sl.lenBi}
 		for dir, g := range gains {
 			if g > gainEpsilon {
-				dst = append(dst, scoredRule{Rule{X: cd.X, Dir: Directions[dir], Y: cd.Y}, g})
+				top.offer(scoredRule{Rule{X: cd.X, Dir: Directions[dir], Y: cd.Y}, g})
 			}
 		}
 	}
-	return dst, nil
+	return nil
 }

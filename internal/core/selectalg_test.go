@@ -45,10 +45,13 @@ func scoreUncached(s *State, cands []Candidate) []scoredRule {
 }
 
 // checkSelectAgainstOracle runs SELECT(k) round by round on MineSelect's
-// own pieces (selectCache, topK, the overlap-filtered add walk) and
-// asserts that:
-//   - every round's cached scored list equals scoreUncached's exactly: same
-//     rules, same gain bits, same order;
+// own pieces (qubVerdicts, selectCache, topRules, the overlap-filtered
+// add walk) and asserts that:
+//   - the cache's slots are exactly the candidates scoreUncached scores,
+//     and every round, every slot's cached gainF and gainB equal a
+//     from-scratch gainDir bit for bit;
+//   - every round's top k equal sort-then-truncate of scoreUncached's
+//     list: same rules, same gain bits, same order;
 //   - every added rule's scored gain equals its gain recomputed against
 //     the current state at its turn in the walk (the Line-8 argument);
 //   - the rules added equal MineSelect's table, so the walk here is the
@@ -61,35 +64,56 @@ func checkSelectAgainstOracle(t testing.TB, d *dataset.Dataset, cands []Candidat
 	defer rt.Close()
 	cv := newLocalCover(s, cands, rt, workers)
 	var c selectCache
-	c.reset(d, s.coder, cands)
+	c.reset(d, s.coder, cands, qubVerdicts(s.coder, cands, nil))
 	usedL := bitset.New(d.Items(dataset.Left))
 	usedR := bitset.New(d.Items(dataset.Right))
-	var got []scoredRule
+	var top topRules
 	rounds := 0
 	for maxRules == 0 || len(s.table.Rules) < maxRules {
-		var err error
-		if got, err = c.score(ctx, cv, s.coder, cands, got[:0]); err != nil {
+		if err := c.score(ctx, cv, s.coder, cands, &top, k); err != nil {
 			t.Fatal(err)
 		}
 		rounds++
-		want := scoreUncached(s, cands)
-		if len(got) != len(want) {
-			t.Fatalf("round %d: %d scored rules, want %d", rounds, len(got), len(want))
-		}
-		for i := range want {
-			if got[i].Rule.Compare(want[i].Rule) != 0 ||
-				math.Float64bits(got[i].Gain) != math.Float64bits(want[i].Gain) {
-				t.Fatalf("round %d, rule %d: cached %v gain %v, uncached %v gain %v",
-					rounds, i, got[i].Rule, got[i].Gain, want[i].Rule, want[i].Gain)
+		slot := 0
+		for ci := range cands {
+			cd := &cands[ci]
+			if s.Qub(cd.X, cd.Y, cd.TidX.Count(), cd.TidY.Count()) <= gainEpsilon {
+				continue
+			}
+			if slot == len(c.slots) || int(c.slots[slot].cand) != ci {
+				t.Fatalf("round %d: candidate %d passes qub but has no slot", rounds, ci)
+			}
+			sl := &c.slots[slot]
+			slot++
+			wantF := s.gainDir(dataset.Left, cd.TidX, cd.Y)
+			wantB := s.gainDir(dataset.Right, cd.TidY, cd.X)
+			if math.Float64bits(sl.gainF) != math.Float64bits(wantF) || math.Float64bits(sl.gainB) != math.Float64bits(wantB) {
+				t.Fatalf("round %d, candidate %d: cached gains %v/%v, from scratch %v/%v",
+					rounds, ci, sl.gainF, sl.gainB, wantF, wantB)
 			}
 		}
-		top := topK(got, k)
-		if len(top) == 0 {
+		if slot != len(c.slots) {
+			t.Fatalf("round %d: %d slots, %d candidates pass qub", rounds, len(c.slots), slot)
+		}
+		want := scoreUncached(s, cands)
+		sort.Slice(want, func(a, b int) bool { return want[a].before(want[b]) })
+		want = want[:min(k, len(want))]
+		if len(top.rules) != len(want) {
+			t.Fatalf("round %d: top %d rules, want %d", rounds, len(top.rules), len(want))
+		}
+		for i := range want {
+			if got := top.rules[i]; got.Rule.Compare(want[i].Rule) != 0 ||
+				math.Float64bits(got.Gain) != math.Float64bits(want[i].Gain) {
+				t.Fatalf("round %d, rule %d: cached %v gain %v, uncached %v gain %v",
+					rounds, i, got.Rule, got.Gain, want[i].Rule, want[i].Gain)
+			}
+		}
+		if len(top.rules) == 0 {
 			break
 		}
 		usedL.Clear()
 		usedR.Clear()
-		for _, sr := range top {
+		for _, sr := range top.rules {
 			if maxRules > 0 && len(s.table.Rules) >= maxRules {
 				break
 			}
@@ -130,7 +154,7 @@ func checkSelectAgainstOracle(t testing.TB, d *dataset.Dataset, cands []Candidat
 	}
 }
 
-// topK must return exactly sort-then-truncate under SELECT's order,
+// topRules must keep exactly sort-then-truncate under SELECT's order,
 // including among rules with equal gains.
 func TestTopKMatchesSortThenTruncate(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
@@ -153,7 +177,12 @@ func TestTopKMatchesSortThenTruncate(t *testing.T) {
 		want := slices.Clone(scored)
 		sort.Slice(want, func(a, b int) bool { return want[a].before(want[b]) })
 		for _, k := range []int{1, 25, n + 1} {
-			got := topK(slices.Clone(scored), k)
+			var top topRules
+			top.reset(k)
+			for _, sr := range scored {
+				top.offer(sr)
+			}
+			got := top.rules
 			w := want[:min(k, n)]
 			if len(got) != len(w) {
 				t.Fatalf("trial %d k=%d: %d rules, want %d", trial, k, len(got), len(w))

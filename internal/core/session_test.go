@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"runtime"
 	"testing"
 )
 
@@ -72,6 +73,22 @@ func TestSessionNil(t *testing.T) {
 	s.Close()
 	if s.runtime() == nil {
 		t.Fatal("nil session must resolve to the default runtime")
+	}
+}
+
+// A session's scratch comes back as the same buffers whatever the
+// garbage collector did in between, so whether SELECT and GREEDY reuse
+// their buffers does not depend on where collections fall.
+func TestSessionScratchSurvivesGC(t *testing.T) {
+	sess := NewSession()
+	defer sess.Close()
+	par := ParallelOptions{Session: sess}
+	sc := par.getScratch()
+	par.putScratch(sc)
+	runtime.GC()
+	runtime.GC()
+	if got := par.getScratch(); got != sc {
+		t.Fatal("the session's scratch was dropped by a garbage collection")
 	}
 }
 

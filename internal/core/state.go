@@ -31,11 +31,19 @@ import (
 // current table:
 //   - ucol[v][i] = {t : i ∈ t \ t′} and ecol[v][i] = {t : i ∈ t′ \ t};
 //   - E only grows as rules are added (errors are never removed);
+//   - ucol[v][i] ⊆ supp(i) and ecol[v][i] ∩ supp(i) = ∅ (an item is
+//     uncovered only where it occurs and an error only where it does
+//     not), so U and E are disjoint and, for any tidset t, the cover
+//     delta |t ∩ U| − |t \ (supp ∪ E)| equals |t ∩ (U ∪ E)| +
+//     (|t ∩ supp| − |t|). The bracket never changes, so localCover
+//     counts it once per memo cell and each later recount is the one
+//     fused pass of coverHits;
 //   - totals.CorrLen[v] = Σ_t BitsLen(U_t) + BitsLen(E_t) and
 //     tub(t) = BitsLen(U_t);
 //   - version[v][i] changes whenever ucol[v][i] or ecol[v][i] may have:
 //     applyDir, the only writer after NewState, bumps it for every item
-//     it updates. A cover delta (coverDelta) reads nothing else of the
+//     it updates, so at version 0 the U column is still supp(i) and the
+//     E column empty. A cover delta (coverDelta) reads nothing else of the
 //     state, so a delta counted at one version is exact for as long as
 //     the version stands. localCover's memo rests on this; keeping the
 //     version here rather than in the cover means every mutation path
@@ -171,6 +179,13 @@ func (s *State) gainDir(from dataset.View, tids *bitset.Set, cons itemset.Itemse
 func (s *State) coverDelta(target dataset.View, tids *bitset.Set, y int) int {
 	return bitset.AndCount(tids, &s.ucol[target][y]) -
 		bitset.AndNotAndNotCount(tids, s.d.Columns(target)[y], &s.ecol[target][y])
+}
+
+// coverHits returns |tids ∩ (ucol[y] ∪ ecol[y])| in one fused pass:
+// coverDelta minus the state-free |tids ∩ supp(y)| − |tids| (see the
+// State invariants).
+func (s *State) coverHits(target dataset.View, tids *bitset.Set, y int) int {
+	return bitset.AndOrCount(tids, &s.ucol[target][y], &s.ecol[target][y])
 }
 
 // Gain returns Δ_{D,T}(r) = Δ_{D|T}(r) − L(r) (Equation 1): the decrease in

@@ -55,8 +55,8 @@ var poolPhaseFuncs = map[string]bool{
 // striped-core entry points of kernels_striped.go); a loop over kernel
 // calls is a gain/update hot path.
 var kernelFuncs = map[string]bool{
-	"AndCount": true, "AndNotCount": true, "AndNotAndNotCount": true,
-	"IntersectInto": true, "IntersectIntoSum": true, "WeightedSum": true,
+	"AndCount": true, "AndNotCount": true, "AndNotAndNotCount": true, "AndOrCount": true,
+	"IntersectInto": true, "IntersectIntoCount": true, "IntersectIntoSum": true, "WeightedSum": true,
 }
 
 func runCtxprobe(pass *Pass) error {

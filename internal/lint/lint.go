@@ -1,7 +1,7 @@
-// Package lint is the repo's custom static-analysis suite: five
+// Package lint is the repo's custom static-analysis suite: four
 // analyzers that turn the codebase's core invariants — deterministic
-// result tables, bounded cancellation latency, free-list ownership, no
-// wall-clock/randomness in mined results, no escaping pooled scratch —
+// result tables, bounded cancellation latency, no wall-clock/randomness
+// in mined results, no escaping pooled scratch —
 // from "property-tested" into "impossible to merge broken". The
 // cmd/twovet multichecker runs them over the module in CI, next to vet
 // and staticcheck.
@@ -23,8 +23,7 @@
 //	//lint:<key> <reason>
 //
 // where <key> is the analyzer's directive key (e.g.
-// nondeterministic-ok, ctxprobe-ok, freelistown-ok, wallclock-ok,
-// scratchescape-ok). The reason is mandatory by convention: the
+// nondeterministic-ok, ctxprobe-ok, wallclock-ok, scratchescape-ok). The reason is mandatory by convention: the
 // directive documents why the invariant holds at this site even though
 // the analyzer cannot prove it.
 package lint

@@ -19,10 +19,6 @@ func TestCtxprobe(t *testing.T) {
 	linttest.Run(t, "testdata/src/ctxprobe", lint.Ctxprobe)
 }
 
-func TestFreelistown(t *testing.T) {
-	linttest.Run(t, "testdata/src/freelistown", lint.Freelistown)
-}
-
 func TestNowallclock(t *testing.T) {
 	linttest.Run(t, "testdata/src/nowallclock", lint.Nowallclock)
 }

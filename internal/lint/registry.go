@@ -7,7 +7,6 @@ func All() []*Analyzer {
 	return []*Analyzer{
 		Ctxprobe,
 		Detorder,
-		Freelistown,
 		Nowallclock,
 		Scratchescape,
 	}

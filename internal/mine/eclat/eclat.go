@@ -16,17 +16,20 @@
 // pool.Counter; it trips in every schedule iff the total number of
 // results exceeds the cap, so success/failure is deterministic too.
 //
-// The walk is allocation-free in steady state: each worker recycles the
-// tidsets of non-emitted nodes through a bitset.FreeList and builds
-// candidate itemsets in per-depth scratch buffers, so the only
-// allocations that survive warm-up are the emitted results themselves
-// (and none at all under DropTids). Emitted tidsets and itemsets are
-// caller-owned and never recycled.
+// The walk is kids first: a node intersects its tidset with each of its
+// frequent later siblings in one fused pass, absorbs the siblings that
+// contain its whole tidset into its closure, and recurses into the
+// frequent rest. Each worker keeps the kid tidsets and the itemsets in
+// per-depth storage that grows only when the walk first gets that deep
+// or that wide, so the only allocations that survive warm-up are the
+// emitted results themselves. Emitted tidsets and itemsets are
+// caller-owned copies.
 package eclat
 
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"twoview/internal/bitset"
@@ -87,8 +90,8 @@ type Options struct {
 	// DropTids omits the supporting tidsets from the results (FI.Tids
 	// is nil). Callers that only need the itemsets and supports — the
 	// candidate mine derives per-view tidsets separately — should set
-	// it: every walk tidset then recycles through the free-list and the
-	// mine allocates almost nothing beyond the output itself.
+	// it: the mine then allocates almost nothing beyond the itemsets
+	// themselves.
 	DropTids bool
 	// Workers sets the worker-pool size for the tidset-intersection
 	// walk: 0 means GOMAXPROCS, 1 disables parallelism. The mined set
@@ -108,13 +111,14 @@ type walk struct {
 	nLeft   int
 	cols    []*bitset.Set
 	order   []int         // frequent items in search order
+	posOf   []int         // order position of each item, -1 if infrequent
 	emitted *pool.Counter // MaxResults accounting across workers
 }
 
 // ctxProbeMask gates the in-branch cancellation probe: one ctx.Err()
-// call per 1024 visited nodes, so a single huge top-level branch still
-// observes cancellation promptly while the steady-state walk pays one
-// counter increment and mask per node.
+// call per 1024 tidset intersections, so a single huge top-level branch
+// still observes cancellation promptly while the steady-state walk pays
+// one counter increment and mask per intersection.
 const ctxProbeMask = 1<<10 - 1
 
 // Mine returns the (closed) frequent itemsets of the joined views of d
@@ -122,9 +126,9 @@ const ctxProbeMask = 1<<10 - 1
 // deterministic tie-break.
 //
 // Cancelling ctx aborts the walk between branches (and, within a
-// branch, at the next node probe) and returns ctx.Err(); the partial
-// output is discarded. With an uncancelled context the mined set is
-// bit-identical for every worker count, exactly as before.
+// branch, at the next intersection probe) and returns ctx.Err(); the
+// partial output is discarded. With an uncancelled context the mined
+// set is bit-identical for every worker count, exactly as before.
 func Mine(ctx context.Context, d *dataset.Dataset, opt Options) ([]FI, error) {
 	if opt.MinSupport < 1 {
 		opt.MinSupport = 1
@@ -142,34 +146,38 @@ func Mine(ctx context.Context, d *dataset.Dataset, opt Options) ([]FI, error) {
 
 	// Frequent single items, in ascending support order: extending by
 	// rarer items first keeps tidsets small early (standard ECLAT
-	// heuristic) while remaining deterministic.
-	var freq []int
+	// heuristic) while remaining deterministic. They are the kids of
+	// the empty root, each with its column as its tidset.
+	var top []kid
 	for i := 0; i < m; i++ {
-		if cols[i].Count() >= opt.MinSupport {
-			freq = append(freq, i)
+		if c := cols[i].Count(); c >= opt.MinSupport {
+			top = append(top, kid{pos: i, supp: c, tids: cols[i]})
 		}
 	}
-	sort.Slice(freq, func(a, b int) bool {
-		ca, cb := cols[freq[a]].Count(), cols[freq[b]].Count()
-		if ca != cb {
-			return ca < cb
+	sort.Slice(top, func(a, b int) bool {
+		if top[a].supp != top[b].supp {
+			return top[a].supp < top[b].supp
 		}
-		return freq[a] < freq[b]
+		return top[a].pos < top[b].pos
 	})
-	w := &walk{d: d, ctx: ctx, opt: opt, nLeft: nL, cols: cols, order: freq,
-		emitted: new(pool.Counter)}
-
-	all := bitset.New(d.Size())
-	all.Fill()
+	order, posOf := make([]int, len(top)), make([]int, m)
+	for i := range posOf {
+		posOf[i] = -1
+	}
+	for k := range top {
+		it := top[k].pos
+		order[k], posOf[it], top[k].pos = it, k, k
+	}
+	w := &walk{d: d, ctx: ctx, opt: opt, nLeft: nL, cols: cols, order: order,
+		posOf: posOf, emitted: new(pool.Counter)}
 
 	// One task per top-level branch, dynamically scheduled (branch sizes
 	// are heavily skewed toward the rare early items); each worker
-	// appends to its own miner.out and recycles through its own
-	// free-list.
-	workers := pool.Size(opt.Workers, len(w.order))
+	// appends to its own miner.out and keeps its own kid storage.
+	workers := pool.Size(opt.Workers, len(top))
 	p := pool.NewOn(opt.Runtime, workers, func(int) *miner { return &miner{walk: w} })
-	err := p.RunErrCtx(ctx, len(w.order), func(mi *miner, k int) error {
-		return mi.branch(nil, all, k, 0)
+	err := p.RunErrCtx(ctx, len(top), func(mi *miner, k int) error {
+		return mi.visit(nil, top[k], top[k+1:], 0)
 	})
 	if err != nil {
 		return nil, err
@@ -192,137 +200,129 @@ func Mine(ctx context.Context, d *dataset.Dataset, opt Options) ([]FI, error) {
 	return out, nil
 }
 
+// kid is a frequent extension of a search node by the item at order
+// position pos: tids is the node's tidset intersected with the item's
+// column, and supp its size.
+type kid struct {
+	pos  int
+	supp int
+	tids *bitset.Set
+}
+
 // miner is one worker's share of the walk: the shared read-only
-// structures plus a private output slice and private recycling scratch
-// (the free-list of node tidsets and the per-depth itemset buffers).
+// structures plus a private output slice and private per-depth scratch
+// (kid lists, kid tidsets and itemset buffers).
 type miner struct {
 	*walk
 	out []FI
 
-	free  bitset.FreeList   // tidsets of non-emitted nodes, recycled
+	kids  [][]kid           // per-depth kid lists
+	store [][]*bitset.Set   // per-depth kid tidsets, grown on demand
 	sets  []itemset.Itemset // per-depth candidate/closure scratch
-	ticks uint              // node counter driving the periodic ctx probe
+	ticks uint              // intersection counter driving the periodic ctx probe
 }
 
-// scratch returns the (emptied) itemset buffer of the given depth,
-// allocating only when the walk goes deeper than ever before on this
-// worker.
-func (m *miner) scratch(depth int) itemset.Itemset {
+// visit explores the search node that extends parent by kd, the kid at
+// order position kd.pos, and then its own kids. sibs are kd's later
+// frequent siblings: the only items that can extend the node, since an
+// item infrequent beside parent stays infrequent below it.
+//
+// Kids first: the node intersects its tidset with every sibling's in
+// one fused pass (bitset.IntersectIntoCount). A sibling whose count
+// equals the node's support contains the whole tidset, so it belongs to
+// the node's closure and is absorbed; the frequent rest become the
+// node's kids. Every closure item after kd.pos is a sibling (an item of
+// parent is in the itemset already, and an infrequent one cannot
+// contain a frequent tidset), so only the items before kd.pos remain
+// for the prefix-preserving test (canonical).
+//
+// Scratch discipline: the node's itemset lives in this depth's buffer
+// and its kids' tidsets in this depth's store. Both are overwritten only
+// by the node's later siblings, after this subtree has returned, and
+// are cloned on emission, so the steady-state walk does not allocate.
+func (m *miner) visit(parent itemset.Itemset, kd kid, sibs []kid, depth int) error {
 	for len(m.sets) <= depth {
 		m.sets = append(m.sets, nil)
+		m.kids = append(m.kids, nil)
+		m.store = append(m.store, nil)
 	}
-	return m.sets[depth][:0]
-}
+	cand := insertSortedInto(m.sets[depth][:0], parent, m.order[kd.pos])
+	m.sets[depth] = cand // remember grown capacity for reuse
+	if m.opt.MaxItems > 0 && len(cand) > m.opt.MaxItems {
+		return nil
+	}
+	if m.opt.Closed && !m.canonical(cand, kd) {
+		// An item before kd.pos closes cand, so this node (and every
+		// extension, whose closure contains that item too) duplicates
+		// an already-explored closed set.
+		return nil
+	}
 
-// dfs grows the current itemset (cur, with tidset tids) by items at order
-// positions ≥ start. depth is the recursion level, used to select the
-// per-depth scratch buffers.
-func (m *miner) dfs(cur itemset.Itemset, tids *bitset.Set, start, depth int) error {
-	for k := start; k < len(m.order); k++ {
-		if err := m.branch(cur, tids, k, depth); err != nil {
+	kids, store := m.kids[depth][:0], m.store[depth]
+	for _, s := range sibs {
+		if m.ticks++; m.ticks&ctxProbeMask == 0 {
+			if err := m.ctx.Err(); err != nil {
+				return err
+			}
+		}
+		if len(kids) == len(store) {
+			store = append(store, bitset.New(m.d.Size()))
+		}
+		dst := store[len(kids)]
+		switch c := bitset.IntersectIntoCount(dst, kd.tids, s.tids); {
+		case m.opt.Closed && c == kd.supp:
+			cand = insertInPlace(cand, m.order[s.pos])
+		case c >= m.opt.MinSupport:
+			kids = append(kids, kid{pos: s.pos, supp: c, tids: dst})
+		}
+	}
+	m.sets[depth], m.kids[depth], m.store[depth] = cand, kids, store
+
+	if m.opt.MaxItems == 0 || len(cand) <= m.opt.MaxItems {
+		if !m.opt.TwoView || m.isTwoView(cand) {
+			fi := FI{Items: cand.Clone(), Supp: kd.supp}
+			if !m.opt.DropTids {
+				fi.Tids = kd.tids.Clone()
+			}
+			m.out = append(m.out, fi)
+			if m.opt.MaxResults > 0 && int(m.emitted.Add()) > m.opt.MaxResults {
+				return fmt.Errorf("eclat: more than %d itemsets; raise MinSupport", m.opt.MaxResults)
+			}
+		}
+	}
+	if m.opt.MaxItems > 0 && len(cand) >= m.opt.MaxItems {
+		return nil // every extension outgrows the bound
+	}
+	for j := range kids {
+		if err := m.visit(cand, kids[j], kids[j+1:], depth+1); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// branch extends the current itemset (cur, with tidset tids) by the item
-// at order position k and recurses into positions > k. For closed mining
-// it applies the prefix-preserving closure test: the closure of the
-// extension must not contain any item that precedes the generating item
-// in the search order, otherwise the branch duplicates an
-// already-explored closed set.
-//
-// Scratch discipline: the extended itemset lives in this depth's scratch
-// buffer (siblings at the same depth overwrite it only after the subtree
-// below has returned) and the child tidset comes from the worker's
-// free-list. Both are cloned, or handed over, only on emission —
-// everything else recycles, so the steady-state walk does not allocate.
-func (m *miner) branch(cur itemset.Itemset, tids *bitset.Set, k, depth int) error {
-	if m.ticks++; m.ticks&ctxProbeMask == 0 {
-		if err := m.ctx.Err(); err != nil {
-			return err
-		}
+// canonical is the prefix-preserving test of closed mining: it reports
+// whether no item before kd's order position, outside cand, contains
+// kd's tidset. An item that does contains the tidset's first
+// transaction, so only the items of that row are tested.
+func (m *miner) canonical(cand itemset.Itemset, kd kid) bool {
+	words := kd.tids.Words()
+	w := 0
+	for words[w] == 0 {
+		w++ // a kid's tidset is frequent, hence not empty
 	}
-	it := m.order[k]
-	if cur.Contains(it) {
-		return nil // already absorbed by a closure on this path
-	}
-	// The child tidset is fully overwritten by the intersection, so a
-	// recycled set needs no clearing.
-	child := m.free.Get(m.d.Size())
-	bitset.IntersectInto(child, tids, m.cols[it])
-	supp := child.Count()
-	if supp < m.opt.MinSupport {
-		m.free.Put(child)
-		return nil
-	}
-	cand := insertSortedInto(m.scratch(depth), cur, it)
-	if m.opt.MaxItems > 0 && len(cand) > m.opt.MaxItems {
-		m.sets[depth] = cand
-		m.free.Put(child)
-		return nil
-	}
-	next := cand
-	emit := cand
-	if m.opt.Closed {
-		closure, ok := m.closure(cand, child, k)
-		if !ok {
-			// Non-canonical: an item preceding position k closes
-			// cand, so this branch (and every extension, whose
-			// closure would contain that item too) duplicates an
-			// already-explored closed set.
-			m.sets[depth] = cand
-			m.free.Put(child)
-			return nil
-		}
-		next, emit = closure, closure
-		if m.opt.MaxItems > 0 && len(emit) > m.opt.MaxItems {
-			emit = nil // closure outgrew the bound; recurse only
-		}
-	}
-	m.sets[depth] = next // remember grown capacity for reuse
-	retained := false
-	if emit != nil && (!m.opt.TwoView || m.isTwoView(emit)) {
-		fi := FI{Items: emit.Clone(), Supp: supp}
-		if !m.opt.DropTids {
-			fi.Tids = child
-			retained = true
-		}
-		m.out = append(m.out, fi)
-		if m.opt.MaxResults > 0 && int(m.emitted.Add()) > m.opt.MaxResults {
-			return fmt.Errorf("eclat: more than %d itemsets; raise MinSupport", m.opt.MaxResults)
-		}
-	}
-	err := m.dfs(next, child, k+1, depth+1)
-	if !retained {
-		//lint:freelistown-ok retained is set exactly when fi.Tids captured child, so this Put never recycles an emitted tidset
-		m.free.Put(child)
-	}
-	return err
-}
-
-// closure extends cur in place with every item whose tidset is a superset
-// of tids. ok is false when some such item precedes position k in the
-// search order without being in cur (the ppc test). cur must live in the
-// caller's scratch buffer; the returned slice is the (possibly regrown)
-// same buffer.
-func (m *miner) closure(cur itemset.Itemset, tids *bitset.Set, k int) (itemset.Itemset, bool) {
-	// Each order position is visited once, so testing Contains against
-	// the growing set is equivalent to testing against the original cur:
-	// an item added by this loop is never revisited.
-	for r, it := range m.order {
-		if cur.Contains(it) {
-			continue
-		}
-		if tids.SubsetOf(m.cols[it]) {
-			if r < k {
-				return nil, false
+	t := w*bitset.WordBits + bits.TrailingZeros64(words[w])
+	for v, off := range [2]int{0, m.nLeft} {
+		for wi, word := range m.d.Row(dataset.View(v), t).Words() {
+			for ; word != 0; word &= word - 1 {
+				it := off + wi*bitset.WordBits + bits.TrailingZeros64(word)
+				if r := m.posOf[it]; r >= 0 && r < kd.pos && !cand.Contains(it) && kd.tids.SubsetOf(m.cols[it]) {
+					return false
+				}
 			}
-			cur = insertInPlace(cur, it)
 		}
 	}
-	return cur, true
+	return true
 }
 
 func (m *miner) isTwoView(s itemset.Itemset) bool {

@@ -2,8 +2,10 @@ package eclat
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"sort"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -377,5 +379,54 @@ func TestQuickClosedMatchesBruteForce(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// countdownCtx is a context whose Err flips to Canceled after limit
+// calls. The walk only consults Err.
+type countdownCtx struct {
+	context.Context
+	probes atomic.Int64
+	limit  int64
+}
+
+func (c *countdownCtx) Err() error {
+	if c.probes.Add(1) > c.limit {
+		return context.Canceled
+	}
+	return c.Context.Err()
+}
+
+// The walk must observe a cancellation inside a top-level branch. The
+// pool probes the context once per branch and once at the end, so a
+// countdown of branches+1 calls lets all of those probes pass: only the
+// walk's own probe, made every 1,024 intersections, can trip it. Over 16
+// items at 90% density every itemset is frequent, so the first branch
+// alone makes 2^15 − 1 intersections, one per itemset it extends to,
+// and at one worker the countdown trips there, at the 17,408th.
+func TestCancelInsideBranch(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	const items = 8
+	d := dataset.MustNew(dataset.GenericNames("l", items), dataset.GenericNames("r", items))
+	for i := 0; i < 64; i++ {
+		var left, right []int
+		for j := 0; j < items; j++ {
+			if r.Float64() < 0.9 {
+				left = append(left, j)
+			}
+			if r.Float64() < 0.9 {
+				right = append(right, j)
+			}
+		}
+		if err := d.AddRow(left, right); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, workers := range []int{1, 4} {
+		ctx := &countdownCtx{Context: context.Background(), limit: 2*items + 1}
+		_, err := Mine(ctx, d, Options{MinSupport: 1, DropTids: true, Workers: workers})
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
+		}
 	}
 }

@@ -12,12 +12,13 @@ import (
 	"twoview/internal/itemset"
 )
 
-// This file pins the free-list/scratch-reuse walk to the seed
-// implementation: referenceMine is the pre-recycling walk (fresh
-// allocations per node, no tidset reuse, no in-place itemset edits),
-// kept verbatim as an executable specification. The property tests
-// require the recycled walk to emit exactly the same FI sequence —
-// order included — on random datasets.
+// This file pins the kids-first walk to the seed implementation:
+// referenceMine is the original one-branch-per-extension walk (fresh
+// allocations per node, closure by a subset test against every item, no
+// in-place itemset edits), kept verbatim as an executable
+// specification. The property tests require Mine — kid passes, closure
+// by absorption, per-depth storage — to emit exactly the same FI
+// sequence, order included, on random datasets.
 
 // referenceMine mirrors Mine with the seed allocation behavior, serial.
 func referenceMine(d *dataset.Dataset, opt Options) ([]FI, error) {
@@ -169,7 +170,7 @@ func sameFIs(t *testing.T, got, want []FI, ctx string) {
 	}
 }
 
-// The recycled walk must emit exactly the reference FI sequence on
+// The kids-first walk must emit exactly the reference FI sequence on
 // random datasets, for every option mix and worker count.
 func TestRecyclingMatchesReference(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
@@ -201,7 +202,7 @@ func TestRecyclingMatchesReference(t *testing.T) {
 }
 
 // quick.Check property: for arbitrary seeds, closed two-view mining
-// with recycling equals the seed implementation, order included.
+// by the kids-first walk equals the seed implementation, order included.
 func TestQuickRecyclingMatchesReference(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -235,8 +236,8 @@ func TestQuickRecyclingMatchesReference(t *testing.T) {
 	}
 }
 
-// DropTids must change nothing but the Tids fields, and must leave the
-// free-list actually recycling (no retained tidsets at all).
+// DropTids must change nothing but the Tids fields: the walk retains no
+// tidset at all.
 func TestDropTids(t *testing.T) {
 	d := small(t)
 	with, err := Mine(context.Background(), d, Options{MinSupport: 1, Closed: true, TwoView: true})
