@@ -146,6 +146,15 @@ func (c *blobCache) materialize(h *wire.Hello) (*dataset.Dataset, []core.Candida
 	if err != nil {
 		return nil, nil, fmt.Errorf("candidates blob %s: %w", h.CandsHash, err)
 	}
+	// Decoded itemsets are ascending and non-negative, so the last item
+	// bounds each side. One past its alphabet would panic the session
+	// while the supports are computed.
+	for i, c := range cs {
+		if len(c.X) > 0 && c.X[len(c.X)-1] >= d.Items(dataset.Left) ||
+			len(c.Y) > 0 && c.Y[len(c.Y)-1] >= d.Items(dataset.Right) {
+			return nil, nil, fmt.Errorf("candidates blob %s: candidate %d outside the dataset's alphabets", h.CandsHash, i)
+		}
+	}
 	// Hydrate the support tidsets the wire encoding leaves out: they
 	// are dataset-static, so recomputing them here is both cheaper than
 	// shipping them and guaranteed identical to the coordinator's. Like

@@ -1,15 +1,17 @@
 // Command shardworker hosts partitions of the sharded TRANSLATOR-SELECT
 // and TRANSLATOR-GREEDY engine for a remote coordinator (EXACT always
-// runs in-process). It is the TCP reading of
-// internal/shard's proc: the coordinator (a miner run with
+// runs in-process). The coordinator (a miner run with
 // ParallelOptions.ShardAddrs set) dials in, announces partition
 // incarnations via HELLO, transfers the dataset and candidate list only
 // if the worker's content-hash cache misses, and then drives leased
-// SCORE/APPLY rounds exactly as it would drive in-process shards. The
-// worker never makes a mining decision — a partition's state is a pure
-// function of (dataset, ranges, accepted-rule log), so the integers it
-// returns are bit-identical to an in-process shard's and the mined
-// table cannot depend on where partitions ran.
+// SCORE/APPLY rounds. Each hosted incarnation runs shard.Serve, the
+// same code an in-process shard runs, on internal/wire's messages; this
+// command only adds the session around it: frame decoding, the blob
+// cache, routing requests to mailboxes. The worker never makes a
+// mining decision — a partition's state is a pure function of
+// (dataset, ranges, accepted-rule log), so the integers it returns are
+// bit-identical to an in-process shard's and the mined table cannot
+// depend on where partitions ran.
 //
 // One coordinator is served at a time; when its connection ends every
 // hosted incarnation is retired (the coordinator rebuilds them, here or
@@ -33,7 +35,6 @@ import (
 	"net"
 	"time"
 
-	"twoview/internal/pool"
 	"twoview/internal/shutdown"
 )
 
@@ -44,7 +45,7 @@ func main() {
 	var (
 		addr    = flag.String("addr", "127.0.0.1:0", "TCP address to listen on (:0 = ephemeral; the actual address is printed to stdout)")
 		cache   = flag.String("cache", "", "directory for the content-addressed blob cache (empty = in-memory only; a directory survives restarts, so a rejoining worker transfers nothing)")
-		workers = flag.Int("workers", 0, "cap on scoring workers per hosted partition (0 = whatever each HELLO requests)")
+		workers = flag.Int("workers", 0, "cap on scoring workers per hosted partition (0 = GOMAXPROCS, also the ceiling)")
 		drain   = flag.Duration("drain", 2*time.Second, "shutdown drain deadline")
 	)
 	flag.Parse()
@@ -58,11 +59,7 @@ func main() {
 	}
 	fmt.Printf("listening %s\n", ln.Addr())
 
-	w := &worker{
-		cache:   newBlobCache(*cache),
-		rt:      pool.NewRuntime(),
-		workers: *workers,
-	}
+	w := newWorker(*cache, *workers)
 	go func() { <-ctx.Done(); ln.Close() }()
 
 	// One coordinator at a time: a session runs until its stream ends,

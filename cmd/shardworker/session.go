@@ -4,76 +4,57 @@ import (
 	"context"
 	"log"
 	"net"
+	"runtime"
 	"sync"
 
 	"twoview/internal/pool"
+	"twoview/internal/shard"
 	"twoview/internal/wire"
 )
 
 // worker is the per-process state shared by every coordinator session:
 // the content-addressed blob cache and the scoring-pool runtime.
 type worker struct {
-	cache   *blobCache
-	rt      *pool.Runtime
+	cache *blobCache
+	rt    *pool.Runtime
+	// workers caps every hosted incarnation's scoring pool, whatever
+	// its HELLO requests.
 	workers int
+}
+
+// newWorker returns a worker over the blob cache in dir (empty: memory
+// only) whose incarnations score on at most workers goroutines each:
+// the -workers flag, where 0 and anything above GOMAXPROCS mean
+// GOMAXPROCS. A pool's goroutines outlive its phases, so an uncapped
+// HELLO could park any number of them on the runtime.
+func newWorker(dir string, workers int) *worker {
+	if n := runtime.GOMAXPROCS(0); workers <= 0 || workers > n {
+		workers = n
+	}
+	return &worker{cache: newBlobCache(dir), rt: pool.NewRuntime(), workers: workers}
 }
 
 // serve runs one coordinator session: decode frames until the stream
 // dies, then retire every hosted incarnation. The cache survives the
 // session.
-func (w *worker) serve(ctx context.Context, conn net.Conn) {
-	defer conn.Close()
+func (w *worker) serve(ctx context.Context, nc net.Conn) {
 	sctx, cancel := context.WithCancel(ctx)
-	s := &session{
-		w:      w,
-		conn:   conn,
-		ctx:    sctx,
-		cancel: cancel,
-		out:    make(chan []byte, 256),
-		done:   make(chan struct{}),
-	}
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go s.writeLoop(&wg)
-	go func() { // process shutdown must unblock the read below
-		defer wg.Done()
-		select {
-		case <-ctx.Done():
-			s.close()
-		case <-s.done:
-		}
-	}()
-
-	var buf []byte
-	for {
-		var msg wire.Msg
-		var err error
-		msg, buf, err = wire.ReadMsg(conn, buf)
-		if err != nil {
-			break
-		}
-		if !s.handle(msg) {
-			break
-		}
-	}
-	s.close()
-	s.cancel()
-	s.hostWG.Wait()
-	wg.Wait()
+	s := &session{w: w, ctx: sctx}
+	s.conn = shard.NewConn(sctx, nc, 256, &s.wg)
+	s.conn.Read(s.handle)
+	cancel()
+	s.wg.Wait()
 }
 
 // session is one coordinator connection. The hosts and pending slices
 // are owned by the reader goroutine (serve); host goroutines touch only
-// their own mailbox and the out queue.
+// their own mailbox and the connection's write queue.
 type session struct {
-	w      *worker
-	conn   net.Conn
-	ctx    context.Context
-	cancel context.CancelFunc
-	out    chan []byte
-	done   chan struct{}
-	once   sync.Once
-	hostWG sync.WaitGroup
+	w    *worker
+	ctx  context.Context
+	conn *shard.Conn
+	// wg tracks the connection's goroutines and every host's.
+	wg sync.WaitGroup
 
 	// hosts are the live incarnations, linearly searched by partition —
 	// there are at most a handful per worker.
@@ -83,16 +64,18 @@ type session struct {
 	pending []*pendingHello
 }
 
+// host is one running shard.Serve: the incarnation it serves, its
+// mailbox and the cancel that retires it.
+type host struct {
+	part    int32
+	term    uint64
+	mailbox chan wire.Msg
+	cancel  context.CancelFunc
+}
+
 type pendingHello struct {
 	hello  *wire.Hello
 	parked wire.Msg
-}
-
-func (s *session) close() {
-	s.once.Do(func() {
-		close(s.done)
-		s.conn.Close()
-	})
 }
 
 // handle processes one inbound frame; a false return poisons the
@@ -191,7 +174,8 @@ func (s *session) route(part int32, term uint64, msg wire.Msg) {
 }
 
 // start boots the incarnation a HELLO announced, now that its content
-// is fully cached.
+// is fully cached. shard.Serve checks the HELLO itself and crashes the
+// incarnation if it does not fit the dataset.
 func (s *session) start(hm *wire.Hello, parked wire.Msg) {
 	d, cands, err := s.w.cache.materialize(hm)
 	if err != nil {
@@ -199,34 +183,23 @@ func (s *session) start(hm *wire.Hello, parked wire.Msg) {
 		// candidates): no retry on our side fixes that, so crash the
 		// incarnation and let the coordinator decide.
 		log.Printf("partition %d term %d: %v", hm.Part, hm.Term, err)
-		s.sendCrash(hm.Part, hm.Term)
+		s.send(&wire.Crash{Part: hm.Part, Term: hm.Term})
 		return
 	}
-	workers := int(hm.Workers)
-	if workers < 1 {
-		workers = 1
-	}
-	if s.w.workers > 0 && workers > s.w.workers {
-		workers = s.w.workers
-	}
 	ctx, cancel := context.WithCancel(s.ctx)
-	h := &host{
-		sess: s, part: hm.Part, term: hm.Term,
-		d: d, cands: cands,
-		loL: int(hm.LoL), hiL: int(hm.HiL), loR: int(hm.LoR), hiR: int(hm.HiR),
-		log:     hm.Log,
-		workers: workers,
-		ctx:     ctx, cancel: cancel,
-		mailbox: make(chan wire.Msg, hostMailboxDepth),
-	}
+	h := &host{part: hm.Part, term: hm.Term, mailbox: shard.NewMailbox(), cancel: cancel}
 	s.hosts = append(s.hosts, h)
-	s.hostWG.Add(1)
-	go h.loop()
+	s.wg.Add(1)
+	go func() {
+		defer s.wg.Done()
+		defer cancel()
+		shard.Serve(ctx, d, cands, hm, s.w.rt, s.w.workers, h.mailbox, s.send)
+	}()
 	if parked != nil {
 		h.mailbox <- parked // fresh mailbox: never full here
 	}
-	log.Printf("hosting partition %d term %d (items L[%d,%d) R[%d,%d), %d workers, %d log rules)",
-		h.part, h.term, h.loL, h.hiL, h.loR, h.hiR, workers, len(hm.Log))
+	log.Printf("hosting partition %d term %d (items L[%d,%d) R[%d,%d), %d log rules)",
+		hm.Part, hm.Term, hm.LoL, hm.HiL, hm.LoR, hm.HiR, len(hm.Log))
 }
 
 func (s *session) findHost(part int32) *host {
@@ -251,10 +224,6 @@ func (s *session) ack(part int32, term uint64, need uint8) {
 	s.send(&wire.HelloAck{Part: part, Term: term, Need: need})
 }
 
-func (s *session) sendCrash(part int32, term uint64) {
-	s.send(&wire.Crash{Part: part, Term: term})
-}
-
 // send encodes and enqueues one outbound frame, blocking until the
 // writer accepts it or the session dies. Encoding our own replies can
 // only fail on a frame past MaxFrame; the silent drop then surfaces as
@@ -265,23 +234,5 @@ func (s *session) send(m wire.Msg) {
 		log.Printf("dropping unencodable %T: %v", m, err)
 		return
 	}
-	select {
-	case s.out <- frame:
-	case <-s.done:
-	}
-}
-
-func (s *session) writeLoop(wg *sync.WaitGroup) {
-	defer wg.Done()
-	for {
-		select {
-		case frame := <-s.out:
-			if _, err := s.conn.Write(frame); err != nil {
-				s.close()
-				return
-			}
-		case <-s.done:
-			return
-		}
-	}
+	s.conn.Send(frame)
 }

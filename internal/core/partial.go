@@ -17,8 +17,8 @@ import (
 // The split of responsibilities is what makes sharding bit-identical:
 //
 //   - a partition performs only *integer* work — popcounts over its own
-//     ucol/ecol columns (the same fused kernels gainDir/applyDir use) —
-//     and ships per-item (covered, errors) pairs;
+//     ucol/ecol columns (State's own per-item column code, over the
+//     partition's ranges) — and ships per-item (covered, errors) pairs;
 //   - the coordinator performs all *float* accumulation, in exactly the
 //     order gainDir/applyDir would (consequent-item order, with the
 //     same skip guard): the SELECT and GREEDY drivers through foldGain
@@ -49,75 +49,53 @@ type DirCounts struct {
 }
 
 // PartialState is the columnar cover state of one item-range partition:
-// the ucol/ecol tidset columns of State, but only for target-view items
-// in [lo, hi) per view, and none of the row-wise mirrors, scalars or
-// tub arrays (those live with the coordinator; see CoverTotals). It is
-// the private, message-isolated state a mining shard owns.
+// State's U/E columns, but only for target-view items in [lo, hi) per
+// view, and none of the scalars or tub arrays (those live with the
+// coordinator; see CoverTotals). It is the private, message-isolated
+// state a mining shard owns.
 //
 // A PartialState is a pure function of (dataset, ranges, rule log):
 // rebuilding one with NewPartialState + Replay after a shard crash
 // yields bit-identical columns, which is the recovery story of the
 // shard supervisor.
 type PartialState struct {
-	d          *dataset.Dataset
-	lo, hi     [2]int
-	ucol, ecol [2][]bitset.Set
-
-	// Serial scratch for Apply (covered/error tidsets and antecedent
-	// supports), like State.scratch. ScoreDir never touches these, so
-	// concurrent ScoreDir calls against one PartialState are safe.
-	scratch, tids *bitset.Set
+	columns
+	// tids is Apply's serial antecedent-support scratch. ScoreDir never
+	// touches it, so concurrent ScoreDir calls are safe.
+	tids *bitset.Set
 }
 
 // NewPartialState returns the partition [loL, hiL) × [loR, hiR) of the
-// empty-table cover state: every owned U column is the item's support
-// tidset, every owned E column is empty — exactly the owned slice of
-// NewState's columns.
+// empty-table cover state: exactly the owned slice of NewState's
+// columns.
 func NewPartialState(d *dataset.Dataset, loL, hiL, loR, hiR int) *PartialState {
-	ps := &PartialState{d: d}
-	ps.lo[dataset.Left], ps.hi[dataset.Left] = loL, hiL
-	ps.lo[dataset.Right], ps.hi[dataset.Right] = loR, hiR
-	n := d.Size()
-	for _, v := range []dataset.View{dataset.Left, dataset.Right} {
-		lo, hi := ps.lo[v], ps.hi[v]
-		cols := d.Columns(v)
-		ps.ucol[v] = bitset.NewBatch(hi-lo, n)
-		ps.ecol[v] = bitset.NewBatch(hi-lo, n)
-		for i := lo; i < hi; i++ {
-			ps.ucol[v][i-lo].Copy(cols[i])
-		}
-	}
-	ps.scratch = bitset.New(n)
-	ps.tids = bitset.New(n)
-	return ps
+	return &PartialState{columns: newColumns(d, loL, hiL, loR, hiR), tids: bitset.New(d.Size())}
+}
+
+// owns reports whether item y of the target view is in the partition.
+func (ps *PartialState) owns(target dataset.View, y int) bool {
+	return y >= ps.lo[target] && y < ps.hi[target]
 }
 
 // ScoreDir computes the per-item counts of one rule direction for the
 // consequent items this partition owns and dirty marks (nil marks
-// every item): per such item y of cons, the covered count
-// |tids ∩ ucol[y]| and the new-error count |tids \ (supp(y) ∪ ecol[y])|
-// — the same two fused kernels as State.gainDir, yielding the same
-// integers. Items outside the partition are someone else's; items
-// inside are emitted even at (0, 0), so a coordinator can place every
-// requested item's counts and walk cons exactly once (a wire transport
-// may compress the zero entries; see internal/shard's protocol doc).
+// every item): per such item y of cons, State's countItem integers.
+// Items outside the partition are someone else's; items inside are
+// emitted even at (0, 0), so a coordinator can place every requested
+// item's counts and walk cons exactly once (a wire transport may
+// compress the zero entries; see internal/wire).
 //
 // ScoreDir only reads the partition, so any number of concurrent
 // ScoreDir calls (a shard's worker pool scoring a candidate batch) are
 // safe against each other.
 func (ps *PartialState) ScoreDir(target dataset.View, tids *bitset.Set, cons itemset.Itemset, dirty *bitset.Set) []ItemCount {
-	lo, hi := ps.lo[target], ps.hi[target]
-	ucol, ecol := ps.ucol[target], ps.ecol[target]
-	cols := ps.d.Columns(target)
 	var dst []ItemCount
 	//lint:ctxprobe-ok bounded per-rule work (|cons| kernel calls); shard drivers probe ctx at message granularity
 	for _, y := range cons {
-		if y < lo || y >= hi || (dirty != nil && !dirty.Contains(y)) {
-			continue
+		if ps.owns(target, y) && (dirty == nil || dirty.Contains(y)) {
+			covered, errs := ps.countItem(target, tids, y)
+			dst = append(dst, ItemCount{Item: int32(y), Covered: int32(covered), Errors: int32(errs)})
 		}
-		covered := bitset.AndCount(tids, &ucol[y-lo])
-		errs := bitset.AndNotAndNotCount(tids, cols[y], &ecol[y-lo])
-		dst = append(dst, ItemCount{Item: int32(y), Covered: int32(covered), Errors: int32(errs)})
 	}
 	return dst
 }
@@ -148,46 +126,24 @@ func (ps *PartialState) ScoreRule(x, y itemset.Itemset, tidX, tidY *bitset.Set, 
 func (ps *PartialState) Apply(r Rule, fwd, back []ItemCount) DirCounts {
 	if r.AppliesTo(dataset.Left) {
 		ps.d.SupportSetInto(ps.tids, dataset.Left, r.X)
-		fwd = ps.applyDir(dataset.Right, ps.tids, r.Y, fwd)
+		fwd = ps.applyDir(dataset.Right, r.Y, fwd)
 	}
 	if r.AppliesTo(dataset.Right) {
 		ps.d.SupportSetInto(ps.tids, dataset.Right, r.Y)
-		back = ps.applyDir(dataset.Left, ps.tids, r.X, back)
+		back = ps.applyDir(dataset.Left, r.X, back)
 	}
 	return DirCounts{Fwd: fwd, Back: back}
 }
 
-// applyDir updates the owned U/E columns for one rule direction,
-// mirroring State.applyDir restricted to the partition: per owned
-// consequent item, materialize the covered tidset and the new-error
-// tidset, update the columns wholesale, and record the two counts.
-func (ps *PartialState) applyDir(target dataset.View, tids *bitset.Set, cons itemset.Itemset, dst []ItemCount) []ItemCount {
-	lo, hi := ps.lo[target], ps.hi[target]
-	cols := ps.d.Columns(target)
+// applyDir applies the direction whose antecedent support is in
+// ps.tids to the owned consequent items, recording their counts.
+func (ps *PartialState) applyDir(target dataset.View, cons itemset.Itemset, dst []ItemCount) []ItemCount {
 	//lint:ctxprobe-ok bounded per-rule work (|cons| kernel calls); shards apply between message checkpoints
 	for _, y := range cons {
-		if y < lo || y >= hi {
-			continue
+		if ps.owns(target, y) {
+			covered, errs := ps.applyItem(target, ps.tids, y)
+			dst = append(dst, ItemCount{Item: int32(y), Covered: int32(covered), Errors: int32(errs)})
 		}
-		ucol, ecol := &ps.ucol[target][y-lo], &ps.ecol[target][y-lo]
-
-		covered := ps.scratch
-		bitset.IntersectInto(covered, tids, ucol)
-		covCnt := covered.Count()
-		if covCnt > 0 {
-			ucol.AndNot(covered)
-		}
-
-		errs := ps.scratch
-		errs.Copy(tids)
-		errs.AndNot(cols[y])
-		errs.AndNot(ecol)
-		errCnt := errs.Count()
-		if errCnt > 0 {
-			ecol.Or(errs)
-		}
-
-		dst = append(dst, ItemCount{Item: int32(y), Covered: int32(covCnt), Errors: int32(errCnt)})
 	}
 	return dst
 }

@@ -49,47 +49,109 @@ import (
 //     version here rather than in the cover means every mutation path
 //     (Cover.Apply or a direct AddRule) invalidates the memo.
 type State struct {
-	d     *dataset.Dataset
 	coder *mdl.Coder
 	table Table
 
-	// Arrays indexed by the *target* view of a translation:
+	// Indexed by the *target* view of a translation:
 	// target Right ⇔ translation D_L→R, target Left ⇔ D_L←R.
-	ucol   [2][]bitset.Set // columnar U, indexed by item (tidsets)
-	ecol   [2][]bitset.Set // columnar E, indexed by item (tidsets)
-	totals *CoverTotals    // |U|, |E| and L(C|T) per target view
-	tub    [2][]float64    // tub(t) = L(U_t | D_target) per transaction
+	columns              // columnar U and E over the full alphabets
+	totals  *CoverTotals // |U|, |E| and L(C|T) per target view
+	tub     [2][]float64 // tub(t) = L(U_t | D_target) per transaction
 	// version counts, per item, the applyDir updates of its U/E
 	// columns: the stamp that validates localCover's memo cells.
 	version [2][]uint32
+}
 
-	scratch *bitset.Set // width |D|, used serially by applyDir
+// columns is the columnar U/E store over one item range per target
+// view: ucol[v][i-lo[v]] and ecol[v][i-lo[v]] are the U and E tidsets
+// of item i in [lo[v], hi[v]). A State keeps it over the full
+// alphabets and a PartialState over one partition's ranges, so its two
+// per-item methods are the only U/E kernel code either has.
+type columns struct {
+	d          *dataset.Dataset
+	supp       [2][]*bitset.Set // d.Columns, the item supports
+	lo, hi     [2]int
+	ucol, ecol [2][]bitset.Set
+
+	// applyItem's serial scratch: after a call they hold the item's
+	// covered and new-error tidsets.
+	covered, errs *bitset.Set
+}
+
+// newColumns returns the empty-table columns of items [loL, hiL) ×
+// [loR, hiR): every U column is the item's support tidset, every E
+// column is empty. It materializes both Columns caches, which makes
+// them safe to read from parallel phases.
+func newColumns(d *dataset.Dataset, loL, hiL, loR, hiR int) columns {
+	c := columns{d: d, lo: [2]int{loL, loR}, hi: [2]int{hiL, hiR}}
+	n := d.Size()
+	for v := range c.lo {
+		lo, hi := c.lo[v], c.hi[v]
+		c.supp[v] = d.Columns(dataset.View(v))
+		c.ucol[v] = bitset.NewBatch(hi-lo, n)
+		c.ecol[v] = bitset.NewBatch(hi-lo, n)
+		for i := lo; i < hi; i++ {
+			c.ucol[v][i-lo].Copy(c.supp[v][i])
+		}
+	}
+	c.covered, c.errs = bitset.New(n), bitset.New(n)
+	return c
+}
+
+// countItem returns, for item y of the target view and an antecedent
+// support tidset, the number of transactions where y becomes covered,
+// |tids ∩ ucol[y]| (the L(Y ∩ U_t) terms), and the number where it
+// becomes a new error, |tids \ (supp(y) ∪ ecol[y])| (the
+// L(Y \ (t ∪ E_t)) terms). It only reads the columns, so concurrent
+// calls are safe.
+func (c *columns) countItem(target dataset.View, tids *bitset.Set, y int) (covered, errs int) {
+	i := y - c.lo[target]
+	return bitset.AndCount(tids, &c.ucol[target][i]),
+		bitset.AndNotAndNotCount(tids, c.supp[target][y], &c.ecol[target][i])
+}
+
+// applyItem adds one rule direction with antecedent support tids to
+// consequent item y: y becomes covered where it was still uncovered,
+// and a new error where it is neither in the data nor already an error
+// (errors are never removed). It materializes both tidsets with
+// word-level operations, updates the columns wholesale, and returns
+// the two counts countItem would have returned. It uses the scratch,
+// so it must never run concurrently with any other call.
+func (c *columns) applyItem(target dataset.View, tids *bitset.Set, y int) (covered, errs int) {
+	i := y - c.lo[target]
+	ucol, ecol := &c.ucol[target][i], &c.ecol[target][i]
+
+	bitset.IntersectInto(c.covered, tids, ucol)
+	if covered = c.covered.Count(); covered > 0 {
+		ucol.AndNot(c.covered)
+	}
+
+	c.errs.Copy(tids)
+	c.errs.AndNot(c.supp[target][y])
+	c.errs.AndNot(ecol)
+	if errs = c.errs.Count(); errs > 0 {
+		ecol.Or(c.errs)
+	}
+	return covered, errs
 }
 
 // NewState returns the state of the empty translation table: everything is
 // uncovered, nothing is in error, and the score is the baseline L(D,∅).
 func NewState(d *dataset.Dataset, coder *mdl.Coder) *State {
-	s := &State{d: d, coder: coder, totals: NewCoverTotals(d, coder)}
+	s := &State{
+		coder:   coder,
+		columns: newColumns(d, 0, d.Items(dataset.Left), 0, d.Items(dataset.Right)),
+		totals:  NewCoverTotals(d, coder),
+	}
 	n := d.Size()
 	for _, v := range []dataset.View{dataset.Left, dataset.Right} {
-		// Initially U_t = t, so tub(t) = L(t | D_target) and the U
-		// column of item i is exactly the item's support tidset.
-		// Materializing Columns here also makes the lazily built cache
-		// safe to read from parallel phases.
+		// Initially U_t = t, so tub(t) = L(t | D_target).
 		s.tub[v] = make([]float64, n)
 		for t := 0; t < n; t++ {
 			s.tub[v][t] = coder.BitsLen(v, d.Row(v, t))
 		}
-		items := d.Items(v)
-		cols := d.Columns(v)
-		s.ucol[v] = bitset.NewBatch(items, n)
-		s.ecol[v] = bitset.NewBatch(items, n)
-		s.version[v] = make([]uint32, items)
-		for i := 0; i < items; i++ {
-			s.ucol[v][i].Copy(cols[i])
-		}
+		s.version[v] = make([]uint32, d.Items(v))
 	}
-	s.scratch = bitset.New(n)
 	return s
 }
 
@@ -171,14 +233,11 @@ func (s *State) gainDir(from dataset.View, tids *bitset.Set, cons itemset.Itemse
 	return gain
 }
 
-// coverDelta returns, for consequent item y of the target view and an
-// antecedent support tidset, the number of transactions where y becomes
-// covered, |tids ∩ ucol[y]| (the L(Y ∩ U_t) terms), minus the number
-// where it becomes a new error, |tids \ (supp(y) ∪ ecol[y])| (the
-// L(Y \ (t ∪ E_t)) terms): the integer gainDir weighs by L(y).
+// coverDelta returns the integer gainDir weighs by L(y): countItem's
+// covered count minus its new-error count.
 func (s *State) coverDelta(target dataset.View, tids *bitset.Set, y int) int {
-	return bitset.AndCount(tids, &s.ucol[target][y]) -
-		bitset.AndNotAndNotCount(tids, s.d.Columns(target)[y], &s.ecol[target][y])
+	covered, errs := s.countItem(target, tids, y)
+	return covered - errs
 }
 
 // coverHits returns |tids ∩ (ucol[y] ∪ ecol[y])| in one fused pass:
@@ -233,48 +292,27 @@ func (s *State) Rub(x, y itemset.Itemset, tidX, tidY *bitset.Set) float64 {
 
 // applyDir updates the U and E columns, the totals and tub for one
 // direction of a rule. Like gainDir it works item-major: per consequent
-// item y it materializes the covered tidset tids ∩ ucol[y] and the
-// new-error tidset tids \ (supp(y) ∪ ecol[y]) with word-level
-// operations, updates the columns wholesale, walks only the covered
-// transactions to keep tub in sync, and folds the two counts into the
-// totals (CoverTotals.applyItem) — the scalar updates a sharded run's
-// coordinator makes from its shards' counts, in the same order, so both
-// stay bit-identical. applyDir is only called between search phases
-// (AddRule), never concurrently, so it may use the state's scratch set.
+// item y, applyItem updates the columns, the covered transactions it
+// leaves in the scratch are walked to keep tub in sync, and the two
+// counts fold into the totals (CoverTotals.applyItem) — the scalar
+// updates a sharded run's coordinator makes from its shards' counts, in
+// the same order, so both stay bit-identical. applyDir is only called
+// between search phases (AddRule), never concurrently.
 func (s *State) applyDir(from dataset.View, tids *bitset.Set, cons itemset.Itemset) {
 	target := from.Opposite()
-	cols := s.d.Columns(target)
 	//lint:ctxprobe-ok bounded per-rule work (|cons| kernel calls); AddRule runs between iteration checkpoints
 	for _, y := range cons {
-		ucol, ecol := &s.ucol[target][y], &s.ecol[target][y]
 		s.version[target][y]++
-
-		// Transactions where y was still uncovered: it becomes covered.
-		covered := s.scratch
-		bitset.IntersectInto(covered, tids, ucol)
-		covCnt := covered.Count()
+		covCnt, errCnt := s.applyItem(target, tids, y)
 		if covCnt > 0 {
-			ucol.AndNot(covered)
 			// Each covered transaction loses y's length from its
 			// bound, visited in ascending transaction order.
 			l, tub := s.coder.ItemLen(target, y), s.tub[target]
-			covered.ForEach(func(t int) bool {
+			s.covered.ForEach(func(t int) bool {
 				tub[t] -= l
 				return true
 			})
 		}
-
-		// Transactions where y is neither in the data nor already an
-		// error: it becomes a new error (errors are never removed).
-		errs := s.scratch
-		errs.Copy(tids)
-		errs.AndNot(cols[y])
-		errs.AndNot(ecol)
-		errCnt := errs.Count()
-		if errCnt > 0 {
-			ecol.Or(errs)
-		}
-
 		s.totals.applyItem(target, y, covCnt, errCnt)
 	}
 }

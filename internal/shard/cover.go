@@ -41,7 +41,7 @@ func (c *cover) Score(_ context.Context, idx []int32, dirty *core.DirtyItems, de
 		return nil
 	}
 	// Once dispatched, the index list belongs to the request: a replaced
-	// incarnation may still be reading it (see request).
+	// incarnation may still be reading it, so each round gets its own.
 	reps, err := c.r.sv.scoreCands(slices.Clone(idx), dirty)
 	if err != nil {
 		return err
@@ -49,8 +49,8 @@ func (c *cover) Score(_ context.Context, idx []int32, dirty *core.DirtyItems, de
 	for k, ci := range idx {
 		cd := &cands[ci]
 		for _, rep := range reps {
-			putDeltas(cd.Y, delta[k], rep.counts[k].Fwd)
-			putDeltas(cd.X, delta[k][len(cd.Y):], rep.counts[k].Back)
+			putDeltas(cd.Y, delta[k], rep.Counts[k].Fwd)
+			putDeltas(cd.X, delta[k][len(cd.Y):], rep.Counts[k].Back)
 		}
 	}
 	return nil

@@ -2,8 +2,8 @@ package shard
 
 import (
 	"context"
-	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -35,8 +35,8 @@ func newTCPTransport(sv *supervisor, addrs []string) *tcpTransport {
 		t.mgrs[i] = &connMgr{
 			sv:      sv,
 			addr:    a,
-			desired: make([]*incarnation, len(sv.parts)),
-			parked:  make([]*request, len(sv.parts)),
+			desired: make([]*wire.Hello, len(sv.parts)),
+			parked:  make([]wire.Msg, len(sv.parts)),
 		}
 	}
 	t.byPart = make([]*connMgr, len(sv.parts))
@@ -53,10 +53,10 @@ func newTCPTransport(sv *supervisor, addrs []string) *tcpTransport {
 }
 
 func (t *tcpTransport) spawn(part int, term uint64, log []core.Rule) {
-	t.byPart[part].spawn(part, term, log)
+	t.byPart[part].spawn(t.sv.hello(part, term, log))
 }
 
-func (t *tcpTransport) deliver(part int, req *request) {
+func (t *tcpTransport) deliver(part int, req wire.Msg) {
 	t.byPart[part].deliver(part, req)
 }
 
@@ -74,111 +74,79 @@ func (t *tcpTransport) stats(rs *runStats) {
 }
 
 // close is a no-op: the managers exit through the supervisor context
-// (the dialer honours it and each session's watcher closes the conn).
+// (the dialer honours it and each connection's watcher closes it).
 func (t *tcpTransport) close() {}
-
-// incarnation is one desired (term, birth log) of a partition — the
-// state a fresh session announces via HELLO, and the term a dead
-// session's synthesized crash notices carry.
-type incarnation struct {
-	term uint64
-	log  []core.Rule
-}
 
 // connMgr owns one worker address: it dials (and redials, with
 // deterministic backoff), announces the desired incarnations on every
-// new session, relays replies, and converts session death into crash
-// notices. One goroutine per address runs loop; spawn and deliver are
-// called from the supervisor goroutine.
+// new connection, relays replies, and converts connection death into
+// crash notices. One goroutine per address runs loop; spawn and
+// deliver are called from the supervisor goroutine.
 type connMgr struct {
 	sv   *supervisor
 	addr string
 	// nparts is how many partitions this address hosts; it sizes each
-	// session's write queue: queueDepth data frames per partition plus
-	// headroom for the control frames (HELLOs, blobs).
+	// connection's write queue: queueDepth data frames per partition
+	// plus headroom for the control frames (HELLOs, blobs).
 	nparts int
 
 	mu sync.Mutex
-	// desired[p] is partition p's current incarnation when it is hosted
-	// here, nil otherwise.
-	desired []*incarnation
+	// desired[p] is the HELLO of partition p's current incarnation when
+	// it is hosted here, nil otherwise.
+	desired []*wire.Hello
 	// parked[p] is the newest request dispatched to partition p while no
-	// session was up (the initial dial, or a redial window); a fresh
-	// session sends it right after the HELLOs. One slot per partition —
-	// the same depth-bounded, newest-wins contract as every other queue
-	// here — and it only shortcuts the wait: a request that stayed
+	// connection was up (the initial dial, or a redial window); a fresh
+	// connection sends it right after the HELLOs. One slot per partition
+	// — the same depth-bounded, newest-wins contract as every other
+	// queue here — and it only shortcuts the wait: a request that stayed
 	// parked is recovered by the lease like any other drop.
-	parked []*request
-	sess   *session
+	parked []wire.Msg
+	conn   *Conn
 
 	dials     int
 	blobsSent int
 	cacheHits int
 }
 
-func (m *connMgr) spawn(part int, term uint64, log []core.Rule) {
+func (m *connMgr) spawn(h *wire.Hello) {
 	m.mu.Lock()
-	m.desired[part] = &incarnation{term: term, log: log}
-	sess := m.sess
+	m.desired[h.Part] = h
+	conn := m.conn
 	m.mu.Unlock()
-	if sess != nil {
-		sess.sendControl(m.helloFrame(part, term, log))
+	if conn != nil {
+		sendControl(conn, h)
 	}
 }
 
-func (m *connMgr) deliver(part int, req *request) {
+func (m *connMgr) deliver(part int, req wire.Msg) {
 	m.mu.Lock()
-	sess := m.sess
-	if sess == nil {
+	conn := m.conn
+	if conn == nil {
 		m.parked[part] = req // delivered on connect; the lease backstops
 		m.mu.Unlock()
 		return
 	}
 	m.parked[part] = nil
 	m.mu.Unlock()
-	frame, err := encodeRequest(int32(part), req)
-	if err != nil {
-		return
-	}
-	sess.sendData(frame)
+	conn.Offer(encode(req))
 }
 
-// helloFrame encodes partition part's HELLO. A nil return (a log past
-// MaxFrame — far beyond any real table) is silently dropped; the
-// missing announcement surfaces as lease expiry.
-func (m *connMgr) helloFrame(part int, term uint64, log []core.Rule) []byte {
-	r := m.sv.run
-	p := m.sv.parts[part]
-	frame, err := wire.Encode(nil, &wire.Hello{
-		Part: int32(part), Term: term,
-		LoL: int32(p.LoL), HiL: int32(p.HiL),
-		LoR: int32(p.LoR), HiR: int32(p.HiR),
-		Workers:     int32(r.workers),
-		DatasetHash: r.datasetHash,
-		CandsHash:   r.candsHash,
-		Log:         log,
-	})
-	if err != nil {
-		return nil
-	}
+// encode frames m. A message past MaxFrame (a log or dataset far beyond
+// any real run) encodes to nil, which writes nothing: the missing frame
+// surfaces as lease expiry.
+func encode(m wire.Msg) []byte {
+	frame, _ := wire.Encode(nil, m)
 	return frame
 }
 
-// encodeRequest maps an in-process request onto its wire form.
-func encodeRequest(part int32, req *request) ([]byte, error) {
-	switch req.kind {
-	case msgScore:
-		return wire.Encode(nil, &wire.Score{
-			Part: part, Term: req.term, Seq: req.seq, Lease: req.lease,
-			CandIdx: req.candIdx, Dirty: req.dirty,
-		})
-	case msgApply:
-		return wire.Encode(nil, &wire.Apply{
-			Part: part, Term: req.term, Seq: req.seq, Lease: req.lease,
-			Rule: req.rule,
-		})
+// sendControl enqueues a frame that must not be silently lost (HELLO,
+// Blob). If the queue is wedged full the connection is poisoned
+// instead: the redial resends every control frame from the desired
+// state, which a drop would not.
+func sendControl(conn *Conn, m wire.Msg) {
+	if !conn.Offer(encode(m)) {
+		conn.Close()
 	}
-	return nil, fmt.Errorf("shard: unencodable request kind %d", req.kind)
 }
 
 // loop dials the address until the run ends, serving one session per
@@ -233,80 +201,53 @@ func sleepCtx(ctx context.Context, d time.Duration) bool {
 	}
 }
 
-// serve runs one established session: announce the desired
+// serve runs one established connection: announce the desired
 // incarnations, relay frames both ways, and on any failure synthesize
 // crash notices for everything this address hosted — a dead connection
 // and a crashed shard are the same event to the supervisor.
-func (m *connMgr) serve(conn net.Conn) {
+func (m *connMgr) serve(nc net.Conn) {
 	sv := m.sv
-	sess := &session{
-		conn: conn,
-		out:  make(chan []byte, queueDepth*m.nparts+m.nparts+4),
-		done: make(chan struct{}),
-	}
-	sv.run.wg.Add(2)
-	go func() { // a cancelled run must unblock the blocking read below
-		defer sv.run.wg.Done()
-		select {
-		case <-sv.ctx.Done():
-			sess.close()
-		case <-sess.done:
-		}
-	}()
-	go sess.writeLoop(&sv.run.wg)
+	conn := NewConn(sv.ctx, nc, queueDepth*m.nparts+m.nparts+4, &sv.run.wg)
 
 	m.mu.Lock()
 	m.dials++
-	m.sess = sess
-	announce := append([]*incarnation(nil), m.desired...)
-	queued := append([]*request(nil), m.parked...)
-	for part := range m.parked {
-		m.parked[part] = nil
-	}
+	m.conn = conn
+	announce := slices.Clone(m.desired)
+	queued := slices.Clone(m.parked)
+	clear(m.parked)
 	m.mu.Unlock()
-	for part, inc := range announce {
-		if inc != nil {
-			sess.sendControl(m.helloFrame(part, inc.term, inc.log))
+	for _, h := range announce {
+		if h != nil {
+			sendControl(conn, h)
 		}
 	}
 	// Requests that arrived while disconnected ride right behind the
 	// HELLOs (same FIFO queue, so the worker sees the announcement
 	// first); without this, every dial window would cost a full lease.
-	for part, req := range queued {
-		if req == nil {
-			continue
-		}
-		if frame, err := encodeRequest(int32(part), req); err == nil {
-			sess.sendData(frame)
+	for _, req := range queued {
+		if req != nil {
+			conn.Offer(encode(req))
 		}
 	}
 
-	var buf []byte
-	for {
-		var msg wire.Msg
-		var err error
-		msg, buf, err = wire.ReadMsg(conn, buf)
-		if err != nil {
-			break
-		}
-		if !m.handle(sess, msg) {
-			break
-		}
-	}
-	sess.close()
+	// sent holds the Need bits of the blobs already sent: every
+	// partition's HELLO may ask for the same content, which only has to
+	// cross the connection once.
+	var sent uint8
+	conn.Read(func(msg wire.Msg) bool { return m.handle(conn, msg, &sent) })
 
-	// Terms may have moved while the session was dying; the crash
+	// Terms may have moved while the connection was dying; the crash
 	// notices carry the current desired terms so none arrives stale.
 	m.mu.Lock()
-	m.sess = nil
-	dead := append([]*incarnation(nil), m.desired...)
+	m.conn = nil
+	dead := slices.Clone(m.desired)
 	m.mu.Unlock()
-	for part, inc := range dead {
-		if inc == nil {
+	for _, h := range dead {
+		if h == nil {
 			continue
 		}
 		select {
-		case sv.inbox <- &reply{part: part, term: inc.term, crash: true}:
+		case sv.inbox <- &wire.Crash{Part: h.Part, Term: h.Term}:
 		case <-sv.ctx.Done():
 			return
 		}
@@ -314,17 +255,17 @@ func (m *connMgr) serve(conn net.Conn) {
 }
 
 // handle processes one inbound frame. A false return poisons the
-// session: an unexpected kind, or a reply for a partition this address
-// does not host, means the peer and coordinator disagree about the
-// protocol state, and the only safe recovery is the redial path.
-func (m *connMgr) handle(sess *session, msg wire.Msg) bool {
+// connection: an unexpected kind, or a reply for a partition this
+// address does not host, means the peer and coordinator disagree about
+// the protocol state, and the only safe recovery is the redial path.
+func (m *connMgr) handle(conn *Conn, msg wire.Msg, sent *uint8) bool {
 	switch msg := msg.(type) {
 	case *wire.Reply:
-		return m.hosts(msg.Part) && m.forward(&reply{part: int(msg.Part), term: msg.Term, seq: msg.Seq, counts: msg.Counts})
+		return m.hosts(msg.Part) && m.forward(msg)
 	case *wire.Crash:
-		return m.hosts(msg.Part) && m.forward(&reply{part: int(msg.Part), term: msg.Term, crash: true})
+		return m.hosts(msg.Part) && m.forward(msg)
 	case *wire.HelloAck:
-		m.handleAck(sess, msg)
+		m.handleAck(conn, msg, sent)
 		return true
 	default:
 		return false
@@ -333,16 +274,16 @@ func (m *connMgr) handle(sess *session, msg wire.Msg) bool {
 
 // hosts reports whether partition part lives on this address. A reply
 // or crash notice naming any other partition is a protocol violation
-// that poisons the session.
+// that poisons the connection.
 func (m *connMgr) hosts(part int32) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return part >= 0 && int(part) < len(m.desired) && m.desired[part] != nil
 }
 
-func (m *connMgr) forward(rep *reply) bool {
+func (m *connMgr) forward(msg wire.Msg) bool {
 	select {
-	case m.sv.inbox <- rep:
+	case m.sv.inbox <- msg:
 		return true
 	case <-m.sv.ctx.Done():
 		return false
@@ -350,9 +291,9 @@ func (m *connMgr) forward(rep *reply) bool {
 }
 
 // handleAck answers a HELLO acknowledgement: count the full cache hit,
-// or send the blobs the worker asked for — each at most once per
-// session, however many partitions request it.
-func (m *connMgr) handleAck(sess *session, ack *wire.HelloAck) {
+// or send the blobs the worker asked for that this connection has not
+// sent yet.
+func (m *connMgr) handleAck(conn *Conn, ack *wire.HelloAck, sent *uint8) {
 	r := m.sv.run
 	if ack.Need == 0 {
 		m.mu.Lock()
@@ -360,91 +301,110 @@ func (m *connMgr) handleAck(sess *session, ack *wire.HelloAck) {
 		m.mu.Unlock()
 		return
 	}
-	sess.mu.Lock()
-	needD := ack.Need&wire.NeedDataset != 0 && !sess.sentDataset
-	needC := ack.Need&wire.NeedCands != 0 && !sess.sentCands && len(r.candsBlob) > 0
-	sess.sentDataset = sess.sentDataset || needD
-	sess.sentCands = sess.sentCands || needC
-	sess.mu.Unlock()
-	if needD {
-		m.sendBlob(sess, wire.NeedDataset, r.datasetHash, r.datasetBlob)
+	need := ack.Need &^ *sent
+	if len(r.candsBlob) == 0 {
+		need &^= wire.NeedCands
 	}
-	if needC {
-		m.sendBlob(sess, wire.NeedCands, r.candsHash, r.candsBlob)
+	*sent |= need
+	if need&wire.NeedDataset != 0 {
+		m.sendBlob(conn, &wire.Blob{Role: wire.NeedDataset, Hash: r.datasetHash, Data: r.datasetBlob})
+	}
+	if need&wire.NeedCands != 0 {
+		m.sendBlob(conn, &wire.Blob{Role: wire.NeedCands, Hash: r.candsHash, Data: r.candsBlob})
 	}
 }
 
-func (m *connMgr) sendBlob(sess *session, role uint8, hash wire.Hash, data []byte) {
-	frame, err := wire.Encode(nil, &wire.Blob{Role: role, Hash: hash, Data: data})
-	if err != nil {
-		return // dataset past MaxFrame; surfaces as lease expiry
-	}
-	sess.sendControl(frame)
+func (m *connMgr) sendBlob(conn *Conn, b *wire.Blob) {
+	sendControl(conn, b)
 	m.mu.Lock()
 	m.blobsSent++
 	m.mu.Unlock()
 }
 
-// session is one established connection: a bounded write queue drained
-// by a writer goroutine, and a done latch that ties reader, writer and
-// watcher teardown together.
-type session struct {
-	conn net.Conn
+// Conn is one established framed connection, the same at both ends of
+// the TCP transport: a bounded write queue drained by a writer
+// goroutine, a watcher that closes the connection when its context
+// ends, and a done latch that ties reader, writer and watcher teardown
+// together.
+type Conn struct {
+	nc   net.Conn
 	out  chan []byte
 	done chan struct{}
 	once sync.Once
-
-	mu sync.Mutex
-	// Per-session blob dedup: every partition's HELLO may ask for the
-	// same content, which only has to cross the wire once.
-	sentDataset, sentCands bool
 }
 
-func (s *session) close() {
-	s.once.Do(func() {
-		close(s.done)
-		s.conn.Close()
+// NewConn starts nc's writer and watcher goroutines, tracked on wg;
+// depth bounds the write queue.
+func NewConn(ctx context.Context, nc net.Conn, depth int, wg *sync.WaitGroup) *Conn {
+	c := &Conn{nc: nc, out: make(chan []byte, depth), done: make(chan struct{})}
+	wg.Add(2)
+	go func() { // a cancelled context must unblock the reader
+		defer wg.Done()
+		select {
+		case <-ctx.Done():
+			c.Close()
+		case <-c.done:
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case frame := <-c.out:
+				if _, err := c.nc.Write(frame); err != nil {
+					c.Close()
+					return
+				}
+			case <-c.done:
+				return
+			}
+		}
+	}()
+	return c
+}
+
+// Close closes the connection; it is idempotent.
+func (c *Conn) Close() {
+	c.once.Do(func() {
+		close(c.done)
+		c.nc.Close()
 	})
 }
 
-// sendControl enqueues a frame that must not be silently lost (HELLO,
-// Blob). If the queue is wedged full the session is poisoned instead:
-// the redial resends every control frame from the desired state, which
-// a drop would not.
-func (s *session) sendControl(frame []byte) {
-	if frame == nil {
-		return
-	}
-	select {
-	case s.out <- frame:
-	case <-s.done:
-	default:
-		s.close()
-	}
-}
-
-// sendData enqueues a request frame, dropping it when the queue is
-// full — the same backpressure contract as the in-process mailbox: the
-// queue never grows, the supervisor never blocks, and the drop surfaces
-// as lease expiry.
-func (s *session) sendData(frame []byte) {
-	select {
-	case s.out <- frame:
-	default:
-	}
-}
-
-func (s *session) writeLoop(wg *sync.WaitGroup) {
-	defer wg.Done()
+// Read decodes frames and hands each to handle until the stream fails
+// or handle returns false, then closes the connection. Any framing or
+// codec error poisons the stream: the protocol has no frame
+// resynchronization, recovery is the coordinator's redial path.
+func (c *Conn) Read(handle func(wire.Msg) bool) {
+	var buf []byte
 	for {
-		select {
-		case frame := <-s.out:
-			if _, err := s.conn.Write(frame); err != nil {
-				s.close()
-				return
-			}
-		case <-s.done:
-			return
+		msg, b, err := wire.ReadMsg(c.nc, buf)
+		buf = b
+		if err != nil || !handle(msg) {
+			break
 		}
+	}
+	c.Close()
+}
+
+// Offer enqueues frame without blocking and reports whether the queue
+// had room. A dropped request frame is the backpressure contract of
+// every queue here: the queue never grows, the sender never blocks, and
+// the drop surfaces as lease expiry.
+func (c *Conn) Offer(frame []byte) bool {
+	select {
+	case c.out <- frame:
+		return true
+	default:
+		return false
+	}
+}
+
+// Send enqueues frame, blocking until the writer has room or the
+// connection is closed.
+func (c *Conn) Send(frame []byte) {
+	select {
+	case c.out <- frame:
+	case <-c.done:
 	}
 }

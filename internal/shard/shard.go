@@ -17,7 +17,7 @@ import (
 // selects a default; none of the fields influence the mined table.
 type Config struct {
 	// Shards is the number of item-range partitions, each owned by one
-	// shard proc; values < 1 mean 1 (a single shard still runs the full
+	// shard incarnation; values < 1 mean 1 (a single shard still runs the full
 	// message protocol). Results are identical for every value.
 	Shards int
 	// Workers sets each shard's scoring-pool size, like
@@ -58,8 +58,9 @@ const (
 )
 
 // queueDepth is the single backpressure constant of the engine: the
-// capacity of every in-process shard mailbox and the per-partition
-// budget of a TCP session's write queue. A full queue never blocks the
+// capacity of every incarnation's mailbox (NewMailbox, in process and
+// in cmd/shardworker) and the per-partition budget of the coordinator's
+// TCP write queue. A full queue never blocks the
 // supervisor and never buffers without bound — the frame is dropped and
 // the condition surfaces as lease expiry, the same path as a crash.
 const queueDepth = 2
@@ -157,7 +158,7 @@ type run struct {
 	workers int
 	rt      *pool.Runtime
 	sv      *supervisor
-	// wg tracks every proc goroutine ever spawned, so close can wait
+	// wg tracks every goroutine the run ever spawned, so close can wait
 	// for them all before releasing the worker runtime.
 	wg sync.WaitGroup
 
@@ -180,7 +181,7 @@ type run struct {
 // newRun builds the engine for one mining call: resolves the config,
 // materializes the shared read-only structures (the column caches must
 // exist before shard goroutines read them concurrently), and starts the
-// supervisor with its initial shard procs.
+// supervisor with its initial incarnations.
 func newRun(ctx context.Context, d *dataset.Dataset, cands []core.Candidate, cfg Config) *run {
 	cfg = cfg.withDefaults()
 	d.Columns(dataset.Left)
@@ -236,8 +237,8 @@ func applyRule(r *run, totals *core.CoverTotals, rule core.Rule) error {
 		return err
 	}
 	for p, rep := range reps {
-		r.fwdParts[p] = rep.counts[0].Fwd
-		r.backParts[p] = rep.counts[0].Back
+		r.fwdParts[p] = rep.Counts[0].Fwd
+		r.backParts[p] = rep.Counts[0].Back
 	}
 	totals.Apply(rule, r.fwdParts, r.backParts)
 	return nil

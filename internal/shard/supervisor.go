@@ -10,6 +10,7 @@ import (
 	"twoview/internal/dataset"
 	"twoview/internal/fault"
 	"twoview/internal/itemset"
+	"twoview/internal/wire"
 )
 
 // supervisor is the coordinator side of a sharded run: it owns the
@@ -30,8 +31,9 @@ type supervisor struct {
 	cfg Config
 
 	parts []Partition
-	// tr is where the incarnations live: in-process procs or shardworker
-	// daemons over TCP. The supervision protocol is transport-blind.
+	// tr is where the incarnations live: in-process goroutines or
+	// shardworker daemons over TCP. The supervision protocol is
+	// transport-blind.
 	tr transport
 	// terms[p] is partition p's current incarnation number; replies
 	// from older terms are stale by definition.
@@ -40,8 +42,9 @@ type supervisor struct {
 	seq uint64
 	// inbox receives every incarnation's replies and crash notices. Its
 	// capacity covers a full round of replies plus crash noise, so
-	// retiring procs never block on a supervisor that is between reads.
-	inbox chan *reply
+	// retiring incarnations never block on a supervisor that is between
+	// reads. It carries only *wire.Reply and *wire.Crash.
+	inbox chan wire.Msg
 
 	// log is the accepted-rule log: the authoritative mining history,
 	// appended only after the apply round for the rule has fully
@@ -67,7 +70,7 @@ func newSupervisor(ctx context.Context, r *run) *supervisor {
 		parts:  split(r.d, r.cfg.Shards),
 		ctx:    sctx,
 		cancel: cancel,
-		inbox:  make(chan *reply, 4*r.cfg.Shards+16),
+		inbox:  make(chan wire.Msg, 4*r.cfg.Shards+16),
 	}
 	sv.terms = make([]uint64, len(sv.parts))
 	if len(sv.cfg.Addrs) > 0 {
@@ -79,6 +82,22 @@ func newSupervisor(ctx context.Context, r *run) *supervisor {
 		sv.tr.spawn(p, 0, nil)
 	}
 	return sv
+}
+
+// hello is incarnation (part, term)'s descriptor, born from log: the
+// in-process spawn hands it to Serve, the TCP transport sends it as the
+// HELLO frame.
+func (sv *supervisor) hello(part int, term uint64, log []core.Rule) *wire.Hello {
+	r, p := sv.run, sv.parts[part]
+	return &wire.Hello{
+		Part: int32(part), Term: term,
+		LoL: int32(p.LoL), HiL: int32(p.HiL),
+		LoR: int32(p.LoR), HiR: int32(p.HiR),
+		Workers:     int32(r.workers),
+		DatasetHash: r.datasetHash,
+		CandsHash:   r.candsHash,
+		Log:         log,
+	}
 }
 
 // close cancels every live incarnation and tears the transport down.
@@ -95,7 +114,7 @@ func (sv *supervisor) close() {
 // is immediately handed the in-flight request. Otherwise the partition
 // has already answered the round; if that round is an APPLY, the old
 // incarnation had applied the rule, so the successor is born with it.
-func (sv *supervisor) restart(part int, mk func(part int) *request, redispatch bool) error {
+func (sv *supervisor) restart(part int, mk func(part int) wire.Msg, redispatch bool) error {
 	if sv.restarts >= sv.cfg.MaxRestarts {
 		return fmt.Errorf("shard: partition %d crashed with the run's restart budget (%d) exhausted", part, sv.cfg.MaxRestarts)
 	}
@@ -115,9 +134,8 @@ func (sv *supervisor) restart(part int, mk func(part int) *request, redispatch b
 // dispatch builds and delivers the round's request for partition part.
 // Delivery never blocks: a dead incarnation, full mailbox, or broken
 // connection drops the request, and the lease timer recovers.
-func (sv *supervisor) dispatch(part int, mk func(part int) *request) {
+func (sv *supervisor) dispatch(part int, mk func(part int) wire.Msg) {
 	req := mk(part)
-	req.seq, req.term, req.lease = sv.seq, sv.terms[part], sv.cfg.Lease
 	if fault.Enabled {
 		fault.Fire("shard.dispatch")
 	}
@@ -132,9 +150,9 @@ func (sv *supervisor) dispatch(part int, mk func(part int) *request) {
 // sends one) is a crash of its incarnation, so it never reaches the
 // caller's fold. The returned replies are indexed by partition, so the
 // caller's merge runs in partition order regardless of arrival order.
-func (sv *supervisor) round(mk func(part int) *request, valid func(p Partition, rep *reply) bool) ([]*reply, error) {
+func (sv *supervisor) round(mk func(part int) wire.Msg, valid func(p Partition, rep *wire.Reply) bool) ([]*wire.Reply, error) {
 	sv.seq++
-	out := make([]*reply, len(sv.parts))
+	out := make([]*wire.Reply, len(sv.parts))
 	pending := len(out)
 	for part := range sv.parts {
 		sv.dispatch(part, mk)
@@ -149,27 +167,30 @@ func (sv *supervisor) round(mk func(part int) *request, valid func(p Partition, 
 		select {
 		case <-sv.ctx.Done():
 			return nil, sv.ctx.Err()
-		case m := <-sv.inbox:
-			switch {
-			case m.crash:
-				if m.term != sv.terms[m.part] {
+		case msg := <-sv.inbox:
+			if c, ok := msg.(*wire.Crash); ok {
+				if c.Term != sv.terms[c.Part] {
 					sv.stale++ // a replaced incarnation's dying word
 					continue
 				}
-				if err := sv.restart(m.part, mk, out[m.part] == nil); err != nil {
+				if err := sv.restart(int(c.Part), mk, out[c.Part] == nil); err != nil {
 					return nil, err
 				}
-			case m.seq != sv.seq || m.term != sv.terms[m.part] || out[m.part] != nil:
+				continue
+			}
+			m := msg.(*wire.Reply)
+			switch {
+			case m.Seq != sv.seq || m.Term != sv.terms[m.Part] || out[m.Part] != nil:
 				// Stale round, stale incarnation, or duplicate delivery:
 				// discarded by value — correctness never depends on the
 				// transport not duplicating or reordering.
 				sv.stale++
-			case !valid(sv.parts[m.part], m):
-				if err := sv.restart(m.part, mk, true); err != nil {
+			case !valid(sv.parts[m.Part], m):
+				if err := sv.restart(int(m.Part), mk, true); err != nil {
 					return nil, err
 				}
 			default:
-				out[m.part] = m
+				out[m.Part] = m
 				pending--
 			}
 		case <-timer.C:
@@ -190,7 +211,7 @@ func (sv *supervisor) round(mk func(part int) *request, valid func(p Partition, 
 // list, restricted to the dirty consequent items when dirty is
 // non-nil. Each partition must answer every candidate with its owned
 // dirty items.
-func (sv *supervisor) scoreCands(idx []int32, dirty *core.DirtyItems) ([]*reply, error) {
+func (sv *supervisor) scoreCands(idx []int32, dirty *core.DirtyItems) ([]*wire.Reply, error) {
 	var items *[2]itemset.Itemset
 	var dirtyL, dirtyR *bitset.Set
 	if dirty != nil {
@@ -199,16 +220,19 @@ func (sv *supervisor) scoreCands(idx []int32, dirty *core.DirtyItems) ([]*reply,
 		dirtyL, dirtyR = &dirty[dataset.Left], &dirty[dataset.Right]
 	}
 	cands := sv.run.cands
-	return sv.round(func(int) *request {
-		return &request{kind: msgScore, candIdx: idx, dirty: items}
-	}, func(p Partition, rep *reply) bool {
-		if len(rep.counts) != len(idx) {
+	return sv.round(func(part int) wire.Msg {
+		return &wire.Score{
+			Part: int32(part), Term: sv.terms[part], Seq: sv.seq, Lease: sv.cfg.Lease,
+			CandIdx: idx, Dirty: items,
+		}
+	}, func(p Partition, rep *wire.Reply) bool {
+		if len(rep.Counts) != len(idx) {
 			return false
 		}
 		for k, ci := range idx {
 			cd := &cands[ci]
-			if !ownedCounts(rep.counts[k].Fwd, cd.Y, p.LoR, p.HiR, dirtyR) ||
-				!ownedCounts(rep.counts[k].Back, cd.X, p.LoL, p.HiL, dirtyL) {
+			if !ownedCounts(rep.Counts[k].Fwd, cd.Y, p.LoR, p.HiR, dirtyR) ||
+				!ownedCounts(rep.Counts[k].Back, cd.X, p.LoL, p.HiL, dirtyL) {
 				return false
 			}
 		}
@@ -222,7 +246,7 @@ func (sv *supervisor) scoreCands(idx []int32, dirty *core.DirtyItems) ([]*reply,
 // re-dispatched request, or, if it had already answered, is born with
 // r (see restart): the rule reaches every incarnation's columns
 // exactly once.
-func (sv *supervisor) apply(r core.Rule) ([]*reply, error) {
+func (sv *supervisor) apply(r core.Rule) ([]*wire.Reply, error) {
 	var fwd, back itemset.Itemset
 	if r.AppliesTo(dataset.Left) {
 		fwd = r.Y
@@ -232,12 +256,12 @@ func (sv *supervisor) apply(r core.Rule) ([]*reply, error) {
 	}
 	sv.applying = &r
 	defer func() { sv.applying = nil }()
-	reps, err := sv.round(func(int) *request {
-		return &request{kind: msgApply, rule: r}
-	}, func(p Partition, rep *reply) bool {
-		return len(rep.counts) == 1 &&
-			ownedCounts(rep.counts[0].Fwd, fwd, p.LoR, p.HiR, nil) &&
-			ownedCounts(rep.counts[0].Back, back, p.LoL, p.HiL, nil)
+	reps, err := sv.round(func(part int) wire.Msg {
+		return &wire.Apply{Part: int32(part), Term: sv.terms[part], Seq: sv.seq, Lease: sv.cfg.Lease, Rule: r}
+	}, func(p Partition, rep *wire.Reply) bool {
+		return len(rep.Counts) == 1 &&
+			ownedCounts(rep.Counts[0].Fwd, fwd, p.LoR, p.HiR, nil) &&
+			ownedCounts(rep.Counts[0].Back, back, p.LoL, p.HiL, nil)
 	})
 	if err != nil {
 		return nil, err

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"twoview/internal/core"
+	"twoview/internal/wire"
 )
 
 // Worker-process harness shared by the TCP property tests, the network
@@ -242,10 +243,10 @@ func TestMailboxBackpressure(t *testing.T) {
 	// deliver past a full mailbox: bounded and non-blocking. If it
 	// blocked, the test would time out; the queue must also never exceed
 	// the shared backpressure constant.
-	dead := &proc{mailbox: make(chan *request, queueDepth)}
+	dead := &proc{mailbox: make(chan wire.Msg, queueDepth)}
 	lt := &localTransport{procs: []*proc{dead}}
 	for i := 0; i < queueDepth+5; i++ {
-		lt.deliver(0, &request{kind: msgScore})
+		lt.deliver(0, &wire.Score{})
 	}
 	if len(dead.mailbox) != queueDepth {
 		t.Fatalf("mailbox holds %d requests, want the backpressure bound %d", len(dead.mailbox), queueDepth)

@@ -4,6 +4,7 @@ import (
 	"context"
 
 	"twoview/internal/core"
+	"twoview/internal/wire"
 )
 
 // transport is where a run's partitions live: in-process goroutine
@@ -20,11 +21,11 @@ type transport interface {
 	// born from the given accepted-rule log snapshot. A previous
 	// incarnation of the partition is implicitly replaced.
 	spawn(part int, term uint64, log []core.Rule)
-	// deliver hands the round's request to partition part's current
-	// incarnation. It never blocks: the request is dropped on a full
-	// mailbox, full write queue, or broken connection, and the lease
-	// timer recovers.
-	deliver(part int, req *request)
+	// deliver hands the round's request (a *wire.Score or *wire.Apply)
+	// to partition part's current incarnation. It never blocks: the
+	// request is dropped on a full mailbox, full write queue, or broken
+	// connection, and the lease timer recovers.
+	deliver(part int, req wire.Msg)
 	// stats folds the transport's counters into rs.
 	stats(rs *runStats)
 	// close tears down connections. Incarnation goroutines hang off the
@@ -33,12 +34,27 @@ type transport interface {
 	close()
 }
 
-// localTransport runs every partition as an in-process proc — the
-// engine exactly as it behaves without TCP.
+// localTransport runs every partition's Serve on its own goroutine —
+// the engine exactly as it behaves without TCP.
 type localTransport struct {
 	sv    *supervisor
 	procs []*proc
 }
+
+// proc is one in-process incarnation: the mailbox its Serve reads and
+// the cancel that replaces it.
+type proc struct {
+	// mailbox is buffered so the supervisor can hand a
+	// dead-but-undetected incarnation its request without blocking; the
+	// request dies with the incarnation and the lease timer recovers.
+	mailbox chan wire.Msg
+	cancel  context.CancelFunc
+}
+
+// NewMailbox returns an incarnation's request mailbox, in process or
+// in cmd/shardworker: queueDepth deep, and fed without blocking, so a
+// full mailbox drops the request and the lease recovers.
+func NewMailbox() chan wire.Msg { return make(chan wire.Msg, queueDepth) }
 
 func newLocalTransport(sv *supervisor) *localTransport {
 	return &localTransport{sv: sv, procs: make([]*proc, len(sv.parts))}
@@ -49,22 +65,23 @@ func (t *localTransport) spawn(part int, term uint64, log []core.Rule) {
 		old.cancel()
 	}
 	ctx, cancel := context.WithCancel(t.sv.ctx)
-	p := &proc{
-		run:     t.sv.run,
-		part:    t.sv.parts[part],
-		term:    term,
-		ctx:     ctx,
-		cancel:  cancel,
-		mailbox: make(chan *request, queueDepth),
-		out:     t.sv.inbox,
-		log:     log,
-	}
-	t.sv.run.wg.Add(1)
-	go p.loop()
+	p := &proc{mailbox: NewMailbox(), cancel: cancel}
+	r, inbox, hello := t.sv.run, t.sv.inbox, t.sv.hello(part, term, log)
+	r.wg.Add(1)
+	go func() {
+		defer r.wg.Done()
+		defer cancel()
+		Serve(ctx, r.d, r.cands, hello, r.rt, r.workers, p.mailbox, func(m wire.Msg) {
+			select {
+			case inbox <- m:
+			case <-ctx.Done(): // replaced: nobody waits for this incarnation
+			}
+		})
+	}()
 	t.procs[part] = p
 }
 
-func (t *localTransport) deliver(part int, req *request) {
+func (t *localTransport) deliver(part int, req wire.Msg) {
 	select {
 	case t.procs[part].mailbox <- req:
 	default:
@@ -78,4 +95,4 @@ func (t *localTransport) deliver(part int, req *request) {
 
 func (t *localTransport) stats(*runStats) {}
 
-func (t *localTransport) close() {} // procs die with the supervisor context
+func (t *localTransport) close() {} // incarnations die with the supervisor context

@@ -1,10 +1,11 @@
-// Package wire is the binary codec of the sharded mining protocol:
-// the HELLO/SCORE/APPLY/CRASH messages internal/shard's supervisor and
-// a shard host exchange, framed for a TCP stream. It is the wire
-// reading of the protocol documented in internal/shard/doc.go — the
-// in-process engine and the TCP transport speak the same messages, so
-// the codec is pure representation: nothing in this package makes a
-// supervision or mining decision.
+// Package wire holds the one message set of the sharded mining
+// protocol (documented in internal/shard/doc.go) and its binary codec,
+// framed for a TCP stream. internal/shard's supervisor and its
+// incarnations (shard.Serve) pass these same Hello, Score, Apply, Reply
+// and Crash values over channels in process; only the TCP transport and
+// cmd/shardworker encode them, adding HelloAck and Blob for the
+// bootstrap transfer. The codec is pure representation: nothing in
+// this package makes a supervision or mining decision.
 //
 // # Framing
 //

@@ -92,7 +92,7 @@ type Hello struct {
 	CandsHash Hash
 
 	// Log is the accepted-rule log snapshot this incarnation replays at
-	// birth — the same snapshot an in-process proc is born from.
+	// birth. In process, shard.Serve receives this same Hello.
 	Log []core.Rule
 }
 
