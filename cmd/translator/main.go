@@ -93,11 +93,12 @@ func main() {
 		return
 	}
 
-	var tracer core.TraceFunc
+	var onIter core.IterationFunc
 	if *trace {
-		tracer = func(it core.IterationStats) {
+		onIter = func(it core.IterationStats) bool {
 			fmt.Printf("  it %3d: gain %8.2f  score %10.2f  %s\n",
 				it.Iteration, it.Gain, it.Score, it.Rule.Format(d))
+			return true
 		}
 	}
 
@@ -110,7 +111,7 @@ func main() {
 	var mineErr error
 	switch *algo {
 	case "exact":
-		res, mineErr = core.MineExact(ctx, d, core.ExactOptions{MaxRules: *maxRules, Trace: tracer, ParallelOptions: par})
+		res, mineErr = core.MineExact(ctx, d, core.ExactOptions{MaxRules: *maxRules, OnIteration: onIter, ParallelOptions: par})
 	case "select", "greedy":
 		cands, err := core.MineCandidates(ctx, d, *minsup, 0, par)
 		if err != nil {
@@ -121,9 +122,9 @@ func main() {
 		}
 		fmt.Printf("candidates: %d closed two-view itemsets (minsup %d)\n", len(cands), *minsup)
 		if *algo == "select" {
-			res, mineErr = core.MineSelect(ctx, d, cands, core.SelectOptions{K: *k, MaxRules: *maxRules, Trace: tracer, ParallelOptions: par})
+			res, mineErr = core.MineSelect(ctx, d, cands, core.SelectOptions{K: *k, MaxRules: *maxRules, OnIteration: onIter, ParallelOptions: par})
 		} else {
-			res, mineErr = core.MineGreedy(ctx, d, cands, core.GreedyOptions{MaxRules: *maxRules, Trace: tracer, ParallelOptions: par})
+			res, mineErr = core.MineGreedy(ctx, d, cands, core.GreedyOptions{MaxRules: *maxRules, OnIteration: onIter, ParallelOptions: par})
 		}
 	default:
 		log.Fatalf("unknown algorithm %q", *algo)

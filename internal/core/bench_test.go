@@ -128,10 +128,6 @@ func BenchmarkMineGreedy(b *testing.B) {
 	}{
 		{"serial", GreedyOptions{ParallelOptions: Parallel(1)}},
 		{"parallel", GreedyOptions{}},
-		// Block-size sweep for the speculation window (results are
-		// identical; only waste-vs-granularity changes).
-		{"parallel-block64", GreedyOptions{BlockSize: 64}},
-		{"parallel-block2048", GreedyOptions{BlockSize: 2048}},
 	} {
 		b.Run(bench.name, func(b *testing.B) {
 			b.ReportAllocs()
@@ -209,7 +205,7 @@ func BenchmarkApply(b *testing.B) {
 
 // BenchmarkTranslatorBatch measures the compiled batch translation:
 // the Translator is compiled once outside the loop and each iteration
-// runs TranslateBatch over the whole view, materializing the per-row
+// runs TranslateBatchIDs over the whole view, materializing the per-row
 // translations — the "mine once, Apply many" steady state. Its ns/op
 // against BenchmarkApply quantifies the amortized preparation.
 func BenchmarkTranslatorBatch(b *testing.B) {
@@ -218,10 +214,11 @@ func BenchmarkTranslatorBatch(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	rows := viewIDs(d, dataset.Left)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := tr.TranslateBatch(context.Background(), d, dataset.Left); err != nil {
+		if _, err := tr.TranslateBatchIDs(context.Background(), dataset.Left, rows); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -254,16 +251,15 @@ func BenchmarkTranslatorSparseRow(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		row, err := tr.NewRow(dataset.Left, []int{0, 1, 2})
-		if err != nil {
-			b.Fatal(err)
-		}
+		row := []int{0, 1, 2}
 		b.Run(fmt.Sprintf("rules=%d", nRules), func(b *testing.B) {
 			var dst []int
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				dst = tr.TranslateInto(dst[:0], dataset.Left, row)
+				if dst, err = tr.TranslateIDs(dst[:0], dataset.Left, row); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}

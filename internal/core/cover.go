@@ -286,7 +286,7 @@ func qubVerdicts(coder *mdl.Coder, cands []Candidate, ok []bool) []bool {
 	ok = slices.Grow(ok[:0], len(cands))[:len(cands)]
 	for ci := range cands {
 		cd := &cands[ci]
-		ok[ci] = qub(coder, cd.X, cd.Y, count(cd.TidX), count(cd.TidY)) > gainEpsilon
+		ok[ci] = qub(coder, cd.X, cd.Y, count(cd.TidX), count(cd.TidY)) > GainEpsilon
 	}
 	return ok
 }

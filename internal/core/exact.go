@@ -48,8 +48,6 @@ type ExactOptions struct {
 	// MaxRules stops after this many rules; 0 means no limit (the
 	// natural MDL stopping criterion applies either way).
 	MaxRules int
-	// Trace observes each added rule.
-	Trace TraceFunc
 	// OnIteration observes each added rule and may stop the run early by
 	// returning false (the partial table is returned with a nil error).
 	OnIteration IterationFunc
@@ -91,11 +89,11 @@ func MineExact(ctx context.Context, d *dataset.Dataset, opt ExactOptions) (*Resu
 		var r Rule
 		var gain float64
 		var ok bool
-		if r, gain, ok, err = search.bestRule(ctx); err != nil || !ok || gain <= gainEpsilon {
+		if r, gain, ok, err = search.bestRule(ctx); err != nil || !ok || gain <= GainEpsilon {
 			break
 		}
 		s.AddRule(r)
-		if !res.Record(s.totals, &s.table, r, gain, opt.Trace, opt.OnIteration) {
+		if !res.Record(s.totals, &s.table, r, gain, opt.OnIteration) {
 			break
 		}
 	}

@@ -1,0 +1,119 @@
+package core_test
+
+import (
+	"bytes"
+	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"fmt"
+	"os"
+	"testing"
+
+	"twoview/internal/core"
+)
+
+// goldenFile holds, per TestGoldenTables cell, the SHA-256 of the mined
+// table's WriteTable bytes and its rule count.
+const goldenFile = "testdata/golden.json"
+
+// golden is one cell's checked-in fingerprint.
+type golden struct {
+	SHA256 string `json:"sha256"`
+	Rules  int    `json:"rules"`
+}
+
+// goldenProfiles are the internal/synth profiles of the grid, each at a
+// small scale with its candidate minimum support for SELECT and GREEDY.
+var goldenProfiles = []struct {
+	name   string
+	scale  float64
+	minsup int
+}{
+	{"tictactoe", 0.2, 4},
+	{"car", 0.3, 4},
+	{"chesskrvk", 0.02, 8},
+}
+
+// goldenExactRules caps EXACT's tables in the grid.
+const goldenExactRules = 3
+
+// goldenAlgos are the miners of the grid, keyed by cell-name part.
+var goldenAlgos = []string{"select1", "select25", "greedy", "exact"}
+
+// mineGolden mines one cell and returns its table's fingerprint.
+func mineGolden(t *testing.T, algo, profile string, scale float64, minsup, workers int) golden {
+	t.Helper()
+	ctx, par := context.Background(), core.Parallel(workers)
+	var res *core.Result
+	var err error
+	d := synthDataset(t, profile, scale)
+	if algo == "exact" {
+		res, err = core.MineExact(ctx, d, core.ExactOptions{MaxRules: goldenExactRules, ParallelOptions: par})
+	} else {
+		cands, cerr := core.MineCandidates(ctx, d, minsup, 0, par)
+		if cerr != nil {
+			t.Fatal(cerr)
+		}
+		switch algo {
+		case "select1":
+			res, err = core.MineSelect(ctx, d, cands, core.SelectOptions{K: 1, ParallelOptions: par})
+		case "select25":
+			res, err = core.MineSelect(ctx, d, cands, core.SelectOptions{K: 25, ParallelOptions: par})
+		case "greedy":
+			res, err = core.MineGreedy(ctx, d, cands, core.GreedyOptions{ParallelOptions: par})
+		}
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := core.WriteTable(&buf, d, res.Table); err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(buf.Bytes())
+	return golden{SHA256: hex.EncodeToString(sum[:]), Rules: res.Table.Size()}
+}
+
+// TestGoldenTables is the cross-commit byte-identity check. It mines a
+// fixed grid (three profiles × SELECT k=1, SELECT k=25, GREEDY and
+// capped EXACT × workers 1 and 2) and compares each table's WriteTable
+// digest and rule count with testdata/golden.json, printing the
+// observed fingerprints as JSON on a mismatch. The in-package
+// determinism tests compare worker counts within one commit; this test
+// also catches a change that moves a table the same way at every worker
+// count. A change that moves a digest says why in CHANGES.md.
+func TestGoldenTables(t *testing.T) {
+	raw, err := os.ReadFile(goldenFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want map[string]golden
+	if err := json.Unmarshal(raw, &want); err != nil {
+		t.Fatalf("%s: %v", goldenFile, err)
+	}
+	observed := map[string]golden{}
+	for _, p := range goldenProfiles {
+		for _, algo := range goldenAlgos {
+			for _, workers := range []int{1, 2} {
+				name := fmt.Sprintf("%s/%s/w%d", p.name, algo, workers)
+				got := mineGolden(t, algo, p.name, p.scale, p.minsup, workers)
+				observed[name] = got
+				if w, ok := want[name]; !ok {
+					t.Errorf("%s: no digest in %s", name, goldenFile)
+				} else if got != w {
+					t.Errorf("%s: got %d rules, sha256 %s; want %d rules, sha256 %s", name, got.Rules, got.SHA256, w.Rules, w.SHA256)
+				}
+			}
+		}
+	}
+	for name := range want {
+		if _, ok := observed[name]; !ok {
+			t.Errorf("%s: digest in %s for no grid cell", name, goldenFile)
+		}
+	}
+	if t.Failed() {
+		out, _ := json.MarshalIndent(observed, "", "  ")
+		t.Errorf("observed tables (digests in %s):\n%s", goldenFile, out)
+	}
+}

@@ -37,15 +37,6 @@ import (
 type GreedyOptions struct {
 	// MaxRules stops after this many rules; 0 means no limit.
 	MaxRules int
-	// BlockSize caps the speculative scoring window: the number of
-	// candidates scored ahead per pool phase grows geometrically from 8
-	// up to this bound. 0 means the default of 512. The value trades
-	// re-scored waste on accept against scheduling granularity; results
-	// are identical for any value (window boundaries depend only on the
-	// accept positions, which are schedule-independent).
-	BlockSize int
-	// Trace observes each added rule.
-	Trace TraceFunc
 	// OnIteration observes each added rule and may stop the run early by
 	// returning false (the partial table is returned with a nil error).
 	OnIteration IterationFunc
@@ -54,15 +45,15 @@ type GreedyOptions struct {
 	ParallelOptions
 }
 
-// The speculation window grows geometrically from greedyMinBlock to
-// GreedyOptions.BlockSize (default greedyMaxBlock): each accepted rule
-// invalidates the rest of its window, and accepts cluster at the head of
-// the length/support-descending candidate order, so the window restarts
-// small after every accept and doubles across accept-free windows.
-// Every candidate is judged against the state after all accepts before
-// it, whatever the window sizes, so the decisions are identical for any
-// parallelism and backend; the sizes only trade re-scored waste on
-// accept against scheduling granularity.
+// On a cover that scores ahead, the speculation window grows
+// geometrically from greedyMinBlock to greedyMaxBlock candidates: each
+// accepted rule invalidates the rest of its window, and accepts cluster
+// at the head of the length/support-descending candidate order, so the
+// window restarts small after every accept and doubles across
+// accept-free windows. Every candidate is judged against the state
+// after all accepts before it, whatever the window sizes, so the
+// decisions are identical for any parallelism and backend; the sizes
+// only trade re-scored waste on accept against scheduling granularity.
 const (
 	greedyMinBlock = 8
 	greedyMaxBlock = 512
@@ -123,11 +114,7 @@ func MineGreedyOn(ctx context.Context, c Cover, d *dataset.Dataset, cands []Cand
 
 	minBlock, maxBlock := 1, 1
 	if c.ScoresAhead() {
-		maxBlock = opt.BlockSize
-		if maxBlock <= 0 {
-			maxBlock = greedyMaxBlock
-		}
-		minBlock = min(greedyMinBlock, maxBlock)
+		minBlock, maxBlock = greedyMinBlock, greedyMaxBlock
 	}
 	idx, delta, views := scr.idx, scr.delta, scr.views
 	pos, block := 0, minBlock
@@ -185,7 +172,7 @@ func MineGreedyOn(ctx context.Context, c Cover, d *dataset.Dataset, cands []Cand
 				break
 			}
 			table.Rules = append(table.Rules, rule)
-			if !res.Record(totals, &table, rule, gain, opt.Trace, opt.OnIteration) {
+			if !res.Record(totals, &table, rule, gain, opt.OnIteration) {
 				stopped = true
 			}
 			next = j + 1
@@ -206,7 +193,7 @@ func MineGreedyOn(ctx context.Context, c Cover, d *dataset.Dataset, cands []Cand
 
 // bestOfThree is the single-pass filter's per-candidate verdict: the best
 // of the candidate's three rule instantiations (strictly-greater updates
-// in the order →, ←, ↔), accepted only if its gain exceeds gainEpsilon.
+// in the order →, ←, ↔), accepted only if its gain exceeds GainEpsilon.
 // delta holds the candidate's cover deltas.
 func bestOfThree(coder *mdl.Coder, cd *Candidate, delta []int32) (Rule, float64, bool) {
 	gainF, gainB := ruleGains(coder, cd, delta)
@@ -221,5 +208,5 @@ func bestOfThree(coder *mdl.Coder, cd *Candidate, delta []int32) (Rule, float64,
 	if g := gainF + gainB - lenBi; g > bestGain {
 		best, bestGain = Rule{X: cd.X, Dir: Both, Y: cd.Y}, g
 	}
-	return best, bestGain, bestGain > gainEpsilon
+	return best, bestGain, bestGain > GainEpsilon
 }

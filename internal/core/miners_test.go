@@ -229,7 +229,7 @@ func TestMineExactMaxRules(t *testing.T) {
 func TestMineExactTrace(t *testing.T) {
 	d := plantedDataset(t, 7)
 	var seen int
-	res := mustExact(t, d, ExactOptions{Trace: func(it IterationStats) { seen++ }})
+	res := mustExact(t, d, ExactOptions{OnIteration: func(it IterationStats) bool { seen++; return true }})
 	if seen != len(res.Iterations) {
 		t.Fatalf("trace saw %d iterations, result has %d", seen, len(res.Iterations))
 	}

@@ -23,14 +23,11 @@ type IterationStats struct {
 	CorrLenR   float64 // L(D_L→R | T) = L(C_R | T)
 }
 
-// TraceFunc observes each iteration of a TRANSLATOR algorithm as it runs.
-type TraceFunc func(IterationStats)
-
 // IterationFunc is the OnIteration progress hook shared by all three
-// miners: it observes each added rule like TraceFunc and additionally
-// steers the run — returning false stops mining cleanly after the
-// current iteration (the partial table is returned with a nil error).
-// It is invoked between search phases, never concurrently.
+// miners: it observes each added rule and steers the run — returning
+// false stops mining cleanly after the current iteration (the partial
+// table is returned with a nil error). It is invoked between search
+// phases, never concurrently.
 type IterationFunc func(IterationStats) bool
 
 // Result is the output of a TRANSLATOR algorithm.
@@ -69,11 +66,10 @@ type Work struct {
 
 // Record captures the state after adding rule r, read off the cover
 // totals and the table that now ends with r, appends it to the result,
-// and forwards it to the trace and progress callbacks if any. It
-// reports whether mining should continue: false as soon as the
-// OnIteration hook asks for an early stop. Every miner records through
-// it.
-func (res *Result) Record(totals *CoverTotals, table *Table, r Rule, gain float64, trace TraceFunc, onIter IterationFunc) bool {
+// and forwards it to the OnIteration hook if any. It reports whether
+// mining should continue: false as soon as the hook asks for an early
+// stop. Every miner records through it.
+func (res *Result) Record(totals *CoverTotals, table *Table, r Rule, gain float64, onIter IterationFunc) bool {
 	it := IterationStats{
 		Iteration:  len(res.Iterations) + 1,
 		Rule:       r,
@@ -88,13 +84,7 @@ func (res *Result) Record(totals *CoverTotals, table *Table, r Rule, gain float6
 		CorrLenR:   totals.CorrLen[dataset.Right],
 	}
 	res.Iterations = append(res.Iterations, it)
-	if trace != nil {
-		trace(it)
-	}
-	if onIter != nil {
-		return onIter(it)
-	}
-	return true
+	return onIter == nil || onIter(it)
 }
 
 // GainEpsilon guards against accepting rules whose gain is positive
@@ -102,10 +92,6 @@ func (res *Result) Record(totals *CoverTotals, table *Table, r Rule, gain float6
 // chaos test, which counts the candidates that pass the qub filter
 // against the threshold the miners apply.
 const GainEpsilon = 1e-9
-
-// gainEpsilon is the package-internal name the miners predate the
-// export with.
-const gainEpsilon = GainEpsilon
 
 // stopwatch starts timing and returns a function reporting the elapsed
 // wall time. It is the single sanctioned wall-clock read of the miners,

@@ -43,7 +43,7 @@ import (
 // passes the overlap filter therefore reads exactly the round-start
 // state at its turn in the walk. Its gain against that state, composed
 // direction by direction as (0 + a) + b − c, equals the scored a + b − c
-// bit for bit. Scored rules all have gain above gainEpsilon, so the
+// bit for bit. Scored rules all have gain above GainEpsilon, so the
 // re-check never rejects a rule that passes the filter.
 
 // SelectOptions configures MineSelect.
@@ -53,8 +53,6 @@ type SelectOptions struct {
 	K int
 	// MaxRules stops after this many rules in total; 0 means no limit.
 	MaxRules int
-	// Trace observes each added rule.
-	Trace TraceFunc
 	// OnIteration observes each added rule and may stop the run early by
 	// returning false (the partial table is returned with a nil error).
 	OnIteration IterationFunc
@@ -162,7 +160,7 @@ func MineSelectOn(ctx context.Context, c Cover, d *dataset.Dataset, cands []Cand
 			}
 			table.Rules = append(table.Rules, sr.Rule)
 			cache.dirty.Touch(sr.Rule)
-			if !res.Record(totals, &table, sr.Rule, sr.Gain, opt.Trace, opt.OnIteration) {
+			if !res.Record(totals, &table, sr.Rule, sr.Gain, opt.OnIteration) {
 				stopped = true
 				break // OnIteration asked for an early stop
 			}
@@ -295,7 +293,7 @@ func (c *selectCache) reset(d *dataset.Dataset, coder *mdl.Coder, cands []Candid
 
 // score has the cover recount the dirty (candidate, item) pairs, refolds
 // the gains of the slots it recounted, and leaves in top the k best
-// rules with gain above gainEpsilon, exactly what sort-then-truncate
+// rules with gain above GainEpsilon, exactly what sort-then-truncate
 // over scoring every candidate from scratch gives. It leaves no item
 // dirty; dirty.Touch marks the items that adding a rule changes.
 func (c *selectCache) score(ctx context.Context, cv Cover, coder *mdl.Coder, cands []Candidate, top *topRules, k int) error {
@@ -334,7 +332,7 @@ func (c *selectCache) score(ctx context.Context, cv Cover, coder *mdl.Coder, can
 		cd := &cands[sl.cand]
 		gains := [3]float64{sl.gainF - sl.lenUni, sl.gainB - sl.lenUni, sl.gainF + sl.gainB - sl.lenBi}
 		for dir, g := range gains {
-			if g > gainEpsilon {
+			if g > GainEpsilon {
 				top.offer(scoredRule{Rule{X: cd.X, Dir: Directions[dir], Y: cd.Y}, g})
 			}
 		}

@@ -17,14 +17,14 @@ import (
 
 // scoreUncached is the reference scorer: it evaluates every rule of
 // every candidate from scratch with gainDir and returns those with gain
-// above gainEpsilon, in candidate order and per candidate in the order
+// above GainEpsilon, in candidate order and per candidate in the order
 // →, ←, ↔.
 func scoreUncached(s *State, cands []Candidate) []scoredRule {
 	coder := s.coder
 	var dst []scoredRule
 	for ci := range cands {
 		c := &cands[ci]
-		if s.Qub(c.X, c.Y, c.TidX.Count(), c.TidY.Count()) <= gainEpsilon {
+		if s.Qub(c.X, c.Y, c.TidX.Count(), c.TidY.Count()) <= GainEpsilon {
 			continue
 		}
 		gainF := s.gainDir(dataset.Left, c.TidX, c.Y)
@@ -36,7 +36,7 @@ func scoreUncached(s *State, cands []Candidate) []scoredRule {
 			{Rule{X: c.X, Dir: Backward, Y: c.Y}, gainB - lenUni},
 			{Rule{X: c.X, Dir: Both, Y: c.Y}, gainF + gainB - lenBi},
 		} {
-			if sr.Gain > gainEpsilon {
+			if sr.Gain > GainEpsilon {
 				dst = append(dst, sr)
 			}
 		}
@@ -77,7 +77,7 @@ func checkSelectAgainstOracle(t testing.TB, d *dataset.Dataset, cands []Candidat
 		slot := 0
 		for ci := range cands {
 			cd := &cands[ci]
-			if s.Qub(cd.X, cd.Y, cd.TidX.Count(), cd.TidY.Count()) <= gainEpsilon {
+			if s.Qub(cd.X, cd.Y, cd.TidX.Count(), cd.TidY.Count()) <= GainEpsilon {
 				continue
 			}
 			if slot == len(c.slots) || int(c.slots[slot].cand) != ci {

@@ -91,31 +91,3 @@ func TestSessionScratchSurvivesGC(t *testing.T) {
 		t.Fatal("the session's scratch was dropped by a garbage collection")
 	}
 }
-
-// BlockSize only tunes the speculation window; results are identical
-// for any value, including sub-minimum and giant windows.
-func TestMineGreedyBlockSizes(t *testing.T) {
-	d := plantedDataset(t, 35)
-	cands, err := MineCandidates(context.Background(), d, 1, 0, ParallelOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref := mustGreedy(t, d, cands, GreedyOptions{ParallelOptions: Parallel(1)})
-	for _, bs := range []int{1, 4, 8, 64, 512, 1 << 20} {
-		for _, workers := range []int{1, 4} {
-			got := mustGreedy(t, d, cands, GreedyOptions{BlockSize: bs, ParallelOptions: Parallel(workers)})
-			if got.Table.Size() != ref.Table.Size() {
-				t.Fatalf("block=%d workers=%d: %d rules, want %d",
-					bs, workers, got.Table.Size(), ref.Table.Size())
-			}
-			for i := range ref.Table.Rules {
-				if got.Table.Rules[i].Compare(ref.Table.Rules[i]) != 0 {
-					t.Fatalf("block=%d workers=%d: rule %d differs", bs, workers, i)
-				}
-			}
-			if got.State.Score() != ref.State.Score() {
-				t.Fatalf("block=%d workers=%d: score differs", bs, workers)
-			}
-		}
-	}
-}

@@ -20,24 +20,12 @@ import (
 //
 // Compilation builds, per translation direction, an item-indexed
 // posting list (post[i] = the rules whose antecedent contains item i)
-// plus per-rule LHS/RHS bit masks. A row is translated with the
+// plus a per-rule consequent bit mask. A row is translated with the
 // counting subset matcher: walking the postings of the row's items
 // increments one counter per touched rule, and a rule fires exactly
 // when its counter reaches its antecedent size — each rule is examined
 // proportionally to its overlap with the row, so rules whose antecedent
-// shares nothing with the row cost nothing. The LHS masks additionally
-// power MatchingRules, the word-level per-rule subset test used for
-// serving-side introspection.
-
-// Corrections is the per-transaction correction pair of the lossless
-// translation scheme (§3 of the paper): for a translated row t′ and
-// the true target-view row t, Uncovered = t \ t′ (the U table) and
-// Errors = t′ \ t (the E table). t is reconstructed losslessly as
-// t′ ⊕ (U ∪ E).
-type Corrections struct {
-	Uncovered []int
-	Errors    []int
-}
+// shares nothing with the row cost nothing.
 
 // Translator is a translation table compiled against a dataset's
 // vocabularies for repeated application — the serving-side artifact of
@@ -63,16 +51,14 @@ type compiledDir struct {
 
 // compiledRule is one rule prepared for the counting matcher.
 type compiledRule struct {
-	lhs      *bitset.Set // antecedent mask over the from vocabulary
-	rhs      *bitset.Set // consequent mask over the target vocabulary
-	lhsLen   int32       // |antecedent|: the counter value at which the rule fires
-	tableIdx int32       // index of the rule in the source table
+	rhs    *bitset.Set // consequent mask over the target vocabulary
+	lhsLen int32       // |antecedent|: the counter value at which the rule fires
 }
 
 // translatorScratch is the per-call working set: one rule-hit counter
 // slice (shared by both directions; sized to the larger), the matching
 // generation tags, one translation accumulator per target view, and one
-// id-built row per from view (for the TranslateIDs entry).
+// row per view that the id entries and ApplyStream fill from item ids.
 //
 // The counters are reset lazily via the generation tags: a counter is
 // valid only when its tag equals the scratch's current generation, and
@@ -86,7 +72,7 @@ type translatorScratch struct {
 	gens   []uint32
 	gen    uint32
 	out    [2]*bitset.Set // indexed by the *target* view
-	row    [2]*bitset.Set // indexed by the *from* view
+	row    [2]*bitset.Set // indexed by view
 }
 
 // nextGen advances the scratch to a fresh generation, invalidating
@@ -119,17 +105,15 @@ func CompileTranslator(d *dataset.Dataset, t *Table) (*Translator, error) {
 		cd := &tr.dirs[from]
 		nFrom, nTo := tr.items[from], tr.items[from.Opposite()]
 		cd.post = make([][]int32, nFrom)
-		for ti, r := range t.Rules {
+		for _, r := range t.Rules {
 			if !r.AppliesTo(from) {
 				continue
 			}
 			ante, cons := r.Antecedent(from), r.Consequent(from)
 			idx := int32(len(cd.rules))
 			cd.rules = append(cd.rules, compiledRule{
-				lhs:      bitset.FromIndices(nFrom, ante),
-				rhs:      bitset.FromIndices(nTo, cons),
-				lhsLen:   int32(len(ante)),
-				tableIdx: int32(ti),
+				rhs:    bitset.FromIndices(nTo, cons),
+				lhsLen: int32(len(ante)),
 			})
 			for _, i := range ante {
 				cd.post[i] = append(cd.post[i], idx)
@@ -160,16 +144,6 @@ func (tr *Translator) getScratch() *translatorScratch {
 
 func (tr *Translator) putScratch(sc *translatorScratch) { tr.scratch.Put(sc) }
 
-// checkRow panics when row's width does not match the compiled from
-// vocabulary — the same misuse TranslateRow would surface as an opaque
-// range panic deep in a bit operation.
-func (tr *Translator) checkRow(from dataset.View, row *bitset.Set) {
-	if row.Len() != tr.items[from] {
-		panic(fmt.Sprintf("core: Translator: row has %d items, compiled %v vocabulary has %d",
-			row.Len(), from, tr.items[from]))
-	}
-}
-
 // translateInto writes the translation t′ of row into out using the
 // counting matcher. Counter hygiene is generational: the row starts a
 // fresh generation and a counter is zeroed the first time its rule is
@@ -197,42 +171,10 @@ func (cd *compiledDir) translateInto(out *bitset.Set, row *bitset.Set, sc *trans
 	}
 }
 
-// Translate translates one from-view row through the compiled table and
-// returns the translated target-view item ids in ascending order — the
-// t′ of Algorithm 1, bit-identical to the reference TranslateRow. Safe
-// for concurrent use.
-func (tr *Translator) Translate(from dataset.View, row *bitset.Set) []int {
-	return tr.TranslateInto(nil, from, row)
-}
-
-// TranslateInto is Translate appending into dst, for callers that
-// recycle the id buffer across rows.
-func (tr *Translator) TranslateInto(dst []int, from dataset.View, row *bitset.Set) []int {
-	tr.checkRow(from, row)
-	sc := tr.getScratch()
-	out := sc.out[from.Opposite()]
-	tr.dirs[from].translateInto(out, row, sc)
-	dst = out.AppendIndices(dst)
-	tr.putScratch(sc)
-	return dst
-}
-
-// NewRow builds a from-view row for the per-row serving methods from
-// item ids, validated against the compiled vocabulary. Use it when
-// fresh traffic arrives as ids and the caller wants to reuse one row
-// across requests (refill it via Dataset-independent code); for the
-// one-shot form see TranslateIDs.
-func (tr *Translator) NewRow(from dataset.View, ids []int) (*bitset.Set, error) {
-	row := bitset.New(tr.items[from])
-	if err := fillRow(row, ids); err != nil {
-		return nil, fmt.Errorf("core: %v row: %w", from, err)
-	}
-	return row, nil
-}
-
 // TranslateIDs translates one from-view transaction given directly as
 // item ids — the serving entry for fresh traffic that arrives as ids
-// rather than prebuilt rows. The translated target-view ids are
+// rather than prebuilt rows. The translated target-view ids (the t′ of
+// Algorithm 1, bit-identical to the reference TranslateRow) are
 // appended to dst in ascending order. Out-of-vocabulary ids error.
 // Safe for concurrent use; steady-state calls allocate nothing beyond
 // dst's growth.
@@ -248,100 +190,20 @@ func (tr *Translator) TranslateIDs(dst []int, from dataset.View, ids []int) ([]i
 	return out.AppendIndices(dst), nil
 }
 
-// TranslateCorrect translates row and derives the corrections against
-// truth, the actual target-view row: Uncovered = truth \ t′ and
-// Errors = t′ \ truth. Together with the returned translation the
-// caller can reconstruct truth losslessly (t = t′ ⊕ (U ∪ E)). Safe for
-// concurrent use.
-func (tr *Translator) TranslateCorrect(from dataset.View, row, truth *bitset.Set) ([]int, Corrections) {
-	tr.checkRow(from, row)
-	target := from.Opposite()
-	if truth.Len() != tr.items[target] {
-		panic(fmt.Sprintf("core: Translator: truth has %d items, compiled %v vocabulary has %d",
-			truth.Len(), target, tr.items[target]))
-	}
-	sc := tr.getScratch()
-	out := sc.out[target]
-	tr.dirs[from].translateInto(out, row, sc)
-	trans := out.AppendIndices(nil)
-	var c Corrections
-	truth.ForEach(func(i int) bool {
-		if !out.Contains(i) {
-			c.Uncovered = append(c.Uncovered, i)
-		}
-		return true
-	})
-	out.ForEach(func(i int) bool {
-		if !truth.Contains(i) {
-			c.Errors = append(c.Errors, i)
-		}
-		return true
-	})
-	tr.putScratch(sc)
-	return trans, c
-}
-
-// MatchingRules returns the table indices (in table order) of the rules
-// that fire on the given from-view row — the serving-side introspection
-// hook ("why was this item produced?"). It runs the word-level LHS-mask
-// subset test per applicable rule. Safe for concurrent use.
-func (tr *Translator) MatchingRules(from dataset.View, row *bitset.Set) []int {
-	tr.checkRow(from, row)
-	var out []int
-	for i := range tr.dirs[from].rules {
-		cr := &tr.dirs[from].rules[i]
-		if cr.lhs.SubsetOf(row) {
-			out = append(out, int(cr.tableIdx))
-		}
-	}
-	return out
-}
-
 // translateCtxProbe bounds the cancellation latency of the batch and
 // stream paths: one ctx.Err() probe every 256 rows.
 const translateCtxProbe = 256 - 1
 
-// TranslateBatch translates every row of view from of d, returning one
-// ascending id slice per transaction (t′ for the whole view, the
-// serving-side counterpart of the reference Translate). Cancelling ctx
-// aborts between rows with ctx.Err(). Safe for concurrent use; for
-// parallel serving, shard the transactions across goroutines and call
-// it per shard.
-func (tr *Translator) TranslateBatch(ctx context.Context, d *dataset.Dataset, from dataset.View) ([][]int, error) {
-	if err := tr.compatible(d); err != nil {
-		return nil, err
-	}
-	sc := tr.getScratch()
-	defer tr.putScratch(sc)
-	cd := &tr.dirs[from]
-	out := sc.out[from.Opposite()]
-	res := make([][]int, d.Size())
-	// One amortized arena backs every row's ids: growth reallocations
-	// leave already-sliced rows pointing at the previous backing array,
-	// which stays valid — so the batch does O(log n) allocations instead
-	// of one per row.
-	arena := make([]int, 0, d.Size()*2)
-	for t := 0; t < d.Size(); t++ {
-		if t&translateCtxProbe == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		cd.translateInto(out, d.Row(from, t), sc)
-		start := len(arena)
-		arena = out.AppendIndices(arena)
-		res[t] = arena[start:len(arena):len(arena)]
-	}
-	return res, nil
-}
-
-// TranslateBatchIDs is TranslateBatch for rows given directly as item
-// id lists — the serving daemon's batch entry, where a request body
-// carries many transactions that never exist as a Dataset. All rows are
-// translated through one pooled scratch and one amortized arena (same
-// O(log n) allocation contract as TranslateBatch). Out-of-vocabulary
-// ids fail the whole batch with the offending row's index; cancelling
-// ctx aborts between rows with ctx.Err(). Safe for concurrent use.
+// TranslateBatchIDs translates many from-view transactions given
+// directly as item id lists — the serving daemon's batch entry, where a
+// request body carries many transactions that never exist as a
+// Dataset — returning one ascending id slice per row. All rows are
+// translated through one pooled scratch and one amortized arena: growth
+// reallocations leave already-sliced rows pointing at the previous
+// backing array, which stays valid, so the batch does O(log n)
+// allocations instead of one per row. Out-of-vocabulary ids fail the
+// whole batch with the offending row's index; cancelling ctx aborts
+// between rows with ctx.Err(). Safe for concurrent use.
 func (tr *Translator) TranslateBatchIDs(ctx context.Context, from dataset.View, rows [][]int) ([][]int, error) {
 	sc := tr.getScratch()
 	defer tr.putScratch(sc)
@@ -419,8 +281,7 @@ func (tr *Translator) ApplyStream(ctx context.Context, r io.Reader, from dataset
 	defer tr.putScratch(sc)
 	cd := &tr.dirs[from]
 	out := sc.out[target]
-	rowF := bitset.New(tr.items[from])
-	rowT := bitset.New(tr.items[target])
+	rowF, rowT := sc.row[from], sc.row[target]
 	rep := ApplyReport{From: from}
 	for n := 0; ; n++ {
 		if n&translateCtxProbe == 0 {

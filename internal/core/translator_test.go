@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -41,8 +42,8 @@ func TestQuickTranslatorMatchesReference(t *testing.T) {
 			for ti := 0; ti < d.Size(); ti++ {
 				row := d.Row(from, ti)
 				want := TranslateRow(d, tab, from, row).Indices()
-				got := tr.Translate(from, row)
-				if len(got) != len(want) {
+				got, err := tr.TranslateIDs(nil, from, row.Indices())
+				if err != nil || len(got) != len(want) {
 					return false
 				}
 				for i := range want {
@@ -89,74 +90,17 @@ func TestTranslatorApplyMatchesReference(t *testing.T) {
 	}
 }
 
-// TranslateCorrect must agree with the reference correction tables, and
-// the reconstruction identity t = t′ ⊕ (U ∪ E) must hold per row.
-func TestTranslatorCorrections(t *testing.T) {
-	d := plantedDataset(t, 62)
-	tab := minedTables(t, d)["select"]
-	tr, err := CompileTranslator(d, tab)
-	if err != nil {
-		t.Fatal(err)
+// viewIDs returns every transaction of view v of d as item ids.
+func viewIDs(d *dataset.Dataset, v dataset.View) [][]int {
+	rows := make([][]int, d.Size())
+	for ti := range rows {
+		rows[ti] = d.Row(v, ti).Indices()
 	}
-	for _, from := range []dataset.View{dataset.Left, dataset.Right} {
-		u, e := CorrectionTables(d, tab, from)
-		target := from.Opposite()
-		for ti := 0; ti < d.Size(); ti++ {
-			trans, c := tr.TranslateCorrect(from, d.Row(from, ti), d.Row(target, ti))
-			if !equalInts(c.Uncovered, u[ti].Indices()) || !equalInts(c.Errors, e[ti].Indices()) {
-				t.Fatalf("from %v t%d: corrections (%v, %v) differ from reference (%v, %v)",
-					from, ti, c.Uncovered, c.Errors, u[ti].Indices(), e[ti].Indices())
-			}
-			// Reconstruction: t′ ⊕ (U ∪ E) = t.
-			rec := map[int]bool{}
-			for _, i := range trans {
-				rec[i] = true
-			}
-			for _, i := range c.Uncovered {
-				rec[i] = !rec[i]
-			}
-			for _, i := range c.Errors {
-				rec[i] = !rec[i]
-			}
-			truth := d.Row(target, ti)
-			for i := 0; i < d.Items(target); i++ {
-				if rec[i] != truth.Contains(i) {
-					t.Fatalf("from %v t%d: reconstruction differs at item %d", from, ti, i)
-				}
-			}
-		}
-	}
+	return rows
 }
 
-// MatchingRules must return exactly the firing rules, in table order.
-func TestTranslatorMatchingRules(t *testing.T) {
-	d := fig1(t)
-	tab := &Table{Rules: []Rule{
-		{X: itemset.New(0, 1), Dir: Both, Y: itemset.New(1, 5)}, // {A,B} <-> {L,U}
-		{X: itemset.New(2), Dir: Forward, Y: itemset.New(4)},    // {C} -> {S}
-		{X: itemset.New(3), Dir: Backward, Y: itemset.New(3)},   // {D} <- {Q}
-	}}
-	tr, err := CompileTranslator(d, tab)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Row 0 = {A,B}: rule 0 fires from the left; rule 2 is <- (not
-	// applicable from the left); rule 1 needs C.
-	if got := tr.MatchingRules(dataset.Left, d.Row(dataset.Left, 0)); !equalInts(got, []int{0}) {
-		t.Fatalf("MatchingRules(L, row0) = %v, want [0]", got)
-	}
-	// Row 1 = {B,C}: only rule 1 fires.
-	if got := tr.MatchingRules(dataset.Left, d.Row(dataset.Left, 1)); !equalInts(got, []int{1}) {
-		t.Fatalf("MatchingRules(L, row1) = %v, want [1]", got)
-	}
-	// From the right, row 3 = {L,Q,U}: rule 0 (<->, {L,U} ⊆ row) and
-	// rule 2 (<-, {Q} ⊆ row).
-	if got := tr.MatchingRules(dataset.Right, d.Row(dataset.Right, 3)); !equalInts(got, []int{0, 2}) {
-		t.Fatalf("MatchingRules(R, row3) = %v, want [0 2]", got)
-	}
-}
-
-// TranslateBatch must equal per-row Translate and honour cancellation.
+// TranslateBatchIDs must equal per-row TranslateIDs and honour
+// cancellation.
 func TestTranslatorBatch(t *testing.T) {
 	d := plantedDataset(t, 63)
 	tab := minedTables(t, d)["greedy"]
@@ -164,7 +108,8 @@ func TestTranslatorBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch, err := tr.TranslateBatch(context.Background(), d, dataset.Left)
+	rows := viewIDs(d, dataset.Left)
+	batch, err := tr.TranslateBatchIDs(context.Background(), dataset.Left, rows)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,13 +117,17 @@ func TestTranslatorBatch(t *testing.T) {
 		t.Fatalf("batch has %d rows, dataset %d", len(batch), d.Size())
 	}
 	for ti := range batch {
-		if want := tr.Translate(dataset.Left, d.Row(dataset.Left, ti)); !equalInts(batch[ti], want) {
+		want, err := tr.TranslateIDs(nil, dataset.Left, rows[ti])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !equalInts(batch[ti], want) {
 			t.Fatalf("batch row %d = %v, per-row %v", ti, batch[ti], want)
 		}
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := tr.TranslateBatch(ctx, d, dataset.Left); !errors.Is(err, context.Canceled) {
+	if _, err := tr.TranslateBatchIDs(ctx, dataset.Left, rows); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled batch: err = %v", err)
 	}
 }
@@ -192,7 +141,8 @@ func TestTranslatorConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := tr.TranslateBatch(context.Background(), d, dataset.Left)
+	rows := viewIDs(d, dataset.Left)
+	want, err := tr.TranslateBatchIDs(context.Background(), dataset.Left, rows)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,14 +152,15 @@ func TestTranslatorConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for ti := 0; ti < d.Size(); ti++ {
-				if got := tr.Translate(dataset.Left, d.Row(dataset.Left, ti)); !equalInts(got, want[ti]) {
+			for ti, ids := range rows {
+				if got, err := tr.TranslateIDs(nil, dataset.Left, ids); err != nil || !equalInts(got, want[ti]) {
 					errs <- errors.New("concurrent translation differs")
 					return
 				}
-				// Exercise the corrections path concurrently too (the
-				// race detector is the assertion here).
-				tr.TranslateCorrect(dataset.Left, d.Row(dataset.Left, ti), d.Row(dataset.Right, ti))
+			}
+			// The batch path shares the pooled scratch too.
+			if got, err := tr.TranslateBatchIDs(context.Background(), dataset.Left, rows); err != nil || !slices.EqualFunc(got, want, equalInts) {
+				errs <- errors.New("concurrent batch translation differs")
 			}
 		}()
 	}
@@ -275,8 +226,8 @@ func TestTranslatorApplyStream(t *testing.T) {
 	}
 }
 
-// TranslateIDs and NewRow are the fresh-traffic entries: ids in, ids
-// out, matching the row-based path; out-of-vocabulary ids error.
+// TranslateIDs is the fresh-traffic entry: ids in, ids out, matching
+// the reference row-based TranslateRow; out-of-vocabulary ids error.
 func TestTranslatorTranslateIDs(t *testing.T) {
 	d := plantedDataset(t, 66)
 	tab := minedTables(t, d)["select"]
@@ -286,26 +237,19 @@ func TestTranslatorTranslateIDs(t *testing.T) {
 	}
 	for ti := 0; ti < d.Size(); ti++ {
 		row := d.Row(dataset.Left, ti)
-		want := tr.Translate(dataset.Left, row)
+		want := TranslateRow(d, tab, dataset.Left, row).Indices()
 		got, err := tr.TranslateIDs(nil, dataset.Left, row.Indices())
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !equalInts(got, want) {
-			t.Fatalf("t%d: TranslateIDs %v, Translate %v", ti, got, want)
-		}
-		built, err := tr.NewRow(dataset.Left, row.Indices())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !equalInts(tr.Translate(dataset.Left, built), want) {
-			t.Fatalf("t%d: NewRow-based translation differs", ti)
+			t.Fatalf("t%d: TranslateIDs %v, TranslateRow %v", ti, got, want)
 		}
 	}
 	if _, err := tr.TranslateIDs(nil, dataset.Left, []int{99}); err == nil || !strings.Contains(err.Error(), "99") {
 		t.Fatalf("out-of-range id not reported: %v", err)
 	}
-	if _, err := tr.NewRow(dataset.Right, []int{-1}); err == nil {
+	if _, err := tr.TranslateIDs(nil, dataset.Right, []int{-1}); err == nil {
 		t.Fatal("negative id accepted")
 	}
 }
@@ -322,7 +266,7 @@ func TestCompileTranslatorValidates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := tr.Translate(dataset.Left, d.Row(dataset.Left, 0)); len(got) != 0 {
+	if got, err := tr.TranslateIDs(nil, dataset.Left, d.Row(dataset.Left, 0).Indices()); err != nil || len(got) != 0 {
 		t.Fatalf("empty table translated to %v", got)
 	}
 	if tr.Rules() != 0 || tr.Items(dataset.Left) != 5 || tr.Items(dataset.Right) != 6 {

@@ -1,0 +1,93 @@
+package server
+
+import (
+	"bytes"
+	"encoding/json"
+	"errors"
+	"net/http"
+	"net/http/httptest"
+	"runtime"
+	"slices"
+	"strings"
+	"testing"
+)
+
+// An oversized batch is shed while its body is decoded: an 8 MiB body
+// of empty rows gets its 413 having allocated less than the body's own
+// size, not after materializing its 2.8 million rows.
+func TestBatchRowLimitShedsWhileDecoding(t *testing.T) {
+	tr, _ := serveFixture(t, 44)
+	h := New(tr, Options{}).Handler()
+	const head, tail = `{"from":"L","rows":[`, `[]]}`
+	n := (8<<20 - len(head) - len(tail)) / len("[],")
+	body := []byte(head + strings.Repeat("[],", n) + tail)
+
+	req := httptest.NewRequest(http.MethodPost, "/translate/batch", bytes.NewReader(body))
+	rec := httptest.NewRecorder()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	h.ServeHTTP(rec, req)
+	runtime.ReadMemStats(&after)
+
+	if rec.Code != http.StatusRequestEntityTooLarge || !strings.Contains(rec.Body.String(), "row limit") {
+		t.Fatalf("status %d: %s", rec.Code, rec.Body)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= uint64(len(body)) {
+		t.Fatalf("shedding a %d-byte batch allocated %d bytes", len(body), grew)
+	}
+}
+
+// sameBatch reports whether two decoded batch requests carry the same
+// view and rows; a null row and an empty one both mean no items.
+func sameBatch(a, b batchRequest) bool {
+	return a.From == b.From && slices.EqualFunc(a.Rows, b.Rows, slices.Equal[[]int])
+}
+
+// FuzzBatchRequest: batchRequest.decode is a drop-in for
+// json.NewDecoder(body).Decode(&batchRequest{}). Wherever Decode
+// succeeds within the row limit, decode yields the same request; a
+// body Decode rejects, decode rejects too; and under a small limit
+// every longer batch is shed with errTooManyRows.
+func FuzzBatchRequest(f *testing.F) {
+	f.Add(`{"from":"L","rows":[[0,1],[2]]}`)
+	f.Add(`{"FROM":"R","Rows":[[3]],"fRoM":"L"}`)
+	f.Add(`{"rows":[[1],[]],"from":"L"}`)
+	f.Add(`{"from":"L","extra":{"a":[1,{"b":null}]},"rows":[[0]],"more":"x"}`)
+	f.Add(`{"from":"L","rows":[[0]],"rows":[[1],[2],[3]]}`)
+	f.Add(`{"from":"L","rows":[[0]],"rows":null}`)
+	f.Add(`{"from":"L","rows":[null,[1]]}`)
+	f.Add(`{"from":"L","rows":[[0]]} trailing`)
+	f.Add(`null`)
+	f.Add(`{"from":"L","rows":[[0],]}`)
+	f.Add(`{"from":"L","rows":[[1.5]]}`)
+	f.Add(`{"from":1}`)
+	f.Add(`[{"from":"L"}]`)
+	f.Add(`{"from":"L",`)
+	limit := Options{}.withDefaults().MaxBatchRows
+	f.Fuzz(func(t *testing.T, body string) {
+		var want batchRequest
+		wantErr := json.NewDecoder(strings.NewReader(body)).Decode(&want)
+		var got batchRequest
+		err := got.decode(json.NewDecoder(strings.NewReader(body)), limit)
+		switch {
+		case wantErr != nil && err == nil:
+			t.Fatalf("accepted a body Decode rejects (%v): %+v", wantErr, got)
+		case wantErr == nil && len(want.Rows) <= limit && (err != nil || !sameBatch(got, want)):
+			t.Fatalf("got %+v, %v; Decode gave %+v", got, err, want)
+		}
+
+		const small = 2
+		got = batchRequest{}
+		err = got.decode(json.NewDecoder(strings.NewReader(body)), small)
+		switch {
+		case wantErr != nil && err == nil:
+			t.Fatalf("limit %d: accepted a body Decode rejects (%v): %+v", small, wantErr, got)
+		case wantErr == nil && len(want.Rows) > small && !errors.Is(err, errTooManyRows):
+			t.Fatalf("limit %d: %d rows not shed: %v", small, len(want.Rows), err)
+		case wantErr == nil && len(want.Rows) <= small && !errors.Is(err, errTooManyRows) && (err != nil || !sameBatch(got, want)):
+			// errTooManyRows here is an earlier, replaced rows value
+			// over the limit.
+			t.Fatalf("limit %d: got %+v, %v; Decode gave %+v", small, got, err, want)
+		}
+	})
+}

@@ -48,6 +48,7 @@ import (
 	"log"
 	"net/http"
 	"strconv"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -255,7 +256,7 @@ func (s *Server) deadlined(h http.HandlerFunc) http.HandlerFunc {
 
 func (s *Server) handleTranslate(w http.ResponseWriter, r *http.Request) {
 	var req translateRequest
-	if !s.decodeJSON(w, r, &req) {
+	if !s.decodeJSON(w, r, func(dec *json.Decoder) error { return dec.Decode(&req) }) {
 		return
 	}
 	from, ok := parseView(w, req.From)
@@ -284,16 +285,11 @@ func (s *Server) handleTranslate(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req batchRequest
-	if !s.decodeJSON(w, r, &req) {
+	if !s.decodeJSON(w, r, func(dec *json.Decoder) error { return req.decode(dec, s.opts.MaxBatchRows) }) {
 		return
 	}
 	from, ok := parseView(w, req.From)
 	if !ok {
-		return
-	}
-	if len(req.Rows) > s.opts.MaxBatchRows {
-		writeError(w, http.StatusRequestEntityTooLarge,
-			fmt.Sprintf("batch of %d rows exceeds the %d-row limit", len(req.Rows), s.opts.MaxBatchRows))
 		return
 	}
 	if fault.Enabled {
@@ -399,22 +395,96 @@ func deadlineBlown(w http.ResponseWriter, ctx context.Context) bool {
 	return false
 }
 
-// decodeJSON reads a size-capped JSON body into dst, answering 400/413
-// itself; the false return means the response is already written.
-func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, dst any) bool {
+// decodeJSON runs decode over the size-capped request body, answering
+// 413 for a body over MaxBodyBytes or a batch over MaxBatchRows and 400
+// for any other decode error; the false return means the response is
+// already written.
+func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, decode func(*json.Decoder) error) bool {
 	body := http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes)
-	dec := json.NewDecoder(body)
-	if err := dec.Decode(dst); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit))
-			return false
-		}
+	err := decode(json.NewDecoder(body))
+	var tooLarge *http.MaxBytesError
+	switch {
+	case err == nil:
+		return true
+	case errors.As(err, &tooLarge):
+		writeError(w, http.StatusRequestEntityTooLarge,
+			fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit))
+	case errors.Is(err, errTooManyRows):
+		writeError(w, http.StatusRequestEntityTooLarge,
+			fmt.Sprintf("batch exceeds the %d-row limit", s.opts.MaxBatchRows))
+	default:
 		writeError(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
-		return false
 	}
-	return true
+	return false
+}
+
+// errTooManyRows is batchRequest.decode's verdict on a rows array longer than
+// the row limit.
+var errTooManyRows = errors.New("too many rows")
+
+// decode decodes one batch request into the zero req as dec.Decode(req)
+// would (keys matched case-insensitively in any order, unknown keys
+// skipped, a repeated key's last value winning, null rows meaning none),
+// but it reads the rows one at a time and stops with errTooManyRows at
+// row maxRows+1. So an oversized rows array sheds the request even when
+// a later repeated "rows" key would replace it, and the nesting-depth
+// limit counts from each value rather than from the body.
+func (req *batchRequest) decode(dec *json.Decoder, maxRows int) error {
+	tok, err := dec.Token()
+	if err != nil || tok == nil { // a null body leaves req zero, as Decode does
+		return err
+	}
+	if tok != json.Delim('{') {
+		return fmt.Errorf("batch body is %v, not an object", tok)
+	}
+	for dec.More() {
+		tok, err := dec.Token()
+		if err != nil {
+			return err
+		}
+		// In key position Token returns a string or fails.
+		key, _ := tok.(string)
+		switch {
+		case strings.EqualFold(key, "from"):
+			err = dec.Decode(&req.From)
+		case strings.EqualFold(key, "rows"):
+			req.Rows, err = decodeRows(dec, maxRows)
+		default:
+			var skip json.RawMessage
+			err = dec.Decode(&skip)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	_, err = dec.Token() // the closing '}'
+	return err
+}
+
+// decodeRows decodes a rows value (an array of item-id arrays, or
+// null), failing with errTooManyRows at row maxRows+1.
+func decodeRows(dec *json.Decoder, maxRows int) ([][]int, error) {
+	tok, err := dec.Token()
+	if err != nil || tok == nil {
+		return nil, err
+	}
+	if tok != json.Delim('[') {
+		return nil, fmt.Errorf("rows is %v, not an array", tok)
+	}
+	rows := [][]int{}
+	for dec.More() {
+		if len(rows) == maxRows {
+			return nil, errTooManyRows
+		}
+		// Decoding in place keeps the row's slice header in rows'
+		// backing array instead of a fresh allocation per row.
+		rows = append(rows, nil)
+		if err := dec.Decode(&rows[len(rows)-1]); err != nil {
+			return nil, err
+		}
+	}
+	_, err = dec.Token() // the closing ']'
+	return rows, err
 }
 
 // parseView resolves the wire name of a view ("L"/"R", case-insensitive

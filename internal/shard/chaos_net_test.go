@@ -185,7 +185,7 @@ func TestChaosNetConnDropMidScore(t *testing.T) {
 func TestChaosNetPartialReplyThenClose(t *testing.T) {
 	d := plantedDataset(t, 37)
 	cands := mustCandidates(t, d)
-	ref, err := core.MineGreedy(context.Background(), d, cands, core.GreedyOptions{BlockSize: 16})
+	ref, err := core.MineGreedy(context.Background(), d, cands, core.GreedyOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +199,7 @@ func TestChaosNetPartialReplyThenClose(t *testing.T) {
 		return actForward
 	})
 
-	res, stats, err := mineGreedy(context.Background(), d, cands, core.GreedyOptions{BlockSize: 16},
+	res, stats, err := mineGreedy(context.Background(), d, cands, core.GreedyOptions{},
 		Config{Shards: 2, Workers: 1, Addrs: []string{proxy.addr()}, Lease: chaosNetLease, RedialBackoff: 5 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)

@@ -147,7 +147,7 @@ func checkStalledReader(t *testing.T, label string, ref *core.Result, reps int, 
 func TestChaosShardStalledReaderGreedy(t *testing.T) {
 	d := plantedDataset(t, 13)
 	cands := mustCandidates(t, d)
-	opt := core.GreedyOptions{BlockSize: 16}
+	opt := core.GreedyOptions{}
 	ref, err := core.MineGreedy(context.Background(), d, cands, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -163,14 +163,14 @@ func TestChaosShardCrashOnReceive(t *testing.T) {
 	defer fault.Reset()
 	d := plantedDataset(t, 37)
 	cands := mustCandidates(t, d)
-	ref, err := core.MineGreedy(context.Background(), d, cands, core.GreedyOptions{BlockSize: 16})
+	ref, err := core.MineGreedy(context.Background(), d, cands, core.GreedyOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	fault.Set("shard.recv", fault.Action{Skip: 2, Panic: "chaos: killed on receive"})
 	res, stats, err := mineGreedy(context.Background(), d, cands,
-		core.GreedyOptions{BlockSize: 16}, Config{Shards: 2, Workers: 2})
+		core.GreedyOptions{}, Config{Shards: 2, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

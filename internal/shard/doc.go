@@ -31,7 +31,7 @@
 //	  dispatch wire.Score/wire.Apply ──▶ mailbox
 //	    {part, term, seq, lease}         score/apply on the partition
 //	                                     (workers-wide phase under the
-//	                                      lease, internal/pool.Lease)
+//	                                      lease, a context deadline)
 //	  gather  ◀── wire.Reply{part, term, seq, counts}
 //	  merge in partition order (bit-identical fold, see below)
 //
@@ -63,9 +63,9 @@
 // the in-flight rule instead, since no re-dispatch will reach it.
 //
 // Incarnations also self-bound: each scoring phase runs under the
-// granted lease (pool.Lease), so one that cannot finish in time drains
-// its own phase, retires with a crash notice, and frees its workers
-// instead of wedging them.
+// granted lease (a context.WithTimeout deadline), so one that cannot
+// finish in time drains its own phase, retires with a crash notice, and
+// frees its workers instead of wedging them.
 //
 // # Message protocol
 //

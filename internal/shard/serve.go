@@ -110,10 +110,10 @@ func (inc *incarnation) score(ctx context.Context, req *wire.Score) (*wire.Reply
 		}
 	}
 	rep := &wire.Reply{Part: inc.h.Part, Term: inc.h.Term, Seq: req.Seq, Counts: make([]core.DirCounts, len(req.CandIdx))}
-	lease := pool.NewLease(ctx, req.Lease)
-	defer lease.End()
+	lease, end := context.WithTimeout(ctx, req.Lease)
+	defer end()
 	dirty := core.NewDirtyItems(inc.d, req.Dirty)
-	err := inc.scorers.RunCtx(lease.Context(), len(req.CandIdx), func(_ struct{}, i int) {
+	err := inc.scorers.RunCtx(lease, len(req.CandIdx), func(_ struct{}, i int) {
 		if fault.Enabled {
 			fault.Fire("shard.task")
 		}

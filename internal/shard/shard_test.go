@@ -202,12 +202,11 @@ func TestShardedSelectDeterminism(t *testing.T) {
 	}
 }
 
-// TestShardedGreedyDeterminism pins MineGreedy across the grid, with a
-// small BlockSize so accepts split speculation windows.
+// TestShardedGreedyDeterminism pins MineGreedy across the grid.
 func TestShardedGreedyDeterminism(t *testing.T) {
 	d := plantedDataset(t, 13)
 	cands := mustCandidates(t, d)
-	ref, err := core.MineGreedy(context.Background(), d, cands, core.GreedyOptions{BlockSize: 16})
+	ref, err := core.MineGreedy(context.Background(), d, cands, core.GreedyOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +215,7 @@ func TestShardedGreedyDeterminism(t *testing.T) {
 	}
 	for _, shards := range gridShards {
 		for _, workers := range gridWorkers {
-			opt := core.GreedyOptions{BlockSize: 16, ParallelOptions: core.ParallelOptions{Shards: shards, Workers: workers}}
+			opt := core.GreedyOptions{ParallelOptions: core.ParallelOptions{Shards: shards, Workers: workers}}
 			res, err := core.MineGreedy(context.Background(), d, cands, opt)
 			if err != nil {
 				t.Fatalf("shards=%d workers=%d: %v", shards, workers, err)

@@ -161,7 +161,7 @@ func TestTCPShardedMatchesMonolith(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refGreedy, err := core.MineGreedy(context.Background(), d, cands, core.GreedyOptions{BlockSize: 16})
+	refGreedy, err := core.MineGreedy(context.Background(), d, cands, core.GreedyOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +190,7 @@ func TestTCPShardedMatchesMonolith(t *testing.T) {
 			totalBlobs += st.blobsSent
 			totalHits += st.cacheHits
 
-			res, st, err = mineGreedy(ctx, d, cands, core.GreedyOptions{BlockSize: 16}, cfg)
+			res, st, err = mineGreedy(ctx, d, cands, core.GreedyOptions{}, cfg)
 			if err != nil {
 				t.Fatalf("tcp greedy shards=%d workers=%d: %v", shards, workers, err)
 			}

@@ -50,9 +50,9 @@
 //
 // Mining is the expensive, one-time step; translation is the serving
 // step. A Translator compiles a mined (or loaded) table against the
-// dataset vocabularies once — item-indexed rule posting lists and
-// per-rule antecedent masks — and then translates rows, batches, or
-// unbounded streams cheaply and concurrently; Apply is a thin wrapper
+// dataset vocabularies once — item-indexed rule posting lists — and
+// then translates id rows, id batches, whole datasets, or unbounded
+// streams cheaply and concurrently; Apply is a thin wrapper
 // that compiles and applies once. See README.md's "Serving" section.
 //
 // See the examples/ directory for complete programs, and README.md
@@ -287,13 +287,9 @@ func Apply(ctx context.Context, d *Dataset, t *Table, from View) (ApplyReport, e
 // for concurrent use by any number of goroutines.
 type Translator = core.Translator
 
-// Corrections is the per-transaction correction pair (U, E) of the
-// lossless translation scheme.
-type Corrections = core.Corrections
-
-// CompileTranslator compiles t against d's vocabularies: item-indexed
-// rule posting lists plus per-rule antecedent masks. Compile once, then
-// Translate / TranslateBatch / Apply / ApplyStream any number of times.
+// CompileTranslator compiles t against d's vocabularies into
+// item-indexed rule posting lists. Compile once, then TranslateIDs /
+// TranslateBatchIDs / Apply / ApplyStream any number of times.
 func CompileTranslator(d *Dataset, t *Table) (*Translator, error) {
 	return core.CompileTranslator(d, t)
 }
