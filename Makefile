@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: test lint loc chaos chaos-shard chaos-net fuzz-smoke bench-kernels
+.PHONY: test lint loc chaos chaos-shard chaos-net fuzz-smoke
 
 # The tier-1 gate: everything CI's build/test steps enforce.
 test:
@@ -58,14 +58,3 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzReadTable -fuzztime=30s ./internal/core
 	$(GO) test -fuzz=FuzzWireCodec -fuzztime=30s ./internal/wire
 	$(GO) test -fuzz=FuzzBatchRequest -fuzztime=30s ./internal/server
-
-# Striped-vs-scalar kernel comparison: the same bitset and pool
-# benchmarks under the default (striped) build and under the
-# -tags bitset_scalar differential build, back to back. Diff the two
-# outputs (or feed them to benchstat) to read the stripe speedups.
-BENCH_KERNELS = BenchmarkAndCount|BenchmarkAndOrCount|BenchmarkAndNot|BenchmarkIntersectInto|BenchmarkWeightedSum|BenchmarkCount|BenchmarkEqual|BenchmarkSubsetOf|BenchmarkPhaseHandoff
-bench-kernels:
-	@echo '=== striped (default build) ==='
-	$(GO) test -run='^$$' -bench '$(BENCH_KERNELS)' -benchtime 200ms -count 3 ./internal/bitset/ ./internal/pool/
-	@echo '=== scalar (-tags bitset_scalar) ==='
-	$(GO) test -tags bitset_scalar -run='^$$' -bench '$(BENCH_KERNELS)' -benchtime 200ms -count 3 ./internal/bitset/ ./internal/pool/

@@ -21,7 +21,7 @@
 //
 // Usage:
 //
-//	shardworker [-addr 127.0.0.1:0] [-cache DIR] [-workers 0] [-drain 2s]
+//	shardworker [-addr 127.0.0.1:0] [-cache DIR] [-workers 0]
 //
 // The actual listen address is printed to stdout ("listening HOST:PORT"),
 // so callers may bind port 0 and scrape the line.
@@ -33,9 +33,9 @@ import (
 	"fmt"
 	"log"
 	"net"
-	"time"
-
-	"twoview/internal/shutdown"
+	"os"
+	"os/signal"
+	"syscall"
 )
 
 func main() {
@@ -46,11 +46,10 @@ func main() {
 		addr    = flag.String("addr", "127.0.0.1:0", "TCP address to listen on (:0 = ephemeral; the actual address is printed to stdout)")
 		cache   = flag.String("cache", "", "directory for the content-addressed blob cache (empty = in-memory only; a directory survives restarts, so a rejoining worker transfers nothing)")
 		workers = flag.Int("workers", 0, "cap on scoring workers per hosted partition (0 = GOMAXPROCS, also the ceiling)")
-		drain   = flag.Duration("drain", 2*time.Second, "shutdown drain deadline")
 	)
 	flag.Parse()
 
-	ctx, stop := shutdown.NotifyContext(context.Background())
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
 	ln, err := net.Listen("tcp", *addr)
@@ -77,7 +76,5 @@ func main() {
 		log.Printf("coordinator session ended")
 	}
 
-	if err := shutdown.Drain(*drain, func(context.Context) error { w.rt.Close(); return nil }); err != nil {
-		log.Print(err)
-	}
+	w.rt.Close()
 }

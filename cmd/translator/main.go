@@ -16,14 +16,14 @@ import (
 	"fmt"
 	"log"
 	"os"
-
+	"os/signal"
 	"strings"
+	"syscall"
 
 	"twoview/internal/core"
 	"twoview/internal/dataset"
 	"twoview/internal/eval"
 	"twoview/internal/mdl"
-	"twoview/internal/shutdown"
 
 	// Arm the -shards flag for SELECT and GREEDY (registers the sharded
 	// cover with core).
@@ -58,7 +58,7 @@ func main() {
 	// SIGINT/SIGTERM cancel the mining context: a long mine unwinds at
 	// the next search checkpoint and the partial table is still printed
 	// (and saved with -save) instead of the process being killed.
-	ctx, stop := shutdown.NotifyContext(context.Background())
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
 	d, err := dataset.ReadFile(*in)

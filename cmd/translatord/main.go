@@ -32,12 +32,13 @@ import (
 	"log"
 	"net/http"
 	"os"
+	"os/signal"
+	"syscall"
 	"time"
 
 	"twoview/internal/core"
 	"twoview/internal/dataset"
 	"twoview/internal/server"
-	"twoview/internal/shutdown"
 )
 
 func main() {
@@ -95,7 +96,7 @@ func main() {
 		ReadHeaderTimeout: 5 * time.Second,
 	}
 
-	ctx, stop := shutdown.NotifyContext(context.Background())
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
 	errc := make(chan error, 1)
@@ -111,10 +112,10 @@ func main() {
 	stop() // second signal now kills the process the default way
 	log.Printf("signal received; draining for up to %v (second signal kills)", *drain)
 
-	err = shutdown.Drain(*drain,
-		func(context.Context) error { srv.BeginShutdown(); return nil },
-		httpSrv.Shutdown,
-	)
+	srv.BeginShutdown()
+	drainCtx, cancel := context.WithTimeout(context.Background(), *drain)
+	err = httpSrv.Shutdown(drainCtx)
+	cancel()
 	if err != nil && !errors.Is(err, http.ErrServerClosed) {
 		httpSrv.Close()
 		log.Fatal(fmt.Errorf("drain incomplete: %w", err))

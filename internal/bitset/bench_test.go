@@ -6,17 +6,13 @@ import (
 	"testing"
 )
 
-// Kernel microbenchmarks, width-parameterized so the striped-vs-scalar
-// ratio is visible per size class: words=4 is one stripe (256 bits,
-// the planted datasets' tidset ballpark — below the width gates, so it
-// must match the scalar build), words=256+ is where the stripes engage
-// and must pay off. Run the same benchmarks with `-tags bitset_scalar`
-// for the differential baseline:
+// Kernel microbenchmarks, width-parameterized so both sides of each
+// stripe gate show in one run: words=4 is one stripe (256 bits, the
+// planted datasets' tidset ballpark — below the count/logic gate, so
+// the one-word loop runs), words=256+ is where the stripes engage and
+// must pay off:
 //
 //	go test -run='^$' -bench 'AndCount|IntersectInto' ./internal/bitset/
-//	go test -run='^$' -bench 'AndCount|IntersectInto' -tags bitset_scalar ./internal/bitset/
-//
-// (or `make bench-kernels`, which runs both builds back to back).
 var benchWords = []int{1, 4, 16, 64, 256, 1024}
 
 func randomSet(r *rand.Rand, n int, density float64) *Set {

@@ -4,13 +4,12 @@
 // 64-bit words; none allocate unless explicitly documented.
 //
 // Every kernel and set operation runs on a shared layer of word cores
-// that, above a measured width gate, process 4-word stripes per
-// iteration with a scalar tail, and below it run the plain one-word
-// loop (see kernels_striped.go). Building with `-tags bitset_scalar`
-// swaps in the original one-word loops as a differential reference;
-// the exported signatures and all results — including the bit-exact
-// float accumulation order of IntersectIntoSum and WeightedSum — are
-// identical under both builds.
+// (see kernels_striped.go). The cores the miners run on long tidsets
+// process 4-word stripes per iteration with a one-word tail above a
+// measured width gate, and run the plain one-word loop below it; the
+// cores no workload runs wide are one-word loops at every width. Every
+// result, including the bit-exact float accumulation order of
+// IntersectIntoSum and WeightedSum, is independent of the path taken.
 package bitset
 
 import (

@@ -1,27 +1,28 @@
-//go:build !bitset_scalar
-
 package bitset
 
 import "math/bits"
 
-// This file holds the striped word cores behind every exported kernel
-// and set operation. Above a width gate, each core processes
-// stripeWords words per iteration with independent accumulators — the
-// unrolled bodies have no loop-carried dependency between lanes, so
-// the four popcounts issue back to back instead of serializing on one
-// register — and finishes with a scalar tail over the remaining words
-// (the trailing word's dead bits are already masked by the
-// package-wide width invariant, so the tail needs no extra masking).
-// Below the gate the cores run the plain one-word loop: the stripe
-// prologue (operand re-slicing, truncated bound, accumulator merge) is
-// pure overhead when there are only a handful of stripes, and measured
-// 15–30% slower than scalar on ≤16-word sets.
+// This file holds the word cores behind every exported kernel and set
+// operation. The cores a workload runs on long tidsets are striped: above a width gate, each processes stripeWords
+// words per iteration with independent accumulators — the unrolled
+// bodies have no loop-carried dependency between lanes, so the four
+// popcounts issue back to back instead of serializing on one register
+// — and finishes with a one-word tail over the remaining words (the
+// trailing word's dead bits are already masked by the package-wide
+// width invariant, so the tail needs no extra masking). Below the gate
+// they run the plain one-word loop: the stripe prologue (operand
+// re-slicing, truncated bound, accumulator merge) is pure overhead
+// when there are only a handful of stripes, and measured 15–30% slower
+// than the one-word loop on ≤16-word sets.
 //
-// The exported signatures in bitset.go are unchanged. Building with
-// `-tags bitset_scalar` swaps in the original one-word-at-a-time loops
-// from kernels_scalar.go as a differential reference; striped_test.go
-// asserts the two builds agree on every width boundary, including the
-// gate boundaries.
+// Four cores are one-word loops at every width, because no workload
+// runs them near the gate: andNotCountWords (AndNotCount counts
+// vocabulary-wide item rows in Translator.Apply and ApplyStream),
+// xorWords (Set.Xor serves only Reconstruct), equalWords (Set.Equal
+// compares item rows outside the mining path) and intersectsWords
+// (Set.Intersects mines only in EXACT's seed pass, whose datasets have
+// short tidsets). striped_test.go checks every core against per-bit
+// reference functions on both sides of each gate and stripe boundary.
 //
 // Loop shape and thresholds were chosen by measurement on the
 // development hardware (see README "Kernels"): an index loop over a
@@ -30,26 +31,24 @@ import "math/bits"
 // (a = a[4:]) loses the gain to slice-header updates, and bounding the
 // loop by i+4 <= len defeats bounds-check elimination; 8-wide stripes
 // measured no better than 4-wide on long sets. The dense-input ceiling
-// is real (a scalar popcount loop already runs near the issue width of
-// this hardware), so the count/logic stripes only engage on long sets;
-// the weighted-sum cores additionally skip the bit-walk of all-zero
-// stripes, which pays 1.5–2.5× on the sparse tidsets of deep search
-// branches and engages at a much lower width.
+// is real (a one-word popcount loop already runs near the issue width
+// of this hardware), so the count/logic stripes only engage on long
+// sets; the weighted-sum cores additionally skip the bit-walk of
+// all-zero stripes, which pays 1.5–2.5× on the sparse tidsets of deep
+// search branches and engages at a much lower width.
 const (
 	// stripeWords is the unroll factor of the striped cores, in words.
 	stripeWords = 4
 	// stripeMinWords gates the striped count/logic/predicate paths:
-	// shorter inputs run the scalar loop. Dense-input crossover
-	// measured between 64 words (scalar ~6% ahead) and 256 words
+	// shorter inputs run the one-word loop. Dense-input crossover
+	// measured between 64 words (one-word ~6% ahead) and 256 words
 	// (striped level to ~1.1× ahead).
 	stripeMinWords = 128
 	// stripeMinSumWords gates the weighted-sum stripes (which carry
 	// the all-zero-stripe skip): the skip already wins on sparse sets
-	// at a few stripes, so only sub-2-stripe inputs run scalar.
+	// at a few stripes, so only sub-2-stripe inputs run the one-word
+	// loop.
 	stripeMinSumWords = 2 * stripeWords
-	// scalarKernels reports which build of the cores is active, for
-	// tests and benchmarks that label their output.
-	scalarKernels = false
 )
 
 // countWords returns Σ popcount(a[i]).
@@ -96,20 +95,9 @@ func andCountWords(a, b []uint64) int {
 // andNotCountWords returns Σ popcount(a[i] &^ b[i]).
 func andNotCountWords(a, b []uint64) int {
 	b = b[:len(a)]
-	i, c := 0, 0
-	if len(a) >= stripeMinWords {
-		var c0, c1, c2, c3 int
-		n := len(a) &^ (stripeWords - 1)
-		for ; i < n; i += stripeWords {
-			c0 += bits.OnesCount64(a[i] &^ b[i])
-			c1 += bits.OnesCount64(a[i+1] &^ b[i+1])
-			c2 += bits.OnesCount64(a[i+2] &^ b[i+2])
-			c3 += bits.OnesCount64(a[i+3] &^ b[i+3])
-		}
-		c = c0 + c1 + c2 + c3
-	}
-	for ; i < len(a); i++ {
-		c += bits.OnesCount64(a[i] &^ b[i])
+	c := 0
+	for i, w := range a {
+		c += bits.OnesCount64(w &^ b[i])
 	}
 	return c
 }
@@ -261,36 +249,16 @@ func andNotWords(a, b []uint64) {
 // xorWords sets a[i] ^= b[i].
 func xorWords(a, b []uint64) {
 	b = b[:len(a)]
-	i := 0
-	if len(a) >= stripeMinWords {
-		n := len(a) &^ (stripeWords - 1)
-		for ; i < n; i += stripeWords {
-			a[i] ^= b[i]
-			a[i+1] ^= b[i+1]
-			a[i+2] ^= b[i+2]
-			a[i+3] ^= b[i+3]
-		}
-	}
-	for ; i < len(a); i++ {
+	for i := range a {
 		a[i] ^= b[i]
 	}
 }
 
-// equalWords reports a[i] == b[i] for all i, early-exiting per stripe:
-// the four lanes fold into one OR before the single branch.
+// equalWords reports a[i] == b[i] for all i.
 func equalWords(a, b []uint64) bool {
 	b = b[:len(a)]
-	i := 0
-	if len(a) >= stripeMinWords {
-		n := len(a) &^ (stripeWords - 1)
-		for ; i < n; i += stripeWords {
-			if (a[i]^b[i])|(a[i+1]^b[i+1])|(a[i+2]^b[i+2])|(a[i+3]^b[i+3]) != 0 {
-				return false
-			}
-		}
-	}
-	for ; i < len(a); i++ {
-		if a[i] != b[i] {
+	for i, w := range a {
+		if w != b[i] {
 			return false
 		}
 	}
@@ -318,21 +286,11 @@ func subsetWords(a, b []uint64) bool {
 	return true
 }
 
-// intersectsWords reports a[i] & b[i] != 0 for some i, early-exiting per
-// stripe.
+// intersectsWords reports a[i] & b[i] != 0 for some i.
 func intersectsWords(a, b []uint64) bool {
 	b = b[:len(a)]
-	i := 0
-	if len(a) >= stripeMinWords {
-		n := len(a) &^ (stripeWords - 1)
-		for ; i < n; i += stripeWords {
-			if (a[i]&b[i])|(a[i+1]&b[i+1])|(a[i+2]&b[i+2])|(a[i+3]&b[i+3]) != 0 {
-				return true
-			}
-		}
-	}
-	for ; i < len(a); i++ {
-		if a[i]&b[i] != 0 {
+	for i, w := range a {
+		if w&b[i] != 0 {
 			return true
 		}
 	}
@@ -341,8 +299,8 @@ func intersectsWords(a, b []uint64) bool {
 
 // intersectSumWords sets dst[i] = a[i] & b[i] and returns the weighted
 // sum of the result's set bits, accumulated strictly in ascending bit
-// order (each addition is total += w[bit], same association as the
-// scalar core — the float result is bit-identical by contract). The
+// order (each addition is total += w[bit], the same association as the
+// one-word tail — the float result is bit-identical by contract). The
 // stripe only unrolls the word intersection; an all-zero stripe skips
 // its four bit walks entirely, which is the common case on the sparse
 // tidsets of deep search branches.

@@ -2,13 +2,12 @@ package bitset
 
 // Width-boundary property tests for the kernel layer: every exported
 // kernel must agree with a bit-level reference implementation (written
-// here with per-bit probes, independent of both word cores) on every
+// here with per-bit probes, independent of the word cores) on every
 // boundary the striped cores care about — the empty set, single-word
 // widths, the 64-bit word boundaries, the stripe boundary (stripeWords
-// words) ± 1 word, and random large widths. The same tests run under
-// the default striped build and under `-tags bitset_scalar`, which is
-// what pins the two builds to each other: each one separately equals
-// the bit-level reference, including the trailing-word masking of the
+// words) ± 1 word, both width gates ± 1, and random large widths. That
+// covers the one-word path below each gate and the striped path with
+// its tail above it, including the trailing-word masking of the
 // `&^`-style kernels and the exact float accumulation order of
 // IntersectIntoSum / WeightedSum.
 
@@ -19,7 +18,7 @@ import (
 
 // boundaryWidths are the bit widths every kernel property is checked
 // at: 0, 1, the word boundary ±1, the stripe boundary ±1 (in words and
-// in bits), both width gates of the striped build ±1 (so the scalar
+// in bits), both width gates of the striped cores ±1 (so the one-word
 // fallthrough and the striped path are each exercised on both sides of
 // their crossover), and a couple of larger random-ish widths.
 func boundaryWidths() []int {
@@ -118,7 +117,6 @@ func refWeightedSum(s *Set, w []float64) float64 {
 }
 
 func TestKernelsMatchBitReference(t *testing.T) {
-	t.Logf("kernel build: scalar=%v stripeWords=%d", scalarKernels, stripeWords)
 	r := rand.New(rand.NewSource(42))
 	for _, n := range boundaryWidths() {
 		for _, da := range densities {
@@ -252,6 +250,70 @@ func TestKernelsTrailingWordMasking(t *testing.T) {
 		}
 		if n == 0 && a.Intersects(b) {
 			t.Fatal("width-0 sets cannot intersect")
+		}
+	}
+}
+
+// TestPredicatesDecideOnOneBit plants the one bit that decides Equal,
+// SubsetOf, ContainsAll and Intersects in the first word, in the last
+// word of the last full stripe and in the last word, at every boundary
+// width. The random fills of TestKernelsMatchBitReference almost never
+// leave a single deciding bit in a stripe's last lane or in the tail,
+// which is where an early exit that folds a stripe's lanes, or a tail
+// loop with a wrong bound, would miss it.
+func TestPredicatesDecideOnOneBit(t *testing.T) {
+	places := []struct {
+		name string
+		bit  func(n int) int // -1 when width n has no such word
+	}{
+		{"first word", func(int) int { return 0 }},
+		{"last word of the last full stripe", func(n int) int {
+			stripes := (n + wordBits - 1) / wordBits / stripeWords
+			if stripes == 0 {
+				return -1
+			}
+			return min(stripes*stripeWords*wordBits, n) - 1
+		}},
+		{"last word", func(n int) int { return n - 1 }},
+	}
+	r := rand.New(rand.NewSource(7))
+	for _, n := range boundaryWidths() {
+		if n == 0 {
+			continue
+		}
+		for _, pl := range places {
+			p := pl.bit(n)
+			if p < 0 {
+				continue
+			}
+			check := func(what string, got, want bool) {
+				t.Helper()
+				if got != want {
+					t.Fatalf("n=%d, bit %d in the %s: %s = %v, want %v", n, p, pl.name, what, got, want)
+				}
+			}
+			// b is a without p.
+			a := New(n)
+			fillRandom(r, a, 0.5)
+			a.Add(p)
+			b := a.Clone()
+			b.Remove(p)
+			aSubB, bSubA := refAndNotCount(a, b) == 0, refAndNotCount(b, a) == 0
+			check("a.Equal(b)", a.Equal(b), aSubB && bSubA)
+			check("b.Equal(a)", b.Equal(a), aSubB && bSubA)
+			check("a.SubsetOf(b)", a.SubsetOf(b), aSubB)
+			check("b.SubsetOf(a)", b.SubsetOf(a), bSubA)
+			check("b.ContainsAll(a)", b.ContainsAll(a.Indices()), aSubB)
+			check("a.ContainsAll(b)", a.ContainsAll(b.Indices()), bSubA)
+
+			// c is a's complement, then shares only p with a.
+			c := New(n)
+			c.Fill()
+			c.AndNot(a)
+			check("a.Intersects(complement)", a.Intersects(c), refAndCount(a, c) > 0)
+			c.Add(p)
+			check("a.Intersects(c)", a.Intersects(c), refAndCount(a, c) > 0)
+			check("c.Intersects(a)", c.Intersects(a), refAndCount(c, a) > 0)
 		}
 	}
 }

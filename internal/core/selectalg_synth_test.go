@@ -10,8 +10,7 @@ import (
 
 // The SELECT scoring cache against the uncached scorer on paper-profile
 // data: a narrow profile (15-word tidsets) and one wider than 128 words,
-// so both the plain and the striped popcount kernels run. CI's
-// -tags bitset_scalar step re-runs it on the scalar kernels.
+// so both the one-word and the striped popcount paths run.
 func TestSelectCacheMatchesUncachedScoringOnProfiles(t *testing.T) {
 	for _, tc := range []struct {
 		profile  string

@@ -80,8 +80,7 @@ type columns struct {
 
 // newColumns returns the empty-table columns of items [loL, hiL) ×
 // [loR, hiR): every U column is the item's support tidset, every E
-// column is empty. It materializes both Columns caches, which makes
-// them safe to read from parallel phases.
+// column is empty.
 func newColumns(d *dataset.Dataset, loL, hiL, loR, hiR int) columns {
 	c := columns{d: d, lo: [2]int{loL, loR}, hi: [2]int{hiL, hiR}}
 	n := d.Size()

@@ -8,6 +8,7 @@ package dataset
 
 import (
 	"fmt"
+	"sync"
 
 	"twoview/internal/bitset"
 	"twoview/internal/itemset"
@@ -42,12 +43,17 @@ func (v View) String() string {
 // Dataset is a Boolean two-view dataset. Rows are stored per view as
 // bitsets over that view's vocabulary; column tidsets are built lazily by
 // Columns and cached. A Dataset must be built with New and AddRow (or the
-// readers in this package); the zero value is not usable.
+// readers in this package); the zero value is not usable. Its read
+// methods are safe for concurrent use; AddRow must not run concurrently
+// with them.
 type Dataset struct {
 	namesL, namesR []string
 	rowsL, rowsR   []*bitset.Set
 
-	colsL, colsR []*bitset.Set // lazily built tidsets, width |D|
+	// cols holds each view's lazily built tidsets (width |D|), built
+	// once per view under colsOnce.
+	colsOnce [2]sync.Once
+	cols     [2][]*bitset.Set
 }
 
 // New returns an empty dataset whose vocabularies are given by item names.
@@ -105,7 +111,7 @@ func (d *Dataset) AddRow(left, right []int) error {
 	}
 	d.rowsL = append(d.rowsL, bitset.FromIndices(len(d.namesL), left))
 	d.rowsR = append(d.rowsR, bitset.FromIndices(len(d.namesR), right))
-	d.colsL, d.colsR = nil, nil // invalidate column cache
+	d.colsOnce, d.cols = [2]sync.Once{}, [2][]*bitset.Set{} // invalidate column cache
 	return nil
 }
 
@@ -141,16 +147,11 @@ func (d *Dataset) Row(v View, t int) *bitset.Set {
 }
 
 // Columns returns the tidset of every item of view v (bit t set iff item
-// occurs in transaction t). Built on first use and cached; the returned
-// sets must not be modified.
+// occurs in transaction t). Built once on first use and cached; the
+// returned sets must not be modified.
 func (d *Dataset) Columns(v View) []*bitset.Set {
-	cols := &d.colsL
-	if v == Right {
-		cols = &d.colsR
-	}
-	if *cols == nil {
-		n := d.Items(v)
-		built := make([]*bitset.Set, n)
+	d.colsOnce[v].Do(func() {
+		built := make([]*bitset.Set, d.Items(v))
 		for i := range built {
 			built[i] = bitset.New(d.Size())
 		}
@@ -160,9 +161,9 @@ func (d *Dataset) Columns(v View) []*bitset.Set {
 				return true
 			})
 		}
-		*cols = built
-	}
-	return *cols
+		d.cols[v] = built
+	})
+	return d.cols[v]
 }
 
 // ItemSupport returns |supp({i})| for item i of view v.

@@ -3,6 +3,7 @@ package dataset
 import (
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -228,4 +229,27 @@ func intsEqual(a, b []int) bool {
 		}
 	}
 	return true
+}
+
+// Two goroutines reading a fresh dataset both reach Columns' first
+// build of the same view; under -race this catches an unsynchronized
+// cache fill.
+func TestColumnsConcurrentFirstBuild(t *testing.T) {
+	want := toy(t).ItemSupport(Left, 1)
+	d := toy(t)
+	var wg sync.WaitGroup
+	got := make([]int, 2)
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[g] = d.ItemSupport(Left, 1)
+		}()
+	}
+	wg.Wait()
+	for g, n := range got {
+		if n != want {
+			t.Fatalf("goroutine %d: ItemSupport(Left, 1) = %d, want %d", g, n, want)
+		}
+	}
 }
