@@ -220,9 +220,9 @@ func IntersectIntoCount(dst, a, b *Set) int {
 // as ForEach, so the sum is bit-identical to iterating the intersection
 // after the fact. The striped core only unrolls the word intersection;
 // the accumulation is still one addition per set bit in ascending bit
-// order, so the float result is bit-identical under both kernel builds
-// (that identity is part of the contract — the exact search's rub
-// bounds must not depend on the kernel build). w must cover the set
+// order, so the float result is the same on the striped and one-word
+// paths (that identity is part of the contract — the exact search's rub
+// bounds must not depend on the path). w must cover the set
 // width. Fusing the intersection with the weighted sum saves the hot
 // search loops a second pass over the words (the exact search's rub
 // bound is a tub-weighted sum over every freshly intersected tidset).
@@ -233,17 +233,16 @@ func IntersectIntoSum(dst, a, b *Set, w []float64) float64 {
 }
 
 // WeightedSum returns Σ_{i ∈ s} w[i], accumulated in ascending bit
-// order — one addition per set bit, same association under both kernel
-// builds, so the float result is bit-identical by contract. w must
-// cover the set width. It is the kernel behind the cover state's
-// tub-weighted sums (core.State.SumTub).
+// order — one addition per set bit, the same association on either
+// path, so the float result is bit-identical by contract. w must cover
+// the set width. It is the kernel behind EXACT's tub-weighted sums.
 func WeightedSum(s *Set, w []float64) float64 {
 	return weightedSumWords(s.words, w)
 }
 
 // addWeighted folds w[base+j] into total for every set bit j of word,
-// in ascending bit order, one addition at a time. Shared by both kernel
-// builds so the accumulation association is identical by construction.
+// in ascending bit order, one addition at a time. Shared by the striped
+// and one-word paths so the association is identical by construction.
 func addWeighted(total float64, word uint64, w []float64, base int) float64 {
 	for word != 0 {
 		total += w[base+bits.TrailingZeros64(word)]

@@ -87,20 +87,20 @@ func refGainWithTids(s *State, ref *refCover, r Rule, tidX, tidY *bitset.Set) fl
 	return gain - r.Len(s.Coder())
 }
 
-// refSumTub is the closure-based walk State.SumTub replaced.
-func refSumTub(s *State, target dataset.View, tids *bitset.Set) float64 {
+// refSumTub is the closure-based reference walk for exactTub.sum.
+func refSumTub(et *exactTub, target dataset.View, tids *bitset.Set) float64 {
 	total := 0.0
 	tids.ForEach(func(t int) bool {
-		total += s.Tub(target, t)
+		total += et.tub[target][t]
 		return true
 	})
 	return total
 }
 
-// refRub is Rub on top of refSumTub.
-func refRub(s *State, x, y itemset.Itemset, tidX, tidY *bitset.Set) float64 {
-	return refSumTub(s, dataset.Right, tidX) + refSumTub(s, dataset.Left, tidY) -
-		s.Coder().RuleLen(x, y, true)
+// refRub is exactTub.rub on top of refSumTub.
+func refRub(et *exactTub, x, y itemset.Itemset, tidX, tidY *bitset.Set) float64 {
+	return refSumTub(et, dataset.Right, tidX) + refSumTub(et, dataset.Left, tidY) -
+		et.s.Coder().RuleLen(x, y, true)
 }
 
 // columnMismatch compares ucol/ecol against a transpose of the
@@ -121,11 +121,11 @@ func columnMismatch(s *State, ref *refCover) string {
 					wantE.Add(tr)
 				}
 			}
-			if !s.UncoveredCol(v, i).Equal(wantU) {
-				return fmt.Sprintf("ucol[%v][%d] = %v, reference %v", v, i, s.UncoveredCol(v, i), wantU)
+			if !s.ucol[v][i].Equal(wantU) {
+				return fmt.Sprintf("ucol[%v][%d] = %v, reference %v", v, i, &s.ucol[v][i], wantU)
 			}
-			if !s.ErrorsCol(v, i).Equal(wantE) {
-				return fmt.Sprintf("ecol[%v][%d] = %v, reference %v", v, i, s.ErrorsCol(v, i), wantE)
+			if !s.ecol[v][i].Equal(wantE) {
+				return fmt.Sprintf("ecol[%v][%d] = %v, reference %v", v, i, &s.ecol[v][i], wantE)
 			}
 		}
 	}
@@ -156,14 +156,16 @@ func randomProbeRule(r *rand.Rand, d *dataset.Dataset) Rule {
 }
 
 // The central row-vs-column property: on random datasets and random
-// partially-applied tables, Gain/GainWithTids/Rub/SumTub computed through
-// the columnar mirror equal the row-wise reference bit for bit — before
-// any rule, between any two rules, and after all of them.
+// partially-applied tables, Gain/GainWithTids computed through the
+// columnar mirror, and EXACT's rub and tub sums, equal the row-wise
+// reference bit for bit — before any rule, between any two rules, and
+// after all of them.
 func TestQuickColumnarMatchesRowReference(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		d, tab := randomDataAndTable(r)
 		s := NewState(d, mdl.NewCoder(d))
+		et := newExactTub(s)
 		step := -1
 		check := func() bool {
 			step++
@@ -184,12 +186,12 @@ func TestQuickColumnarMatchesRowReference(t *testing.T) {
 					t.Logf("seed %d step %d: Gain differs for %v", seed, step, probe)
 					return false
 				}
-				if s.Rub(probe.X, probe.Y, tidX, tidY) != refRub(s, probe.X, probe.Y, tidX, tidY) {
+				if et.rub(probe.X, probe.Y, tidX, tidY) != refRub(et, probe.X, probe.Y, tidX, tidY) {
 					t.Logf("seed %d step %d: Rub differs for %v", seed, step, probe)
 					return false
 				}
 				for _, v := range []dataset.View{dataset.Left, dataset.Right} {
-					if s.SumTub(v, tidX) != refSumTub(s, v, tidX) {
+					if et.sum(v, tidX) != refSumTub(et, v, tidX) {
 						t.Logf("seed %d step %d: SumTub differs", seed, step)
 						return false
 					}
@@ -201,7 +203,7 @@ func TestQuickColumnarMatchesRowReference(t *testing.T) {
 			return false
 		}
 		for _, rule := range tab.Rules {
-			s.AddRule(rule)
+			et.addRule(rule)
 			if !check() {
 				return false
 			}

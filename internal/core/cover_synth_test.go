@@ -11,7 +11,7 @@ import (
 )
 
 // synthDataset generates a paper profile at the given scale.
-func synthDataset(t *testing.T, profile string, scale float64) *dataset.Dataset {
+func synthDataset(t testing.TB, profile string, scale float64) *dataset.Dataset {
 	t.Helper()
 	p, err := synth.ProfileByName(profile)
 	if err != nil {
@@ -26,7 +26,7 @@ func synthDataset(t *testing.T, profile string, scale float64) *dataset.Dataset 
 
 // synthCandidates mines the candidates of a paper profile at the given
 // scale and minimum support.
-func synthCandidates(t *testing.T, profile string, scale float64, minsup, workers int) (*dataset.Dataset, []core.Candidate) {
+func synthCandidates(t testing.TB, profile string, scale float64, minsup, workers int) (*dataset.Dataset, []core.Candidate) {
 	t.Helper()
 	d := synthDataset(t, profile, scale)
 	cands, err := core.MineCandidates(context.Background(), d, minsup, 0, core.Parallel(workers))
@@ -34,6 +34,30 @@ func synthCandidates(t *testing.T, profile string, scale float64, minsup, worker
 		t.Fatal(err)
 	}
 	return d, cands
+}
+
+// BenchmarkNewCover builds the empty-table cover SELECT and GREEDY mine
+// against, on the adult profile at the paper's scale (48,842
+// transactions, the candidates at its Table-1 minimum support): the
+// coder, the State and the local cover's memo layout. It lives here,
+// not in bench_test.go, because internal/synth imports core, so only
+// the external test package can generate a profile.
+func BenchmarkNewCover(b *testing.B) {
+	p, err := synth.ProfileByName("adult")
+	if err != nil {
+		b.Fatal(err)
+	}
+	d, cands := synthCandidates(b, p.Name, 1.0, p.MinSupport, 1)
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c, err := core.NewCover(ctx, d, cands, core.Parallel(1))
+		if err != nil {
+			b.Fatal(err)
+		}
+		c.Close()
+	}
 }
 
 // The local cover counts each distinct (antecedent, item) pair of a

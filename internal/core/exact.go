@@ -35,13 +35,13 @@ import (
 // of scheduling (see the note on tie pruning at threshold()).
 //
 // The rub bound rub(X◇Y) = Σ_{X⊆tL} tub(tR) + Σ_{Y⊆tR} tub(tL) − L(X↔Y)
-// is maintained incrementally across DFS levels: extending a pair changes
-// the support of only one side, so that side's tub sum is re-accumulated
-// while intersecting its tidset (bitset.IntersectIntoSum) and the other
-// side's sum is inherited from the parent node unchanged. The inherited
-// value was accumulated over the same tidset in the same ascending order,
-// so the bound — and therefore every pruning decision — is bit-identical
-// to recomputing both sums from scratch at each node.
+// (see exactTub) is maintained incrementally across DFS levels: extending
+// a pair changes the support of only one side, so that side's tub sum is
+// re-accumulated while intersecting its tidset (bitset.IntersectIntoSum)
+// and the other side's sum is inherited from the parent node unchanged.
+// The inherited value was accumulated over the same tidset in the same
+// ascending order, so the bound — and therefore every pruning decision —
+// is bit-identical to recomputing both sums from scratch at each node.
 
 // ExactOptions configures MineExact.
 type ExactOptions struct {
@@ -92,7 +92,7 @@ func MineExact(ctx context.Context, d *dataset.Dataset, opt ExactOptions) (*Resu
 		if r, gain, ok, err = search.bestRule(ctx); err != nil || !ok || gain <= GainEpsilon {
 			break
 		}
-		s.AddRule(r)
+		search.tub.addRule(r)
 		if !res.Record(s.totals, &s.table, r, gain, opt.OnIteration) {
 			break
 		}
@@ -117,6 +117,62 @@ type joinedItem struct {
 	pot  float64     // ordering potential Σ_{t∈supp} tub(t_opposite)
 }
 
+// exactTub holds EXACT's transaction-based bounds of §5.2: tub[v][t] =
+// L(U_t|D_v), the most any rule can gain on transaction t's v side.
+type exactTub struct {
+	s             *State
+	tub           [2][]float64
+	tids, covered *bitset.Set // addRule's scratch
+}
+
+// newExactTub builds the bounds from s's U columns, item-major: each t
+// gets the additions of the row-major sum Σ_{i∈U_t} L(i), in the same
+// ascending item order, so each bound equals that sum bit for bit.
+func newExactTub(s *State) *exactTub {
+	n := s.d.Size()
+	et := &exactTub{s: s, tids: bitset.New(n), covered: bitset.New(n)}
+	for v := range et.tub {
+		et.tub[v] = make([]float64, n)
+		for i := range s.ucol[v] {
+			et.add(dataset.View(v), &s.ucol[v][i], s.coder.ItemLen(dataset.View(v), i))
+		}
+	}
+	return et
+}
+
+// add adds l to tub[v][t] for every t in tids, in ascending order.
+func (et *exactTub) add(v dataset.View, tids *bitset.Set, l float64) {
+	tub := et.tub[v]
+	tids.ForEach(func(t int) bool {
+		tub[t] += l
+		return true
+	})
+}
+
+// addRule adds r to the state and moves the bounds with it: t loses
+// L(y) for each consequent item y that r covers in t. The covered sets
+// are read before r is applied, in AddRule's direction and item order.
+func (et *exactTub) addRule(r Rule) {
+	if r.AppliesTo(dataset.Left) {
+		et.uncover(dataset.Right, r.X, r.Y)
+	}
+	if r.AppliesTo(dataset.Right) {
+		et.uncover(dataset.Left, r.Y, r.X)
+	}
+	et.s.AddRule(r)
+}
+
+// uncover subtracts L(y) from the target-view bound of every t in
+// supp(ante) ∩ U_y, for each consequent item y of cons in order.
+func (et *exactTub) uncover(target dataset.View, ante, cons itemset.Itemset) {
+	et.s.d.SupportSetInto(et.tids, target.Opposite(), ante)
+	//lint:ctxprobe-ok bounded per-rule work (|cons| kernel calls); MineExact applies between iteration checkpoints
+	for _, y := range cons {
+		bitset.IntersectInto(et.covered, et.tids, &et.s.ucol[target][y])
+		et.add(target, et.covered, -et.s.coder.ItemLen(target, y))
+	}
+}
+
 // exactRun is the cross-iteration context of one MineExact call: the
 // worker pool, the per-worker search states and the structures every
 // iteration's best-rule search shares. Building it once means worker
@@ -124,6 +180,7 @@ type joinedItem struct {
 // workers are reused by all iterations.
 type exactRun struct {
 	s    *State
+	tub  *exactTub
 	opt  ExactOptions
 	pool *pool.Pool[*exactSearch]
 	// ctx is the context of the current bestRule call, installed before
@@ -220,7 +277,7 @@ func newExactRun(s *State, opt ExactOptions) *exactRun {
 			}
 		}
 	}
-	run := &exactRun{s: s, opt: opt}
+	run := &exactRun{s: s, tub: newExactTub(s), opt: opt}
 	workers := opt.workerCount(occurring)
 	if workers > 1 {
 		run.shared = new(pool.Max)
@@ -249,8 +306,10 @@ func (run *exactRun) bestRule(ctx context.Context) (Rule, float64, bool, error) 
 	// Rebuild the item order: the potentials depend on the current
 	// state, so they change as rules are added. The slice is reused.
 	items := run.items[:0]
+	//lint:ctxprobe-ok bounded per-iteration work (one weighted sum per item); the phases below probe ctx
 	for _, v := range []dataset.View{dataset.Left, dataset.Right} {
 		cols := d.Columns(v)
+		//lint:ctxprobe-ok bounded per-iteration work (one weighted sum per item); the phases below probe ctx
 		for i := 0; i < d.Items(v); i++ {
 			if cols[i].Empty() {
 				continue // items that never occur cannot enter a rule
@@ -260,7 +319,7 @@ func (run *exactRun) bestRule(ctx context.Context) (Rule, float64, bool, error) 
 				id:   i,
 				col:  cols[i],
 				len:  s.coder.ItemLen(v, i),
-				pot:  s.SumTub(v.Opposite(), cols[i]),
+				pot:  bitset.WeightedSum(cols[i], run.tub.tub[v.Opposite()]),
 			})
 		}
 	}
@@ -295,8 +354,8 @@ func (run *exactRun) bestRule(ctx context.Context) (Rule, float64, bool, error) 
 	// support, so the sums cover every transaction of the target view.
 	var rootRX, rootLY float64
 	if !opt.DisableRub {
-		rootRX = s.SumTub(dataset.Right, run.full)
-		rootLY = s.SumTub(dataset.Left, run.full)
+		rootRX = bitset.WeightedSum(run.full, run.tub.tub[dataset.Right])
+		rootLY = bitset.WeightedSum(run.full, run.tub.tub[dataset.Left])
 	}
 
 	lefts, rights := run.splitViews(items)
@@ -431,7 +490,7 @@ func (se *exactSearch) extend(x, y itemset.Itemset, tidX, tidY, tidXY *bitset.Se
 		cx, cy = bufs.set, y
 		ctX = bufs.side
 		if useRub {
-			csumRX = bitset.IntersectIntoSum(ctX, tidX, it.col, se.s.tub[dataset.Right])
+			csumRX = bitset.IntersectIntoSum(ctX, tidX, it.col, se.tub.tub[dataset.Right])
 		} else {
 			bitset.IntersectInto(ctX, tidX, it.col)
 		}
@@ -442,7 +501,7 @@ func (se *exactSearch) extend(x, y itemset.Itemset, tidX, tidY, tidXY *bitset.Se
 		ctX = tidX
 		ctY = bufs.side
 		if useRub {
-			csumLY = bitset.IntersectIntoSum(ctY, tidY, it.col, se.s.tub[dataset.Left])
+			csumLY = bitset.IntersectIntoSum(ctY, tidY, it.col, se.tub.tub[dataset.Left])
 		} else {
 			bitset.IntersectInto(ctY, tidY, it.col)
 		}

@@ -50,9 +50,9 @@ type DirCounts struct {
 
 // PartialState is the columnar cover state of one item-range partition:
 // State's U/E columns, but only for target-view items in [lo, hi) per
-// view, and none of the scalars or tub arrays (those live with the
-// coordinator; see CoverTotals). It is the private, message-isolated
-// state a mining shard owns.
+// view, and none of the scalars (those live with the coordinator; see
+// CoverTotals). It is the private, message-isolated state a mining
+// shard owns.
 //
 // A PartialState is a pure function of (dataset, ranges, rule log):
 // rebuilding one with NewPartialState + Replay after a shard crash
@@ -180,18 +180,14 @@ type CoverTotals struct {
 	CorrLen [2]float64
 }
 
-// NewCoverTotals returns the empty-table scalars, accumulated per view
-// with transactions ascending: UOnes from the row popcounts and CorrLen
-// from the per-row encoded lengths.
+// NewCoverTotals returns the empty-table scalars from the item supports,
+// in O(items): with no rule, U = D and E = ∅, so UOnes is Σ supp(i) and
+// CorrLen is the view's baseline length Σ supp(i)·L(i) (mdl.DataLen).
 func NewCoverTotals(d *dataset.Dataset, coder *mdl.Coder) *CoverTotals {
 	ct := &CoverTotals{coder: coder}
-	n := d.Size()
 	for _, v := range []dataset.View{dataset.Left, dataset.Right} {
-		for t := 0; t < n; t++ {
-			row := d.Row(v, t)
-			ct.UOnes[v] += row.Count()
-			ct.CorrLen[v] += coder.BitsLen(v, row)
-		}
+		ct.UOnes[v] = d.Ones(v)
+		ct.CorrLen[v] = coder.DataLen(d, v)
 	}
 	return ct
 }

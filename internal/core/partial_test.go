@@ -113,8 +113,8 @@ func TestPartialStateMirrorsState(t *testing.T) {
 			for _, v := range []dataset.View{dataset.Left, dataset.Right} {
 				lo, hi := ps.lo[v], ps.hi[v]
 				for i := lo; i < hi; i++ {
-					if !ps.ucol[v][i-lo].Equal(s.UncoveredCol(v, i)) ||
-						!ps.ecol[v][i-lo].Equal(s.ErrorsCol(v, i)) {
+					if !ps.ucol[v][i-lo].Equal(&s.ucol[v][i]) ||
+						!ps.ecol[v][i-lo].Equal(&s.ecol[v][i]) {
 						t.Fatalf("shards=%d part %d: columns diverge at view %v item %d", shards, p, v, i)
 					}
 					if !replayed.ucol[v][i-lo].Equal(&ps.ucol[v][i-lo]) ||

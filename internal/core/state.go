@@ -12,8 +12,9 @@ import (
 // State maintains, incrementally, everything needed to score a growing
 // translation table: per target view the uncovered items U (in the data
 // but not yet translated) and the errors E (translated but not in the
-// data), the encoded correction lengths, the table length, and the
-// transaction-based upper bounds tub (§5.1–5.2).
+// data), the encoded correction lengths and the table length (§5.1).
+// It keeps nothing per transaction: EXACT's transaction-based bounds
+// tub (§5.2) live with its search (exactTub).
 //
 // U and E are kept columnar, ucol[v][i]/ecol[v][i]: one tidset over the
 // transactions per *item*, the same vertical layout as Dataset.Columns.
@@ -38,8 +39,8 @@ import (
 //     (|t ∩ supp| − |t|). The bracket never changes, so localCover
 //     counts it once per memo cell and each later recount is the one
 //     fused pass of coverHits;
-//   - totals.CorrLen[v] = Σ_t BitsLen(U_t) + BitsLen(E_t) and
-//     tub(t) = BitsLen(U_t);
+//   - totals.CorrLen[v] = Σ_t L(U_t) + L(E_t) up to rounding: it starts
+//     from the item supports and moves by applyItem's per-item products;
 //   - version[v][i] changes whenever ucol[v][i] or ecol[v][i] may have:
 //     applyDir, the only writer after NewState, bumps it for every item
 //     it updates, so at version 0 the U column is still supp(i) and the
@@ -56,7 +57,6 @@ type State struct {
 	// target Right ⇔ translation D_L→R, target Left ⇔ D_L←R.
 	columns              // columnar U and E over the full alphabets
 	totals  *CoverTotals // |U|, |E| and L(C|T) per target view
-	tub     [2][]float64 // tub(t) = L(U_t | D_target) per transaction
 	// version counts, per item, the applyDir updates of its U/E
 	// columns: the stamp that validates localCover's memo cells.
 	version [2][]uint32
@@ -73,9 +73,7 @@ type columns struct {
 	lo, hi     [2]int
 	ucol, ecol [2][]bitset.Set
 
-	// applyItem's serial scratch: after a call they hold the item's
-	// covered and new-error tidsets.
-	covered, errs *bitset.Set
+	errs *bitset.Set // applyItem's serial new-error scratch
 }
 
 // newColumns returns the empty-table columns of items [loL, hiL) ×
@@ -93,7 +91,7 @@ func newColumns(d *dataset.Dataset, loL, hiL, loR, hiR int) columns {
 			c.ucol[v][i-lo].Copy(c.supp[v][i])
 		}
 	}
-	c.covered, c.errs = bitset.New(n), bitset.New(n)
+	c.errs = bitset.New(n)
 	return c
 }
 
@@ -112,17 +110,16 @@ func (c *columns) countItem(target dataset.View, tids *bitset.Set, y int) (cover
 // applyItem adds one rule direction with antecedent support tids to
 // consequent item y: y becomes covered where it was still uncovered,
 // and a new error where it is neither in the data nor already an error
-// (errors are never removed). It materializes both tidsets with
-// word-level operations, updates the columns wholesale, and returns
-// the two counts countItem would have returned. It uses the scratch,
-// so it must never run concurrently with any other call.
+// (errors are never removed). It updates the columns wholesale with
+// word-level operations and returns the two counts countItem would have
+// returned. It uses the scratch, so it must never run concurrently with
+// any other call.
 func (c *columns) applyItem(target dataset.View, tids *bitset.Set, y int) (covered, errs int) {
 	i := y - c.lo[target]
 	ucol, ecol := &c.ucol[target][i], &c.ecol[target][i]
 
-	bitset.IntersectInto(c.covered, tids, ucol)
-	if covered = c.covered.Count(); covered > 0 {
-		ucol.AndNot(c.covered)
+	if covered = bitset.AndCount(tids, ucol); covered > 0 {
+		ucol.AndNot(tids)
 	}
 
 	c.errs.Copy(tids)
@@ -142,13 +139,7 @@ func NewState(d *dataset.Dataset, coder *mdl.Coder) *State {
 		columns: newColumns(d, 0, d.Items(dataset.Left), 0, d.Items(dataset.Right)),
 		totals:  NewCoverTotals(d, coder),
 	}
-	n := d.Size()
 	for _, v := range []dataset.View{dataset.Left, dataset.Right} {
-		// Initially U_t = t, so tub(t) = L(t | D_target).
-		s.tub[v] = make([]float64, n)
-		for t := 0; t < n; t++ {
-			s.tub[v][t] = coder.BitsLen(v, d.Row(v, t))
-		}
 		s.version[v] = make([]uint32, d.Items(v))
 	}
 	return s
@@ -165,14 +156,6 @@ func (s *State) Coder() *mdl.Coder { return s.coder }
 // Table.clipped), so holding a mined table does not keep the cover
 // state's column bitsets alive.
 func (s *State) Table() *Table { return s.table.clipped() }
-
-// UncoveredCol returns the U column of item i of the target view: the
-// tidset {t : i ∈ U_t}. Read-only.
-func (s *State) UncoveredCol(target dataset.View, i int) *bitset.Set { return &s.ucol[target][i] }
-
-// ErrorsCol returns the E column of item i of the target view: the
-// tidset {t : i ∈ E_t}. Read-only.
-func (s *State) ErrorsCol(target dataset.View, i int) *bitset.Set { return &s.ecol[target][i] }
 
 // UncoveredOnes returns |U| for the target view (Fig. 2, top).
 func (s *State) UncoveredOnes(target dataset.View) int { return s.totals.UOnes[target] }
@@ -198,18 +181,6 @@ func (s *State) Score() float64 { return s.totals.Score(&s.table) }
 
 // Baseline returns L(D,∅), the score of the empty table.
 func (s *State) Baseline() float64 { return s.coder.BaselineLen(s.d) }
-
-// Tub returns the transaction-based upper bound tub(t) = L(U_t|D_target)
-// for the given target view (§5.2). It is kept up to date by AddRule.
-func (s *State) Tub(target dataset.View, t int) float64 { return s.tub[target][t] }
-
-// SumTub returns Σ_{t ∈ tids} tub(t) for the target view, accumulated in
-// ascending transaction order (the same order ForEach would visit, so
-// the value is bit-identical to the closure-based walk it replaced —
-// WeightedSum guarantees that order under both kernel builds).
-func (s *State) SumTub(target dataset.View, tids *bitset.Set) float64 {
-	return bitset.WeightedSum(tids, s.tub[target])
-}
 
 // gainDir computes Δ_{D|T} for one direction of a rule (Equation 2): the
 // antecedent's support tidset in view `from` and the consequent itemset in
@@ -281,37 +252,19 @@ func (s *State) Qub(x, y itemset.Itemset, suppX, suppY int) float64 {
 	return qub(s.coder, x, y, suppX, suppY)
 }
 
-// Rub returns the rule-based upper bound rub(X ◇ Y) of §5.2: it bounds the
-// gain of the rule and of every extension of it, so subtrees with
-// rub ≤ best gain can be pruned.
-func (s *State) Rub(x, y itemset.Itemset, tidX, tidY *bitset.Set) float64 {
-	return s.SumTub(dataset.Right, tidX) + s.SumTub(dataset.Left, tidY) -
-		s.coder.RuleLen(x, y, true)
-}
-
-// applyDir updates the U and E columns, the totals and tub for one
-// direction of a rule. Like gainDir it works item-major: per consequent
-// item y, applyItem updates the columns, the covered transactions it
-// leaves in the scratch are walked to keep tub in sync, and the two
-// counts fold into the totals (CoverTotals.applyItem) — the scalar
-// updates a sharded run's coordinator makes from its shards' counts, in
-// the same order, so both stay bit-identical. applyDir is only called
-// between search phases (AddRule), never concurrently.
+// applyDir updates the U and E columns and the totals for one direction
+// of a rule. Like gainDir it works item-major: per consequent item y,
+// applyItem updates the columns and the two counts fold into the totals
+// (CoverTotals.applyItem) — the scalar updates a sharded run's
+// coordinator makes from its shards' counts, in the same order, so both
+// stay bit-identical. applyDir is only called between search phases
+// (AddRule), never concurrently.
 func (s *State) applyDir(from dataset.View, tids *bitset.Set, cons itemset.Itemset) {
 	target := from.Opposite()
 	//lint:ctxprobe-ok bounded per-rule work (|cons| kernel calls); AddRule runs between iteration checkpoints
 	for _, y := range cons {
 		s.version[target][y]++
 		covCnt, errCnt := s.applyItem(target, tids, y)
-		if covCnt > 0 {
-			// Each covered transaction loses y's length from its
-			// bound, visited in ascending transaction order.
-			l, tub := s.coder.ItemLen(target, y), s.tub[target]
-			s.covered.ForEach(func(t int) bool {
-				tub[t] -= l
-				return true
-			})
-		}
 		s.totals.applyItem(target, y, covCnt, errCnt)
 	}
 }

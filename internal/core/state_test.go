@@ -3,9 +3,11 @@ package core
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
+	"twoview/internal/bitset"
 	"twoview/internal/dataset"
 	"twoview/internal/itemset"
 	"twoview/internal/mdl"
@@ -35,11 +37,12 @@ func TestNewStateIsBaseline(t *testing.T) {
 	if s.CorrectionOnes() != d.Ones(dataset.Left)+d.Ones(dataset.Right) {
 		t.Fatal("|C| must equal all ones initially")
 	}
-	// tub(t) = L(row) initially.
+	// EXACT's tub(t) = L(row) initially.
+	et := newExactTub(s)
 	for i := 0; i < d.Size(); i++ {
-		want := s.Coder().BitsLen(dataset.Right, d.Row(dataset.Right, i))
-		if math.Abs(s.Tub(dataset.Right, i)-want) > 1e-9 {
-			t.Fatalf("tub(R,%d) = %v, want %v", i, s.Tub(dataset.Right, i), want)
+		want := rowLen(s.Coder(), dataset.Right, d.Row(dataset.Right, i))
+		if math.Abs(et.tub[dataset.Right][i]-want) > 1e-9 {
+			t.Fatalf("tub(R,%d) = %v, want %v", i, et.tub[dataset.Right][i], want)
 		}
 	}
 }
@@ -66,21 +69,26 @@ func TestGainMatchesScoreDelta(t *testing.T) {
 
 // stateMatchesReference checks every incremental structure against the
 // reference cover of the table (refCover, from TranslateRow): the
-// columns, |U|, |E|, L(C|T) and tub.
-func stateMatchesReference(s *State) bool {
+// columns, |U|, |E|, L(C|T), EXACT's tub as et maintained it over the
+// table's rules, and, bit for bit, the tub a fresh exactTub builds.
+func stateMatchesReference(s *State, et *exactTub) bool {
 	d := s.Dataset()
 	ref := newRefCover(s)
 	if columnMismatch(s, ref) != "" {
 		return false
 	}
+	fresh := newExactTub(s)
 	for _, target := range []dataset.View{dataset.Left, dataset.Right} {
 		u, e := ref.u[target], ref.e[target]
 		uOnes, eOnes, corrLen := 0, 0, 0.0
 		for i := 0; i < d.Size(); i++ {
 			uOnes += u[i].Count()
 			eOnes += e[i].Count()
-			corrLen += s.Coder().BitsLen(target, u[i]) + s.Coder().BitsLen(target, e[i])
-			if math.Abs(s.Tub(target, i)-s.Coder().BitsLen(target, u[i])) > 1e-9 {
+			corrLen += rowLen(s.Coder(), target, u[i]) + rowLen(s.Coder(), target, e[i])
+			if math.Abs(et.tub[target][i]-rowLen(s.Coder(), target, u[i])) > 1e-9 {
+				return false
+			}
+			if fresh.tub[target][i] != rowLen(s.Coder(), target, u[i]) {
 				return false
 			}
 		}
@@ -99,16 +107,17 @@ func TestQuickStateMatchesReference(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		d, tab := randomDataAndTable(r)
 		s := NewState(d, mdl.NewCoder(d))
+		et := newExactTub(s)
 		prevErrL, prevErrR := 0, 0
 		for _, rule := range tab.Rules {
-			s.AddRule(rule)
+			et.addRule(rule)
 			// Errors are monotone (§5.1).
 			if s.ErrorOnes(dataset.Left) < prevErrL || s.ErrorOnes(dataset.Right) < prevErrR {
 				return false
 			}
 			prevErrL, prevErrR = s.ErrorOnes(dataset.Left), s.ErrorOnes(dataset.Right)
 		}
-		return stateMatchesReference(s)
+		return stateMatchesReference(s, et)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
 		t.Fatal(err)
@@ -170,9 +179,10 @@ func TestBoundsAreUpperBounds(t *testing.T) {
 	for trial := 0; trial < 60; trial++ {
 		d, tab := randomDataAndTable(r)
 		s := NewState(d, mdl.NewCoder(d))
+		et := newExactTub(s)
 		// Evolve the state a bit first so U/E are non-trivial.
 		for _, rule := range tab.Rules {
-			s.AddRule(rule)
+			et.addRule(rule)
 		}
 		var probe Table
 		for k := 0; k < 8; k++ {
@@ -184,7 +194,7 @@ func TestBoundsAreUpperBounds(t *testing.T) {
 			tidX := d.SupportSet(dataset.Left, rule.X)
 			tidY := d.SupportSet(dataset.Right, rule.Y)
 			gain := s.GainWithTids(rule, tidX, tidY)
-			rub := s.Rub(rule.X, rule.Y, tidX, tidY)
+			rub := et.rub(rule.X, rule.Y, tidX, tidY)
 			qub := s.Qub(rule.X, rule.Y, tidX.Count(), tidY.Count())
 			if gain > rub+1e-9 {
 				t.Fatalf("rub %v < gain %v for %v", rub, gain, rule)
@@ -202,14 +212,14 @@ func TestRubAntitoneUnderExtension(t *testing.T) {
 	r := rand.New(rand.NewSource(33))
 	for trial := 0; trial < 60; trial++ {
 		d, tab := randomDataAndTable(r)
-		s := NewState(d, mdl.NewCoder(d))
+		et := newExactTub(NewState(d, mdl.NewCoder(d)))
 		for _, rule := range tab.Rules {
-			s.AddRule(rule)
+			et.addRule(rule)
 		}
 		x, y := itemset.New(r.Intn(d.Items(dataset.Left))), itemset.New(r.Intn(d.Items(dataset.Right)))
 		tidX := d.SupportSet(dataset.Left, x)
 		tidY := d.SupportSet(dataset.Right, y)
-		base := s.Rub(x, y, tidX, tidY)
+		base := et.rub(x, y, tidX, tidY)
 		// Extend X by one more item.
 		for extra := 0; extra < d.Items(dataset.Left); extra++ {
 			if x.Contains(extra) {
@@ -217,7 +227,7 @@ func TestRubAntitoneUnderExtension(t *testing.T) {
 			}
 			x2 := x.Union(itemset.New(extra))
 			tidX2 := d.SupportSet(dataset.Left, x2)
-			if got := s.Rub(x2, y, tidX2, tidY); got > base+1e-9 {
+			if got := et.rub(x2, y, tidX2, tidY); got > base+1e-9 {
 				t.Fatalf("rub grew under extension: %v > %v", got, base)
 			}
 		}
@@ -255,4 +265,133 @@ func TestAddRulePanicsOnZeroSupportItem(t *testing.T) {
 		}
 	}()
 	s.AddRule(Rule{X: itemset.New(0), Dir: Forward, Y: itemset.New(1)})
+}
+
+// rowLen returns Σ_{i∈b} L(i|D_v), added in ascending item order: the
+// row-major encoded length that column-built sums are checked against.
+func rowLen(c *mdl.Coder, v dataset.View, b *bitset.Set) float64 {
+	return c.SetLen(v, b.Indices())
+}
+
+// randomSparseDataset returns a random dataset whose items occur with
+// per-item probabilities drawn from {0, 0.05, 0.3, 0.9}, so some items
+// never occur and some rows are empty, with up to 400 rows: enough for
+// row-major and item-major float sums to part in their last bits.
+func randomSparseDataset(r *rand.Rand) *dataset.Dataset {
+	nL, nR := 1+r.Intn(12), 1+r.Intn(12)
+	d := dataset.MustNew(dataset.GenericNames("l", nL), dataset.GenericNames("r", nR))
+	probs := []float64{0, 0.05, 0.3, 0.9}
+	pL, pR := make([]float64, nL), make([]float64, nR)
+	for i := range pL {
+		pL[i] = probs[r.Intn(len(probs))]
+	}
+	for i := range pR {
+		pR[i] = probs[r.Intn(len(probs))]
+	}
+	draw := func(p []float64) []int {
+		var row []int
+		for i, pi := range p {
+			if r.Float64() < pi {
+				row = append(row, i)
+			}
+		}
+		return row
+	}
+	for n := r.Intn(400); n > 0; n-- {
+		d.AddRow(draw(pL), draw(pR))
+	}
+	return d
+}
+
+// relClose reports whether a and b agree within tol relative to the
+// larger magnitude.
+func relClose(a, b, tol float64) bool {
+	return math.Abs(a-b) <= tol*math.Max(math.Abs(a), math.Abs(b))
+}
+
+// The empty-table totals come from the item supports: UOnes equals the
+// row-popcount sum exactly, and CorrLen the row-major sum of the rows'
+// encoded lengths up to rounding, never NaN (items that never occur
+// cost +Inf and must not enter as 0·Inf).
+func TestQuickCoverTotalsFromSupports(t *testing.T) {
+	f := func(seed int64) bool {
+		d := randomSparseDataset(rand.New(rand.NewSource(seed)))
+		coder := mdl.NewCoder(d)
+		ct := NewCoverTotals(d, coder)
+		for _, v := range []dataset.View{dataset.Left, dataset.Right} {
+			ones, corrLen := 0, 0.0
+			for i := 0; i < d.Size(); i++ {
+				ones += d.Row(v, i).Count()
+				corrLen += rowLen(coder, v, d.Row(v, i))
+			}
+			if ct.UOnes[v] != ones || ct.EOnes[v] != 0 {
+				t.Logf("seed %d view %v: UOnes %d, EOnes %d, row sum %d", seed, v, ct.UOnes[v], ct.EOnes[v], ones)
+				return false
+			}
+			if math.IsNaN(ct.CorrLen[v]) || !relClose(ct.CorrLen[v], corrLen, 1e-12) {
+				t.Logf("seed %d view %v: CorrLen %v, row-major %v", seed, v, ct.CorrLen[v], corrLen)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// NewState keeps nothing per transaction beyond its U/E columns: from
+// 1,000 to 33,000 transactions its allocation may grow only by the
+// words of its column sets (one U and one E set per item) and of its
+// scratch set, with room for allocator rounding. Per-transaction
+// arrays, such as one float64 bound per transaction and view, would
+// add 16 bytes a transaction and fail it.
+func TestNewStateAllocationIsColumnar(t *testing.T) {
+	const nL, nR = 6, 5
+	r := rand.New(rand.NewSource(5))
+	alloc := func(n int) uint64 {
+		d := dataset.MustNew(dataset.GenericNames("l", nL), dataset.GenericNames("r", nR))
+		for i := 0; i < n; i++ {
+			var left, right []int
+			for j := 0; j < nL; j++ {
+				if r.Intn(3) == 0 {
+					left = append(left, j)
+				}
+			}
+			for j := 0; j < nR; j++ {
+				if r.Intn(3) == 0 {
+					right = append(right, j)
+				}
+			}
+			d.AddRow(left, right)
+		}
+		coder := mdl.NewCoder(d) // builds the dataset's column cache
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		NewState(d, coder)
+		runtime.ReadMemStats(&m1)
+		return m1.TotalAlloc - m0.TotalAlloc
+	}
+	const small, large = 1_000, 33_000
+	words := func(n int) uint64 { return uint64(n+63) / 64 }
+	sets := uint64(2*(nL+nR) + 1)
+	allowed := sets*(words(large)-words(small))*8*5/4 + 16<<10
+	if got := alloc(large) - alloc(small); got > allowed {
+		t.Fatalf("NewState allocation grew by %d bytes from %d to %d transactions; its columns allow %d",
+			got, small, large, allowed)
+	}
+}
+
+// sum returns Σ_{t ∈ tids} tub[v][t] over et's bounds, accumulated in
+// ascending order as EXACT's search accumulates it.
+func (et *exactTub) sum(v dataset.View, tids *bitset.Set) float64 {
+	return bitset.WeightedSum(tids, et.tub[v])
+}
+
+// rub returns the rule-based upper bound rub(X ◇ Y) of §5.2 over et's
+// bounds: it bounds the gain of the rule and of every extension of it.
+// EXACT's search accumulates the same sums incrementally.
+func (et *exactTub) rub(x, y itemset.Itemset, tidX, tidY *bitset.Set) float64 {
+	return et.sum(dataset.Right, tidX) + et.sum(dataset.Left, tidY) -
+		et.s.coder.RuleLen(x, y, true)
 }

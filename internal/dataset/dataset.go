@@ -50,10 +50,11 @@ type Dataset struct {
 	namesL, namesR []string
 	rowsL, rowsR   []*bitset.Set
 
-	// cols holds each view's lazily built tidsets (width |D|), built
-	// once per view under colsOnce.
+	// cols holds each view's lazily built tidsets (width |D|) and supps
+	// their sizes, built once per view under colsOnce.
 	colsOnce [2]sync.Once
 	cols     [2][]*bitset.Set
+	supps    [2][]int
 }
 
 // New returns an empty dataset whose vocabularies are given by item names.
@@ -111,7 +112,7 @@ func (d *Dataset) AddRow(left, right []int) error {
 	}
 	d.rowsL = append(d.rowsL, bitset.FromIndices(len(d.namesL), left))
 	d.rowsR = append(d.rowsR, bitset.FromIndices(len(d.namesR), right))
-	d.colsOnce, d.cols = [2]sync.Once{}, [2][]*bitset.Set{} // invalidate column cache
+	d.colsOnce, d.cols, d.supps = [2]sync.Once{}, [2][]*bitset.Set{}, [2][]int{} // invalidate column cache
 	return nil
 }
 
@@ -151,24 +152,27 @@ func (d *Dataset) Row(v View, t int) *bitset.Set {
 // returned sets must not be modified.
 func (d *Dataset) Columns(v View) []*bitset.Set {
 	d.colsOnce[v].Do(func() {
-		built := make([]*bitset.Set, d.Items(v))
+		built, supps := make([]*bitset.Set, d.Items(v)), make([]int, d.Items(v))
 		for i := range built {
 			built[i] = bitset.New(d.Size())
 		}
 		for t := 0; t < d.Size(); t++ {
 			d.Row(v, t).ForEach(func(i int) bool {
 				built[i].Add(t)
+				supps[i]++
 				return true
 			})
 		}
-		d.cols[v] = built
+		d.cols[v], d.supps[v] = built, supps
 	})
 	return d.cols[v]
 }
 
-// ItemSupport returns |supp({i})| for item i of view v.
+// ItemSupport returns |supp({i})| for item i of view v, counted when the
+// columns are built.
 func (d *Dataset) ItemSupport(v View, i int) int {
-	return d.Columns(v)[i].Count()
+	d.Columns(v)
+	return d.supps[v][i]
 }
 
 // SupportSet returns the tidset of itemset X within view v as a fresh
@@ -204,11 +208,12 @@ func (d *Dataset) JointSupportSet(x, y itemset.Itemset) *bitset.Set {
 	return tids
 }
 
-// Ones returns the total number of set bits in view v.
+// Ones returns the total number of set bits in view v: Σ supp(i).
 func (d *Dataset) Ones(v View) int {
+	d.Columns(v)
 	total := 0
-	for t := 0; t < d.Size(); t++ {
-		total += d.Row(v, t).Count()
+	for _, s := range d.supps[v] {
+		total += s
 	}
 	return total
 }

@@ -12,10 +12,8 @@
 package mdl
 
 import (
-	"fmt"
 	"math"
 
-	"twoview/internal/bitset"
 	"twoview/internal/dataset"
 	"twoview/internal/itemset"
 )
@@ -79,21 +77,6 @@ func (c *Coder) SetLen(v dataset.View, x itemset.Itemset) float64 {
 	return total
 }
 
-// BitsLen returns the encoded length of the items of a bitset over I_v.
-// It is the bitset counterpart of SetLen, used by hot loops.
-func (c *Coder) BitsLen(v dataset.View, b *bitset.Set) float64 {
-	lens := c.lengths(v)
-	if b.Len() != len(lens) {
-		panic(fmt.Sprintf("mdl: bitset width %d does not match |I_%v|=%d", b.Len(), v, len(lens)))
-	}
-	total := 0.0
-	b.ForEach(func(i int) bool {
-		total += lens[i]
-		return true
-	})
-	return total
-}
-
 // DirLen returns L(◇): 1 bit for bidirectional rules, 2 bits otherwise.
 func DirLen(bidirectional bool) float64 {
 	if bidirectional {
@@ -108,11 +91,15 @@ func (c *Coder) RuleLen(x, y itemset.Itemset, bidirectional bool) float64 {
 }
 
 // DataLen returns the baseline encoded length of one full view: the cost of
-// the correction table when the translation table is empty (then C = D_v).
+// the correction table when the translation table is empty (then C = D_v):
+// Σ supp(i)·L(i) over the items that occur (0·Inf would be NaN).
 func (c *Coder) DataLen(d *dataset.Dataset, v dataset.View) float64 {
+	lens := c.lengths(v)
 	total := 0.0
-	for t := 0; t < d.Size(); t++ {
-		total += c.BitsLen(v, d.Row(v, t))
+	for i := range lens {
+		if supp := d.ItemSupport(v, i); supp > 0 {
+			total += float64(supp) * lens[i]
+		}
 	}
 	return total
 }

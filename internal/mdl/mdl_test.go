@@ -6,7 +6,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"twoview/internal/bitset"
 	"twoview/internal/dataset"
 	"twoview/internal/itemset"
 )
@@ -49,30 +48,16 @@ func TestItemLen(t *testing.T) {
 	}
 }
 
-func TestSetLenAndBitsLenAgree(t *testing.T) {
+func TestSetLen(t *testing.T) {
 	c := NewCoder(fixture(t))
 	x := itemset.New(0, 1)
 	want := c.ItemLen(dataset.Left, 0) + c.ItemLen(dataset.Left, 1)
 	if got := c.SetLen(dataset.Left, x); math.Abs(got-want) > 1e-12 {
 		t.Fatalf("SetLen = %v, want %v", got, want)
 	}
-	b := bitset.FromIndices(2, []int{0, 1})
-	if got := c.BitsLen(dataset.Left, b); math.Abs(got-want) > 1e-12 {
-		t.Fatalf("BitsLen = %v, want %v", got, want)
-	}
 	if got := c.SetLen(dataset.Left, nil); got != 0 {
 		t.Fatalf("SetLen(∅) = %v", got)
 	}
-}
-
-func TestBitsLenWidthMismatchPanics(t *testing.T) {
-	c := NewCoder(fixture(t))
-	defer func() {
-		if recover() == nil {
-			t.Fatal("BitsLen with wrong width did not panic")
-		}
-	}()
-	c.BitsLen(dataset.Left, bitset.New(5))
 }
 
 func TestDirAndRuleLen(t *testing.T) {
@@ -175,6 +160,54 @@ func TestQuickCoderProperties(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// DataLen sums supp(i)·L(i) over the items; that must match the
+// row-major sum of the rows' encoded lengths up to rounding on random
+// datasets with empty rows and items that never occur, and never be NaN
+// (a never-occurring item costs +Inf, and 0·Inf is NaN).
+func TestQuickDataLenMatchesRowSum(t *testing.T) {
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		nL, nR := 1+r.Intn(12), 1+r.Intn(12)
+		d := dataset.MustNew(dataset.GenericNames("l", nL), dataset.GenericNames("r", nR))
+		probs := []float64{0, 0.05, 0.3, 0.9}
+		p := [2][]float64{make([]float64, nL), make([]float64, nR)}
+		for v := range p {
+			for i := range p[v] {
+				p[v][i] = probs[r.Intn(len(probs))]
+			}
+		}
+		for n := r.Intn(400); n > 0; n-- {
+			var rows [2][]int
+			for v := range p {
+				for i, pi := range p[v] {
+					if r.Float64() < pi {
+						rows[v] = append(rows[v], i)
+					}
+				}
+			}
+			if err := d.AddRow(rows[0], rows[1]); err != nil {
+				return false
+			}
+		}
+		c := NewCoder(d)
+		for _, v := range []dataset.View{dataset.Left, dataset.Right} {
+			want := 0.0
+			for t := 0; t < d.Size(); t++ {
+				want += c.SetLen(v, d.Row(v, t).Indices())
+			}
+			got := c.DataLen(d, v)
+			if math.IsNaN(got) || math.Abs(got-want) > 1e-12*math.Max(math.Abs(got), math.Abs(want)) {
+				t.Logf("seed %d view %v: DataLen %v, row-major %v", seed, v, got, want)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -30,6 +30,7 @@ import (
 	"context"
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 
 	"twoview/internal/bitset"
@@ -154,11 +155,11 @@ func Mine(ctx context.Context, d *dataset.Dataset, opt Options) ([]FI, error) {
 			top = append(top, kid{pos: i, supp: c, tids: cols[i]})
 		}
 	}
-	sort.Slice(top, func(a, b int) bool {
-		if top[a].supp != top[b].supp {
-			return top[a].supp < top[b].supp
+	slices.SortFunc(top, func(a, b kid) int {
+		if a.supp != b.supp {
+			return a.supp - b.supp
 		}
-		return top[a].pos < top[b].pos
+		return a.pos - b.pos
 	})
 	order, posOf := make([]int, len(top)), make([]int, m)
 	for i := range posOf {
@@ -191,11 +192,11 @@ func Mine(ctx context.Context, d *dataset.Dataset, opt Options) ([]FI, error) {
 	for _, mi := range p.States() {
 		out = append(out, mi.out...)
 	}
-	sort.Slice(out, func(a, b int) bool {
-		if out[a].Supp != out[b].Supp {
-			return out[a].Supp > out[b].Supp
+	slices.SortFunc(out, func(a, b FI) int {
+		if a.Supp != b.Supp {
+			return b.Supp - a.Supp
 		}
-		return itemset.Compare(out[a].Items, out[b].Items) < 0
+		return itemset.Compare(a.Items, b.Items)
 	})
 	return out, nil
 }
