@@ -489,3 +489,39 @@ func TestFusedCountWidthMismatchPanics(t *testing.T) {
 		}()
 	}
 }
+
+// Gather must pack each source's bits at mask's set positions in order,
+// for random sets of random widths, whatever its destinations held.
+func TestQuickGather(t *testing.T) {
+	f := func(seed int64, width uint16) bool {
+		n := int(width%300) + 1
+		r := rand.New(rand.NewSource(seed))
+		mask, _ := randomPair(r, n)
+		if seed%3 == 0 { // full mask words, one gap
+			mask.Fill()
+			mask.Remove(r.Intn(n))
+		}
+		src, dst := make([]*Set, 3), make([]*Set, 3)
+		for k := range src {
+			src[k], _ = randomPair(r, n)
+			dst[k] = New(r.Intn(200))
+			dst[k].Fill()
+		}
+		Gather(dst, src, mask)
+		for k := range src {
+			var want []int
+			for rank, i := range mask.Indices() {
+				if src[k].Contains(i) {
+					want = append(want, rank)
+				}
+			}
+			if dst[k].Len() != mask.Count() || !equalInts(dst[k].Indices(), want) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}

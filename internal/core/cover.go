@@ -117,37 +117,61 @@ type deltaCell struct {
 	offset int32 // |t ∩ supp(y)| − |t|
 }
 
+// newLocalCover lays out the memo with one hash per candidate side, not
+// per cell. Pass one interns each side's tidset by pointer, per target
+// view, parks its id in the side's first cellOf entry and gives it a row
+// as wide as the view in slot; pass two counts the distinct (tidset,
+// item) pairs, and pass three numbers them in order of first use.
 func newLocalCover(s *State, cands []Candidate, rt *pool.Runtime, workers int) *localCover {
 	c := &localCover{s: s, cands: cands, rt: rt, workers: workers, cellOff: make([]int32, len(cands)+1)}
-	tidOf := make(map[*bitset.Set]int32)
-	ids := make(map[uint64]int32)
-	cell := func(target dataset.View, tids *bitset.Set, item int) {
-		tid, ok := tidOf[tids]
+	for ci := range cands {
+		c.cellOff[ci+1] = c.cellOff[ci] + int32(len(cands[ci].Y)+len(cands[ci].X))
+	}
+	c.cellOf = make([]int32, c.cellOff[len(cands)])
+	sides := func(f func(target dataset.View, tids *bitset.Set, items itemset.Itemset, at int32)) {
+		for ci := range cands {
+			cd, at := &cands[ci], c.cellOff[ci]
+			if len(cd.Y) > 0 {
+				f(dataset.Right, cd.TidX, cd.Y, at)
+			}
+			if len(cd.X) > 0 {
+				f(dataset.Left, cd.TidY, cd.X, at+int32(len(cd.Y)))
+			}
+		}
+	}
+	tidOf, base := [2]map[*bitset.Set]int32{{}, {}}, []int32{0}
+	sides(func(target dataset.View, tids *bitset.Set, _ itemset.Itemset, at int32) {
+		tid, ok := tidOf[target][tids]
 		if !ok {
 			tid = int32(len(c.tids))
-			tidOf[tids] = tid
-			c.tids = append(c.tids, tids)
-			c.size = append(c.size, int32(tids.Count()))
+			tidOf[target][tids] = tid
+			c.tids, c.size = append(c.tids, tids), append(c.size, int32(tids.Count()))
+			base = append(base, base[tid]+int32(s.d.Items(target)))
 		}
-		k := uint64(tid)<<33 | uint64(item)<<1 | uint64(target)
-		id, ok := ids[k]
-		if !ok {
-			id = int32(len(c.cells))
-			ids[k] = id
-			c.cells = append(c.cells, deltaCell{tid: tid, item: int32(item), target: target})
+		c.cellOf[at] = tid
+	})
+	// slot[base[tid]+item] is 0 before the pair is seen, −1 once counted
+	// and the cell id + 1 once numbered.
+	slot, cells := make([]int32, base[len(c.tids)]), 0
+	sides(func(_ dataset.View, _ *bitset.Set, items itemset.Itemset, at int32) {
+		for _, it := range items {
+			if row := slot[base[c.cellOf[at]]:]; row[it] == 0 {
+				row[it], cells = -1, cells+1
+			}
 		}
-		c.cellOf = append(c.cellOf, id)
-	}
-	for ci := range cands {
-		cd := &cands[ci]
-		for _, y := range cd.Y {
-			cell(dataset.Right, cd.TidX, y)
+	})
+	c.cells = make([]deltaCell, 0, cells)
+	sides(func(target dataset.View, _ *bitset.Set, items itemset.Itemset, at int32) {
+		tid := c.cellOf[at]
+		row := slot[base[tid]:]
+		for j, it := range items {
+			if row[it] < 0 {
+				row[it] = int32(len(c.cells)) + 1
+				c.cells = append(c.cells, deltaCell{tid: tid, item: int32(it), target: target})
+			}
+			c.cellOf[at+int32(j)] = row[it] - 1
 		}
-		for _, x := range cd.X {
-			cell(dataset.Left, cd.TidY, x)
-		}
-		c.cellOff[ci+1] = int32(len(c.cellOf))
-	}
+	})
 	return c
 }
 

@@ -37,26 +37,40 @@ func synthCandidates(t testing.TB, profile string, scale float64, minsup, worker
 }
 
 // BenchmarkNewCover builds the empty-table cover SELECT and GREEDY mine
-// against, on the adult profile at the paper's scale (48,842
-// transactions, the candidates at its Table-1 minimum support): the
-// coder, the State and the local cover's memo layout. It lives here,
-// not in bench_test.go, because internal/synth imports core, so only
-// the external test package can generate a profile.
+// against, at the paper's scale and one worker: the coder, the State and
+// the local cover's memo layout. It runs on adult's candidates at its
+// Table-1 minimum support (48,842 transactions, 280 candidates), on
+// chesskrvk's at minimum support 64 (28,056 transactions, 16,693
+// candidates, 12,364 memo cells) and on the two profiles with the widest
+// views: crime (244+294 items, 7,651 candidates) at minimum support 800,
+// where its Table-1 support of 200 settles under the experiments'
+// 200,000-candidate cap, and elections (82+867 items, 31,067 candidates,
+// 12,099 distinct right-hand tidsets) at its Table-1 support. It lives
+// here, not in bench_test.go, because internal/synth imports core, so
+// only the external test package can generate a profile.
 func BenchmarkNewCover(b *testing.B) {
-	p, err := synth.ProfileByName("adult")
-	if err != nil {
-		b.Fatal(err)
-	}
-	d, cands := synthCandidates(b, p.Name, 1.0, p.MinSupport, 1)
-	ctx := context.Background()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c, err := core.NewCover(ctx, d, cands, core.Parallel(1))
-		if err != nil {
-			b.Fatal(err)
-		}
-		c.Close()
+	for _, bench := range []struct {
+		profile string
+		minsup  int
+	}{
+		{"adult", 4885},
+		{"chesskrvk", 64},
+		{"crime", 800},
+		{"elections", 47},
+	} {
+		b.Run(bench.profile, func(b *testing.B) {
+			d, cands := synthCandidates(b, bench.profile, 1.0, bench.minsup, 1)
+			ctx := context.Background()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c, err := core.NewCover(ctx, d, cands, core.Parallel(1))
+				if err != nil {
+					b.Fatal(err)
+				}
+				c.Close()
+			}
+		})
 	}
 }
 
@@ -130,5 +144,32 @@ func TestMineCandidatesSharesTidsets(t *testing.T) {
 	}
 	if shared == 0 {
 		t.Fatal("no two candidates share an X: the test proves nothing")
+	}
+}
+
+// BenchmarkMineCandidatesSynth mines the candidates of two paper
+// profiles at scale 1.0 and one worker: chesskrvk at minimum support 64,
+// whose large top-level ECLAT branches pay for walking over their own
+// rows, and adult at its Table-1 minimum support, where every branch
+// declines to.
+func BenchmarkMineCandidatesSynth(b *testing.B) {
+	for _, bench := range []struct {
+		profile string
+		minsup  int
+	}{
+		{"chesskrvk", 64},
+		{"adult", 4885},
+	} {
+		b.Run(bench.profile, func(b *testing.B) {
+			d := synthDataset(b, bench.profile, 1.0)
+			ctx := context.Background()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := core.MineCandidates(ctx, d, bench.minsup, 0, core.Parallel(1)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -82,6 +82,73 @@ func randomMask(r *rand.Rand, d *dataset.Dataset) *DirtyItems {
 	return di
 }
 
+// refCellLayout is the memo layout of the map-keyed construction
+// newLocalCover replaced, kept as its specification: per candidate, Y's
+// items then X's, the cells numbered in order of first use, one per
+// distinct (target view, antecedent tidset pointer, item).
+func refCellLayout(cands []Candidate) (cellOf []int32, cells []deltaCell, tids []*bitset.Set) {
+	tidOf := map[*bitset.Set]int32{}
+	ids := map[uint64]int32{}
+	cell := func(target dataset.View, t *bitset.Set, item int) {
+		tid, ok := tidOf[t]
+		if !ok {
+			tid = int32(len(tids))
+			tidOf[t] = tid
+			tids = append(tids, t)
+		}
+		k := uint64(tid)<<33 | uint64(item)<<1 | uint64(target)
+		id, ok := ids[k]
+		if !ok {
+			id = int32(len(cells))
+			ids[k] = id
+			cells = append(cells, deltaCell{tid: tid, item: int32(item), target: target})
+		}
+		cellOf = append(cellOf, id)
+	}
+	for ci := range cands {
+		for _, y := range cands[ci].Y {
+			cell(dataset.Right, cands[ci].TidX, y)
+		}
+		for _, x := range cands[ci].X {
+			cell(dataset.Left, cands[ci].TidY, x)
+		}
+	}
+	return cellOf, cells, tids
+}
+
+// newLocalCover must lay out the same cells, in the same order, as the
+// map-keyed construction, for candidates mixing shared and unshared
+// tidsets, with sides that have no items and with one set serving as
+// both a TidX and a TidY.
+func TestLocalCoverLayout(t *testing.T) {
+	r := rand.New(rand.NewSource(23))
+	for trial := 0; trial < 40; trial++ {
+		d := dataset.MustNew(dataset.GenericNames("l", 3+r.Intn(6)), dataset.GenericNames("r", 3+r.Intn(6)))
+		for i, n := 0, 10+r.Intn(100); i < n; i++ {
+			d.AddRow(randomItemset(r, d.Items(dataset.Left)), randomItemset(r, d.Items(dataset.Right)))
+		}
+		cands := randomSharedCandidates(r, d)
+		cands[0].X = nil
+		if len(cands) > 2 {
+			cands[1].TidY = cands[2].TidX
+		}
+		c := newLocalCover(NewState(d, mdl.NewCoder(d)), cands, nil, 1)
+		cellOf, cells, tids := refCellLayout(cands)
+		if !slices.Equal(c.cellOf, cellOf) || len(c.cells) != len(cells) {
+			t.Fatalf("trial %d: %d cells, cellOf %v; want %d cells, cellOf %v", trial, len(c.cells), c.cellOf, len(cells), cellOf)
+		}
+		for id, cl := range c.cells {
+			want := cells[id]
+			if cl.item != want.item || cl.target != want.target || c.tids[cl.tid] != tids[want.tid] {
+				t.Fatalf("trial %d: cell %d is %+v, want %+v", trial, id, cl, want)
+			}
+			if int(c.size[cl.tid]) != c.tids[cl.tid].Count() {
+				t.Fatalf("trial %d: tidset %d has size %d, want %d", trial, cl.tid, c.size[cl.tid], c.tids[cl.tid].Count())
+			}
+		}
+	}
+}
+
 // The memoized local cover against a fresh count: on random data and
 // random candidates mixing shared and unshared tidsets, while random
 // rules go in through Cover.Apply and directly through State.AddRule,

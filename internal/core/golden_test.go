@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
@@ -115,5 +116,90 @@ func TestGoldenTables(t *testing.T) {
 	if t.Failed() {
 		out, _ := json.MarshalIndent(observed, "", "  ")
 		t.Errorf("observed tables (digests in %s):\n%s", goldenFile, out)
+	}
+}
+
+// candidatesFile holds, per TestGoldenCandidates cell, the SHA-256 of the
+// mined candidate list and its length.
+const candidatesFile = "testdata/candidates.json"
+
+// goldenCands is one candidate cell's checked-in fingerprint.
+type goldenCands struct {
+	SHA256     string `json:"sha256"`
+	Candidates int    `json:"candidates"`
+}
+
+// goldenCandidateProfiles are the candidate grid: the table grid's
+// profiles, plus chesskrvk at a scale whose tidsets are wide enough for
+// ECLAT to walk some top-level branches over their own rows.
+var goldenCandidateProfiles = append(goldenProfiles[:len(goldenProfiles):len(goldenProfiles)],
+	struct {
+		name   string
+		scale  float64
+		minsup int
+	}{"chesskrvk", 0.5, 32})
+
+// candidatesDigest fingerprints a candidate list: per candidate, in
+// order, X, Y, Supp and the popcounts of TidX and TidY.
+func candidatesDigest(cands []core.Candidate) goldenCands {
+	h := sha256.New()
+	var buf []byte
+	for _, c := range cands {
+		buf = binary.AppendUvarint(buf[:0], uint64(len(c.X)))
+		for _, x := range c.X {
+			buf = binary.AppendUvarint(buf, uint64(x))
+		}
+		buf = binary.AppendUvarint(buf, uint64(len(c.Y)))
+		for _, y := range c.Y {
+			buf = binary.AppendUvarint(buf, uint64(y))
+		}
+		buf = binary.AppendUvarint(buf, uint64(c.Supp))
+		buf = binary.AppendUvarint(buf, uint64(c.TidX.Count()))
+		buf = binary.AppendUvarint(buf, uint64(c.TidY.Count()))
+		h.Write(buf)
+	}
+	return goldenCands{SHA256: hex.EncodeToString(h.Sum(nil)), Candidates: len(cands)}
+}
+
+// TestGoldenCandidates is TestGoldenTables for candidate mining: it
+// mines the candidates of each grid profile at workers 1 and 2 and
+// compares the digest of the list (see candidatesDigest) and its length
+// with testdata/candidates.json, printing the
+// observed fingerprints as JSON on a mismatch.
+func TestGoldenCandidates(t *testing.T) {
+	raw, err := os.ReadFile(candidatesFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want map[string]goldenCands
+	if err := json.Unmarshal(raw, &want); err != nil {
+		t.Fatalf("%s: %v", candidatesFile, err)
+	}
+	observed := map[string]goldenCands{}
+	for _, p := range goldenCandidateProfiles {
+		d := synthDataset(t, p.name, p.scale)
+		for _, workers := range []int{1, 2} {
+			name := fmt.Sprintf("%s@%g/minsup%d/w%d", p.name, p.scale, p.minsup, workers)
+			cands, err := core.MineCandidates(context.Background(), d, p.minsup, 0, core.Parallel(workers))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := candidatesDigest(cands)
+			observed[name] = got
+			if w, ok := want[name]; !ok {
+				t.Errorf("%s: no digest in %s", name, candidatesFile)
+			} else if got != w {
+				t.Errorf("%s: got %d candidates, sha256 %s; want %d candidates, sha256 %s", name, got.Candidates, got.SHA256, w.Candidates, w.SHA256)
+			}
+		}
+	}
+	for name := range want {
+		if _, ok := observed[name]; !ok {
+			t.Errorf("%s: digest in %s for no grid cell", name, candidatesFile)
+		}
+	}
+	if t.Failed() {
+		out, _ := json.MarshalIndent(observed, "", "  ")
+		t.Errorf("observed candidates (digests in %s):\n%s", candidatesFile, out)
 	}
 }

@@ -52,10 +52,10 @@ var poolPhaseFuncs = map[string]bool{
 }
 
 // kernelFuncs are the fused word-loop kernels of internal/bitset (the
-// striped-core entry points of kernels_striped.go); a loop over kernel
-// calls is a gain/update hot path.
+// striped-core entry points of kernels_striped.go, and Gather); a loop
+// over kernel calls is a gain/update hot path.
 var kernelFuncs = map[string]bool{
-	"AndCount": true, "AndNotCount": true, "AndNotAndNotCount": true, "AndOrCount": true,
+	"AndCount": true, "AndNotCount": true, "AndNotAndNotCount": true, "AndOrCount": true, "Gather": true,
 	"IntersectInto": true, "IntersectIntoCount": true, "IntersectIntoSum": true, "WeightedSum": true,
 }
 
