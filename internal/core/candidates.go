@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"encoding/binary"
+	"weak"
 
 	"twoview/internal/bitset"
 	"twoview/internal/dataset"
@@ -25,6 +26,14 @@ type Candidate struct {
 	// lets the local Cover count each distinct (antecedent, item) pair
 	// once.
 	TidX, TidY *bitset.Set
+
+	// ix is the index of the MaterializeTids call that set TidX and
+	// TidY, shared by every candidate of that call, and pos the
+	// candidate's position in it (see candIndex); nil for candidates
+	// built elsewhere. A cover uses ix only while TidX and TidY are
+	// still the index's sets for pos.
+	ix  *candIndex
+	pos int32
 }
 
 // MineCandidates mines closed frequent two-view itemsets at the given
@@ -76,8 +85,11 @@ const tidChunk = 16
 // distinct itemsets are interned serially in candidate order; the sets
 // are carved from one batch allocation and filled on the worker pool
 // sized by par, each task writing only its own sets, so the result is
-// identical for any worker count. Cancelling ctx aborts the fill and
-// returns ctx.Err(), leaving the candidates' tidsets unusable.
+// identical for any worker count. The fill's last intersection counts
+// each set, and the candidates share one candIndex with the sizes and
+// their side ids, which every SELECT and GREEDY run over them, or over
+// any subset or reordering of them, reads. Cancelling ctx aborts the
+// fill and returns ctx.Err(), leaving the candidates' tidsets unusable.
 func MaterializeTids(ctx context.Context, d *dataset.Dataset, cands []Candidate, par ParallelOptions) error {
 	// Intern: ids[2i] and ids[2i+1] index candidate i's X and Y into
 	// sups, keyed by the view and the items.
@@ -106,12 +118,18 @@ func MaterializeTids(ctx context.Context, d *dataset.Dataset, cands []Candidate,
 		ids[2*i], ids[2*i+1] = intern(dataset.Left, cands[i].X), intern(dataset.Right, cands[i].Y)
 	}
 	tids := bitset.NewBatch(len(sups), d.Size())
+	ix := &candIndex{d: weak.Make(d), tids: make([]*bitset.Set, len(sups)), size: make([]int32, len(sups)), side: ids}
+	for k := range tids {
+		ix.tids[k] = &tids[k]
+	}
+	ix.items = func(p int) (x, y itemset.Itemset) { return sups[ids[2*p]].items, sups[ids[2*p+1]].items }
 	for i := range cands {
-		cands[i].TidX, cands[i].TidY = &tids[ids[2*i]], &tids[ids[2*i+1]]
+		cands[i].TidX, cands[i].TidY = ix.tids[ids[2*i]], ix.tids[ids[2*i+1]]
+		cands[i].ix, cands[i].pos = ix, int32(i)
 	}
 	return pool.ForChunksCtxOn(par.runtime(), ctx, par.Workers, len(sups), tidChunk, func(lo, hi int) {
 		for k := lo; k < hi; k++ {
-			d.SupportSetInto(&tids[k], sups[k].v, sups[k].items)
+			ix.size[k] = int32(d.SupportSetInto(&tids[k], sups[k].v, sups[k].items))
 		}
 	})
 }

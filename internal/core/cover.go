@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"slices"
+	"sync"
+	"weak"
 
 	"twoview/internal/bitset"
 	"twoview/internal/dataset"
@@ -68,128 +70,196 @@ func NewCover(ctx context.Context, d *dataset.Dataset, cands []Candidate, par Pa
 // A direction's cover delta of consequent item y depends only on the
 // antecedent's support tidset and on y's U/E columns in the target
 // view. Candidates share their antecedents (MaterializeTids points
-// equal X's, and equal Y's, at one set), so the cover interns the
-// distinct tidsets to dense ids, keeps one cell per distinct (target
-// view, tidset id, item) triple and counts each once per state change.
-// A cell is valid while its stamp equals its item's State.version + 1
-// (zero: never counted); State.applyDir bumps the version of every item
-// whose columns it updates, so any mutation path, Apply or a direct
-// State.AddRule, invalidates exactly the cells of the touched items.
-// Tidsets are interned by pointer, so candidates built elsewhere with
-// equal but unshared tidsets stay correct: they only do not share
-// cells. A delta is an exact integer, whoever counts it and however
-// often it is reused, so the tables stay bit-identical for any worker
-// count.
+// equal X's, and equal Y's, at one set), so the memo keeps one cell per
+// distinct (target view, tidset, item) triple and counts each once per
+// state change. The cells, each candidate's list of them and each
+// cell's |t ∩ supp(y)| do not depend on the state: they live in the
+// candidates' candIndex, which every cover over them shares. The cover
+// keeps only a stamp and a delta per cell. A cell is valid while its
+// stamp equals its item's State.version + 1 (zero: never counted);
+// State.applyDir bumps the version of every item whose columns it
+// updates, so any mutation path, Apply or a direct State.AddRule,
+// invalidates exactly the cells of the touched items. A delta is an
+// exact integer, whoever counts it and however often it is reused, so
+// the tables stay bit-identical for any worker count.
 type localCover struct {
 	s       *State
 	cands   []Candidate
 	rt      *pool.Runtime
 	workers int
 
-	// tids lists the distinct antecedent tidsets by id, size their
-	// counts.
-	tids []*bitset.Set
-	size []int32
-	// cells holds one memo cell per distinct pair. cellOf lists, per
-	// candidate from cellOff[ci], the cell of each consequent item in
-	// the layout of Score: the items of Y, then those of X.
-	cells   []deltaCell
-	cellOf  []int32
-	cellOff []int32
+	// ix indexes the candidates' tidsets (see indexOf) and pos[ci] is
+	// candidate ci's position in it. stamp and delta hold this cover's
+	// state of each of ix's cells, from the first Score on.
+	ix    *candIndex
+	pos   []int32
+	stamp []uint32
+	delta []int32
 	// claims lists the cells the current Score counts: the stale ones
 	// the batch reads, each once; counted sums them over all calls.
 	claims  []int32
 	counted int64
 }
 
-// deltaCell is the memo cell of one (target view, antecedent tidset,
-// consequent item) triple. The delta splits as coverHits + offset (see
-// State.coverHits): offset does not depend on the cover state, so it is
-// counted once, at the cell's first count, and every later recount is
-// one fused pass.
-type deltaCell struct {
-	tid    int32 // index into localCover.tids
-	item   int32
-	target dataset.View
-	known  bool   // offset has been counted
-	stamp  uint32 // the item's State.version + 1 when delta was counted
-	delta  int32
-	offset int32 // |t ∩ supp(y)| − |t|
+func newLocalCover(s *State, cands []Candidate, rt *pool.Runtime, workers int) *localCover {
+	ix, pos := indexOf(s.d, cands)
+	return &localCover{s: s, cands: cands, rt: rt, workers: workers, ix: ix, pos: pos}
 }
 
-// newLocalCover lays out the memo with one hash per candidate side, not
-// per cell. Pass one interns each side's tidset by pointer, per target
-// view, parks its id in the side's first cellOf entry and gives it a row
-// as wide as the view in slot; pass two counts the distinct (tidset,
-// item) pairs, and pass three numbers them in order of first use.
-func newLocalCover(s *State, cands []Candidate, rt *pool.Runtime, workers int) *localCover {
-	c := &localCover{s: s, cands: cands, rt: rt, workers: workers, cellOff: make([]int32, len(cands)+1)}
-	for ci := range cands {
-		c.cellOff[ci+1] = c.cellOff[ci] + int32(len(cands[ci].Y)+len(cands[ci].X))
-	}
-	c.cellOf = make([]int32, c.cellOff[len(cands)])
-	sides := func(f func(target dataset.View, tids *bitset.Set, items itemset.Itemset, at int32)) {
-		for ci := range cands {
-			cd, at := &cands[ci], c.cellOff[ci]
-			if len(cd.Y) > 0 {
-				f(dataset.Right, cd.TidX, cd.Y, at)
-			}
-			if len(cd.X) > 0 {
-				f(dataset.Left, cd.TidY, cd.X, at+int32(len(cd.Y)))
-			}
+// candIndex is the state-free index of one candidate set, shared
+// read-only by every cover over it, concurrent ones included.
+// Positions number the candidates it was built over, and a tidset id
+// names one distinct (view, tidset). The sizes come with the index
+// (MaterializeTids takes them from its fill). The memo layout and each
+// cell's |t ∩ supp(y)| are built by the first local cover to Score
+// (build), so paths that never do, like the shard coordinator and
+// cmd/shardworker, pay nothing for them.
+type candIndex struct {
+	// d names the dataset the index was built for without keeping it
+	// alive: candidates may outlive their dataset.
+	d    weak.Pointer[dataset.Dataset]
+	tids []*bitset.Set // by tidset id
+	size []int32       // |tids[id]|
+	side []int32       // side[2p], side[2p+1]: the ids of position p's TidX and TidY
+	// items returns position p's X and Y, for build.
+	items func(p int) (x, y itemset.Itemset)
+
+	mu sync.Mutex // serializes build
+	// cells holds one cell per distinct (target view, tidset id, item).
+	// cellOf lists, per position from cellOff[p], the cell of each
+	// consequent item in the layout of Score: the items of Y, then
+	// those of X. All three are nil until build.
+	cells   []indexCell
+	cellOf  []int32
+	cellOff []int32
+}
+
+// indexCell is one (target view, antecedent tidset, consequent item)
+// triple and its inSupp = |t ∩ supp(y)|. The cover delta is coverHits +
+// inSupp − |t| (see State.coverHits). At the item's version 0 its U
+// column is its support and its E column empty, so coverHits is inSupp
+// too and the delta 2·inSupp − |t|, with no count at all.
+type indexCell struct {
+	tid, item, inSupp int32
+	target            uint8 // a dataset.View
+}
+
+// indexOf returns the index a cover over cands on d reads, with each
+// candidate's position in it: the one MaterializeTids attached if it
+// was built for d and still holds every candidate's TidX and TidY at
+// the candidate's position, as any subset or reordering of its
+// candidates does. Otherwise it builds a private index over cands,
+// interning their tidsets by pointer per view and counting each once.
+func indexOf(d *dataset.Dataset, cands []Candidate) (*candIndex, []int32) {
+	pos, wd := make([]int32, len(cands)), weak.Make(d)
+	for i := range cands {
+		cd, ix := &cands[i], cands[0].ix
+		if ix == nil || ix.d != wd || cd.ix != ix || cd.TidX != ix.tids[ix.side[2*cd.pos]] || cd.TidY != ix.tids[ix.side[2*cd.pos+1]] {
+			break
+		}
+		if pos[i] = cd.pos; i == len(cands)-1 {
+			return ix, pos
 		}
 	}
-	tidOf, base := [2]map[*bitset.Set]int32{{}, {}}, []int32{0}
-	sides(func(target dataset.View, tids *bitset.Set, _ itemset.Itemset, at int32) {
-		tid, ok := tidOf[target][tids]
+	ix := &candIndex{d: wd, side: make([]int32, 2*len(cands))}
+	ids := [2]map[*bitset.Set]int32{{}, {}}
+	intern := func(v dataset.View, t *bitset.Set) int32 {
+		id, ok := ids[v][t]
 		if !ok {
-			tid = int32(len(c.tids))
-			tidOf[target][tids] = tid
-			c.tids, c.size = append(c.tids, tids), append(c.size, int32(tids.Count()))
-			base = append(base, base[tid]+int32(s.d.Items(target)))
+			id = int32(len(ix.tids))
+			ids[v][t] = id
+			ix.tids, ix.size = append(ix.tids, t), append(ix.size, int32(t.Count()))
 		}
-		c.cellOf[at] = tid
+		return id
+	}
+	for i := range cands {
+		ix.side[2*i], ix.side[2*i+1] = intern(dataset.Left, cands[i].TidX), intern(dataset.Right, cands[i].TidY)
+		pos[i] = int32(i)
+	}
+	ix.items = func(p int) (x, y itemset.Itemset) { return cands[p].X, cands[p].Y }
+	return ix, pos
+}
+
+// build lays out the cells of every position and counts their inSupp,
+// once per index; a cancelled build leaves the index unbuilt for the
+// next Score to retry. The layout hashes nothing: pass one gives each
+// antecedent tidset a row, as wide as its target view, in a dense slot
+// table; pass two counts the distinct (tidset, item) pairs, and pass
+// three numbers them in order of first use. The counts run on the pool
+// in scoreChunk-sized chunks, each task writing only its own cells.
+func (ix *candIndex) build(ctx context.Context, d *dataset.Dataset, rt *pool.Runtime, workers int) error {
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
+	if ix.cellOff != nil {
+		return nil
+	}
+	n := len(ix.side) / 2
+	cellOff := make([]int32, n+1)
+	for p := 0; p < n; p++ {
+		x, y := ix.items(p)
+		cellOff[p+1] = cellOff[p] + int32(len(y)+len(x))
+	}
+	sides := func(f func(target dataset.View, tid int32, items itemset.Itemset, at int32)) {
+		for p := 0; p < n; p++ {
+			x, y := ix.items(p)
+			if len(y) > 0 {
+				f(dataset.Right, ix.side[2*p], y, cellOff[p])
+			}
+			if len(x) > 0 {
+				f(dataset.Left, ix.side[2*p+1], x, cellOff[p]+int32(len(y)))
+			}
+		}
+	}
+	base, width := slices.Repeat([]int32{-1}, len(ix.tids)), int32(0)
+	sides(func(target dataset.View, tid int32, _ itemset.Itemset, _ int32) {
+		if base[tid] < 0 {
+			base[tid], width = width, width+int32(d.Items(target))
+		}
 	})
 	// slot[base[tid]+item] is 0 before the pair is seen, −1 once counted
 	// and the cell id + 1 once numbered.
-	slot, cells := make([]int32, base[len(c.tids)]), 0
-	sides(func(_ dataset.View, _ *bitset.Set, items itemset.Itemset, at int32) {
+	slot, count := make([]int32, width), 0
+	sides(func(_ dataset.View, tid int32, items itemset.Itemset, _ int32) {
 		for _, it := range items {
-			if row := slot[base[c.cellOf[at]]:]; row[it] == 0 {
-				row[it], cells = -1, cells+1
+			if row := slot[base[tid]:]; row[it] == 0 {
+				row[it], count = -1, count+1
 			}
 		}
 	})
-	c.cells = make([]deltaCell, 0, cells)
-	sides(func(target dataset.View, _ *bitset.Set, items itemset.Itemset, at int32) {
-		tid := c.cellOf[at]
+	cells, cellOf := make([]indexCell, 0, count), make([]int32, cellOff[n])
+	sides(func(target dataset.View, tid int32, items itemset.Itemset, at int32) {
 		row := slot[base[tid]:]
 		for j, it := range items {
 			if row[it] < 0 {
-				row[it] = int32(len(c.cells)) + 1
-				c.cells = append(c.cells, deltaCell{tid: tid, item: int32(it), target: target})
+				row[it] = int32(len(cells)) + 1
+				cells = append(cells, indexCell{tid: tid, item: int32(it), target: uint8(target)})
 			}
-			c.cellOf[at+int32(j)] = row[it] - 1
+			cellOf[at+int32(j)] = row[it] - 1
 		}
 	})
-	return c
+	cols := [2][]*bitset.Set{d.Columns(dataset.Left), d.Columns(dataset.Right)}
+	err := pool.ForChunksCtxOn(rt, ctx, workers, len(cells), scoreChunk, func(lo, hi int) {
+		//lint:ctxprobe-ok at most scoreChunk kernel calls; ForChunksCtxOn probes ctx between chunks
+		for k := range cells[lo:hi] {
+			cl := &cells[lo+k]
+			cl.inSupp = int32(bitset.AndCount(ix.tids[cl.tid], cols[cl.target][cl.item]))
+		}
+	})
+	if err == nil {
+		ix.cells, ix.cellOf, ix.cellOff = cells, cellOf, cellOff
+	}
+	return err
 }
 
-// count recounts cl against the current state. The first count also
-// takes offset; at version 0 the item's U column is its support and its E
-// column empty, so coverHits is |t ∩ supp(y)| too and that one pass
-// gives the whole delta.
-func (c *localCover) count(cl *deltaCell) {
-	t, y := c.tids[cl.tid], int(cl.item)
-	if !cl.known {
-		inSupp := int32(bitset.AndCount(t, c.s.d.Columns(cl.target)[y]))
-		cl.offset, cl.known = inSupp-c.size[cl.tid], true
-		if c.s.version[cl.target][y] == 0 {
-			cl.delta = inSupp + cl.offset
-			return
-		}
+// count recounts cell id against the current state.
+func (c *localCover) count(id int32) {
+	cl := &c.ix.cells[id]
+	c.delta[id] = cl.inSupp - c.ix.size[cl.tid]
+	if c.s.version[cl.target][cl.item] == 0 {
+		c.delta[id] += cl.inSupp
+	} else {
+		c.delta[id] += int32(c.s.coverHits(dataset.View(cl.target), c.ix.tids[cl.tid], int(cl.item)))
 	}
-	cl.delta = int32(c.s.coverHits(cl.target, t, y)) + cl.offset
 }
 
 // scoreChunk caps the cells per counting task, and scoreTasks is the
@@ -209,15 +279,23 @@ const (
 // One pool phase then counts the claimed cells, each task writing only
 // its own cells. Last, a serial gather copies the cells into delta.
 func (c *localCover) Score(ctx context.Context, idx []int32, dirty *DirtyItems, delta [][]int32) error {
+	ix := c.ix
+	if c.stamp == nil {
+		if err := ix.build(ctx, c.s.d, c.rt, c.workers); err != nil {
+			return err
+		}
+		c.stamp, c.delta = make([]uint32, len(ix.cells)), make([]int32, len(ix.cells))
+	}
 	c.claims = c.claims[:0]
 	for _, ci := range idx {
-		for _, id := range c.cellOf[c.cellOff[ci]:c.cellOff[ci+1]] {
-			cl := &c.cells[id]
+		p := c.pos[ci]
+		for _, id := range ix.cellOf[ix.cellOff[p]:ix.cellOff[p+1]] {
+			cl := &ix.cells[id]
 			if dirty != nil && !dirty[cl.target].Contains(int(cl.item)) {
 				continue
 			}
-			if stamp := c.s.version[cl.target][cl.item] + 1; cl.stamp != stamp {
-				cl.stamp = stamp
+			if stamp := c.s.version[cl.target][cl.item] + 1; c.stamp[id] != stamp {
+				c.stamp[id] = stamp
 				c.claims = append(c.claims, id)
 			}
 		}
@@ -226,21 +304,22 @@ func (c *localCover) Score(ctx context.Context, idx []int32, dirty *DirtyItems, 
 	chunk := max(1, min(scoreChunk, len(c.claims)/scoreTasks))
 	err := pool.ForChunksCtxOn(c.rt, ctx, c.workers, len(c.claims), chunk, func(lo, hi int) {
 		for _, id := range c.claims[lo:hi] {
-			c.count(&c.cells[id])
+			c.count(id)
 		}
 	})
 	if err != nil {
 		// A cancelled phase may have skipped claimed cells: invalidate
 		// them all.
 		for _, id := range c.claims {
-			c.cells[id].stamp = 0
+			c.stamp[id] = 0
 		}
 		return err
 	}
 	for k, ci := range idx {
-		for j, id := range c.cellOf[c.cellOff[ci]:c.cellOff[ci+1]] {
-			if cl := &c.cells[id]; dirty == nil || dirty[cl.target].Contains(int(cl.item)) {
-				delta[k][j] = cl.delta
+		p := c.pos[ci]
+		for j, id := range ix.cellOf[ix.cellOff[p]:ix.cellOff[p+1]] {
+			if cl := &ix.cells[id]; dirty == nil || dirty[cl.target].Contains(int(cl.item)) {
+				delta[k][j] = c.delta[id]
 			}
 		}
 	}
@@ -295,22 +374,20 @@ func ruleGains(coder *mdl.Coder, cd *Candidate, delta []int32) (gainF, gainB flo
 // bound qub (State.Qub) lets it reach positive gain, and returns ok
 // (grown as needed). qub reads only the coder, never the cover state,
 // so a candidate's verdict holds for a whole run and the drivers filter
-// the candidates once up front. Candidates share their tidsets (see
-// MaterializeTids), so each distinct tidset is counted once.
-func qubVerdicts(coder *mdl.Coder, cands []Candidate, ok []bool) []bool {
-	supps := make(map[*bitset.Set]int)
-	count := func(t *bitset.Set) int {
-		n, seen := supps[t]
-		if !seen {
-			n = t.Count()
-			supps[t] = n
-		}
-		return n
+// the candidates once up front. The tidset sizes come from the index of
+// the cover c, the local cover's own or indexOf's for any other.
+func qubVerdicts(coder *mdl.Coder, c Cover, d *dataset.Dataset, cands []Candidate, ok []bool) []bool {
+	var ix *candIndex
+	var pos []int32
+	if lc, local := c.(*localCover); local {
+		ix, pos = lc.ix, lc.pos
+	} else {
+		ix, pos = indexOf(d, cands)
 	}
 	ok = slices.Grow(ok[:0], len(cands))[:len(cands)]
 	for ci := range cands {
-		cd := &cands[ci]
-		ok[ci] = qub(coder, cd.X, cd.Y, count(cd.TidX), count(cd.TidY)) > GainEpsilon
+		cd, p := &cands[ci], pos[ci]
+		ok[ci] = qub(coder, cd.X, cd.Y, int(ix.size[ix.side[2*p]]), int(ix.size[ix.side[2*p+1]])) > GainEpsilon
 	}
 	return ok
 }

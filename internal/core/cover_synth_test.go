@@ -3,6 +3,7 @@ package core_test
 import (
 	"context"
 	"testing"
+	"time"
 
 	"twoview/internal/bitset"
 	"twoview/internal/core"
@@ -38,16 +39,20 @@ func synthCandidates(t testing.TB, profile string, scale float64, minsup, worker
 
 // BenchmarkNewCover builds the empty-table cover SELECT and GREEDY mine
 // against, at the paper's scale and one worker: the coder, the State and
-// the local cover's memo layout. It runs on adult's candidates at its
-// Table-1 minimum support (48,842 transactions, 280 candidates), on
-// chesskrvk's at minimum support 64 (28,056 transactions, 16,693
-// candidates, 12,364 memo cells) and on the two profiles with the widest
-// views: crime (244+294 items, 7,651 candidates) at minimum support 800,
-// where its Table-1 support of 200 settles under the experiments'
-// 200,000-candidate cap, and elections (82+867 items, 31,067 candidates,
-// 12,099 distinct right-hand tidsets) at its Table-1 support. It lives
-// here, not in bench_test.go, because internal/synth imports core, so
-// only the external test package can generate a profile.
+// the cover, with the index of its candidates. The cold case builds the
+// index's memo layout and counts its cells, as the first cover over a
+// candidate set does; the warm case finds them built, as every later
+// cover does. It runs on adult's candidates at its Table-1 minimum
+// support (48,842 transactions, 280 candidates), on chesskrvk's at
+// minimum support 64 (28,056 transactions, 16,693 candidates, 12,364
+// memo cells) and on the two profiles with the widest views: crime
+// (244+294 items, 7,651 candidates) at minimum support 800, where its
+// Table-1 support of 200 settles under the experiments'
+// 200,000-candidate cap, and elections (82+867 items, 31,067
+// candidates, 12,099 distinct right-hand tidsets) at its Table-1
+// support. It lives here, not in bench_test.go, because internal/synth
+// imports core, so only the external test package can generate a
+// profile.
 func BenchmarkNewCover(b *testing.B) {
 	for _, bench := range []struct {
 		profile string
@@ -58,17 +63,79 @@ func BenchmarkNewCover(b *testing.B) {
 		{"crime", 800},
 		{"elections", 47},
 	} {
+		d, cands := synthCandidates(b, bench.profile, 1.0, bench.minsup, 1)
+		for _, cold := range []bool{true, false} {
+			name := bench.profile + "/warm"
+			if cold {
+				name = bench.profile + "/cold"
+			}
+			b.Run(name, func(b *testing.B) {
+				ctx := context.Background()
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if cold {
+						core.DropIndexLayout(cands)
+					}
+					c, err := core.NewCover(ctx, d, cands, core.Parallel(1))
+					if err != nil {
+						b.Fatal(err)
+					}
+					if err := core.BuildCoverIndex(ctx, c); err != nil {
+						b.Fatal(err)
+					}
+					c.Close()
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkPipelineSynth runs the mining pipelines of perfbench's
+// mine-dense and serve workloads without their harness, at scale 1.0,
+// one worker and one Session: MineCandidates, then SELECT(1), then
+// GREEDY over the same candidates. chesskrvk mines at minimum support
+// 64 with SELECT capped at 24 rules (mine-dense), adult at its Table-1
+// minimum support 4885 with SELECT run to its natural stop (serve). It
+// reports each stage's mean wall time per pipeline as cand_ms,
+// select_ms and greedy_ms.
+func BenchmarkPipelineSynth(b *testing.B) {
+	for _, bench := range []struct {
+		profile     string
+		minsup      int
+		selectRules int
+	}{
+		{"chesskrvk", 64, 24},
+		{"adult", 4885, 0},
+	} {
 		b.Run(bench.profile, func(b *testing.B) {
-			d, cands := synthCandidates(b, bench.profile, 1.0, bench.minsup, 1)
-			ctx := context.Background()
+			d := synthDataset(b, bench.profile, 1.0)
+			sess := core.NewSession()
+			defer sess.Close()
+			ctx, par := context.Background(), core.ParallelOptions{Workers: 1, Session: sess}
+			var stages [3]time.Duration
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				c, err := core.NewCover(ctx, d, cands, core.Parallel(1))
+				start := time.Now()
+				cands, err := core.MineCandidates(ctx, d, bench.minsup, 0, par)
 				if err != nil {
 					b.Fatal(err)
 				}
-				c.Close()
+				mined := time.Now()
+				if _, err := core.MineSelect(ctx, d, cands, core.SelectOptions{K: 1, MaxRules: bench.selectRules, ParallelOptions: par}); err != nil {
+					b.Fatal(err)
+				}
+				selected := time.Now()
+				if _, err := core.MineGreedy(ctx, d, cands, core.GreedyOptions{ParallelOptions: par}); err != nil {
+					b.Fatal(err)
+				}
+				stages[0] += mined.Sub(start)
+				stages[1] += selected.Sub(mined)
+				stages[2] += time.Since(selected)
+			}
+			for k, unit := range []string{"cand_ms", "select_ms", "greedy_ms"} {
+				b.ReportMetric(float64(stages[k].Microseconds())/1e3/float64(b.N), unit)
 			}
 		})
 	}

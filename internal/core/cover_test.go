@@ -86,7 +86,7 @@ func randomMask(r *rand.Rand, d *dataset.Dataset) *DirtyItems {
 // newLocalCover replaced, kept as its specification: per candidate, Y's
 // items then X's, the cells numbered in order of first use, one per
 // distinct (target view, antecedent tidset pointer, item).
-func refCellLayout(cands []Candidate) (cellOf []int32, cells []deltaCell, tids []*bitset.Set) {
+func refCellLayout(cands []Candidate) (cellOf []int32, cells []indexCell, tids []*bitset.Set) {
 	tidOf := map[*bitset.Set]int32{}
 	ids := map[uint64]int32{}
 	cell := func(target dataset.View, t *bitset.Set, item int) {
@@ -101,7 +101,7 @@ func refCellLayout(cands []Candidate) (cellOf []int32, cells []deltaCell, tids [
 		if !ok {
 			id = int32(len(cells))
 			ids[k] = id
-			cells = append(cells, deltaCell{tid: tid, item: int32(item), target: target})
+			cells = append(cells, indexCell{tid: tid, item: int32(item), target: uint8(target)})
 		}
 		cellOf = append(cellOf, id)
 	}
@@ -116,10 +116,11 @@ func refCellLayout(cands []Candidate) (cellOf []int32, cells []deltaCell, tids [
 	return cellOf, cells, tids
 }
 
-// newLocalCover must lay out the same cells, in the same order, as the
-// map-keyed construction, for candidates mixing shared and unshared
+// A cover's index must lay out the same cells, in the same order, as
+// the map-keyed construction, for candidates mixing shared and unshared
 // tidsets, with sides that have no items and with one set serving as
-// both a TidX and a TidY.
+// both a TidX and a TidY; and each cell's inSupp and each tidset's size
+// must be their counts.
 func TestLocalCoverLayout(t *testing.T) {
 	r := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 40; trial++ {
@@ -132,18 +133,25 @@ func TestLocalCoverLayout(t *testing.T) {
 		if len(cands) > 2 {
 			cands[1].TidY = cands[2].TidX
 		}
-		c := newLocalCover(NewState(d, mdl.NewCoder(d)), cands, nil, 1)
-		cellOf, cells, tids := refCellLayout(cands)
-		if !slices.Equal(c.cellOf, cellOf) || len(c.cells) != len(cells) {
-			t.Fatalf("trial %d: %d cells, cellOf %v; want %d cells, cellOf %v", trial, len(c.cells), c.cellOf, len(cells), cellOf)
+		ix := newLocalCover(NewState(d, mdl.NewCoder(d)), cands, nil, 1).ix
+		if err := ix.build(context.Background(), d, nil, 1); err != nil {
+			t.Fatal(err)
 		}
-		for id, cl := range c.cells {
+		cellOf, cells, tids := refCellLayout(cands)
+		if !slices.Equal(ix.cellOf, cellOf) || len(ix.cells) != len(cells) {
+			t.Fatalf("trial %d: %d cells, cellOf %v; want %d cells, cellOf %v", trial, len(ix.cells), ix.cellOf, len(cells), cellOf)
+		}
+		for id, cl := range ix.cells {
 			want := cells[id]
-			if cl.item != want.item || cl.target != want.target || c.tids[cl.tid] != tids[want.tid] {
+			tids := tids[want.tid]
+			if cl.item != want.item || cl.target != want.target || ix.tids[cl.tid] != tids {
 				t.Fatalf("trial %d: cell %d is %+v, want %+v", trial, id, cl, want)
 			}
-			if int(c.size[cl.tid]) != c.tids[cl.tid].Count() {
-				t.Fatalf("trial %d: tidset %d has size %d, want %d", trial, cl.tid, c.size[cl.tid], c.tids[cl.tid].Count())
+			if int(ix.size[cl.tid]) != tids.Count() {
+				t.Fatalf("trial %d: tidset %d has size %d, want %d", trial, cl.tid, ix.size[cl.tid], tids.Count())
+			}
+			if n := bitset.AndCount(tids, d.Columns(dataset.View(cl.target))[cl.item]); int(cl.inSupp) != n {
+				t.Fatalf("trial %d: cell %d has inSupp %d, want %d", trial, id, cl.inSupp, n)
 			}
 		}
 	}
@@ -316,7 +324,7 @@ func checkMemoSavesWork(t testing.TB, d *dataset.Dataset, cands []Candidate) {
 		t.Fatalf("Score after %v recounted %d cells, want the %d pairs of the items it touched", r, got, want)
 	}
 	for _, id := range cv.claims {
-		if cl := &cv.cells[id]; !touched[cl.target].Contains(int(cl.item)) {
+		if cl := &cv.ix.cells[id]; !touched[cl.target].Contains(int(cl.item)) {
 			t.Fatalf("Score after %v recounted item %d of view %v, which the rule did not touch", r, cl.item, cl.target)
 		}
 	}

@@ -110,7 +110,7 @@ func MineGreedyOn(ctx context.Context, c Cover, d *dataset.Dataset, cands []Cand
 		return ra.Compare(rb)
 	})
 	// The state-free qub verdict of every candidate, once for the run.
-	ok := qubVerdicts(coder, cands, scr.qubOK)
+	ok := qubVerdicts(coder, c, d, cands, scr.qubOK)
 
 	minBlock, maxBlock := 1, 1
 	if c.ScoresAhead() {

@@ -11,16 +11,18 @@ import (
 // rules and used-item masks, MineGreedy's candidate order and window
 // buffers). The buffers are recycled through the Session's free list
 // (or, for sessionless calls, a package-wide sync.Pool), so repeated
-// mining calls in one session reach a
-// steady state where rounds allocate nothing. Scratch never influences
-// results: every buffer is either truncated to zero length or fully
-// overwritten before it is read.
+// mining calls in one session reach a steady state where rounds
+// allocate nothing. Scratch never influences results: every buffer is
+// either truncated to zero length or fully overwritten before it is
+// read. What a candidate set fixes for every run over it (the tidset
+// sizes the qub verdicts read, the memo layout and its counts) is not
+// scratch: it lives in the candidates' candIndex.
 type miningScratch struct {
 	cache selectCache // SELECT: incremental scoring state
 	top   topRules    // SELECT: the round's k best rules
 	usedL bitset.Set  // SELECT: items used this round, left view
 	usedR bitset.Set  // SELECT: items used this round, right view
-	qubOK []bool      // per-candidate qub verdicts
+	qubOK []bool      // per-candidate qub verdicts, from the index's sizes
 	order []int       // GREEDY: candidate order
 	idx   []int32     // GREEDY: the window's qub survivors
 	delta []int32     // GREEDY: the window's cover deltas

@@ -114,7 +114,7 @@ func MineSelectOn(ctx context.Context, c Cover, d *dataset.Dataset, cands []Cand
 	// reach a steady state where rounds allocate nothing.
 	sc := opt.getScratch()
 	cache := &sc.cache
-	sc.qubOK = qubVerdicts(coder, cands, sc.qubOK)
+	sc.qubOK = qubVerdicts(coder, c, d, cands, sc.qubOK)
 	cache.reset(d, coder, cands, sc.qubOK)
 	usedL, usedR := &sc.usedL, &sc.usedR
 	var err error
@@ -301,6 +301,7 @@ func (c *selectCache) score(ctx context.Context, cv Cover, coder *mdl.Coder, can
 	// and collected in slot order.
 	for _, v := range [2]dataset.View{dataset.Left, dataset.Right} {
 		c.dirty[v].ForEach(func(it int) bool {
+			c.recounts += int64(len(c.post[v][it]))
 			for _, i := range c.post[v][it] {
 				c.isStale.Add(int(i))
 			}
@@ -311,7 +312,6 @@ func (c *selectCache) score(ctx context.Context, cv Cover, coder *mdl.Coder, can
 	c.isStale.ForEach(func(i int) bool {
 		sl := &c.slots[i]
 		cd := &cands[sl.cand]
-		c.recounts += int64(c.dirty.Count(cd.X, cd.Y))
 		c.stale = append(c.stale, i)
 		c.idx = append(c.idx, sl.cand)
 		c.views = append(c.views, c.delta[sl.off:sl.off+len(cd.Y)+len(cd.X)])

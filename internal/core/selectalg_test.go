@@ -64,7 +64,7 @@ func checkSelectAgainstOracle(t testing.TB, d *dataset.Dataset, cands []Candidat
 	defer rt.Close()
 	cv := newLocalCover(s, cands, rt, workers)
 	var c selectCache
-	c.reset(d, s.coder, cands, qubVerdicts(s.coder, cands, nil))
+	c.reset(d, s.coder, cands, qubVerdicts(s.coder, cv, d, cands, nil))
 	usedL := bitset.New(d.Items(dataset.Left))
 	usedR := bitset.New(d.Items(dataset.Right))
 	var top topRules

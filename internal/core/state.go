@@ -36,9 +36,9 @@ import (
 //     uncovered only where it occurs and an error only where it does
 //     not), so U and E are disjoint and, for any tidset t, the cover
 //     delta |t ∩ U| − |t \ (supp ∪ E)| equals |t ∩ (U ∪ E)| +
-//     (|t ∩ supp| − |t|). The bracket never changes, so localCover
-//     counts it once per memo cell and each later recount is the one
-//     fused pass of coverHits;
+//     (|t ∩ supp| − |t|). The bracket never changes, so a candIndex
+//     counts it once per cell for every cover over its candidates, and
+//     each recount is the one fused pass of coverHits;
 //   - totals.CorrLen[v] = Σ_t L(U_t) + L(E_t) up to rounding: it starts
 //     from the item supports and moves by applyItem's per-item products;
 //   - version[v][i] changes whenever ucol[v][i] or ecol[v][i] may have:

@@ -185,14 +185,19 @@ func (d *Dataset) SupportSet(v View, x itemset.Itemset) *bitset.Set {
 }
 
 // SupportSetInto writes the tidset of itemset X within view v into dst,
-// which must have width Size(). It is SupportSet without the
-// allocation, for bulk materialization into pre-carved sets.
-func (d *Dataset) SupportSetInto(dst *bitset.Set, v View, x itemset.Itemset) {
+// which must have width Size(), and returns its size, counted by the
+// last intersection. It is SupportSet without the allocation, for bulk
+// materialization into pre-carved sets.
+func (d *Dataset) SupportSetInto(dst *bitset.Set, v View, x itemset.Itemset) int {
 	dst.Fill()
+	if len(x) == 0 {
+		return d.Size()
+	}
 	cols := d.Columns(v)
-	for _, i := range x {
+	for _, i := range x[:len(x)-1] {
 		dst.And(cols[i])
 	}
+	return bitset.IntersectIntoCount(dst, dst, cols[x[len(x)-1]])
 }
 
 // Support returns |supp(X)| within view v.

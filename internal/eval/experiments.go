@@ -111,7 +111,9 @@ type MethodCells struct {
 
 // runTranslators runs the requested TRANSLATOR variants on one dataset.
 // It returns the method cells and the effective minimum support used for
-// candidate mining.
+// candidate mining. SELECT(1), SELECT(25) and GREEDY share the
+// candidates' index (see core.MaterializeTids): the T-SELECT(1) run
+// time includes building it, and the later rows reuse it.
 func runTranslators(ctx context.Context, d *dataset.Dataset, minsup int, withExact bool) ([]MethodCells, int, error) {
 	var out []MethodCells
 	if withExact {

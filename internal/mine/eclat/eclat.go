@@ -191,20 +191,34 @@ func Mine(ctx context.Context, d *dataset.Dataset, opt Options) ([]FI, error) {
 		return nil, err
 	}
 
-	total := 0
+	// Bucket the sets by support, descending, with a counting pass, and
+	// compare items only within a bucket: end[k] ends the bucket of
+	// support maxSupp − k once every set is placed.
+	maxSupp := opt.MinSupport
 	for _, mi := range p.States() {
-		total += len(mi.out)
-	}
-	out := make([]FI, 0, total)
-	for _, mi := range p.States() {
-		out = append(out, mi.out...)
-	}
-	slices.SortFunc(out, func(a, b FI) int {
-		if a.Supp != b.Supp {
-			return b.Supp - a.Supp
+		for _, fi := range mi.out {
+			maxSupp = max(maxSupp, fi.Supp)
 		}
-		return itemset.Compare(a.Items, b.Items)
-	})
+	}
+	end := make([]int, maxSupp-opt.MinSupport+2)
+	for _, mi := range p.States() {
+		for _, fi := range mi.out {
+			end[maxSupp-fi.Supp+1]++
+		}
+	}
+	for k := 1; k < len(end); k++ {
+		end[k] += end[k-1]
+	}
+	out := make([]FI, end[len(end)-1])
+	for _, mi := range p.States() {
+		for _, fi := range mi.out {
+			out[end[maxSupp-fi.Supp]] = fi
+			end[maxSupp-fi.Supp]++
+		}
+	}
+	for k, lo := 0, 0; k+1 < len(end); lo, k = end[k], k+1 {
+		slices.SortFunc(out[lo:end[k]], func(a, b FI) int { return itemset.Compare(a.Items, b.Items) })
+	}
 	return out, nil
 }
 
