@@ -97,7 +97,10 @@ type localCover struct {
 	delta []int32
 	// claims lists the cells the current Score counts: the stale ones
 	// the batch reads, each once; counted sums them over all calls.
+	// masked holds one bit per (candidate, item) of the batch, in its
+	// order: whether the mask lets Score write the item.
 	claims  []int32
+	masked  []uint64
 	counted int64
 }
 
@@ -273,11 +276,13 @@ const (
 	scoreTasks = 64
 )
 
-// Score runs in three steps. A serial pass over the batch claims each
-// stale cell it reads (honouring dirty) and stamps it with its item's
-// current version, so a cell shared by many candidates is claimed once.
-// One pool phase then counts the claimed cells, each task writing only
-// its own cells. Last, a serial gather copies the cells into delta.
+// Score runs in three steps. A serial pass over the batch tests each
+// item against the mask, once, recording the verdict in masked, and
+// claims each stale cell a masked item reads, stamping it with its
+// item's current version, so a cell shared by many candidates is
+// claimed once. One pool phase then counts the claimed cells, each task
+// writing only its own cells. Last, a serial gather copies the masked
+// items' cells into delta.
 func (c *localCover) Score(ctx context.Context, idx []int32, dirty *DirtyItems, delta [][]int32) error {
 	ix := c.ix
 	if c.stamp == nil {
@@ -286,18 +291,22 @@ func (c *localCover) Score(ctx context.Context, idx []int32, dirty *DirtyItems, 
 		}
 		c.stamp, c.delta = make([]uint32, len(ix.cells)), make([]int32, len(ix.cells))
 	}
-	c.claims = c.claims[:0]
+	c.claims, c.masked = c.claims[:0], c.masked[:0]
+	r := uint(0)
 	for _, ci := range idx {
 		p := c.pos[ci]
 		for _, id := range ix.cellOf[ix.cellOff[p]:ix.cellOff[p+1]] {
-			cl := &ix.cells[id]
-			if dirty != nil && !dirty[cl.target].Contains(int(cl.item)) {
-				continue
+			if r%64 == 0 {
+				c.masked = append(c.masked, 0)
 			}
-			if stamp := c.s.version[cl.target][cl.item] + 1; c.stamp[id] != stamp {
-				c.stamp[id] = stamp
-				c.claims = append(c.claims, id)
+			if cl := &ix.cells[id]; dirty == nil || dirty[cl.target].Contains(int(cl.item)) {
+				c.masked[r/64] |= 1 << (r % 64)
+				if stamp := c.s.version[cl.target][cl.item] + 1; c.stamp[id] != stamp {
+					c.stamp[id] = stamp
+					c.claims = append(c.claims, id)
+				}
 			}
+			r++
 		}
 	}
 	c.counted += int64(len(c.claims))
@@ -315,12 +324,14 @@ func (c *localCover) Score(ctx context.Context, idx []int32, dirty *DirtyItems, 
 		}
 		return err
 	}
+	r = uint(0)
 	for k, ci := range idx {
 		p := c.pos[ci]
 		for j, id := range ix.cellOf[ix.cellOff[p]:ix.cellOff[p+1]] {
-			if cl := &ix.cells[id]; dirty == nil || dirty[cl.target].Contains(int(cl.item)) {
+			if c.masked[r/64]&(1<<(r%64)) != 0 {
 				delta[k][j] = c.delta[id]
 			}
+			r++
 		}
 	}
 	return nil

@@ -24,16 +24,25 @@ type golden struct {
 	Rules  int    `json:"rules"`
 }
 
-// goldenProfiles are the internal/synth profiles of the grid, each at a
-// small scale with its candidate minimum support for SELECT and GREEDY.
-var goldenProfiles = []struct {
+// goldenProfile is one internal/synth profile of a grid, at a small
+// scale with its candidate minimum support for SELECT and GREEDY, and
+// the name of its cells in the table grid.
+type goldenProfile struct {
 	name   string
 	scale  float64
 	minsup int
-}{
-	{"tictactoe", 0.2, 4},
-	{"car", 0.3, 4},
-	{"chesskrvk", 0.02, 8},
+	cell   string
+}
+
+// goldenProfiles are the profiles of the table grid. In car at scale
+// 0.02 a SELECT(25) round's top k holds two rules that differ only in
+// Dir at equal gain (X→Y and X←Y of a candidate whose two sides have
+// the same support tidset).
+var goldenProfiles = []goldenProfile{
+	{"tictactoe", 0.2, 4, "tictactoe"},
+	{"car", 0.3, 4, "car"},
+	{"chesskrvk", 0.02, 8, "chesskrvk"},
+	{"car", 0.02, 4, "car@0.02"},
 }
 
 // goldenExactRules caps EXACT's tables in the grid.
@@ -77,7 +86,7 @@ func mineGolden(t *testing.T, algo, profile string, scale float64, minsup, worke
 }
 
 // TestGoldenTables is the cross-commit byte-identity check. It mines a
-// fixed grid (three profiles × SELECT k=1, SELECT k=25, GREEDY and
+// fixed grid (four profiles × SELECT k=1, SELECT k=25, GREEDY and
 // capped EXACT × workers 1 and 2) and compares each table's WriteTable
 // digest and rule count with testdata/golden.json, printing the
 // observed fingerprints as JSON on a mismatch. The in-package
@@ -97,7 +106,7 @@ func TestGoldenTables(t *testing.T) {
 	for _, p := range goldenProfiles {
 		for _, algo := range goldenAlgos {
 			for _, workers := range []int{1, 2} {
-				name := fmt.Sprintf("%s/%s/w%d", p.name, algo, workers)
+				name := fmt.Sprintf("%s/%s/w%d", p.cell, algo, workers)
 				got := mineGolden(t, algo, p.name, p.scale, p.minsup, workers)
 				observed[name] = got
 				if w, ok := want[name]; !ok {
@@ -130,14 +139,10 @@ type goldenCands struct {
 }
 
 // goldenCandidateProfiles are the candidate grid: the table grid's
-// profiles, plus chesskrvk at a scale whose tidsets are wide enough for
-// ECLAT to walk some top-level branches over their own rows.
-var goldenCandidateProfiles = append(goldenProfiles[:len(goldenProfiles):len(goldenProfiles)],
-	struct {
-		name   string
-		scale  float64
-		minsup int
-	}{"chesskrvk", 0.5, 32})
+// first three profiles, plus chesskrvk at a scale whose tidsets are
+// wide enough for ECLAT to walk some top-level branches over their own
+// rows.
+var goldenCandidateProfiles = append(goldenProfiles[:3:3], goldenProfile{"chesskrvk", 0.5, 32, ""})
 
 // candidatesDigest fingerprints a candidate list: per candidate, in
 // order, X, Y, Supp and the popcounts of TidX and TidY.

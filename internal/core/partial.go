@@ -167,7 +167,8 @@ func (ps *PartialState) Replay(log []Rule, onRule func(i int, r Rule)) {
 }
 
 // CoverTotals holds the scalar summaries of a cover state: |U| and |E|
-// per target view and the correction lengths L(C|T). A State keeps one
+// per target view, each item's |E_y|, and the correction lengths
+// L(C|T). A State keeps one
 // and updates it from its own counts; on the coordinator side of a
 // sharded run one is fed by the per-item counts of the shards' Apply
 // replies. Both make the same updates in the same order (applyItem),
@@ -178,6 +179,9 @@ type CoverTotals struct {
 	UOnes   [2]int
 	EOnes   [2]int
 	CorrLen [2]float64
+	// itemErrs[v][y] is |E_y|, the errors of item y in target view v:
+	// the growth SELECT's bound reads (see selectCache).
+	itemErrs [2][]int32
 }
 
 // NewCoverTotals returns the empty-table scalars from the item supports,
@@ -188,6 +192,7 @@ func NewCoverTotals(d *dataset.Dataset, coder *mdl.Coder) *CoverTotals {
 	for _, v := range []dataset.View{dataset.Left, dataset.Right} {
 		ct.UOnes[v] = d.Ones(v)
 		ct.CorrLen[v] = coder.DataLen(d, v)
+		ct.itemErrs[v] = make([]int32, d.Items(v))
 	}
 	return ct
 }
@@ -205,12 +210,14 @@ func (ct *CoverTotals) ApplyDir(target dataset.View, parts ...[]ItemCount) {
 }
 
 // applyItem folds one applied consequent item's counts into the
-// scalars: the covered transactions leave U, the new errors enter E,
-// and the correction length moves by ItemLen·(errs−covered) in a single
-// multiply, skipped when the counts cancel.
+// scalars: the covered transactions leave U, the new errors enter E
+// and E_item, and the correction length moves by
+// ItemLen·(errs−covered) in a single multiply, skipped when the counts
+// cancel.
 func (ct *CoverTotals) applyItem(target dataset.View, item, covered, errs int) {
 	ct.UOnes[target] -= covered
 	ct.EOnes[target] += errs
+	ct.itemErrs[target][item] += int32(errs)
 	if covered != errs {
 		// Same single-multiply form as gainDir, so the gain accepted for
 		// a rule equals the score change exactly (negation is lossless

@@ -45,9 +45,10 @@ type Result struct {
 // reads a count. TestWorkBudget gates the counts against the budgets in
 // testdata/work.json.
 type Work struct {
-	// SELECT: scoring rounds, and the (candidate, item) pairs the driver
-	// asks the cover to recount (the dirty consequent items of the stale
-	// candidates).
+	// SELECT: scoring rounds, and the (slot, item) pairs the driver asks
+	// the cover to recount: per round, the consequent items its Score
+	// mask marks of each slot in its batch (the stale slots whose bound
+	// reaches the round's k-th best gain).
 	Rounds   int64 `json:"rounds,omitempty"`
 	Recounts int64 `json:"recounts,omitempty"`
 	// GREEDY: speculation windows, and the candidates scored in them.

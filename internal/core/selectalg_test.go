@@ -47,9 +47,12 @@ func scoreUncached(s *State, cands []Candidate) []scoredRule {
 // checkSelectAgainstOracle runs SELECT(k) round by round on MineSelect's
 // own pieces (qubVerdicts, selectCache, topRules, the overlap-filtered
 // add walk) and asserts that:
-//   - the cache's slots are exactly the candidates scoreUncached scores,
-//     and every round, every slot's cached gainF and gainB equal a
-//     from-scratch gainDir bit for bit;
+//   - the cache's slots are exactly the candidates scoreUncached scores;
+//     every round, every fresh slot's cached gainF and gainB (those of
+//     the slots the round counted included) equal a from-scratch
+//     gainDir bit for bit, and every slot the round left stale has a
+//     bound at least each direction's from-scratch gain and below the
+//     round's k-th best gain (GainEpsilon while the top is short);
 //   - every round's top k equal sort-then-truncate of scoreUncached's
 //     list: same rules, same gain bits, same order;
 //   - every added rule's scored gain equals its gain recomputed against
@@ -68,12 +71,16 @@ func checkSelectAgainstOracle(t testing.TB, d *dataset.Dataset, cands []Candidat
 	usedL := bitset.New(d.Items(dataset.Left))
 	usedR := bitset.New(d.Items(dataset.Right))
 	var top topRules
-	rounds := 0
+	rounds, skipped := 0, 0
 	for maxRules == 0 || len(s.table.Rules) < maxRules {
 		if err := c.score(ctx, cv, s.coder, cands, &top, k); err != nil {
 			t.Fatal(err)
 		}
 		rounds++
+		tau := GainEpsilon
+		if len(top.rules) == k {
+			tau = top.rules[k-1].Gain
+		}
 		slot := 0
 		for ci := range cands {
 			cd := &cands[ci]
@@ -87,6 +94,18 @@ func checkSelectAgainstOracle(t testing.TB, d *dataset.Dataset, cands []Candidat
 			slot++
 			wantF := s.gainDir(dataset.Left, cd.TidX, cd.Y)
 			wantB := s.gainDir(dataset.Right, cd.TidY, cd.X)
+			if sl.stale {
+				skipped++
+				for dir, g := range [3]float64{wantF - sl.lenUni, wantB - sl.lenUni, wantF + wantB - sl.lenBi} {
+					if !(sl.bound >= g) {
+						t.Fatalf("round %d, candidate %d: bound %v below the %v gain %v", rounds, ci, sl.bound, Directions[dir], g)
+					}
+				}
+				if !(sl.bound < tau) {
+					t.Fatalf("round %d, candidate %d: skipped with bound %v, k-th best %v", rounds, ci, sl.bound, tau)
+				}
+				continue
+			}
 			if math.Float64bits(sl.gainF) != math.Float64bits(wantF) || math.Float64bits(sl.gainB) != math.Float64bits(wantB) {
 				t.Fatalf("round %d, candidate %d: cached gains %v/%v, from scratch %v/%v",
 					rounds, ci, sl.gainF, sl.gainB, wantF, wantB)
@@ -124,7 +143,7 @@ func checkSelectAgainstOracle(t testing.TB, d *dataset.Dataset, cands []Candidat
 				t.Fatalf("round %d: %v scored gain %v, gain at its turn %v", rounds, sr.Rule, sr.Gain, g)
 			}
 			s.AddRule(sr.Rule)
-			c.dirty.Touch(sr.Rule)
+			c.touch(sr.Rule, s.totals)
 			for _, it := range sr.Rule.X {
 				usedL.Add(it)
 			}
@@ -135,6 +154,9 @@ func checkSelectAgainstOracle(t testing.TB, d *dataset.Dataset, cands []Candidat
 	}
 	if rounds < 2 {
 		t.Fatalf("only %d rounds: the cache was never reused", rounds)
+	}
+	if skipped == 0 {
+		t.Fatalf("%d rounds and no slot left stale: the bound never skipped a count", rounds)
 	}
 
 	res, err := MineSelect(ctx, d, cands, SelectOptions{K: k, MaxRules: maxRules, ParallelOptions: Parallel(workers)})
@@ -195,4 +217,82 @@ func TestTopKMatchesSortThenTruncate(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestLazyBoundDominatesGains is the property test of the bound lazy
+// SELECT skips slots by. On random planted datasets it counts every
+// slot once, then adds random rules (every direction, Both included),
+// with an occasional scoring round that recounts some slots; after
+// each rule it refolds every slot from whatever count it holds, however
+// old, and checks each direction's bound against that direction's gain
+// from scratch, and the slot's bound against all three.
+func TestLazyBoundDominatesGains(t *testing.T) {
+	ctx := context.Background()
+	r := rand.New(rand.NewSource(26))
+	rt := pool.NewRuntime()
+	defer rt.Close()
+	zeroDelta, zeroBound, bothBinds := 0, 0, 0
+	for trial := 0; trial < 30; trial++ {
+		d := randomPlantedDataset(r, 5+r.Intn(8), 5+r.Intn(8), 30+r.Intn(90))
+		cands := mustCandidates(t, d, 1+r.Intn(3), 0, Parallel(1))
+		if len(cands) == 0 {
+			continue
+		}
+		s := NewState(d, mdl.NewCoder(d))
+		cv := newLocalCover(s, cands, rt, 1)
+		var c selectCache
+		c.reset(d, s.coder, cands, qubVerdicts(s.coder, cv, d, cands, nil))
+		var top topRules
+		if err := c.score(ctx, cv, s.coder, cands, &top, 1); err != nil {
+			t.Fatal(err)
+		}
+		for step := 0; step < 10; step++ {
+			cd := &cands[r.Intn(len(cands))]
+			rule := Rule{X: cd.X, Dir: Directions[r.Intn(3)], Y: cd.Y}
+			s.AddRule(rule)
+			c.touch(rule, s.totals)
+			if r.Intn(4) == 0 {
+				if err := c.score(ctx, cv, s.coder, cands, &top, 1+r.Intn(30)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := range c.slots {
+				sl := &c.slots[i]
+				cd := &cands[sl.cand]
+				c.refold(s.coder, sl)
+				y, x, end := sl.off, sl.off+sl.ny, sl.off+sl.n
+				boundF := foldBound(s.coder, dataset.Right, c.item[y:x], c.delta[y:x], c.seen[y:x], c.errs[dataset.Right])
+				boundB := foldBound(s.coder, dataset.Left, c.item[x:end], c.delta[x:end], c.seen[x:end], c.errs[dataset.Left])
+				gainF := s.gainDir(dataset.Left, cd.TidX, cd.Y)
+				gainB := s.gainDir(dataset.Right, cd.TidY, cd.X)
+				bounds := [3]float64{boundF - sl.lenUni, boundB - sl.lenUni, boundF + boundB - sl.lenBi}
+				gains := [3]float64{gainF - sl.lenUni, gainB - sl.lenUni, gainF + gainB - sl.lenBi}
+				for dir := range gains {
+					if !(bounds[dir] >= gains[dir]) || !(sl.bound >= gains[dir]) {
+						t.Fatalf("trial %d step %d, %v: %v bound %v (slot %v), gain from scratch %v",
+							trial, step, Rule{X: cd.X, Y: cd.Y}, Directions[dir], bounds[dir], sl.bound, gains[dir])
+					}
+				}
+				if gains[2] > max(gains[0], gains[1]) {
+					bothBinds++
+				}
+				for at := y; at < end; at++ {
+					v := dataset.Left
+					if at < x {
+						v = dataset.Right
+					}
+					if c.delta[at] == 0 {
+						zeroDelta++
+					}
+					if c.delta[at]+c.errs[v][c.item[at]]-c.seen[at] == 0 {
+						zeroBound++
+					}
+				}
+			}
+		}
+	}
+	if zeroDelta == 0 || zeroBound == 0 || bothBinds == 0 {
+		t.Fatalf("vacuous: %d zero deltas, %d zero bounded deltas, %d slots whose Both gain is their best", zeroDelta, zeroBound, bothBinds)
+	}
+	t.Logf("%d zero deltas, %d zero bounded deltas, %d slots whose Both gain is their best", zeroDelta, zeroBound, bothBinds)
 }

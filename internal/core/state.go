@@ -157,12 +157,6 @@ func (s *State) Coder() *mdl.Coder { return s.coder }
 // state's column bitsets alive.
 func (s *State) Table() *Table { return s.table.clipped() }
 
-// UncoveredOnes returns |U| for the target view (Fig. 2, top).
-func (s *State) UncoveredOnes(target dataset.View) int { return s.totals.UOnes[target] }
-
-// ErrorOnes returns |E| for the target view (Fig. 2, top).
-func (s *State) ErrorOnes(target dataset.View) int { return s.totals.EOnes[target] }
-
 // CorrectionOnes returns |C| = |U|+|E| summed over both views, the
 // numerator of the |C|% metric of Table 3.
 func (s *State) CorrectionOnes() int {

@@ -27,12 +27,12 @@ func TestNewStateIsBaseline(t *testing.T) {
 	if s.TableLen() != 0 || s.Table().Size() != 0 {
 		t.Fatal("empty table must have zero length")
 	}
-	if s.ErrorOnes(dataset.Left) != 0 || s.ErrorOnes(dataset.Right) != 0 {
+	if s.totals.EOnes[dataset.Left] != 0 || s.totals.EOnes[dataset.Right] != 0 {
 		t.Fatal("no errors before any rule")
 	}
 	wantU := d.Ones(dataset.Left)
-	if s.UncoveredOnes(dataset.Left) != wantU {
-		t.Fatalf("|U_L| = %d, want %d", s.UncoveredOnes(dataset.Left), wantU)
+	if s.totals.UOnes[dataset.Left] != wantU {
+		t.Fatalf("|U_L| = %d, want %d", s.totals.UOnes[dataset.Left], wantU)
 	}
 	if s.CorrectionOnes() != d.Ones(dataset.Left)+d.Ones(dataset.Right) {
 		t.Fatal("|C| must equal all ones initially")
@@ -69,7 +69,7 @@ func TestGainMatchesScoreDelta(t *testing.T) {
 
 // stateMatchesReference checks every incremental structure against the
 // reference cover of the table (refCover, from TranslateRow): the
-// columns, |U|, |E|, L(C|T), EXACT's tub as et maintained it over the
+// columns, |U|, |E|, each item's |E_y|, L(C|T), EXACT's tub as et maintained it over the
 // table's rules, and, bit for bit, the tub a fresh exactTub builds.
 func stateMatchesReference(s *State, et *exactTub) bool {
 	d := s.Dataset()
@@ -92,8 +92,13 @@ func stateMatchesReference(s *State, et *exactTub) bool {
 				return false
 			}
 		}
-		if s.UncoveredOnes(target) != uOnes || s.ErrorOnes(target) != eOnes {
+		if s.totals.UOnes[target] != uOnes || s.totals.EOnes[target] != eOnes {
 			return false
+		}
+		for y := range s.ecol[target] {
+			if int(s.totals.itemErrs[target][y]) != s.ecol[target][y].Count() {
+				return false
+			}
 		}
 		if math.Abs(s.CorrLen(target)-corrLen) > 1e-9 {
 			return false
@@ -112,10 +117,10 @@ func TestQuickStateMatchesReference(t *testing.T) {
 		for _, rule := range tab.Rules {
 			et.addRule(rule)
 			// Errors are monotone (§5.1).
-			if s.ErrorOnes(dataset.Left) < prevErrL || s.ErrorOnes(dataset.Right) < prevErrR {
+			if s.totals.EOnes[dataset.Left] < prevErrL || s.totals.EOnes[dataset.Right] < prevErrR {
 				return false
 			}
-			prevErrL, prevErrR = s.ErrorOnes(dataset.Left), s.ErrorOnes(dataset.Right)
+			prevErrL, prevErrR = s.totals.EOnes[dataset.Left], s.totals.EOnes[dataset.Right]
 		}
 		return stateMatchesReference(s, et)
 	}

@@ -224,9 +224,9 @@ func TestApplyReport(t *testing.T) {
 	// Consistency with the state implementation.
 	s := newStateFor(t, d)
 	s.AddRule(tab.Rules[0])
-	if rep.Uncovered != s.UncoveredOnes(dataset.Right) || rep.Errors != s.ErrorOnes(dataset.Right) {
+	if rep.Uncovered != s.totals.UOnes[dataset.Right] || rep.Errors != s.totals.EOnes[dataset.Right] {
 		t.Fatalf("Apply (%d,%d) disagrees with state (%d,%d)",
 			rep.Uncovered, rep.Errors,
-			s.UncoveredOnes(dataset.Right), s.ErrorOnes(dataset.Right))
+			s.totals.UOnes[dataset.Right], s.totals.EOnes[dataset.Right])
 	}
 }

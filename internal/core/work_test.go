@@ -14,9 +14,10 @@ import (
 // count may take.
 const workBudgetFile = "testdata/work.json"
 
-// workCases are the runs TestWorkBudget gates: SELECT(1), GREEDY and
-// EXACT (capped at workExactRules) on small internal/synth profiles at
-// one worker, where every Work count is an exact function of the input.
+// workCases are the runs TestWorkBudget gates: SELECT(1), SELECT(25)
+// (algo select25, whose τ is the 25th best gain), GREEDY and EXACT
+// (capped at workExactRules) on small internal/synth profiles at one
+// worker, where every Work count is an exact function of the input.
 // minsup is the candidate support of SELECT and GREEDY.
 var workCases = []struct {
 	algo, profile string
@@ -25,6 +26,7 @@ var workCases = []struct {
 }{
 	{"select", "tictactoe", 0.5, 10},
 	{"select", "chesskrvk", 0.1, 40},
+	{"select25", "chesskrvk", 0.1, 40},
 	{"greedy", "tictactoe", 0.5, 10},
 	{"greedy", "chesskrvk", 0.1, 40},
 	{"exact", "tictactoe", 0.15, 0},
@@ -44,9 +46,12 @@ func mineWork(t *testing.T, algo, profile string, scale float64, minsup int) cor
 		res, err = core.MineExact(ctx, d, core.ExactOptions{MaxRules: workExactRules, ParallelOptions: par})
 	} else {
 		d, cands := synthCandidates(t, profile, scale, minsup, 1)
-		if algo == "select" {
+		switch algo {
+		case "select":
 			res, err = core.MineSelect(ctx, d, cands, core.SelectOptions{K: 1, ParallelOptions: par})
-		} else {
+		case "select25":
+			res, err = core.MineSelect(ctx, d, cands, core.SelectOptions{K: 25, ParallelOptions: par})
+		default:
 			res, err = core.MineGreedy(ctx, d, cands, core.GreedyOptions{ParallelOptions: par})
 		}
 	}

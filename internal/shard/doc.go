@@ -82,12 +82,13 @@
 //	Score     coordinator → shard: {part, term, seq, lease} plus
 //	          candidate indices into the announced candidate list and
 //	          the dirty items: either "all items" or, per view, an
-//	          ascending item list (SELECT names the items the rules
-//	          applied since its previous round touched). The shard
-//	          keeps no scoring cache: core's SELECT driver caches every
-//	          candidate's per-item deltas and overwrites only the dirty
-//	          ones, so a SCORE round after the first rescores only the
-//	          candidates with a dirty consequent item.
+//	          ascending item list (SELECT names the items touched
+//	          since the oldest count among the round's candidates). The
+//	          shard keeps no scoring cache: core's SELECT driver caches
+//	          every candidate's per-item deltas and overwrites only the
+//	          dirty ones, so a SCORE round after the first rescores only
+//	          the stale candidates whose gain bound can reach the
+//	          round's top k.
 //	Apply     coordinator → shard: {part, term, seq, lease, rule}. The
 //	          shard updates its columns.
 //	Reply     shard → coordinator: per scored entry (Score) or for the
