@@ -80,14 +80,6 @@ type Result struct {
 	Accepted int
 }
 
-// Ratio returns the KRIMP compression ratio L(CT,D)/L(ST,D) in percent.
-func (r *Result) Ratio() float64 {
-	if r.BaselineLen == 0 {
-		return 100
-	}
-	return 100 * r.TotalLen / r.BaselineLen
-}
-
 // Options configures Mine.
 type Options struct {
 	// MinSupport is the candidate minimum support; values < 1 mean 1.

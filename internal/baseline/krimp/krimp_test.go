@@ -47,8 +47,8 @@ func TestMineCompresses(t *testing.T) {
 	if res.TotalLen >= res.BaselineLen {
 		t.Fatalf("KRIMP did not compress: %v >= %v", res.TotalLen, res.BaselineLen)
 	}
-	if res.Ratio() >= 100 {
-		t.Fatalf("Ratio = %v", res.Ratio())
+	if ratio(res) >= 100 {
+		t.Fatalf("Ratio = %v", ratio(res))
 	}
 	if res.Accepted == 0 {
 		t.Fatal("no itemsets accepted")
@@ -120,7 +120,7 @@ func TestStandardOrders(t *testing.T) {
 
 func TestRatioBaselineGuard(t *testing.T) {
 	r := &Result{TotalLen: 10, BaselineLen: 0}
-	if r.Ratio() != 100 {
+	if ratio(r) != 100 {
 		t.Fatal("zero baseline should give 100")
 	}
 }
@@ -224,4 +224,13 @@ func TestIncrementalCoverMatchesFull(t *testing.T) {
 			}
 		}
 	}
+}
+
+// ratio returns the KRIMP compression ratio L(CT,D)/L(ST,D) of r in
+// percent.
+func ratio(r *Result) float64 {
+	if r.BaselineLen == 0 {
+		return 100
+	}
+	return 100 * r.TotalLen / r.BaselineLen
 }

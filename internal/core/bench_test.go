@@ -24,7 +24,7 @@ func BenchmarkGain(b *testing.B) {
 	r := Rule{X: itemset.New(0, 1), Dir: Both, Y: itemset.New(0, 1)}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.Gain(r)
+		s.GainWithTids(r, nil, nil)
 	}
 }
 

@@ -25,21 +25,20 @@ import (
 // tests can demand agreement to the last bit (==, no tolerance) on
 // random datasets and random partially-applied tables.
 
-// refCover is the reference cover state of a State's current table:
-// per target view and transaction, U_t = t \ t′ and E_t = t′ \ t, with
-// t′ the translation TranslateRow gives.
+// refCover is the reference cover state of a table: per target view
+// and transaction, U_t = t \ t′ and E_t = t′ \ t, with t′ the
+// translation TranslateRow gives.
 type refCover struct {
 	u, e [2][]*bitset.Set
 }
 
-func newRefCover(s *State) *refCover {
-	d := s.Dataset()
+func newRefCover(d *dataset.Dataset, tab *Table) *refCover {
 	ref := &refCover{}
 	for _, target := range []dataset.View{dataset.Left, dataset.Right} {
 		from := target.Opposite()
 		for t := 0; t < d.Size(); t++ {
 			row := d.Row(target, t)
-			tp := TranslateRow(d, s.Table(), from, d.Row(from, t))
+			tp := TranslateRow(d, tab, from, d.Row(from, t))
 			u := row.Clone()
 			u.AndNot(tp)
 			e := tp.Clone()
@@ -53,8 +52,7 @@ func newRefCover(s *State) *refCover {
 
 // refGainDir is the row-wise reference for State.gainDir.
 func refGainDir(s *State, ref *refCover, from dataset.View, tids *bitset.Set, cons itemset.Itemset) float64 {
-	target := from.Opposite()
-	d := s.Dataset()
+	target, d := from.Opposite(), s.d
 	gain := 0.0
 	for _, y := range cons {
 		covered, errs := 0, 0
@@ -70,7 +68,7 @@ func refGainDir(s *State, ref *refCover, from dataset.View, tids *bitset.Set, co
 		if covered == errs {
 			continue
 		}
-		gain += s.Coder().ItemLen(target, y) * float64(covered-errs)
+		gain += s.totals.coder.ItemLen(target, y) * float64(covered-errs)
 	}
 	return gain
 }
@@ -84,7 +82,7 @@ func refGainWithTids(s *State, ref *refCover, r Rule, tidX, tidY *bitset.Set) fl
 	if r.AppliesTo(dataset.Right) {
 		gain += refGainDir(s, ref, dataset.Right, tidY, r.X)
 	}
-	return gain - r.Len(s.Coder())
+	return gain - r.Len(s.totals.coder)
 }
 
 // refSumTub is the closure-based reference walk for exactTub.sum.
@@ -100,7 +98,7 @@ func refSumTub(et *exactTub, target dataset.View, tids *bitset.Set) float64 {
 // refRub is exactTub.rub on top of refSumTub.
 func refRub(et *exactTub, x, y itemset.Itemset, tidX, tidY *bitset.Set) float64 {
 	return refSumTub(et, dataset.Right, tidX) + refSumTub(et, dataset.Left, tidY) -
-		et.s.Coder().RuleLen(x, y, true)
+		et.s.totals.coder.RuleLen(x, y, true)
 }
 
 // columnMismatch compares ucol/ecol against a transpose of the
@@ -108,7 +106,7 @@ func refRub(et *exactTub, x, y itemset.Itemset, tidX, tidY *bitset.Set) float64 
 // ecol[v][i] exactly {t : i ∈ E_t}. It describes the first mismatch, or
 // returns "" when the columns match.
 func columnMismatch(s *State, ref *refCover) string {
-	d := s.Dataset()
+	d := s.d
 	for _, v := range []dataset.View{dataset.Left, dataset.Right} {
 		for i := 0; i < d.Items(v); i++ {
 			wantU := bitset.New(d.Size())
@@ -133,10 +131,10 @@ func columnMismatch(s *State, ref *refCover) string {
 }
 
 // columnsMatchReference fails the test unless s's columns match the
-// reference cover of its table.
-func columnsMatchReference(t *testing.T, s *State, ctx string) {
+// reference cover of tab, the table s has applied.
+func columnsMatchReference(t *testing.T, s *State, tab *Table, ctx string) {
 	t.Helper()
-	if msg := columnMismatch(s, newRefCover(s)); msg != "" {
+	if msg := columnMismatch(s, newRefCover(s.d, tab)); msg != "" {
 		t.Fatalf("%s: %s", ctx, msg)
 	}
 }
@@ -156,10 +154,10 @@ func randomProbeRule(r *rand.Rand, d *dataset.Dataset) Rule {
 }
 
 // The central row-vs-column property: on random datasets and random
-// partially-applied tables, Gain/GainWithTids computed through the
-// columnar mirror, and EXACT's rub and tub sums, equal the row-wise
-// reference bit for bit — before any rule, between any two rules, and
-// after all of them.
+// partially-applied tables, GainWithTids (with and without tidsets)
+// computed through the columnar mirror, and EXACT's rub and tub sums,
+// equal the row-wise reference bit for bit — before any rule, between
+// any two rules, and after all of them.
 func TestQuickColumnarMatchesRowReference(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -169,7 +167,7 @@ func TestQuickColumnarMatchesRowReference(t *testing.T) {
 		step := -1
 		check := func() bool {
 			step++
-			ref := newRefCover(s)
+			ref := newRefCover(d, &Table{Rules: tab.Rules[:step]})
 			// Probe rules: a few random ones plus every table rule.
 			probes := append([]Rule(nil), tab.Rules...)
 			for k := 0; k < 4; k++ {
@@ -182,8 +180,8 @@ func TestQuickColumnarMatchesRowReference(t *testing.T) {
 					t.Logf("seed %d step %d: GainWithTids differs for %v", seed, step, probe)
 					return false
 				}
-				if s.Gain(probe) != refGainWithTids(s, ref, probe, tidX, tidY) {
-					t.Logf("seed %d step %d: Gain differs for %v", seed, step, probe)
+				if s.GainWithTids(probe, nil, nil) != refGainWithTids(s, ref, probe, tidX, tidY) {
+					t.Logf("seed %d step %d: GainWithTids without tidsets differs for %v", seed, step, probe)
 					return false
 				}
 				if et.rub(probe.X, probe.Y, tidX, tidY) != refRub(et, probe.X, probe.Y, tidX, tidY) {
@@ -208,7 +206,7 @@ func TestQuickColumnarMatchesRowReference(t *testing.T) {
 				return false
 			}
 		}
-		columnsMatchReference(t, s, "after replay")
+		columnsMatchReference(t, s, tab, "after replay")
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
@@ -216,9 +214,10 @@ func TestQuickColumnarMatchesRowReference(t *testing.T) {
 	}
 }
 
-// All three miners must produce bit-identical gains, rules and final
-// tables for workers ∈ {1, 2, 4, 7} on random datasets, and their final
-// states' columns must match the reference cover. Run under
+// All three miners must produce bit-identical gains, rules, final
+// tables and final totals for workers ∈ {1, 2, 4, 7} on random
+// datasets, and the table must replay to columns that match the
+// reference cover. Run under
 // -race this also exercises the concurrent columnar reads.
 func TestMinersColumnarBitIdenticalAcrossWorkers(t *testing.T) {
 	workerSets := []int{1, 2, 4, 7}
@@ -248,17 +247,23 @@ func TestMinersColumnarBitIdenticalAcrossWorkers(t *testing.T) {
 			if base.Table.Size() == 0 {
 				t.Fatalf("%s seed %d: mined nothing", m.name, seed)
 			}
-			columnsMatchReference(t, base.State, m.name+" serial")
-			// The final state must replay to the same gains the miner saw.
+			// The table must replay to the same gains the miner saw, to
+			// columns that match the reference cover, and to the totals
+			// the miner reports, bit for bit.
 			replay := NewState(d, mdl.NewCoder(d))
 			for i, rule := range base.Table.Rules {
 				tidX := d.SupportSet(dataset.Left, rule.X)
 				tidY := d.SupportSet(dataset.Right, rule.Y)
-				if g := refGainWithTids(replay, newRefCover(replay), rule, tidX, tidY); g != base.Iterations[i].Gain {
+				ref := newRefCover(d, &Table{Rules: base.Table.Rules[:i]})
+				if g := refGainWithTids(replay, ref, rule, tidX, tidY); g != base.Iterations[i].Gain {
 					t.Fatalf("%s seed %d: rule %d recorded gain %v, row-wise replay %v",
 						m.name, seed, i, base.Iterations[i].Gain, g)
 				}
 				replay.AddRule(rule)
+			}
+			columnsMatchReference(t, replay, base.Table, m.name+" replay")
+			if !sameTotals(base.Totals, replay.totals) {
+				t.Fatalf("%s seed %d: totals %+v, replay %+v", m.name, seed, base.Totals, replay.totals)
 			}
 			for _, w := range workerSets[1:] {
 				got := m.run(w)
@@ -274,10 +279,9 @@ func TestMinersColumnarBitIdenticalAcrossWorkers(t *testing.T) {
 						t.Fatalf("%s seed %d workers %d: gain %d differs", m.name, seed, w, i)
 					}
 				}
-				if got.State.Score() != base.State.Score() {
-					t.Fatalf("%s seed %d workers %d: score differs", m.name, seed, w)
+				if !sameTotals(got.Totals, base.Totals) {
+					t.Fatalf("%s seed %d workers %d: totals differ", m.name, seed, w)
 				}
-				columnsMatchReference(t, got.State, m.name+" parallel")
 			}
 		}
 	}

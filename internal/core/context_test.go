@@ -133,7 +133,7 @@ func TestMinerCancellationMidSearch(t *testing.T) {
 					t.Fatalf("workers=%d %s: follow-up rule %d differs", workers, name, i)
 				}
 			}
-			if again.State.Score() != refs[name].State.Score() {
+			if !sameTotals(again.Totals, refs[name].Totals) {
 				t.Fatalf("workers=%d %s: follow-up score differs", workers, name)
 			}
 		}
@@ -260,7 +260,7 @@ func TestOnIterationObserveOnly(t *testing.T) {
 		t.Fatalf("hook saw %d iterations, table has %d rules", seen, res.Table.Size())
 	}
 	ref := mustSelect(t, d, cands, SelectOptions{K: 1})
-	if res.Table.Size() != ref.Table.Size() || res.State.Score() != ref.State.Score() {
+	if res.Table.Size() != ref.Table.Size() || !sameTotals(res.Totals, ref.Totals) {
 		t.Fatal("observing hook changed the result")
 	}
 }

@@ -38,14 +38,15 @@ type Cover interface {
 	// marks are written; the other entries keep their values.
 	Score(ctx context.Context, idx []int32, dirty *DirtyItems, delta [][]int32) error
 	// Apply adds r to the cover and returns the updated scalar totals.
-	// The totals belong to the cover and change with the next Apply.
+	// The totals belong to the cover and change with the next Apply;
+	// the driver reports the last ones as Result.Totals. They are all a
+	// caller sees of the cover state: the columns stay behind the
+	// boundary and go with Close.
 	Apply(r Rule) (*CoverTotals, error)
 	// ScoresAhead reports whether GREEDY should score its speculation
 	// window in batches ahead of the walk, rather than one candidate at
 	// its turn.
 	ScoresAhead() bool
-	// State returns the cover state of the rules applied so far.
-	State() *State
 	// Close releases the cover's resources.
 	Close()
 }
@@ -347,8 +348,6 @@ func (c *localCover) Apply(r Rule) (*CoverTotals, error) {
 // dominates scoring ahead and discarding on accept.
 func (c *localCover) ScoresAhead() bool { return pool.Size(c.workers, len(c.cands)) > 1 }
 
-func (c *localCover) State() *State { return c.s }
-
 func (c *localCover) Close() {}
 
 // countedCells returns the number of memo cells c counted, for
@@ -382,7 +381,7 @@ func ruleGains(coder *mdl.Coder, cd *Candidate, delta []int32) (gainF, gainB flo
 }
 
 // qubVerdicts sets ok[ci], for every candidate, to whether the quick
-// bound qub (State.Qub) lets it reach positive gain, and returns ok
+// bound qub lets it reach positive gain, and returns ok
 // (grown as needed). qub reads only the coder, never the cover state,
 // so a candidate's verdict holds for a whole run and the drivers filter
 // the candidates once up front. The tidset sizes come from the index of
@@ -403,7 +402,10 @@ func qubVerdicts(coder *mdl.Coder, c Cover, d *dataset.Dataset, cands []Candidat
 	return ok
 }
 
-// qub is State.Qub, which reads only the coder.
+// qub returns the quick upper bound qub(X ◇ Y) of §5.2, valid for all
+// three directions of the rule: |supp(X)|·L(Y|D_R) + |supp(Y)|·L(X|D_L)
+// − L(X↔Y). It reads only the coder, so it cannot prune subtrees but
+// safely skips exact gain computations.
 func qub(coder *mdl.Coder, x, y itemset.Itemset, suppX, suppY int) float64 {
 	return float64(suppX)*coder.SetLen(dataset.Right, y) +
 		float64(suppY)*coder.SetLen(dataset.Left, x) -
@@ -440,14 +442,6 @@ func NewDirtyItems(d *dataset.Dataset, items *[2]itemset.Itemset) *DirtyItems {
 		}
 	}
 	return di
-}
-
-// Fill sizes the masks to d's alphabets and marks every item dirty.
-func (di *DirtyItems) Fill(d *dataset.Dataset) {
-	for _, v := range [2]dataset.View{dataset.Left, dataset.Right} {
-		di[v].Reset(d.Items(v))
-		di[v].Fill()
-	}
 }
 
 // Clear marks every item clean.

@@ -67,11 +67,18 @@ func randomSharedCandidates(r *rand.Rand, d *dataset.Dataset) []Candidate {
 	return cands
 }
 
+// emptyMask returns a DirtyItems over d's alphabets marking no item.
+func emptyMask(d *dataset.Dataset) *DirtyItems {
+	di := new(DirtyItems)
+	for _, v := range [2]dataset.View{dataset.Left, dataset.Right} {
+		di[v].Reset(d.Items(v))
+	}
+	return di
+}
+
 // randomMask returns a DirtyItems marking a random subset of d's items.
 func randomMask(r *rand.Rand, d *dataset.Dataset) *DirtyItems {
-	di := new(DirtyItems)
-	di.Fill(d)
-	di.Clear()
+	di := emptyMask(d)
 	for _, v := range [2]dataset.View{dataset.Left, dataset.Right} {
 		for i := 0; i < d.Items(v); i++ {
 			if r.Intn(2) == 0 {
@@ -300,9 +307,7 @@ func checkMemoSavesWork(t testing.TB, d *dataset.Dataset, cands []Candidate) {
 	if _, err := cv.Apply(r); err != nil {
 		t.Fatal(err)
 	}
-	var touched DirtyItems
-	touched.Fill(d)
-	touched.Clear()
+	touched := emptyMask(d)
 	touched.Touch(r)
 	want := 0
 	for ci := range cands {

@@ -76,13 +76,14 @@ func MineExact(ctx context.Context, d *dataset.Dataset, opt ExactOptions) (*Resu
 	elapsed := stopwatch()
 	coder := mdl.NewCoder(d)
 	s := NewState(d, coder)
-	res := &Result{State: s}
+	res := &Result{Totals: s.totals}
+	var table Table
 	// One worker pool serves every iteration's best-rule search: the
 	// per-worker states (and their per-depth DFS scratch) persist across
 	// iterations, and the phases run on the session's parked workers.
 	search := newExactRun(s, opt)
 	var err error
-	for opt.MaxRules == 0 || len(s.table.Rules) < opt.MaxRules {
+	for opt.MaxRules == 0 || len(table.Rules) < opt.MaxRules {
 		if err = ctx.Err(); err != nil {
 			break
 		}
@@ -93,7 +94,8 @@ func MineExact(ctx context.Context, d *dataset.Dataset, opt ExactOptions) (*Resu
 			break
 		}
 		search.tub.addRule(r)
-		if !res.Record(s.totals, &s.table, r, gain, opt.OnIteration) {
+		table.Rules = append(table.Rules, r)
+		if !res.Record(s.totals, &table, r, gain, opt.OnIteration) {
 			break
 		}
 	}
@@ -103,7 +105,7 @@ func MineExact(ctx context.Context, d *dataset.Dataset, opt ExactOptions) (*Resu
 		res.Work.RubPrunes += se.rubPrunes
 		res.Work.QubSkips += se.qubSkips
 	}
-	res.Table = s.Table()
+	res.Table = table.clipped()
 	res.Runtime = elapsed()
 	return res, err
 }
@@ -134,7 +136,7 @@ func newExactTub(s *State) *exactTub {
 	for v := range et.tub {
 		et.tub[v] = make([]float64, n)
 		for i := range s.ucol[v] {
-			et.add(dataset.View(v), &s.ucol[v][i], s.coder.ItemLen(dataset.View(v), i))
+			et.add(dataset.View(v), &s.ucol[v][i], s.totals.coder.ItemLen(dataset.View(v), i))
 		}
 	}
 	return et
@@ -169,7 +171,7 @@ func (et *exactTub) uncover(target dataset.View, ante, cons itemset.Itemset) {
 	//lint:ctxprobe-ok bounded per-rule work (|cons| kernel calls); MineExact applies between iteration checkpoints
 	for _, y := range cons {
 		bitset.IntersectInto(et.covered, et.tids, &et.s.ucol[target][y])
-		et.add(target, et.covered, -et.s.coder.ItemLen(target, y))
+		et.add(target, et.covered, -et.s.totals.coder.ItemLen(target, y))
 	}
 }
 
@@ -318,7 +320,7 @@ func (run *exactRun) bestRule(ctx context.Context) (Rule, float64, bool, error) 
 				view: v,
 				id:   i,
 				col:  cols[i],
-				len:  s.coder.ItemLen(v, i),
+				len:  s.totals.coder.ItemLen(v, i),
 				pot:  bitset.WeightedSum(cols[i], run.tub.tub[v.Opposite()]),
 			})
 		}

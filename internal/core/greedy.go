@@ -84,7 +84,7 @@ func MineGreedy(ctx context.Context, d *dataset.Dataset, cands []Candidate, opt 
 // table, built over cands. The caller owns c.
 func MineGreedyOn(ctx context.Context, c Cover, d *dataset.Dataset, cands []Candidate, opt GreedyOptions) (*Result, error) {
 	coder := mdl.NewCoder(d)
-	res := &Result{}
+	res := &Result{Totals: NewCoverTotals(d, coder)}
 	var table Table
 
 	// Order: length desc, then support desc, then deterministic. The
@@ -187,7 +187,6 @@ func MineGreedyOn(ctx context.Context, c Cover, d *dataset.Dataset, cands []Cand
 	scr.order, scr.qubOK, scr.idx, scr.delta, scr.views = order, ok, idx, delta, views
 	opt.putScratch(scr)
 	res.Table = table.clipped()
-	res.State = c.State()
 	return res, err
 }
 

@@ -2,12 +2,13 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
+	"reflect"
 	"testing"
-	"time"
 
+	"twoview/internal/bitset"
 	"twoview/internal/dataset"
 	"twoview/internal/itemset"
 	"twoview/internal/mdl"
@@ -83,7 +84,7 @@ func mustCandidates(tb testing.TB, d *dataset.Dataset, minSupport, maxResults in
 // bruteForceBestRule enumerates every rule whose X∪Y occurs in the data
 // (the paper's rule space) and returns the maximal gain.
 func bruteForceBestRule(s *State) (Rule, float64, bool) {
-	d := s.Dataset()
+	d := s.d
 	nL, nR := d.Items(dataset.Left), d.Items(dataset.Right)
 	var best Rule
 	bestGain := 0.0
@@ -107,7 +108,7 @@ func bruteForceBestRule(s *State) (Rule, float64, bool) {
 			}
 			for _, dir := range Directions {
 				r := Rule{X: x, Dir: dir, Y: y}
-				g := s.Gain(r)
+				g := s.GainWithTids(r, nil, nil)
 				if g > bestGain || (found && g == bestGain && r.Compare(best) < 0) {
 					best, bestGain, found = r, g, true
 				}
@@ -201,12 +202,12 @@ func TestMineExactFindsPlantedRule(t *testing.T) {
 	if !first.X.Equal(itemset.New(0, 1)) || !first.Y.Equal(itemset.New(0, 1)) || first.Dir != Both {
 		t.Fatalf("first rule = %v, want {0 1} <-> {0 1}", first)
 	}
-	if res.State.CompressionRatio() >= 100 {
-		t.Fatalf("L%% = %v, expected compression", res.State.CompressionRatio())
+	if l := lPct(d, res); l >= 100 {
+		t.Fatalf("L%% = %v, expected compression", l)
 	}
 	// Gains must be decreasing is not guaranteed, but all must be positive
 	// and the score must strictly decrease.
-	prev := res.State.Baseline()
+	prev := mdl.NewCoder(d).BaselineLen(d)
 	for _, it := range res.Iterations {
 		if it.Gain <= 0 {
 			t.Fatalf("iteration %d has non-positive gain %v", it.Iteration, it.Gain)
@@ -252,13 +253,13 @@ func TestMineSelectBasics(t *testing.T) {
 	if !first.X.Equal(itemset.New(0, 1)) || !first.Y.Equal(itemset.New(0, 1)) {
 		t.Fatalf("SELECT first rule = %v", first)
 	}
-	if res.State.CompressionRatio() >= 100 {
+	if lPct(d, res) >= 100 {
 		t.Fatal("SELECT did not compress")
 	}
 	// The EXACT compression is at least as good on this easy data.
 	exact := mustExact(t, d, ExactOptions{})
-	if exact.State.Score() > res.State.Score()+1e-6 {
-		t.Fatalf("EXACT (%v) worse than SELECT (%v)", exact.State.Score(), res.State.Score())
+	if e, s := exact.Totals.Score(exact.Table), res.Totals.Score(res.Table); e > s+1e-6 {
+		t.Fatalf("EXACT (%v) worse than SELECT (%v)", e, s)
 	}
 }
 
@@ -271,7 +272,7 @@ func TestMineSelectKBatches(t *testing.T) {
 	k1 := mustSelect(t, d, cands, SelectOptions{K: 1})
 	k25 := mustSelect(t, d, cands, SelectOptions{K: 25})
 	// Both must compress; k=25 may be slightly worse but never inflate.
-	if k1.State.CompressionRatio() >= 100 || k25.State.CompressionRatio() >= 100 {
+	if lPct(d, k1) >= 100 || lPct(d, k25) >= 100 {
 		t.Fatal("SELECT variants failed to compress")
 	}
 	// Determinism.
@@ -322,7 +323,7 @@ func TestMineGreedyBasics(t *testing.T) {
 	if res.Table.Size() == 0 {
 		t.Fatal("GREEDY found nothing")
 	}
-	if res.State.CompressionRatio() >= 100 {
+	if lPct(d, res) >= 100 {
 		t.Fatal("GREEDY did not compress")
 	}
 	if err := res.Table.Validate(d); err != nil {
@@ -355,9 +356,9 @@ func TestMinersScoreConsistency(t *testing.T) {
 	}
 	coder := mdl.NewCoder(d)
 	for name, res := range results {
-		replay := EvaluateTable(d, coder, res.Table)
-		if math.Abs(replay.Score()-res.State.Score()) > 1e-6 {
-			t.Errorf("%s: replay score %v != miner score %v", name, replay.Score(), res.State.Score())
+		replay := EvaluateTable(d, coder, res.Table).Score(res.Table)
+		if got := res.Totals.Score(res.Table); math.Abs(replay-got) > 1e-6 {
+			t.Errorf("%s: replay score %v != miner score %v", name, replay, got)
 		}
 	}
 }
@@ -410,10 +411,11 @@ func TestMineCandidatesCapped(t *testing.T) {
 	}
 }
 
-// A mined table must not keep the miner's cover state alive: callers
-// that keep tables and drop results (a benchmark keeping every
-// repetition's table, a server keeping the served one) would otherwise
-// hold every row and column bitset of the State.
+// A mining result must not keep the miner's cover state alive: callers
+// that keep results (a benchmark keeping every repetition's, a server
+// keeping the served one's) would otherwise hold every column bitset of
+// the State. So no value reachable from the whole *Result, through any
+// field, exported or not, may be a State or a bitset.
 func TestResultTableDoesNotPinState(t *testing.T) {
 	d := plantedDataset(t, 51)
 	cands := mustCandidates(t, d, 1, 0, Parallel(1))
@@ -426,24 +428,56 @@ func TestResultTableDoesNotPinState(t *testing.T) {
 		{"exact", func() *Result { return mustExact(t, d, ExactOptions{MaxRules: 2, ParallelOptions: Parallel(2)}) }},
 	} {
 		res := tc.mine()
-		table := res.Table
-		freed := make(chan struct{})
-		runtime.SetFinalizer(res.State, func(*State) { close(freed) })
-		res = nil
-		collected := false
-		for i := 0; i < 20 && !collected; i++ {
-			runtime.GC()
-			select {
-			case <-freed:
-				collected = true
-			case <-time.After(10 * time.Millisecond):
-			}
-		}
-		if !collected {
-			t.Fatalf("%s: the State is still reachable from the kept table", tc.name)
-		}
-		if table.Size() == 0 {
+		if res.Table.Size() == 0 {
 			t.Fatalf("%s: empty table", tc.name)
 		}
+		if path := reachesCover(reflect.ValueOf(res), "res", map[uintptr]bool{}); path != "" {
+			t.Fatalf("%s: %s reaches the cover state", tc.name, path)
+		}
 	}
+}
+
+// reachesCover returns the path of the first State or bitset.Set
+// reachable from v, or "" if there is none.
+func reachesCover(v reflect.Value, path string, seen map[uintptr]bool) string {
+	switch v.Kind() {
+	case reflect.Pointer:
+		if v.IsNil() || seen[v.Pointer()] {
+			return ""
+		}
+		seen[v.Pointer()] = true
+		return reachesCover(v.Elem(), path, seen)
+	case reflect.Interface:
+		if !v.IsNil() {
+			return reachesCover(v.Elem(), path, seen)
+		}
+	case reflect.Struct:
+		if v.Type() == reflect.TypeFor[State]() || v.Type() == reflect.TypeFor[bitset.Set]() {
+			return path
+		}
+		for i := range v.NumField() {
+			if p := reachesCover(v.Field(i), path+"."+v.Type().Field(i).Name, seen); p != "" {
+				return p
+			}
+		}
+	case reflect.Slice, reflect.Array:
+		for i := range v.Len() {
+			if p := reachesCover(v.Index(i), fmt.Sprintf("%s[%d]", path, i), seen); p != "" {
+				return p
+			}
+		}
+	case reflect.Map:
+		for it := v.MapRange(); it.Next(); {
+			if p := reachesCover(it.Value(), fmt.Sprintf("%s[%v]", path, it.Key()), seen); p != "" {
+				return p
+			}
+		}
+	}
+	return ""
+}
+
+// lPct returns the L% of a mined result on d.
+func lPct(d *dataset.Dataset, res *Result) float64 {
+	l, _ := res.Totals.Ratios(d, res.Table)
+	return l
 }

@@ -25,7 +25,7 @@ func TestMineSelectParallelDeterminism(t *testing.T) {
 				t.Fatalf("workers=%d: rule %d differs", workers, i)
 			}
 		}
-		if par.State.Score() != serial.State.Score() {
+		if !sameTotals(par.Totals, serial.Totals) {
 			t.Fatalf("workers=%d: score differs", workers)
 		}
 	}
@@ -59,9 +59,9 @@ func TestMineExactParallelDeterminism(t *testing.T) {
 						seed, workers, i, par.Iterations[i].Gain, serial.Iterations[i].Gain)
 				}
 			}
-			if par.State.Score() != serial.State.Score() {
-				t.Fatalf("seed %d workers=%d: score %v, serial %v",
-					seed, workers, par.State.Score(), serial.State.Score())
+			if !sameTotals(par.Totals, serial.Totals) {
+				t.Fatalf("seed %d workers=%d: totals %+v, serial %+v",
+					seed, workers, par.Totals, serial.Totals)
 			}
 		}
 	}
@@ -81,7 +81,7 @@ func TestMineExactParallelNoBounds(t *testing.T) {
 			t.Fatalf("rule %d differs", i)
 		}
 	}
-	if par.State.Score() != serial.State.Score() {
+	if !sameTotals(par.Totals, serial.Totals) {
 		t.Fatal("score differs")
 	}
 }
@@ -91,7 +91,7 @@ func TestMineExactDefaultWorkers(t *testing.T) {
 	d := plantedDataset(t, 36)
 	a := mustExact(t, d, ExactOptions{MaxRules: 4, ParallelOptions: Parallel(1)})
 	b := mustExact(t, d, ExactOptions{MaxRules: 4})
-	if a.Table.Size() != b.Table.Size() || a.State.Score() != b.State.Score() {
+	if a.Table.Size() != b.Table.Size() || !sameTotals(a.Totals, b.Totals) {
 		t.Fatal("default workers changed the result")
 	}
 }
@@ -105,7 +105,7 @@ func TestMineSelectDefaultWorkers(t *testing.T) {
 	}
 	a := mustSelect(t, d, cands, SelectOptions{K: 1, ParallelOptions: Parallel(1)})
 	b := mustSelect(t, d, cands, SelectOptions{K: 1})
-	if a.Table.Size() != b.Table.Size() || a.State.Score() != b.State.Score() {
+	if a.Table.Size() != b.Table.Size() || !sameTotals(a.Totals, b.Totals) {
 		t.Fatal("default workers changed the result")
 	}
 }
@@ -139,7 +139,7 @@ func TestMineGreedyParallelDeterminism(t *testing.T) {
 					t.Fatalf("seed %d workers=%d: gain %d differs", seed, workers, i)
 				}
 			}
-			if par.State.Score() != serial.State.Score() {
+			if !sameTotals(par.Totals, serial.Totals) {
 				t.Fatalf("seed %d workers=%d: score differs", seed, workers)
 			}
 		}

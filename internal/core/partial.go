@@ -239,8 +239,27 @@ func (ct *CoverTotals) Apply(r Rule, fwdParts, backParts [][]ItemCount) {
 	}
 }
 
-// Score returns L(D_L↔R, T) for the given table under these totals,
-// like State.Score.
+// Score returns L(D_L↔R, T) = L(T) + L(C_L|T) + L(C_R|T), the total
+// encoded size minimized in Problem 1, of the table these are the
+// totals of.
 func (ct *CoverTotals) Score(table *Table) float64 {
 	return table.Len(ct.coder) + ct.CorrLen[dataset.Left] + ct.CorrLen[dataset.Right]
+}
+
+// Ratios returns, as percentages, the two relative sizes the paper
+// reports of table t on d, given the totals t leaves on d (Tables 2 and
+// 3): the compression ratio L% = L(D,T) / L(D,∅), and the correction
+// share |C|% = (|U|+|E|) / ((|I_L|+|I_R|)·|D|). An empty dataset has
+// L% 100 (nothing to compress) and |C|% 0. L% above 100 means the table
+// inflates the translation.
+func (ct *CoverTotals) Ratios(d *dataset.Dataset, t *Table) (lPct, corrPct float64) {
+	lPct = 100
+	if base := ct.coder.BaselineLen(d); base != 0 {
+		lPct = 100 * ct.Score(t) / base
+	}
+	if cells := (d.Items(dataset.Left) + d.Items(dataset.Right)) * d.Size(); cells != 0 {
+		ones := ct.UOnes[dataset.Left] + ct.UOnes[dataset.Right] + ct.EOnes[dataset.Left] + ct.EOnes[dataset.Right]
+		corrPct = 100 * float64(ones) / float64(cells)
+	}
+	return lPct, corrPct
 }

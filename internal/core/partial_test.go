@@ -99,7 +99,7 @@ func TestPartialStateMirrorsState(t *testing.T) {
 					shards, ri, totals, s.totals.UOnes, s.totals.EOnes, s.totals.CorrLen)
 			}
 			sub := &Table{Rules: table.Rules[:ri+1]}
-			if got, want := totals.Score(sub), s.Score(); got != want {
+			if got, want := totals.Score(sub), s.totals.Score(sub); got != want {
 				t.Fatalf("shards=%d rule %d: score %v != %v", shards, ri, got, want)
 			}
 		}

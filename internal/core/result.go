@@ -30,10 +30,15 @@ type IterationStats struct {
 // phases, never concurrently.
 type IterationFunc func(IterationStats) bool
 
-// Result is the output of a TRANSLATOR algorithm.
+// Result is the output of a TRANSLATOR algorithm: the table and the
+// scalar totals of its cover, which is all the paper reports of a run
+// (|T|, L(D,T), L% and |C|%, see CoverTotals.Ratios). It holds no cover
+// state: the U/E columns die with the run, whatever the caller keeps.
 type Result struct {
-	Table      *Table
-	State      *State           // final state; Score, L%, |C|% etc.
+	Table *Table
+	// Totals are the cover totals the last added rule left (those of
+	// the empty table when no rule was added): |U|, |E| and L(C|T).
+	Totals     *CoverTotals
 	Iterations []IterationStats // one entry per added rule
 	Runtime    time.Duration
 	Work       Work // the run's algorithmic work
@@ -67,10 +72,11 @@ type Work struct {
 
 // Record captures the state after adding rule r, read off the cover
 // totals and the table that now ends with r, appends it to the result,
-// and forwards it to the OnIteration hook if any. It reports whether
-// mining should continue: false as soon as the hook asks for an early
-// stop. Every miner records through it.
+// keeps the totals as the result's, and forwards it to the OnIteration
+// hook if any. It reports whether mining should continue: false as soon
+// as the hook asks for an early stop. Every miner records through it.
 func (res *Result) Record(totals *CoverTotals, table *Table, r Rule, gain float64, onIter IterationFunc) bool {
+	res.Totals = totals
 	it := IterationStats{
 		Iteration:  len(res.Iterations) + 1,
 		Rule:       r,

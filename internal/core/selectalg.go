@@ -129,7 +129,7 @@ func MineSelectOn(ctx context.Context, c Cover, d *dataset.Dataset, cands []Cand
 		opt.K = 1
 	}
 	coder := mdl.NewCoder(d)
-	res := &Result{}
+	res := &Result{Totals: NewCoverTotals(d, coder)}
 	var table Table
 
 	// All rounds reuse one set of session-pooled buffers: the scoring
@@ -201,7 +201,6 @@ func MineSelectOn(ctx context.Context, c Cover, d *dataset.Dataset, cands []Cand
 	res.Work.Recounts = cache.recounts
 	opt.putScratch(sc)
 	res.Table = table.clipped()
-	res.State = c.State()
 	return res, err
 }
 

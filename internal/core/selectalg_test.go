@@ -20,11 +20,11 @@ import (
 // above GainEpsilon, in candidate order and per candidate in the order
 // →, ←, ↔.
 func scoreUncached(s *State, cands []Candidate) []scoredRule {
-	coder := s.coder
+	coder := s.totals.coder
 	var dst []scoredRule
 	for ci := range cands {
 		c := &cands[ci]
-		if s.Qub(c.X, c.Y, c.TidX.Count(), c.TidY.Count()) <= GainEpsilon {
+		if qub(coder, c.X, c.Y, c.TidX.Count(), c.TidY.Count()) <= GainEpsilon {
 			continue
 		}
 		gainF := s.gainDir(dataset.Left, c.TidX, c.Y)
@@ -62,18 +62,19 @@ func scoreUncached(s *State, cands []Candidate) []scoredRule {
 func checkSelectAgainstOracle(t testing.TB, d *dataset.Dataset, cands []Candidate, k, workers, maxRules int) {
 	t.Helper()
 	ctx := context.Background()
-	s := NewState(d, mdl.NewCoder(d))
+	s := newTableState(d)
+	coder := s.totals.coder
 	rt := pool.NewRuntime()
 	defer rt.Close()
-	cv := newLocalCover(s, cands, rt, workers)
+	cv := newLocalCover(s.State, cands, rt, workers)
 	var c selectCache
-	c.reset(d, s.coder, cands, qubVerdicts(s.coder, cv, d, cands, nil))
+	c.reset(d, coder, cands, qubVerdicts(coder, cv, d, cands, nil))
 	usedL := bitset.New(d.Items(dataset.Left))
 	usedR := bitset.New(d.Items(dataset.Right))
 	var top topRules
 	rounds, skipped := 0, 0
 	for maxRules == 0 || len(s.table.Rules) < maxRules {
-		if err := c.score(ctx, cv, s.coder, cands, &top, k); err != nil {
+		if err := c.score(ctx, cv, coder, cands, &top, k); err != nil {
 			t.Fatal(err)
 		}
 		rounds++
@@ -84,7 +85,7 @@ func checkSelectAgainstOracle(t testing.TB, d *dataset.Dataset, cands []Candidat
 		slot := 0
 		for ci := range cands {
 			cd := &cands[ci]
-			if s.Qub(cd.X, cd.Y, cd.TidX.Count(), cd.TidY.Count()) <= GainEpsilon {
+			if qub(coder, cd.X, cd.Y, cd.TidX.Count(), cd.TidY.Count()) <= GainEpsilon {
 				continue
 			}
 			if slot == len(c.slots) || int(c.slots[slot].cand) != ci {
@@ -114,7 +115,7 @@ func checkSelectAgainstOracle(t testing.TB, d *dataset.Dataset, cands []Candidat
 		if slot != len(c.slots) {
 			t.Fatalf("round %d: %d slots, %d candidates pass qub", rounds, len(c.slots), slot)
 		}
-		want := scoreUncached(s, cands)
+		want := scoreUncached(s.State, cands)
 		sort.Slice(want, func(a, b int) bool { return want[a].before(want[b]) })
 		want = want[:min(k, len(want))]
 		if len(top.rules) != len(want) {
@@ -139,7 +140,7 @@ func checkSelectAgainstOracle(t testing.TB, d *dataset.Dataset, cands []Candidat
 			if anyIn(sr.Rule.X, usedL) || anyIn(sr.Rule.Y, usedR) {
 				continue
 			}
-			if g := s.Gain(sr.Rule); math.Float64bits(g) != math.Float64bits(sr.Gain) {
+			if g := s.GainWithTids(sr.Rule, nil, nil); math.Float64bits(g) != math.Float64bits(sr.Gain) {
 				t.Fatalf("round %d: %v scored gain %v, gain at its turn %v", rounds, sr.Rule, sr.Gain, g)
 			}
 			s.AddRule(sr.Rule)
@@ -171,8 +172,8 @@ func checkSelectAgainstOracle(t testing.TB, d *dataset.Dataset, cands []Candidat
 			t.Fatalf("rule %d: MineSelect %v, oracle walk %v", i, res.Table.Rules[i], r)
 		}
 	}
-	if math.Float64bits(res.State.Score()) != math.Float64bits(s.Score()) {
-		t.Fatalf("score: MineSelect %v, oracle walk %v", res.State.Score(), s.Score())
+	if !sameTotals(res.Totals, s.totals) {
+		t.Fatalf("totals: MineSelect %+v, oracle walk %+v", res.Totals, s.totals)
 	}
 }
 
@@ -241,9 +242,9 @@ func TestLazyBoundDominatesGains(t *testing.T) {
 		s := NewState(d, mdl.NewCoder(d))
 		cv := newLocalCover(s, cands, rt, 1)
 		var c selectCache
-		c.reset(d, s.coder, cands, qubVerdicts(s.coder, cv, d, cands, nil))
+		c.reset(d, s.totals.coder, cands, qubVerdicts(s.totals.coder, cv, d, cands, nil))
 		var top topRules
-		if err := c.score(ctx, cv, s.coder, cands, &top, 1); err != nil {
+		if err := c.score(ctx, cv, s.totals.coder, cands, &top, 1); err != nil {
 			t.Fatal(err)
 		}
 		for step := 0; step < 10; step++ {
@@ -252,17 +253,17 @@ func TestLazyBoundDominatesGains(t *testing.T) {
 			s.AddRule(rule)
 			c.touch(rule, s.totals)
 			if r.Intn(4) == 0 {
-				if err := c.score(ctx, cv, s.coder, cands, &top, 1+r.Intn(30)); err != nil {
+				if err := c.score(ctx, cv, s.totals.coder, cands, &top, 1+r.Intn(30)); err != nil {
 					t.Fatal(err)
 				}
 			}
 			for i := range c.slots {
 				sl := &c.slots[i]
 				cd := &cands[sl.cand]
-				c.refold(s.coder, sl)
+				c.refold(s.totals.coder, sl)
 				y, x, end := sl.off, sl.off+sl.ny, sl.off+sl.n
-				boundF := foldBound(s.coder, dataset.Right, c.item[y:x], c.delta[y:x], c.seen[y:x], c.errs[dataset.Right])
-				boundB := foldBound(s.coder, dataset.Left, c.item[x:end], c.delta[x:end], c.seen[x:end], c.errs[dataset.Left])
+				boundF := foldBound(s.totals.coder, dataset.Right, c.item[y:x], c.delta[y:x], c.seen[y:x], c.errs[dataset.Right])
+				boundB := foldBound(s.totals.coder, dataset.Left, c.item[x:end], c.delta[x:end], c.seen[x:end], c.errs[dataset.Left])
 				gainF := s.gainDir(dataset.Left, cd.TidX, cd.Y)
 				gainB := s.gainDir(dataset.Right, cd.TidY, cd.X)
 				bounds := [3]float64{boundF - sl.lenUni, boundB - sl.lenUni, boundF + boundB - sl.lenBi}

@@ -9,12 +9,14 @@ import (
 	"twoview/internal/mdl"
 )
 
-// State maintains, incrementally, everything needed to score a growing
-// translation table: per target view the uncovered items U (in the data
-// but not yet translated) and the errors E (translated but not in the
-// data), the encoded correction lengths and the table length (§5.1).
-// It keeps nothing per transaction: EXACT's transaction-based bounds
-// tub (§5.2) live with its search (exactTub).
+// State maintains, incrementally, the cover of a growing translation
+// table: per target view the uncovered items U (in the data but not yet
+// translated) and the errors E (translated but not in the data), and
+// the encoded correction lengths (§5.1). It keeps neither the table nor
+// anything per transaction: each miner owns the table it builds, and
+// EXACT's transaction-based bounds tub (§5.2) live with its search
+// (exactTub). What a run reports is the table and the totals, never the
+// State (see Result).
 //
 // U and E are kept columnar, ucol[v][i]/ecol[v][i]: one tidset over the
 // transactions per *item*, the same vertical layout as Dataset.Columns.
@@ -29,7 +31,7 @@ import (
 // costs O(1) allocations per view.
 //
 // Invariants (checked in tests), with t′ = TranslateRow(t) for the
-// current table:
+// table of the rules applied so far:
 //   - ucol[v][i] = {t : i ∈ t \ t′} and ecol[v][i] = {t : i ∈ t′ \ t};
 //   - E only grows as rules are added (errors are never removed);
 //   - ucol[v][i] ⊆ supp(i) and ecol[v][i] ∩ supp(i) = ∅ (an item is
@@ -50,9 +52,6 @@ import (
 //     version here rather than in the cover means every mutation path
 //     (Cover.Apply or a direct AddRule) invalidates the memo.
 type State struct {
-	coder *mdl.Coder
-	table Table
-
 	// Indexed by the *target* view of a translation:
 	// target Right ⇔ translation D_L→R, target Left ⇔ D_L←R.
 	columns              // columnar U and E over the full alphabets
@@ -135,7 +134,6 @@ func (c *columns) applyItem(target dataset.View, tids *bitset.Set, y int) (cover
 // uncovered, nothing is in error, and the score is the baseline L(D,∅).
 func NewState(d *dataset.Dataset, coder *mdl.Coder) *State {
 	s := &State{
-		coder:   coder,
 		columns: newColumns(d, 0, d.Items(dataset.Left), 0, d.Items(dataset.Right)),
 		totals:  NewCoverTotals(d, coder),
 	}
@@ -144,37 +142,6 @@ func NewState(d *dataset.Dataset, coder *mdl.Coder) *State {
 	}
 	return s
 }
-
-// Dataset returns the underlying dataset.
-func (s *State) Dataset() *dataset.Dataset { return s.d }
-
-// Coder returns the coder used for all lengths.
-func (s *State) Coder() *mdl.Coder { return s.coder }
-
-// Table returns the current translation table. Callers must not modify it.
-// The table shares the rules' storage but not the State (see
-// Table.clipped), so holding a mined table does not keep the cover
-// state's column bitsets alive.
-func (s *State) Table() *Table { return s.table.clipped() }
-
-// CorrectionOnes returns |C| = |U|+|E| summed over both views, the
-// numerator of the |C|% metric of Table 3.
-func (s *State) CorrectionOnes() int {
-	return s.totals.UOnes[0] + s.totals.UOnes[1] + s.totals.EOnes[0] + s.totals.EOnes[1]
-}
-
-// CorrLen returns L(C_target | T) in bits.
-func (s *State) CorrLen(target dataset.View) float64 { return s.totals.CorrLen[target] }
-
-// TableLen returns L(T) in bits.
-func (s *State) TableLen() float64 { return s.table.Len(s.coder) }
-
-// Score returns the total encoded size L(D_L↔R, T) = L(T) + L(C_L|T) +
-// L(C_R|T) minimized in Problem 1.
-func (s *State) Score() float64 { return s.totals.Score(&s.table) }
-
-// Baseline returns L(D,∅), the score of the empty table.
-func (s *State) Baseline() float64 { return s.coder.BaselineLen(s.d) }
 
 // gainDir computes Δ_{D|T} for one direction of a rule (Equation 2): the
 // antecedent's support tidset in view `from` and the consequent itemset in
@@ -186,12 +153,12 @@ func (s *State) Baseline() float64 { return s.coder.BaselineLen(s.d) }
 // accumulation is foldGain's, item by item in consequent order, which is
 // how SELECT and GREEDY fold the same deltas from Cover.Score.
 func (s *State) gainDir(from dataset.View, tids *bitset.Set, cons itemset.Itemset) float64 {
-	target := from.Opposite()
+	target, coder := from.Opposite(), s.totals.coder
 	gain := 0.0
 	//lint:ctxprobe-ok bounded per-rule work (|cons| kernel calls); callers probe ctx at rule granularity
 	for _, y := range cons {
 		if delta := s.coverDelta(target, tids, y); delta != 0 {
-			gain += s.coder.ItemLen(target, y) * float64(delta)
+			gain += coder.ItemLen(target, y) * float64(delta)
 		}
 	}
 	return gain
@@ -211,16 +178,12 @@ func (s *State) coverHits(target dataset.View, tids *bitset.Set, y int) int {
 	return bitset.AndOrCount(tids, &s.ucol[target][y], &s.ecol[target][y])
 }
 
-// Gain returns Δ_{D,T}(r) = Δ_{D|T}(r) − L(r) (Equation 1): the decrease in
-// total compressed size obtained by adding r to the current table.
-func (s *State) Gain(r Rule) float64 {
-	return s.GainWithTids(r, nil, nil)
-}
-
-// GainWithTids is Gain with optional precomputed support tidsets for X (in
-// the left view) and Y (in the right view); nil tidsets are computed on
-// the fly. Passing cached tidsets avoids recomputation in the search
-// algorithms' inner loops.
+// GainWithTids returns Δ_{D,T}(r) = Δ_{D|T}(r) − L(r) (Equation 1): the
+// decrease in total compressed size obtained by adding r to the rules
+// applied so far. tidX and tidY are optional precomputed support
+// tidsets of X (in the left view) and Y (in the right view); nil
+// tidsets are computed on the fly. Passing cached tidsets avoids
+// recomputation in the search algorithms' inner loops.
 func (s *State) GainWithTids(r Rule, tidX, tidY *bitset.Set) float64 {
 	gain := 0.0
 	if r.AppliesTo(dataset.Left) {
@@ -235,15 +198,7 @@ func (s *State) GainWithTids(r Rule, tidX, tidY *bitset.Set) float64 {
 		}
 		gain += s.gainDir(dataset.Right, tidY, r.X)
 	}
-	return gain - r.Len(s.coder)
-}
-
-// Qub returns the quick upper bound qub(X ◇ Y) of §5.2, valid for all
-// three directions of the rule: |supp(X)|·L(Y|D_R) + |supp(Y)|·L(X|D_L) −
-// L(X↔Y). It cannot be used for subtree pruning but safely skips exact
-// gain computations.
-func (s *State) Qub(x, y itemset.Itemset, suppX, suppY int) float64 {
-	return qub(s.coder, x, y, suppX, suppY)
+	return gain - r.Len(s.totals.coder)
 }
 
 // applyDir updates the U and E columns and the totals for one direction
@@ -263,8 +218,11 @@ func (s *State) applyDir(from dataset.View, tids *bitset.Set, cons itemset.Items
 	}
 }
 
-// AddRule appends r to the table and updates all incremental structures.
-// The change in Score equals -Gain(r) computed immediately before the call.
+// AddRule applies r to the cover, updating the columns and the totals.
+// The table's score L(D,T) (CoverTotals.Score) drops by
+// GainWithTids(r) computed immediately before the call. It panics if
+// the score became NaN or Inf, which would indicate a rule or
+// correction referencing a zero-support item.
 func (s *State) AddRule(r Rule) {
 	if r.AppliesTo(dataset.Left) {
 		s.applyDir(dataset.Left, s.d.SupportSet(dataset.Left, r.X), r.Y)
@@ -272,48 +230,23 @@ func (s *State) AddRule(r Rule) {
 	if r.AppliesTo(dataset.Right) {
 		s.applyDir(dataset.Right, s.d.SupportSet(dataset.Right, r.Y), r.X)
 	}
-	s.table.Rules = append(s.table.Rules, r)
-	s.checkFinite()
+	ct := s.totals
+	if sc := r.Len(ct.coder) + ct.CorrLen[dataset.Left] + ct.CorrLen[dataset.Right]; math.IsNaN(sc) || math.IsInf(sc, 0) {
+		panic("core: non-finite score; rule or correction uses a zero-support item")
+	}
 }
 
 // EvaluateTable scores an arbitrary translation table against a dataset by
-// replaying its rules through a fresh state. Because translation is
-// order-independent, the resulting state is canonical for the table. This
-// is how baseline rule sets (MAGNUM OPUS, REREMI, KRIMP) are compared
-// under the paper's encoding in Table 3.
-func EvaluateTable(d *dataset.Dataset, coder *mdl.Coder, t *Table) *State {
+// replaying its rules through a fresh state, and returns the totals it
+// leaves. Because translation is order-independent, the totals are
+// canonical for the table up to rounding (bit for bit in the table's
+// order, which is how every miner applies it). This is how baseline
+// rule sets (MAGNUM OPUS, REREMI, KRIMP) are compared under the paper's
+// encoding in Table 3.
+func EvaluateTable(d *dataset.Dataset, coder *mdl.Coder, t *Table) *CoverTotals {
 	s := NewState(d, coder)
 	for _, r := range t.Rules {
 		s.AddRule(r)
 	}
-	return s
-}
-
-// CompressionRatio returns L% = L(D,T) / L(D,∅) as a percentage. An empty
-// dataset has ratio 100 (nothing to compress). Ratios above 100 mean the
-// table inflates the translation.
-func (s *State) CompressionRatio() float64 {
-	base := s.Baseline()
-	if base == 0 {
-		return 100
-	}
-	return 100 * s.Score() / base
-}
-
-// CorrectionRatio returns |C|% = |C| / ((|I_L|+|I_R|)·|D|) as a percentage
-// (Table 3).
-func (s *State) CorrectionRatio() float64 {
-	cells := (s.d.Items(dataset.Left) + s.d.Items(dataset.Right)) * s.d.Size()
-	if cells == 0 {
-		return 0
-	}
-	return 100 * float64(s.CorrectionOnes()) / float64(cells)
-}
-
-// checkFinite panics if the score became NaN/Inf, which would indicate a
-// rule or correction referencing a zero-support item.
-func (s *State) checkFinite() {
-	if sc := s.Score(); math.IsNaN(sc) || math.IsInf(sc, 0) {
-		panic("core: non-finite score; rule or correction uses a zero-support item")
-	}
+	return s.totals
 }

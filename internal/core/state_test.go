@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -13,19 +14,43 @@ import (
 	"twoview/internal/mdl"
 )
 
-func newStateFor(t *testing.T, d *dataset.Dataset) *State {
-	t.Helper()
-	return NewState(d, mdl.NewCoder(d))
+// tableState is a State with the table of the rules added through it,
+// so that a test can read the score L(D,T) the miners report for it.
+type tableState struct {
+	*State
+	table Table
+}
+
+func newTableState(d *dataset.Dataset) *tableState {
+	return &tableState{State: NewState(d, mdl.NewCoder(d))}
+}
+
+// AddRule applies r to the state and appends it to the table.
+func (ts *tableState) AddRule(r Rule) {
+	ts.State.AddRule(r)
+	ts.table.Rules = append(ts.table.Rules, r)
+}
+
+// Score returns L(D_L↔R, T) of the table.
+func (ts *tableState) Score() float64 { return ts.totals.Score(&ts.table) }
+
+// sameTotals reports whether a and b are equal bit for bit.
+func sameTotals(a, b *CoverTotals) bool {
+	for v := range a.CorrLen {
+		if a.UOnes[v] != b.UOnes[v] || a.EOnes[v] != b.EOnes[v] ||
+			math.Float64bits(a.CorrLen[v]) != math.Float64bits(b.CorrLen[v]) ||
+			!slices.Equal(a.itemErrs[v], b.itemErrs[v]) {
+			return false
+		}
+	}
+	return true
 }
 
 func TestNewStateIsBaseline(t *testing.T) {
 	d := fig1(t)
-	s := newStateFor(t, d)
-	if math.Abs(s.Score()-s.Baseline()) > 1e-9 {
-		t.Fatalf("empty-table score %v != baseline %v", s.Score(), s.Baseline())
-	}
-	if s.TableLen() != 0 || s.Table().Size() != 0 {
-		t.Fatal("empty table must have zero length")
+	s := newTableState(d)
+	if base := s.totals.coder.BaselineLen(d); math.Abs(s.Score()-base) > 1e-9 {
+		t.Fatalf("empty-table score %v != baseline %v", s.Score(), base)
 	}
 	if s.totals.EOnes[dataset.Left] != 0 || s.totals.EOnes[dataset.Right] != 0 {
 		t.Fatal("no errors before any rule")
@@ -34,13 +59,13 @@ func TestNewStateIsBaseline(t *testing.T) {
 	if s.totals.UOnes[dataset.Left] != wantU {
 		t.Fatalf("|U_L| = %d, want %d", s.totals.UOnes[dataset.Left], wantU)
 	}
-	if s.CorrectionOnes() != d.Ones(dataset.Left)+d.Ones(dataset.Right) {
-		t.Fatal("|C| must equal all ones initially")
+	if s.totals.UOnes[dataset.Right] != d.Ones(dataset.Right) {
+		t.Fatal("|U_R| must equal all right ones initially")
 	}
 	// EXACT's tub(t) = L(row) initially.
-	et := newExactTub(s)
+	et := newExactTub(s.State)
 	for i := 0; i < d.Size(); i++ {
-		want := rowLen(s.Coder(), dataset.Right, d.Row(dataset.Right, i))
+		want := rowLen(s.totals.coder, dataset.Right, d.Row(dataset.Right, i))
 		if math.Abs(et.tub[dataset.Right][i]-want) > 1e-9 {
 			t.Fatalf("tub(R,%d) = %v, want %v", i, et.tub[dataset.Right][i], want)
 		}
@@ -55,9 +80,9 @@ func TestGainMatchesScoreDelta(t *testing.T) {
 		{X: itemset.New(3), Dir: Backward, Y: itemset.New(3)},
 		{X: itemset.New(1), Dir: Forward, Y: itemset.New(2)},
 	}
-	s := newStateFor(t, d)
+	s := newTableState(d)
 	for _, r := range rules {
-		gain := s.Gain(r)
+		gain := s.GainWithTids(r, nil, nil)
 		before := s.Score()
 		s.AddRule(r)
 		after := s.Score()
@@ -67,13 +92,14 @@ func TestGainMatchesScoreDelta(t *testing.T) {
 	}
 }
 
-// stateMatchesReference checks every incremental structure against the
-// reference cover of the table (refCover, from TranslateRow): the
-// columns, |U|, |E|, each item's |E_y|, L(C|T), EXACT's tub as et maintained it over the
-// table's rules, and, bit for bit, the tub a fresh exactTub builds.
-func stateMatchesReference(s *State, et *exactTub) bool {
-	d := s.Dataset()
-	ref := newRefCover(s)
+// stateMatchesReference checks every incremental structure of s, which
+// has applied tab, against the reference cover of tab (refCover, from
+// TranslateRow): the columns, |U|, |E|, each item's |E_y|, L(C|T),
+// EXACT's tub as et maintained it over the table's rules, and, bit for
+// bit, the tub a fresh exactTub builds.
+func stateMatchesReference(s *State, tab *Table, et *exactTub) bool {
+	d, coder := s.d, s.totals.coder
+	ref := newRefCover(d, tab)
 	if columnMismatch(s, ref) != "" {
 		return false
 	}
@@ -84,11 +110,11 @@ func stateMatchesReference(s *State, et *exactTub) bool {
 		for i := 0; i < d.Size(); i++ {
 			uOnes += u[i].Count()
 			eOnes += e[i].Count()
-			corrLen += rowLen(s.Coder(), target, u[i]) + rowLen(s.Coder(), target, e[i])
-			if math.Abs(et.tub[target][i]-rowLen(s.Coder(), target, u[i])) > 1e-9 {
+			corrLen += rowLen(coder, target, u[i]) + rowLen(coder, target, e[i])
+			if math.Abs(et.tub[target][i]-rowLen(coder, target, u[i])) > 1e-9 {
 				return false
 			}
-			if fresh.tub[target][i] != rowLen(s.Coder(), target, u[i]) {
+			if fresh.tub[target][i] != rowLen(coder, target, u[i]) {
 				return false
 			}
 		}
@@ -100,7 +126,7 @@ func stateMatchesReference(s *State, et *exactTub) bool {
 				return false
 			}
 		}
-		if math.Abs(s.CorrLen(target)-corrLen) > 1e-9 {
+		if math.Abs(s.totals.CorrLen[target]-corrLen) > 1e-9 {
 			return false
 		}
 	}
@@ -122,7 +148,7 @@ func TestQuickStateMatchesReference(t *testing.T) {
 			}
 			prevErrL, prevErrR = s.totals.EOnes[dataset.Left], s.totals.EOnes[dataset.Right]
 		}
-		return stateMatchesReference(s, et)
+		return stateMatchesReference(s, tab, et)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
 		t.Fatal(err)
@@ -133,9 +159,9 @@ func TestQuickGainEqualsDelta(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		d, tab := randomDataAndTable(r)
-		s := NewState(d, mdl.NewCoder(d))
+		s := newTableState(d)
 		for _, rule := range tab.Rules {
-			gain := s.Gain(rule)
+			gain := s.GainWithTids(rule, nil, nil)
 			before := s.Score()
 			s.AddRule(rule)
 			if math.Abs((before-s.Score())-gain) > 1e-9 {
@@ -160,8 +186,8 @@ func TestEvaluateTableOrderIndependent(t *testing.T) {
 			perm.Rules[i], perm.Rules[j] = perm.Rules[j], perm.Rules[i]
 		})
 		b := EvaluateTable(d, coder, perm)
-		if math.Abs(a.Score()-b.Score()) > 1e-9 ||
-			a.CorrectionOnes() != b.CorrectionOnes() {
+		if math.Abs(a.Score(tab)-b.Score(perm)) > 1e-9 ||
+			a.UOnes != b.UOnes || a.EOnes != b.EOnes {
 			t.Fatalf("EvaluateTable depends on rule order (trial %d)", trial)
 		}
 	}
@@ -169,12 +195,12 @@ func TestEvaluateTableOrderIndependent(t *testing.T) {
 
 func TestGainWithTidsMatchesGain(t *testing.T) {
 	d := fig1(t)
-	s := newStateFor(t, d)
+	s := NewState(d, mdl.NewCoder(d))
 	r := Rule{X: itemset.New(0, 1), Dir: Both, Y: itemset.New(1, 5)}
 	tidX := d.SupportSet(dataset.Left, r.X)
 	tidY := d.SupportSet(dataset.Right, r.Y)
-	if g1, g2 := s.Gain(r), s.GainWithTids(r, tidX, tidY); math.Abs(g1-g2) > 1e-12 {
-		t.Fatalf("GainWithTids %v != Gain %v", g2, g1)
+	if g1, g2 := s.GainWithTids(r, nil, nil), s.GainWithTids(r, tidX, tidY); math.Abs(g1-g2) > 1e-12 {
+		t.Fatalf("GainWithTids %v with tidsets, %v without", g2, g1)
 	}
 }
 
@@ -200,12 +226,12 @@ func TestBoundsAreUpperBounds(t *testing.T) {
 			tidY := d.SupportSet(dataset.Right, rule.Y)
 			gain := s.GainWithTids(rule, tidX, tidY)
 			rub := et.rub(rule.X, rule.Y, tidX, tidY)
-			qub := s.Qub(rule.X, rule.Y, tidX.Count(), tidY.Count())
+			q := qub(s.totals.coder, rule.X, rule.Y, tidX.Count(), tidY.Count())
 			if gain > rub+1e-9 {
 				t.Fatalf("rub %v < gain %v for %v", rub, gain, rule)
 			}
-			if gain > qub+1e-9 {
-				t.Fatalf("qub %v < gain %v for %v", qub, gain, rule)
+			if gain > q+1e-9 {
+				t.Fatalf("qub %v < gain %v for %v", q, gain, rule)
 			}
 		}
 	}
@@ -241,19 +267,18 @@ func TestRubAntitoneUnderExtension(t *testing.T) {
 
 func TestCompressionAndCorrectionRatio(t *testing.T) {
 	d := fig1(t)
-	s := newStateFor(t, d)
-	if math.Abs(s.CompressionRatio()-100) > 1e-9 {
-		t.Fatalf("empty table L%% = %v, want 100", s.CompressionRatio())
+	lPct, corrPct := NewCoverTotals(d, mdl.NewCoder(d)).Ratios(d, &Table{})
+	if math.Abs(lPct-100) > 1e-9 {
+		t.Fatalf("empty table L%% = %v, want 100", lPct)
 	}
 	ones := d.Ones(dataset.Left) + d.Ones(dataset.Right)
 	cells := (d.Items(dataset.Left) + d.Items(dataset.Right)) * d.Size()
 	want := 100 * float64(ones) / float64(cells)
-	if math.Abs(s.CorrectionRatio()-want) > 1e-9 {
-		t.Fatalf("|C|%% = %v, want %v", s.CorrectionRatio(), want)
+	if math.Abs(corrPct-want) > 1e-9 {
+		t.Fatalf("|C|%% = %v, want %v", corrPct, want)
 	}
 	empty := dataset.MustNew([]string{"a"}, []string{"b"})
-	se := NewState(empty, mdl.NewCoder(empty))
-	if se.CompressionRatio() != 100 || se.CorrectionRatio() != 0 {
+	if lPct, corrPct := NewCoverTotals(empty, mdl.NewCoder(empty)).Ratios(empty, &Table{}); lPct != 100 || corrPct != 0 {
 		t.Fatal("degenerate ratios wrong")
 	}
 }
@@ -398,5 +423,5 @@ func (et *exactTub) sum(v dataset.View, tids *bitset.Set) float64 {
 // EXACT's search accumulates the same sums incrementally.
 func (et *exactTub) rub(x, y itemset.Itemset, tidX, tidY *bitset.Set) float64 {
 	return et.sum(dataset.Right, tidX) + et.sum(dataset.Left, tidY) -
-		et.s.coder.RuleLen(x, y, true)
+		et.s.totals.coder.RuleLen(x, y, true)
 }

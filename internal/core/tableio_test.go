@@ -12,6 +12,7 @@ import (
 
 	"twoview/internal/dataset"
 	"twoview/internal/itemset"
+	"twoview/internal/mdl"
 )
 
 func TestTableWriteReadRoundTrip(t *testing.T) {
@@ -222,7 +223,7 @@ func TestApplyReport(t *testing.T) {
 		t.Fatalf("TranslatedOnes = %d, want 6", rep.TranslatedOnes)
 	}
 	// Consistency with the state implementation.
-	s := newStateFor(t, d)
+	s := NewState(d, mdl.NewCoder(d))
 	s.AddRule(tab.Rules[0])
 	if rep.Uncovered != s.totals.UOnes[dataset.Right] || rep.Errors != s.totals.EOnes[dataset.Right] {
 		t.Fatalf("Apply (%d,%d) disagrees with state (%d,%d)",

@@ -232,35 +232,3 @@ func Ingest(cols []*Column, opt BooleanizeOptions) (*Dataset, error) {
 	}
 	return SplitBalanced(bt)
 }
-
-// IngestSplit is Ingest with an explicit attribute-to-view assignment:
-// every item produced by attribute i goes to sideOf[i]. This supports the
-// natural two-view datasets (CAL500, Emotions, Elections) where the paper
-// assigns whole attributes to views by meaning rather than by balance.
-func IngestSplit(cols []*Column, opt BooleanizeOptions, sideOf []View) (*Dataset, error) {
-	if len(sideOf) != len(cols) {
-		return nil, fmt.Errorf("dataset: assignment covers %d attributes, have %d columns",
-			len(sideOf), len(cols))
-	}
-	bt, err := Booleanize(cols, opt)
-	if err != nil {
-		return nil, err
-	}
-	// Items are named "<attr>=<...>"; map each item back to its
-	// attribute by longest "<attr>=" prefix (attribute names and values
-	// may themselves contain '=').
-	itemSide := make([]View, len(bt.ItemNames))
-	for i, item := range bt.ItemNames {
-		bestLen := -1
-		for c, col := range cols {
-			if len(col.Name) > bestLen && strings.HasPrefix(item, col.Name+"=") {
-				bestLen = len(col.Name)
-				itemSide[i] = sideOf[c]
-			}
-		}
-		if bestLen < 0 {
-			return nil, fmt.Errorf("dataset: item %q does not map to an attribute", item)
-		}
-	}
-	return SplitByAssignment(bt, itemSide)
-}

@@ -123,47 +123,3 @@ func TestIngestEndToEnd(t *testing.T) {
 		t.Fatalf("items = %d + %d, want 7", d.Items(Left), d.Items(Right))
 	}
 }
-
-func TestIngestSplitByAttribute(t *testing.T) {
-	cols, err := LoadCSV(strings.NewReader(sampleCSV))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Demographics (age, city) left, income right — a "natural" split.
-	d, err := IngestSplit(cols, BooleanizeOptions{Bins: 2}, []View{Left, Left, Right})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < d.Items(Left); i++ {
-		name := d.Name(Left, i)
-		if !strings.HasPrefix(name, "age=") && !strings.HasPrefix(name, "city=") {
-			t.Fatalf("left item %q from wrong attribute", name)
-		}
-	}
-	for i := 0; i < d.Items(Right); i++ {
-		if !strings.HasPrefix(d.Name(Right, i), "income=") {
-			t.Fatalf("right item %q from wrong attribute", d.Name(Right, i))
-		}
-	}
-	if _, err := IngestSplit(cols, BooleanizeOptions{}, []View{Left}); err == nil {
-		t.Fatal("short assignment accepted")
-	}
-}
-
-func TestIngestSplitAmbiguousNames(t *testing.T) {
-	// Attribute names where one is a prefix of another must resolve to
-	// the longest match.
-	cols := []*Column{
-		{Name: "a", Kind: Categorical, Labels: []string{"x", "y"}},
-		{Name: "a=b", Kind: Categorical, Labels: []string{"z", "z"}},
-	}
-	d, err := IngestSplit(cols, BooleanizeOptions{}, []View{Left, Right})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < d.Items(Right); i++ {
-		if !strings.HasPrefix(d.Name(Right, i), "a=b=") {
-			t.Fatalf("right item %q should come from attribute a=b", d.Name(Right, i))
-		}
-	}
-}

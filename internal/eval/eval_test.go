@@ -10,6 +10,7 @@ import (
 	"twoview/internal/dataset"
 	"twoview/internal/itemset"
 	"twoview/internal/mdl"
+	_ "twoview/internal/shard" // the sharded cover, for ParallelOptions.Shards
 	"twoview/internal/synth"
 )
 
@@ -49,21 +50,58 @@ func TestMaxConfidence(t *testing.T) {
 	}
 }
 
+// FromResult reads a run's final cover totals where Evaluate replays
+// the table, and both must report the same bits, on the local cover and
+// on the sharded one (whose coordinator folds the shards' counts into
+// its totals in the monolith's order).
 func TestEvaluateMatchesFromResult(t *testing.T) {
-	d := sampleData(t)
-	cands, err := core.MineCandidates(context.Background(), d, 1, 0, core.ParallelOptions{})
+	ctx := context.Background()
+	d, _, sp, err := Gen(mustProfile("car"), 0.05)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.MineSelect(context.Background(), d, cands, core.SelectOptions{K: 1})
+	cands, err := core.MineCandidates(ctx, d, sp.MinSupport, 0, core.Parallel(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := FromResult(d, res)
-	b := Evaluate(d, mdl.NewCoder(d), res.Table)
-	if a.NumRules != b.NumRules || math.Abs(a.LPct-b.LPct) > 1e-9 ||
-		math.Abs(a.CorrPct-b.CorrPct) > 1e-9 || math.Abs(a.AvgConf-b.AvgConf) > 1e-9 {
-		t.Fatalf("FromResult %+v != Evaluate %+v", a, b)
+	coder := mdl.NewCoder(d)
+	bits := func(m Metrics) [5]uint64 {
+		return [5]uint64{uint64(m.NumRules), math.Float64bits(m.AvgLen), math.Float64bits(m.CorrPct),
+			math.Float64bits(m.AvgConf), math.Float64bits(m.LPct)}
+	}
+	for _, cover := range []struct {
+		name string
+		par  core.ParallelOptions
+	}{{"local", core.Parallel(2)}, {"shard", core.ParallelOptions{Workers: 2, Shards: 2}}} {
+		for _, run := range []struct {
+			name string
+			mine func() (*core.Result, error)
+		}{
+			{"select1", func() (*core.Result, error) {
+				return core.MineSelect(ctx, d, cands, core.SelectOptions{K: 1, ParallelOptions: cover.par})
+			}},
+			{"select25", func() (*core.Result, error) {
+				return core.MineSelect(ctx, d, cands, core.SelectOptions{K: 25, ParallelOptions: cover.par})
+			}},
+			{"greedy", func() (*core.Result, error) {
+				return core.MineGreedy(ctx, d, cands, core.GreedyOptions{ParallelOptions: cover.par})
+			}},
+			{"exact", func() (*core.Result, error) {
+				return core.MineExact(ctx, d, core.ExactOptions{MaxRules: 4, ParallelOptions: cover.par})
+			}},
+		} {
+			res, err := run.mine()
+			if err != nil {
+				t.Fatalf("%s/%s: %v", cover.name, run.name, err)
+			}
+			if res.Table.Size() < 2 {
+				t.Fatalf("%s/%s: %d rules, want at least 2", cover.name, run.name, res.Table.Size())
+			}
+			got, want := FromResult(d, res), Evaluate(d, coder, res.Table)
+			if bits(got) != bits(want) {
+				t.Fatalf("%s/%s: FromResult %+v, Evaluate %+v", cover.name, run.name, got, want)
+			}
+		}
 	}
 }
 
@@ -355,28 +393,5 @@ func TestRunExplosionSmoke(t *testing.T) {
 	}
 	if !strings.Contains(b.String(), "pattern explosion") || !strings.Contains(b.String(), "car") {
 		t.Fatalf("explosion output incomplete:\n%s", b.String())
-	}
-}
-
-func TestWriteIterationsCSV(t *testing.T) {
-	d := sampleData(t)
-	cands, err := core.MineCandidates(context.Background(), d, 1, 0, core.ParallelOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := core.MineSelect(context.Background(), d, cands, core.SelectOptions{K: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var b strings.Builder
-	if err := WriteIterationsCSV(&b, res.Iterations); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(b.String()), "\n")
-	if len(lines) != len(res.Iterations)+1 {
-		t.Fatalf("%d CSV lines for %d iterations", len(lines), len(res.Iterations))
-	}
-	if !strings.HasPrefix(lines[0], "iteration,") {
-		t.Fatalf("header wrong: %q", lines[0])
 	}
 }

@@ -52,12 +52,15 @@ func par() core.ParallelOptions {
 	return core.ParallelOptions{Workers: Workers, Shards: Shards, ShardAddrs: ShardAddrs, Session: Session}
 }
 
-// Gen materializes a profile at the given scale.
-func Gen(p synth.Profile, scale float64) (*dataset.Dataset, []core.Rule, error) {
+// Gen materializes a profile at the given scale (≤ 0 or 1: paper size).
+// It returns the dataset, its planted rules and the profile they were
+// generated from, whose MinSupport is scaled with the data.
+func Gen(p synth.Profile, scale float64) (*dataset.Dataset, []core.Rule, synth.Profile, error) {
 	if scale > 0 && scale != 1 {
 		p = p.Scaled(scale)
 	}
-	return synth.Generate(p)
+	d, planted, err := synth.Generate(p)
+	return d, planted, p, err
 }
 
 // maxCandidates mirrors the paper's experimental protocol: "we fix minsup
@@ -72,6 +75,16 @@ func cappedCandidates(ctx context.Context, d *dataset.Dataset, minsup int) ([]co
 	return core.MineCandidatesCapped(ctx, d, minsup, maxCandidates, par())
 }
 
+// selectOne mines d with TRANSLATOR-SELECT(1) over the candidates
+// cappedCandidates returns at minsup.
+func selectOne(ctx context.Context, d *dataset.Dataset, minsup int) (*core.Result, error) {
+	cands, _, err := cappedCandidates(ctx, d, minsup)
+	if err != nil {
+		return nil, err
+	}
+	return core.MineSelect(ctx, d, cands, core.SelectOptions{K: 1, ParallelOptions: par()})
+}
+
 // RunTable1 regenerates Table 1: dataset properties and uncompressed
 // sizes L(D,∅).
 func RunTable1(ctx context.Context, w io.Writer, scale float64) error {
@@ -80,7 +93,7 @@ func RunTable1(ctx context.Context, w io.Writer, scale float64) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		d, _, err := Gen(p, scale)
+		d, _, _, err := Gen(p, scale)
 		if err != nil {
 			return err
 		}
@@ -165,11 +178,7 @@ func RunTable2(ctx context.Context, w io.Writer, scale float64, small bool, prof
 	var rows []Table2Row
 	header := []string{"Dataset", "msup"}
 	for _, p := range profiles {
-		sp := p
-		if scale > 0 && scale != 1 {
-			sp = p.Scaled(scale)
-		}
-		d, _, err := synth.Generate(sp)
+		d, _, sp, err := Gen(p, scale)
 		if err != nil {
 			return nil, err
 		}
@@ -221,11 +230,7 @@ func RunTable3(ctx context.Context, w io.Writer, scale float64, profiles []synth
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		sp := p
-		if scale > 0 && scale != 1 {
-			sp = p.Scaled(scale)
-		}
-		d, _, err := synth.Generate(sp)
+		d, _, sp, err := Gen(p, scale)
 		if err != nil {
 			return nil, err
 		}
@@ -233,11 +238,7 @@ func RunTable3(ctx context.Context, w io.Writer, scale float64, profiles []synth
 
 		// TRANSLATOR-SELECT(1).
 		start := time.Now()
-		cands, _, err := cappedCandidates(ctx, d, sp.MinSupport)
-		if err != nil {
-			return nil, err
-		}
-		res, err := core.MineSelect(ctx, d, cands, core.SelectOptions{K: 1, ParallelOptions: par()})
+		res, err := selectOne(ctx, d, sp.MinSupport)
 		if err != nil {
 			return nil, err
 		}
@@ -278,7 +279,7 @@ func RunTable3(ctx context.Context, w io.Writer, scale float64, profiles []synth
 			return nil, err
 		}
 		start = time.Now()
-		kminsup := maxI(2, sp.MinSupport)
+		kminsup := max(2, sp.MinSupport)
 		var kres *krimp.Result
 		for {
 			kres, err = krimp.Mine(d, krimp.Options{MinSupport: kminsup, MaxResults: maxCandidates})
@@ -324,21 +325,17 @@ func RunFig2(ctx context.Context, w io.Writer, scale float64) ([]core.IterationS
 	if err != nil {
 		return nil, err
 	}
-	d, _, err := Gen(p, scale)
+	d, _, _, err := Gen(p, scale)
 	if err != nil {
 		return nil, err
 	}
-	cands, _, err := cappedCandidates(ctx, d, p.MinSupport)
-	if err != nil {
-		return nil, err
-	}
-	res, err := core.MineSelect(ctx, d, cands, core.SelectOptions{K: 1, ParallelOptions: par()})
+	res, err := selectOne(ctx, d, p.MinSupport)
 	if err != nil {
 		return nil, err
 	}
 	t := NewTextTable("iter", "|U_L|", "|U_R|", "|E_L|", "|E_R|",
 		"L(T)", "L(D_L→R|T)", "L(D_L←R|T)", "L(D_L↔R,T)")
-	base := res.State.Baseline()
+	base := mdl.NewCoder(d).BaselineLen(d)
 	t.AddRow(0, d.Ones(dataset.Left), d.Ones(dataset.Right), 0, 0,
 		0.0, "", "", fmt.Sprintf("%.0f", base))
 	for _, it := range res.Iterations {
@@ -348,11 +345,4 @@ func RunFig2(ctx context.Context, w io.Writer, scale float64) ([]core.IterationS
 	}
 	fmt.Fprintln(w, "Fig. 2: construction of a translation table for House with T-SELECT(1)")
 	return res.Iterations, t.Render(w)
-}
-
-func maxI(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

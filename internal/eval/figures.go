@@ -18,11 +18,7 @@ import (
 // SELECT(1), significant rules and redescriptions, on one dataset.
 func methodTables(ctx context.Context, d *dataset.Dataset, minsup int, seed int64) (map[string]*core.Table, error) {
 	out := map[string]*core.Table{}
-	cands, _, err := cappedCandidates(ctx, d, minsup)
-	if err != nil {
-		return nil, err
-	}
-	res, err := core.MineSelect(ctx, d, cands, core.SelectOptions{K: 1, ParallelOptions: par()})
+	res, err := selectOne(ctx, d, minsup)
 	if err != nil {
 		return nil, err
 	}
@@ -45,7 +41,7 @@ func RunFig3(ctx context.Context, w io.Writer, scale float64) error {
 		if err != nil {
 			return err
 		}
-		d, _, err := Gen(p, scale)
+		d, _, _, err := Gen(p, scale)
 		if err != nil {
 			return err
 		}
@@ -71,7 +67,7 @@ func RunExampleRules(ctx context.Context, w io.Writer, profile string, scale flo
 	if err != nil {
 		return err
 	}
-	d, _, err := Gen(p, scale)
+	d, _, _, err := Gen(p, scale)
 	if err != nil {
 		return err
 	}
@@ -103,7 +99,7 @@ func RunFig6(ctx context.Context, w io.Writer, scale float64) error {
 	if err != nil {
 		return err
 	}
-	d, _, err := Gen(p, scale)
+	d, _, _, err := Gen(p, scale)
 	if err != nil {
 		return err
 	}
@@ -139,15 +135,11 @@ func RunFig7(ctx context.Context, w io.Writer, scale float64) error {
 	if err != nil {
 		return err
 	}
-	d, _, err := Gen(p, scale)
+	d, _, _, err := Gen(p, scale)
 	if err != nil {
 		return err
 	}
-	cands, _, err := cappedCandidates(ctx, d, p.MinSupport)
-	if err != nil {
-		return err
-	}
-	res, err := core.MineSelect(ctx, d, cands, core.SelectOptions{K: 1, ParallelOptions: par()})
+	res, err := selectOne(ctx, d, p.MinSupport)
 	if err != nil {
 		return err
 	}
@@ -208,19 +200,11 @@ func RunRecovery(ctx context.Context, w io.Writer, scale float64, profiles []syn
 	}
 	t := NewTextTable("Dataset", "planted", "overlap-recovered", "exact", "|T|", "L%")
 	for _, p := range profiles {
-		sp := p
-		if scale > 0 && scale != 1 {
-			sp = p.Scaled(scale)
-		}
-		d, planted, err := synth.Generate(sp)
+		d, planted, sp, err := Gen(p, scale)
 		if err != nil {
 			return err
 		}
-		cands, _, err := cappedCandidates(ctx, d, sp.MinSupport)
-		if err != nil {
-			return err
-		}
-		res, err := core.MineSelect(ctx, d, cands, core.SelectOptions{K: 1, ParallelOptions: par()})
+		res, err := selectOne(ctx, d, sp.MinSupport)
 		if err != nil {
 			return err
 		}
@@ -262,19 +246,11 @@ func RunExplosion(ctx context.Context, w io.Writer, scale float64, profiles []sy
 	}
 	t := NewTextTable("Dataset", "|T| (TRANSLATOR)", "minconf", "minsupp", "assoc rules", "ratio")
 	for _, p := range profiles {
-		sp := p
-		if scale > 0 && scale != 1 {
-			sp = p.Scaled(scale)
-		}
-		d, _, err := synth.Generate(sp)
+		d, _, sp, err := Gen(p, scale)
 		if err != nil {
 			return err
 		}
-		cands, _, err := cappedCandidates(ctx, d, sp.MinSupport)
-		if err != nil {
-			return err
-		}
-		res, err := core.MineSelect(ctx, d, cands, core.SelectOptions{K: 1, ParallelOptions: par()})
+		res, err := selectOne(ctx, d, sp.MinSupport)
 		if err != nil {
 			return err
 		}
@@ -315,7 +291,7 @@ func RunAblation(ctx context.Context, w io.Writer, scale float64, rules int, pro
 	}
 	t := NewTextTable("Dataset", "full pruning", "no rub", "no qub", "no bounds")
 	for _, p := range profiles {
-		d, _, err := Gen(p, scale)
+		d, _, _, err := Gen(p, scale)
 		if err != nil {
 			return err
 		}

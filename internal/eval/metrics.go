@@ -48,34 +48,24 @@ func MaxConfidence(d *dataset.Dataset, r core.Rule) float64 {
 // encoding and computes all Table 3 metrics. The runtime field is left
 // zero; callers measure mining time themselves.
 func Evaluate(d *dataset.Dataset, coder *mdl.Coder, t *core.Table) Metrics {
-	s := core.EvaluateTable(d, coder, t)
-	m := Metrics{
-		NumRules: t.Size(),
-		AvgLen:   t.AvgRuleItems(),
-		CorrPct:  s.CorrectionRatio(),
-		LPct:     s.CompressionRatio(),
-	}
-	if t.Size() > 0 {
-		total := 0.0
-		for _, r := range t.Rules {
-			total += MaxConfidence(d, r)
-		}
-		m.AvgConf = total / float64(t.Size())
-	}
+	return metrics(d, t, core.EvaluateTable(d, coder, t))
+}
+
+// FromResult computes metrics for a TRANSLATOR result from its table
+// and the cover totals it ends with, without replaying the table. They
+// equal Evaluate's on the result's table bit for bit, with the run's
+// runtime.
+func FromResult(d *dataset.Dataset, res *core.Result) Metrics {
+	m := metrics(d, res.Table, res.Totals)
+	m.Runtime = res.Runtime
 	return m
 }
 
-// FromResult computes metrics for a TRANSLATOR result, reusing its final
-// state instead of replaying the table.
-func FromResult(d *dataset.Dataset, res *core.Result) Metrics {
-	t := res.Table
-	m := Metrics{
-		NumRules: t.Size(),
-		AvgLen:   t.AvgRuleItems(),
-		CorrPct:  res.State.CorrectionRatio(),
-		LPct:     res.State.CompressionRatio(),
-		Runtime:  res.Runtime,
-	}
+// metrics computes the Table 3 metrics of table t on d, given the cover
+// totals t leaves on d.
+func metrics(d *dataset.Dataset, t *core.Table, totals *core.CoverTotals) Metrics {
+	m := Metrics{NumRules: t.Size(), AvgLen: t.AvgRuleItems()}
+	m.LPct, m.CorrPct = totals.Ratios(d, t)
 	if t.Size() > 0 {
 		total := 0.0
 		for _, r := range t.Rules {

@@ -112,44 +112,6 @@ func (s Itemset) Union(t Itemset) Itemset {
 	return out
 }
 
-// Intersect returns s ∩ t.
-func (s Itemset) Intersect(t Itemset) Itemset {
-	var out Itemset
-	i, j := 0, 0
-	for i < len(s) && j < len(t) {
-		switch {
-		case s[i] < t[j]:
-			i++
-		case s[i] > t[j]:
-			j++
-		default:
-			out = append(out, s[i])
-			i++
-			j++
-		}
-	}
-	return out
-}
-
-// Minus returns s \ t.
-func (s Itemset) Minus(t Itemset) Itemset {
-	var out Itemset
-	i, j := 0, 0
-	for i < len(s) {
-		switch {
-		case j >= len(t) || s[i] < t[j]:
-			out = append(out, s[i])
-			i++
-		case s[i] > t[j]:
-			j++
-		default:
-			i++
-			j++
-		}
-	}
-	return out
-}
-
 // Intersects reports whether s and t share at least one item.
 func (s Itemset) Intersects(t Itemset) bool {
 	i, j := 0, 0
@@ -164,18 +126,6 @@ func (s Itemset) Intersects(t Itemset) bool {
 		}
 	}
 	return false
-}
-
-// Extend returns s ∪ {x} assuming x > every item in s; this is the O(1)-ish
-// append used by depth-first miners. It panics if the assumption is violated.
-func (s Itemset) Extend(x int) Itemset {
-	if len(s) > 0 && x <= s[len(s)-1] {
-		panic(fmt.Sprintf("itemset: Extend(%d) would break canonical order of %v", x, s))
-	}
-	out := make(Itemset, len(s)+1)
-	copy(out, s)
-	out[len(s)] = x
-	return out
 }
 
 // Clone returns a copy of s.

@@ -82,23 +82,6 @@ func TestAlgebra(t *testing.T) {
 	}
 }
 
-func TestExtend(t *testing.T) {
-	s := New(1, 2)
-	e := s.Extend(5)
-	if !e.Equal(New(1, 2, 5)) {
-		t.Fatalf("Extend = %v", e)
-	}
-	if !s.Equal(New(1, 2)) {
-		t.Fatal("Extend mutated receiver")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Extend with non-increasing item did not panic")
-		}
-	}()
-	s.Extend(2)
-}
-
 func TestCompare(t *testing.T) {
 	cases := []struct {
 		a, b Itemset
@@ -210,4 +193,45 @@ func TestQuickUnionAbsorption(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// Intersect and Minus complete the set algebra the tests check Union
+// and Intersects against; no miner needs them.
+
+// Intersect returns s ∩ t.
+func (s Itemset) Intersect(t Itemset) Itemset {
+	var out Itemset
+	i, j := 0, 0
+	for i < len(s) && j < len(t) {
+		switch {
+		case s[i] < t[j]:
+			i++
+		case s[i] > t[j]:
+			j++
+		default:
+			out = append(out, s[i])
+			i++
+			j++
+		}
+	}
+	return out
+}
+
+// Minus returns s \ t.
+func (s Itemset) Minus(t Itemset) Itemset {
+	var out Itemset
+	i, j := 0, 0
+	for i < len(s) {
+		switch {
+		case j >= len(t) || s[i] < t[j]:
+			out = append(out, s[i])
+			i++
+		case s[i] > t[j]:
+			j++
+		default:
+			i++
+			j++
+		}
+	}
+	return out
 }

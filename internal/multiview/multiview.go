@@ -165,7 +165,7 @@ func StructureMatrix(d *Dataset, results []PairResult) [][]float64 {
 		m[i] = make([]float64, k)
 	}
 	for _, pr := range results {
-		l := pr.Result.State.CompressionRatio()
+		l, _ := pr.Result.Totals.Ratios(pr.Data, pr.Result.Table)
 		m[pr.I][pr.J] = l
 		m[pr.J][pr.I] = l
 	}

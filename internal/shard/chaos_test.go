@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"twoview/internal/core"
+	"twoview/internal/dataset"
 	"twoview/internal/fault"
 	"twoview/internal/mdl"
 )
@@ -86,11 +87,14 @@ func TestChaosShardCrashOnMaskedScore(t *testing.T) {
 	}
 
 	// Round 1 runs one task per surviving candidate on each shard.
-	s := core.NewState(d, mdl.NewCoder(d))
+	coder := mdl.NewCoder(d)
 	survivors := 0
 	for i := range cands {
 		c := &cands[i]
-		if s.Qub(c.X, c.Y, c.TidX.Count(), c.TidY.Count()) > core.GainEpsilon {
+		qub := float64(c.TidX.Count())*coder.SetLen(dataset.Right, c.Y) +
+			float64(c.TidY.Count())*coder.SetLen(dataset.Left, c.X) -
+			coder.RuleLen(c.X, c.Y, true)
+		if qub > core.GainEpsilon {
 			survivors++
 		}
 	}

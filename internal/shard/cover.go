@@ -7,12 +7,16 @@ import (
 	"twoview/internal/core"
 	"twoview/internal/dataset"
 	"twoview/internal/itemset"
+	"twoview/internal/mdl"
 )
 
 // cover is the sharded core.Cover: one supervised run, on which core's
 // SELECT and GREEDY drivers mine unchanged. Each Score batch is one
 // SCORE round and each Apply one APPLY round. The shards count, the
 // cover places their counts, and the drivers do all float arithmetic.
+// totals folds each APPLY round's counts in the monolith's order
+// (applyRule), so the totals Apply returns, and the driver reports at
+// the end of the run, are the monolith's bit for bit.
 type cover struct {
 	r      *run
 	totals *core.CoverTotals
@@ -20,7 +24,7 @@ type cover struct {
 
 func newCover(ctx context.Context, d *dataset.Dataset, cands []core.Candidate, cfg Config) *cover {
 	r := newRun(ctx, d, cands, cfg)
-	return &cover{r: r, totals: core.NewCoverTotals(d, r.coder)}
+	return &cover{r: r, totals: core.NewCoverTotals(d, mdl.NewCoder(d))}
 }
 
 // Score runs one SCORE round over the batch. A masked round names the
@@ -79,12 +83,6 @@ func (c *cover) Apply(rule core.Rule) (*core.CoverTotals, error) {
 // ScoresAhead is always true: every Score is a round trip to the
 // shards, so GREEDY scores its speculation windows in batches.
 func (c *cover) ScoresAhead() bool { return true }
-
-// State replays the accepted-rule log through a fresh core.State.
-func (c *cover) State() *core.State {
-	log := c.r.sv.log
-	return core.EvaluateTable(c.r.d, c.r.coder, &core.Table{Rules: log[:len(log):len(log)]})
-}
 
 func (c *cover) Close() { c.r.close() }
 

@@ -13,7 +13,10 @@
 // core.Cover interface; this package's implementation of it (cover.go)
 // runs one SCORE round per Score batch and one APPLY round per Apply,
 // and turns each shard's (covered, errors) pair into the driver's
-// covered − errors delta as it places it.
+// covered − errors delta as it places it. The totals each Apply folds
+// are what the driver reports as core.Result.Totals, so the
+// coordinator never builds a core.State: the shards' partitions are
+// the only columns a sharded run holds.
 //
 // # Architecture
 //

@@ -8,7 +8,6 @@ import (
 
 	"twoview/internal/core"
 	"twoview/internal/dataset"
-	"twoview/internal/mdl"
 	"twoview/internal/pool"
 	"twoview/internal/wire"
 )
@@ -147,11 +146,10 @@ type runStats struct {
 }
 
 // run is the per-mining-call context shared by the supervisor and every
-// shard incarnation: the immutable inputs (dataset, coder, candidates)
+// shard incarnation: the immutable inputs (dataset, candidates)
 // and the private worker runtime all shard scoring phases park on.
 type run struct {
 	d     *dataset.Dataset
-	coder *mdl.Coder
 	cands []core.Candidate
 	cfg   Config
 	// workers is the resolved per-shard scoring pool size.
@@ -188,7 +186,6 @@ func newRun(ctx context.Context, d *dataset.Dataset, cands []core.Candidate, cfg
 	d.Columns(dataset.Right)
 	r := &run{
 		d:       d,
-		coder:   mdl.NewCoder(d),
 		cands:   cands,
 		cfg:     cfg,
 		workers: pool.Size(cfg.Workers, 1<<30),

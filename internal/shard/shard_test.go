@@ -91,7 +91,7 @@ func mustCandidates(t testing.TB, d *dataset.Dataset) []core.Candidate {
 
 // sameResult asserts got is bit-identical to the reference: the table
 // rule-for-rule, every recorded iteration float-for-float, and the
-// final state score.
+// final score and totals.
 func sameResult(t *testing.T, label string, want, got *core.Result) {
 	t.Helper()
 	if len(got.Table.Rules) != len(want.Table.Rules) {
@@ -114,8 +114,11 @@ func sameResult(t *testing.T, label string, want, got *core.Result) {
 			t.Fatalf("%s: iteration %d diverges:\n got %+v\nwant %+v", label, i, g, w)
 		}
 	}
-	if g, w := got.State.Score(), want.State.Score(); g != w {
+	if g, w := got.Totals.Score(got.Table), want.Totals.Score(want.Table); g != w {
 		t.Fatalf("%s: final score %v, want %v", label, g, w)
+	}
+	if g, w := got.Totals, want.Totals; g.UOnes != w.UOnes || g.EOnes != w.EOnes || g.CorrLen != w.CorrLen {
+		t.Fatalf("%s: final totals %+v, want %+v", label, g, w)
 	}
 }
 

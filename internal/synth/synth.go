@@ -131,15 +131,6 @@ func Generate(p Profile) (*dataset.Dataset, []core.Rule, error) {
 	return d, rules, nil
 }
 
-// MustGenerate is Generate for profiles known to be valid.
-func MustGenerate(p Profile) (*dataset.Dataset, []core.Rule) {
-	d, rules, err := Generate(p)
-	if err != nil {
-		panic(err)
-	}
-	return d, rules
-}
-
 func newMatrix(rows, cols int) [][]bool {
 	m := make([][]bool, rows)
 	for i := range m {

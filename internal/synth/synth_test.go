@@ -202,8 +202,8 @@ func TestMinedTablesRecoverPlantedStructure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.State.CompressionRatio() >= 100 {
-		t.Fatalf("no compression on planted data: L%%=%v", res.State.CompressionRatio())
+	if lPct, _ := res.Totals.Ratios(d, res.Table); lPct >= 100 {
+		t.Fatalf("no compression on planted data: L%%=%v", lPct)
 	}
 	// Each planted bidirectional rule should overlap some mined rule on
 	// both sides.
