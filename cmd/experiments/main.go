@@ -103,8 +103,8 @@ func main() {
 			eval.ShardAddrs = append(eval.ShardAddrs, a)
 		}
 	}
-	// One persistent worker session serves the whole batch: every
-	// experiment's mining rounds reuse the same parked workers.
+	// One session serves the whole batch: every experiment's SELECT and
+	// GREEDY runs reuse the same scratch buffers.
 	eval.Session = core.NewSession()
 	defer eval.Session.Close()
 

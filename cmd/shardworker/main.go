@@ -75,6 +75,4 @@ func main() {
 		w.serve(ctx, conn)
 		log.Printf("coordinator session ended")
 	}
-
-	w.rt.Close()
 }

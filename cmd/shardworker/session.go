@@ -7,16 +7,14 @@ import (
 	"runtime"
 	"sync"
 
-	"twoview/internal/pool"
 	"twoview/internal/shard"
 	"twoview/internal/wire"
 )
 
 // worker is the per-process state shared by every coordinator session:
-// the content-addressed blob cache and the scoring-pool runtime.
+// the content-addressed blob cache and the scoring-pool cap.
 type worker struct {
 	cache *blobCache
-	rt    *pool.Runtime
 	// workers caps every hosted incarnation's scoring pool, whatever
 	// its HELLO requests.
 	workers int
@@ -25,14 +23,19 @@ type worker struct {
 // newWorker returns a worker over the blob cache in dir (empty: memory
 // only) whose incarnations score on at most workers goroutines each:
 // the -workers flag, where 0 and anything above GOMAXPROCS mean
-// GOMAXPROCS. A pool's goroutines outlive its phases, so an uncapped
-// HELLO could park any number of them on the runtime.
+// GOMAXPROCS. A HELLO is untrusted input: uncapped, its worker count
+// would size every scoring pool and start up to that many goroutines
+// in each scoring phase.
 func newWorker(dir string, workers int) *worker {
 	if n := runtime.GOMAXPROCS(0); workers <= 0 || workers > n {
 		workers = n
 	}
-	return &worker{cache: newBlobCache(dir), rt: pool.NewRuntime(), workers: workers}
+	return &worker{cache: newBlobCache(dir), workers: workers}
 }
+
+// serveShard runs each hosted incarnation; it is shard.Serve, and a
+// test swaps it to see the cap an incarnation is booted with.
+var serveShard = shard.Serve
 
 // serve runs one coordinator session: decode frames until the stream
 // dies, then retire every hosted incarnation. The cache survives the
@@ -193,7 +196,7 @@ func (s *session) start(hm *wire.Hello, parked wire.Msg) {
 	go func() {
 		defer s.wg.Done()
 		defer cancel()
-		shard.Serve(ctx, d, cands, hm, s.w.rt, s.w.workers, h.mailbox, s.send)
+		serveShard(ctx, d, cands, hm, s.w.workers, h.mailbox, s.send)
 	}()
 	if parked != nil {
 		h.mailbox <- parked // fresh mailbox: never full here

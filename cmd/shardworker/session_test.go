@@ -15,6 +15,7 @@ import (
 	"twoview/internal/core"
 	"twoview/internal/dataset"
 	"twoview/internal/itemset"
+	"twoview/internal/shard"
 	"twoview/internal/wire"
 )
 
@@ -155,7 +156,6 @@ func allIdx(n int) []int32 {
 func TestSessionBootsScoresAndCaches(t *testing.T) {
 	r := newTestRun(t)
 	w := newWorker("", 2)
-	defer w.rt.Close()
 	c := dial(t, w)
 
 	h := r.hello(0, 1, 2)
@@ -194,7 +194,6 @@ func TestSessionBootsScoresAndCaches(t *testing.T) {
 func TestSessionEndsOnCorruptBlob(t *testing.T) {
 	r := newTestRun(t)
 	w := newWorker("", 1)
-	defer w.rt.Close()
 	c := dial(t, w)
 
 	h := r.hello(0, 1, 1)
@@ -218,7 +217,6 @@ func TestSessionCrashesOnForeignCandidates(t *testing.T) {
 	r := newTestRun(t)
 	r.candBlob = wire.AppendCandidates(nil, []core.Candidate{{X: itemset.New(0), Y: itemset.New(r.d.Items(dataset.Right))}})
 	w := newWorker("", 1)
-	defer w.rt.Close()
 	c := dial(t, w)
 
 	h := r.hello(0, 1, 1)
@@ -237,9 +235,10 @@ func TestSessionCrashesOnForeignCandidates(t *testing.T) {
 
 // TestWorkersCap pins the -workers ceiling: 0 and anything above
 // GOMAXPROCS mean GOMAXPROCS, and a HELLO asking for more workers than
-// the cap gets the cap. A pool's helpers stay parked on the runtime
-// after their phase, so an uncapped request would leave one goroutine
-// per requested worker behind.
+// the cap boots its incarnation with the cap, which shard.Serve takes
+// as the ceiling of its scoring pool (shard's TestBootCapsWorkers).
+// Uncapped, the request would start a helper goroutine per task in
+// each scoring phase.
 func TestWorkersCap(t *testing.T) {
 	n := runtime.GOMAXPROCS(0)
 	for _, c := range []struct{ flag, want int }{{0, n}, {-3, n}, {n + 1000, n}, {1, 1}} {
@@ -248,19 +247,24 @@ func TestWorkersCap(t *testing.T) {
 		}
 	}
 
+	type boot struct{ asked, capped int }
+	boots := make(chan boot, 1)
+	serveShard = func(ctx context.Context, d *dataset.Dataset, cands []core.Candidate, h *wire.Hello, workers int, mailbox <-chan wire.Msg, send func(wire.Msg)) {
+		boots <- boot{int(h.Workers), workers}
+		shard.Serve(ctx, d, cands, h, workers, mailbox, send)
+	}
+	t.Cleanup(func() { serveShard = shard.Serve })
+
 	r := newTestRun(t)
 	w := newWorker("", 1)
-	defer w.rt.Close()
 	c := dial(t, w)
 	h := r.hello(0, 1, 1<<20)
 	c.send(h)
 	c.ack(0, 1)
 	c.send(&wire.Blob{Role: wire.NeedDataset, Hash: h.DatasetHash, Data: r.dsBlob})
 	c.send(&wire.Blob{Role: wire.NeedCands, Hash: h.CandsHash, Data: r.candBlob})
-	c.score(0, 1, 1, []int32{0}) // one task: no helper, whatever the cap
-	before := runtime.NumGoroutine()
-	c.score(0, 1, 2, allIdx(len(r.cands)))
-	if after := runtime.NumGoroutine(); after > before {
-		t.Fatalf("a HELLO asking for %d workers left %d helper goroutines behind at -workers 1", h.Workers, after-before)
+	c.score(0, 1, 1, allIdx(len(r.cands)))
+	if b := <-boots; b != (boot{1 << 20, 1}) {
+		t.Fatalf("a HELLO asking for %d workers at -workers 1 booted with cap %d, want 1", b.asked, b.capped)
 	}
 }

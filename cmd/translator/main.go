@@ -102,8 +102,8 @@ func main() {
 		}
 	}
 
-	// Candidate mining and the miner share one persistent worker
-	// session (parked workers, no per-round goroutine launches).
+	// Candidate mining and the miner share one session (the miners'
+	// scratch buffers).
 	sess := core.NewSession()
 	defer sess.Close()
 	par := core.ParallelOptions{Workers: *workers, Shards: *shards, ShardAddrs: splitAddrs(*shardAt), Session: sess}

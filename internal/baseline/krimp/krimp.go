@@ -265,10 +265,11 @@ func Mine(d *dataset.Dataset, opt Options) (*Result, error) {
 		}
 		// Incremental cover update: only transactions containing the
 		// candidate can change their cover.
-		ct.recoverTids(j, fi.Tids, -1)
+		tids := suppSetOf(j, fi.Items)
+		ct.recoverTids(j, tids, -1)
 		ct.entries = append(ct.entries, Entry{Items: fi.Items, Supp: fi.Supp})
 		sortEntries(ct)
-		ct.recoverTids(j, fi.Tids, +1)
+		ct.recoverTids(j, tids, +1)
 		newLen := ct.totalLen(stLen)
 		if newLen < curLen {
 			curLen = newLen
@@ -276,9 +277,9 @@ func Mine(d *dataset.Dataset, opt Options) (*Result, error) {
 				curLen = ct.prune(j, stLen, curLen)
 			}
 		} else {
-			ct.recoverTids(j, fi.Tids, -1)
+			ct.recoverTids(j, tids, -1)
 			removeEntry(ct, fi.Items)
-			ct.recoverTids(j, fi.Tids, +1)
+			ct.recoverTids(j, tids, +1)
 		}
 	}
 
@@ -340,6 +341,8 @@ func (ct *CodeTable) prune(j *joined, stLen []float64, curLen float64) float64 {
 	}
 }
 
+// suppSetOf returns the transactions containing items, from their
+// joined columns.
 func suppSetOf(j *joined, items itemset.Itemset) *bitset.Set {
 	tids := bitset.New(j.cols[0].Len())
 	tids.Fill()

@@ -50,11 +50,7 @@ func MineCandidates(ctx context.Context, d *dataset.Dataset, minSupport, maxResu
 		Closed:     true,
 		TwoView:    true,
 		MaxResults: maxResults,
-		// Candidates carry per-view tidsets, not the joint ones, so the
-		// walk need not copy out any tidset it computes.
-		DropTids: true,
-		Workers:  par.Workers,
-		Runtime:  par.runtime(),
+		Workers:    par.Workers,
 	})
 	if err != nil {
 		return nil, err
@@ -127,7 +123,7 @@ func MaterializeTids(ctx context.Context, d *dataset.Dataset, cands []Candidate,
 		cands[i].TidX, cands[i].TidY = ix.tids[ids[2*i]], ix.tids[ids[2*i+1]]
 		cands[i].ix, cands[i].pos = ix, int32(i)
 	}
-	return pool.ForChunksCtxOn(par.runtime(), ctx, par.Workers, len(sups), tidChunk, func(lo, hi int) {
+	return pool.ForChunksCtx(ctx, par.Workers, len(sups), tidChunk, func(lo, hi int) {
 		for k := lo; k < hi; k++ {
 			ix.size[k] = int32(d.SupportSetInto(&tids[k], sups[k].v, sups[k].items))
 		}

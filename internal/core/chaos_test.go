@@ -20,9 +20,8 @@ import (
 // runs — once the fault passes.
 
 // A panic injected into a pool *task* (not the submitter) re-raises at
-// the mining call; the Session and its parked workers must survive and
-// the very next mine on the same Session must match a fresh session's
-// table bit for bit.
+// the mining call; the Session must survive and the very next mine on
+// it must match a fresh session's table bit for bit.
 func TestChaosSessionReuseAfterInjectedTaskPanic(t *testing.T) {
 	defer fault.Reset()
 	d := plantedDataset(t, 91)

@@ -12,7 +12,7 @@ import (
 
 // The acceptance contract of the v2 API: a mid-search cancellation of
 // each miner returns context.Canceled promptly, the partial table mined
-// before the cut is still returned, and the Session runtime stays fully
+// before the cut is still returned, and the Session stays fully
 // reusable — a follow-up mine on the same Session reproduces the
 // uncancelled reference bit for bit.
 
@@ -119,7 +119,7 @@ func TestMinerCancellationMidSearch(t *testing.T) {
 			}
 
 			// The Session survives the cancelled run: a follow-up mine on
-			// the same runtime reproduces the reference exactly.
+			// the same Session reproduces the reference exactly.
 			again, err := run(context.Background(), nil, par)
 			if err != nil {
 				t.Fatalf("workers=%d %s: follow-up mine on the same session: %v", workers, name, err)

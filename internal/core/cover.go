@@ -62,11 +62,11 @@ func NewCover(ctx context.Context, d *dataset.Dataset, cands []Candidate, par Pa
 		}
 		return shardCover(ctx, d, cands, par), nil
 	}
-	return newLocalCover(NewState(d, mdl.NewCoder(d)), cands, par.runtime(), par.Workers), nil
+	return newLocalCover(NewState(d, mdl.NewCoder(d)), cands, par.Workers), nil
 }
 
-// localCover is the in-process Cover: a State, scored on the session's
-// worker pool through a memo of cover deltas.
+// localCover is the in-process Cover: a State, scored in pool phases
+// through a memo of cover deltas.
 //
 // A direction's cover delta of consequent item y depends only on the
 // antecedent's support tidset and on y's U/E columns in the target
@@ -86,7 +86,6 @@ func NewCover(ctx context.Context, d *dataset.Dataset, cands []Candidate, par Pa
 type localCover struct {
 	s       *State
 	cands   []Candidate
-	rt      *pool.Runtime
 	workers int
 
 	// ix indexes the candidates' tidsets (see indexOf) and pos[ci] is
@@ -105,9 +104,9 @@ type localCover struct {
 	counted int64
 }
 
-func newLocalCover(s *State, cands []Candidate, rt *pool.Runtime, workers int) *localCover {
+func newLocalCover(s *State, cands []Candidate, workers int) *localCover {
 	ix, pos := indexOf(s.d, cands)
-	return &localCover{s: s, cands: cands, rt: rt, workers: workers, ix: ix, pos: pos}
+	return &localCover{s: s, cands: cands, workers: workers, ix: ix, pos: pos}
 }
 
 // candIndex is the state-free index of one candidate set, shared
@@ -191,7 +190,7 @@ func indexOf(d *dataset.Dataset, cands []Candidate) (*candIndex, []int32) {
 // table; pass two counts the distinct (tidset, item) pairs, and pass
 // three numbers them in order of first use. The counts run on the pool
 // in scoreChunk-sized chunks, each task writing only its own cells.
-func (ix *candIndex) build(ctx context.Context, d *dataset.Dataset, rt *pool.Runtime, workers int) error {
+func (ix *candIndex) build(ctx context.Context, d *dataset.Dataset, workers int) error {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 	if ix.cellOff != nil {
@@ -242,8 +241,8 @@ func (ix *candIndex) build(ctx context.Context, d *dataset.Dataset, rt *pool.Run
 		}
 	})
 	cols := [2][]*bitset.Set{d.Columns(dataset.Left), d.Columns(dataset.Right)}
-	err := pool.ForChunksCtxOn(rt, ctx, workers, len(cells), scoreChunk, func(lo, hi int) {
-		//lint:ctxprobe-ok at most scoreChunk kernel calls; ForChunksCtxOn probes ctx between chunks
+	err := pool.ForChunksCtx(ctx, workers, len(cells), scoreChunk, func(lo, hi int) {
+		//lint:ctxprobe-ok at most scoreChunk kernel calls; ForChunksCtx probes ctx between chunks
 		for k := range cells[lo:hi] {
 			cl := &cells[lo+k]
 			cl.inSupp = int32(bitset.AndCount(ix.tids[cl.tid], cols[cl.target][cl.item]))
@@ -287,7 +286,7 @@ const (
 func (c *localCover) Score(ctx context.Context, idx []int32, dirty *DirtyItems, delta [][]int32) error {
 	ix := c.ix
 	if c.stamp == nil {
-		if err := ix.build(ctx, c.s.d, c.rt, c.workers); err != nil {
+		if err := ix.build(ctx, c.s.d, c.workers); err != nil {
 			return err
 		}
 		c.stamp, c.delta = make([]uint32, len(ix.cells)), make([]int32, len(ix.cells))
@@ -312,7 +311,7 @@ func (c *localCover) Score(ctx context.Context, idx []int32, dirty *DirtyItems, 
 	}
 	c.counted += int64(len(c.claims))
 	chunk := max(1, min(scoreChunk, len(c.claims)/scoreTasks))
-	err := pool.ForChunksCtxOn(c.rt, ctx, c.workers, len(c.claims), chunk, func(lo, hi int) {
+	err := pool.ForChunksCtx(ctx, c.workers, len(c.claims), chunk, func(lo, hi int) {
 		for _, id := range c.claims[lo:hi] {
 			c.count(id)
 		}

@@ -11,7 +11,6 @@ import (
 	"twoview/internal/dataset"
 	"twoview/internal/itemset"
 	"twoview/internal/mdl"
-	"twoview/internal/pool"
 )
 
 // coverDeltas is the reference counter of Cover.Score: it writes
@@ -140,8 +139,8 @@ func TestLocalCoverLayout(t *testing.T) {
 		if len(cands) > 2 {
 			cands[1].TidY = cands[2].TidX
 		}
-		ix := newLocalCover(NewState(d, mdl.NewCoder(d)), cands, nil, 1).ix
-		if err := ix.build(context.Background(), d, nil, 1); err != nil {
+		ix := newLocalCover(NewState(d, mdl.NewCoder(d)), cands, 1).ix
+		if err := ix.build(context.Background(), d, 1); err != nil {
 			t.Fatal(err)
 		}
 		cellOf, cells, tids := refCellLayout(cands)
@@ -176,8 +175,6 @@ func TestCoverMemoMatchesFreshCounts(t *testing.T) {
 	ctx := context.Background()
 	cancelled, cancel := context.WithCancel(ctx)
 	cancel()
-	rt := pool.NewRuntime()
-	defer rt.Close()
 	r := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 40; trial++ {
 		d := dataset.MustNew(dataset.GenericNames("l", 3+r.Intn(6)), dataset.GenericNames("r", 3+r.Intn(6)))
@@ -189,7 +186,7 @@ func TestCoverMemoMatchesFreshCounts(t *testing.T) {
 		workers := []int{1, 2, 4}
 		covers := make([]*localCover, len(workers))
 		for i, w := range workers {
-			covers[i] = newLocalCover(s, cands, rt, w)
+			covers[i] = newLocalCover(s, cands, w)
 		}
 		for step := 0; step < 8; step++ {
 			for i, w := range workers {
@@ -260,9 +257,7 @@ func pairKey(target dataset.View, ante itemset.Itemset, item int) string {
 func checkMemoSavesWork(t testing.TB, d *dataset.Dataset, cands []Candidate) {
 	t.Helper()
 	ctx := context.Background()
-	rt := pool.NewRuntime()
-	defer rt.Close()
-	cv := newLocalCover(NewState(d, mdl.NewCoder(d)), cands, rt, 2)
+	cv := newLocalCover(NewState(d, mdl.NewCoder(d)), cands, 2)
 	idx := make([]int32, len(cands))
 	delta := make([][]int32, len(cands))
 	distinct := map[string]bool{}

@@ -80,7 +80,7 @@ func MineExact(ctx context.Context, d *dataset.Dataset, opt ExactOptions) (*Resu
 	var table Table
 	// One worker pool serves every iteration's best-rule search: the
 	// per-worker states (and their per-depth DFS scratch) persist across
-	// iterations, and the phases run on the session's parked workers.
+	// iterations.
 	search := newExactRun(s, opt)
 	var err error
 	for opt.MaxRules == 0 || len(table.Rules) < opt.MaxRules {
@@ -178,8 +178,8 @@ func (et *exactTub) uncover(target dataset.View, ante, cons itemset.Itemset) {
 // exactRun is the cross-iteration context of one MineExact call: the
 // worker pool, the per-worker search states and the structures every
 // iteration's best-rule search shares. Building it once means worker
-// scratch (per-depth tidsets, itemset buffers) and the parked pool
-// workers are reused by all iterations.
+// scratch (per-depth tidsets, itemset buffers) is reused by all
+// iterations.
 type exactRun struct {
 	s    *State
 	tub  *exactTub
@@ -284,7 +284,7 @@ func newExactRun(s *State, opt ExactOptions) *exactRun {
 	if workers > 1 {
 		run.shared = new(pool.Max)
 	}
-	run.pool = pool.NewOn(opt.runtime(), workers, func(int) *exactSearch {
+	run.pool = pool.New(workers, func(int) *exactSearch {
 		return &exactSearch{exactRun: run}
 	})
 	n := d.Size()
@@ -408,14 +408,6 @@ func (run *exactRun) bestRule(ctx context.Context) (Rule, float64, bool, error) 
 	// next iteration overwrites; clone once here — the only per-iteration
 	// champion allocation left.
 	return Rule{X: best.X.Clone(), Dir: best.Dir, Y: best.Y.Clone()}, bestGain, true, nil
-}
-
-// bestRule runs a single best-rule search on a transient run context,
-// for one-shot callers (tests, benchmarks); MineExact reuses one run
-// across its iterations instead.
-func bestRule(s *State, opt ExactOptions) (Rule, float64, bool) {
-	r, gain, ok, _ := newExactRun(s, opt).bestRule(context.Background())
-	return r, gain, ok
 }
 
 // splitViews partitions the search items by view, preserving the global

@@ -14,7 +14,7 @@ var CheckMemoSavesWork = checkMemoSavesWork
 // its first Score does.
 func BuildCoverIndex(ctx context.Context, c Cover) error {
 	lc := c.(*localCover)
-	return lc.ix.build(ctx, lc.s.d, lc.rt, lc.workers)
+	return lc.ix.build(ctx, lc.s.d, lc.workers)
 }
 
 // DropIndexLayout unbuilds the index MaterializeTids attached to cands,

@@ -209,7 +209,7 @@ func TestCancelledIndexBuildRetries(t *testing.T) {
 	want := references(t, d, cands, par)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	cv := newLocalCover(NewState(d, mdl.NewCoder(d)), cands, nil, 2)
+	cv := newLocalCover(NewState(d, mdl.NewCoder(d)), cands, 2)
 	delta := [][]int32{make([]int32, len(cands[0].Y)+len(cands[0].X))}
 	if err := cv.Score(ctx, []int32{0}, nil, delta); err != context.Canceled {
 		t.Fatalf("cancelled Score returned %v", err)

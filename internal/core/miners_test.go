@@ -139,6 +139,14 @@ func smallRandomDataset(r *rand.Rand) *dataset.Dataset {
 	return d
 }
 
+// bestRule runs a single best-rule search on a transient run context,
+// for the tests and benchmarks of one search; MineExact reuses one run
+// across its iterations instead.
+func bestRule(s *State, opt ExactOptions) (Rule, float64, bool) {
+	r, gain, ok, _ := newExactRun(s, opt).bestRule(context.Background())
+	return r, gain, ok
+}
+
 func TestBestRuleMatchesBruteForce(t *testing.T) {
 	r := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 40; trial++ {

@@ -6,19 +6,18 @@ import (
 	"twoview/internal/pool"
 )
 
-// Session owns a persistent worker runtime for a whole mining session:
-// candidate mining plus any number of MineExact / MineSelect /
-// MineGreedy calls submit their parallel phases to one set of
-// long-lived, parked workers instead of launching goroutines per round.
-// Carry it in ParallelOptions.Session and Close it when the session is
-// over; a nil Session means the shared package-wide runtime, which is
-// also persistent but never shuts down.
+// Session carries what a whole mining session reuses across its
+// calls: candidate mining plus any number of MineExact / MineSelect /
+// MineGreedy calls share the round-structured miners' scratch buffers
+// through it. Carry it in ParallelOptions.Session and Close it when
+// the session is over; a nil Session means each call takes its buffers
+// from a package-wide sync.Pool. Every parallel phase starts its own
+// helper goroutines (see internal/pool), so a session holds none.
 //
-// Sessions only change where the work runs, never what it computes:
-// the determinism contract (results bit-identical for every worker
-// count) holds with or without one.
+// Sessions only change which buffers a call reuses, never what it
+// computes: the determinism contract (results bit-identical for every
+// worker count) holds with or without one.
 type Session struct {
-	rt *pool.Runtime
 	// scratch recycles the round-structured miners' working buffers
 	// (see miningScratch) across the session's mining calls. It is a
 	// plain free list, not a sync.Pool, so whether a call gets its
@@ -27,34 +26,18 @@ type Session struct {
 	scratch []*miningScratch
 }
 
-// NewSession starts a session with its own worker runtime. Workers are
-// spawned lazily by the first parallel phase and grow to the largest
-// worker count any call requests.
-func NewSession() *Session {
-	return &Session{rt: pool.NewRuntime()}
-}
+// NewSession starts a session with an empty scratch free list.
+func NewSession() *Session { return &Session{} }
 
-// Close shuts the session's workers down and drops its scratch. The
-// session must not be used afterwards. Close on a nil Session is a
-// no-op.
+// Close drops the session's scratch. The session must not be used
+// afterwards. Close on a nil Session is a no-op.
 func (s *Session) Close() {
 	if s == nil {
 		return
 	}
-	if s.rt != nil {
-		s.rt.Close()
-	}
 	s.mu.Lock()
 	s.scratch = nil
 	s.mu.Unlock()
-}
-
-// runtime resolves the session to a pool runtime (nil-safe).
-func (s *Session) runtime() *pool.Runtime {
-	if s == nil || s.rt == nil {
-		return pool.Default()
-	}
-	return s.rt
 }
 
 // ParallelOptions is the shared concurrency knob embedded by every
@@ -93,8 +76,8 @@ type ParallelOptions struct {
 	// every placement, connection-failure schedule, and worker count.
 	// MineExact ignores ShardAddrs and never dials.
 	ShardAddrs []string
-	// Session is the persistent worker runtime to run on; nil means the
-	// shared package-wide runtime. See Session.
+	// Session recycles the miners' scratch across calls; nil means a
+	// package-wide pool. See Session.
 	Session *Session
 }
 
@@ -108,6 +91,3 @@ func Parallel(workers int) ParallelOptions {
 func (o ParallelOptions) workerCount(tasks int) int {
 	return pool.Size(o.Workers, tasks)
 }
-
-// runtime resolves the session to a pool runtime.
-func (o ParallelOptions) runtime() *pool.Runtime { return o.Session.runtime() }

@@ -12,7 +12,6 @@ import (
 	"twoview/internal/dataset"
 	"twoview/internal/itemset"
 	"twoview/internal/mdl"
-	"twoview/internal/pool"
 )
 
 // scoreUncached is the reference scorer: it evaluates every rule of
@@ -64,9 +63,7 @@ func checkSelectAgainstOracle(t testing.TB, d *dataset.Dataset, cands []Candidat
 	ctx := context.Background()
 	s := newTableState(d)
 	coder := s.totals.coder
-	rt := pool.NewRuntime()
-	defer rt.Close()
-	cv := newLocalCover(s.State, cands, rt, workers)
+	cv := newLocalCover(s.State, cands, workers)
 	var c selectCache
 	c.reset(d, coder, cands, qubVerdicts(coder, cv, d, cands, nil))
 	usedL := bitset.New(d.Items(dataset.Left))
@@ -230,8 +227,6 @@ func TestTopKMatchesSortThenTruncate(t *testing.T) {
 func TestLazyBoundDominatesGains(t *testing.T) {
 	ctx := context.Background()
 	r := rand.New(rand.NewSource(26))
-	rt := pool.NewRuntime()
-	defer rt.Close()
 	zeroDelta, zeroBound, bothBinds := 0, 0, 0
 	for trial := 0; trial < 30; trial++ {
 		d := randomPlantedDataset(r, 5+r.Intn(8), 5+r.Intn(8), 30+r.Intn(90))
@@ -240,7 +235,7 @@ func TestLazyBoundDominatesGains(t *testing.T) {
 			continue
 		}
 		s := NewState(d, mdl.NewCoder(d))
-		cv := newLocalCover(s, cands, rt, 1)
+		cv := newLocalCover(s, cands, 1)
 		var c selectCache
 		c.reset(d, s.totals.coder, cands, qubVerdicts(s.totals.coder, cv, d, cands, nil))
 		var top topRules

@@ -7,9 +7,9 @@ import (
 )
 
 // A whole mining session on one private Session must produce the same
-// results as the shared default runtime, for any worker count, and the
-// Session must survive candidate mining plus all three miners
-// back-to-back (many phases on the same parked workers).
+// results as calls without one, for any worker count, and the Session
+// must survive candidate mining plus all three miners back-to-back
+// (their scratch recycled across the calls).
 func TestSessionEndToEnd(t *testing.T) {
 	d := plantedDataset(t, 31)
 	ref, err := MineCandidates(context.Background(), d, 1, 0, Parallel(1))
@@ -66,14 +66,10 @@ func TestSessionEndToEnd(t *testing.T) {
 	}
 }
 
-// Close on a nil Session is a no-op, and nil Sessions fall back to the
-// shared runtime.
+// Close on a nil Session is a no-op.
 func TestSessionNil(t *testing.T) {
 	var s *Session
 	s.Close()
-	if s.runtime() == nil {
-		t.Fatal("nil session must resolve to the default runtime")
-	}
 }
 
 // A session's scratch comes back as the same buffers whatever the

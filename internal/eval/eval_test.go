@@ -338,6 +338,21 @@ func TestRunExampleRulesSmoke(t *testing.T) {
 	}
 }
 
+// The runners mine at the profile's minimum support scaled with the
+// data: at the unscaled one (773 on mammals' 257 rows at scale 0.1)
+// TRANSLATOR finds no rule at all.
+func TestRunExampleRulesScalesMinSupport(t *testing.T) {
+	var b strings.Builder
+	if err := RunExampleRules(context.Background(), &b, "mammals", 0.1); err != nil {
+		t.Fatal(err)
+	}
+	_, tr, _ := strings.Cut(b.String(), "TRANSLATOR:")
+	tr, _, _ = strings.Cut(tr, "SIGRULES:")
+	if !strings.Contains(tr, "supp=") {
+		t.Fatalf("no TRANSLATOR rule for mammals at scale 0.1:\n%s", b.String())
+	}
+}
+
 func TestRunFig6And7Smoke(t *testing.T) {
 	var b strings.Builder
 	if err := RunFig6(context.Background(), &b, 0.2); err != nil {

@@ -41,10 +41,10 @@ var Shards int
 // every shard in-process. Results are identical regardless.
 var ShardAddrs []string
 
-// Session is the persistent worker runtime the runners mine on; nil
-// means the shared package-wide runtime. A caller running a long batch
-// of experiments can install one (and Close it afterwards) so every
-// table and figure reuses the same parked workers.
+// Session is the mining session the runners share; nil means none. A
+// caller running a long batch of experiments can install one (and Close
+// it afterwards) so every table and figure reuses the miners' scratch
+// buffers.
 var Session *core.Session
 
 // par returns the shared ParallelOptions of the runners.
@@ -325,11 +325,11 @@ func RunFig2(ctx context.Context, w io.Writer, scale float64) ([]core.IterationS
 	if err != nil {
 		return nil, err
 	}
-	d, _, _, err := Gen(p, scale)
+	d, _, sp, err := Gen(p, scale)
 	if err != nil {
 		return nil, err
 	}
-	res, err := selectOne(ctx, d, p.MinSupport)
+	res, err := selectOne(ctx, d, sp.MinSupport)
 	if err != nil {
 		return nil, err
 	}

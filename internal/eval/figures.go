@@ -41,11 +41,11 @@ func RunFig3(ctx context.Context, w io.Writer, scale float64) error {
 		if err != nil {
 			return err
 		}
-		d, _, _, err := Gen(p, scale)
+		d, _, sp, err := Gen(p, scale)
 		if err != nil {
 			return err
 		}
-		tables, err := methodTables(ctx, d, p.MinSupport, p.Seed)
+		tables, err := methodTables(ctx, d, sp.MinSupport, sp.Seed)
 		if err != nil {
 			return err
 		}
@@ -67,11 +67,11 @@ func RunExampleRules(ctx context.Context, w io.Writer, profile string, scale flo
 	if err != nil {
 		return err
 	}
-	d, _, _, err := Gen(p, scale)
+	d, _, sp, err := Gen(p, scale)
 	if err != nil {
 		return err
 	}
-	tables, err := methodTables(ctx, d, p.MinSupport, p.Seed)
+	tables, err := methodTables(ctx, d, sp.MinSupport, sp.Seed)
 	if err != nil {
 		return err
 	}
@@ -99,11 +99,11 @@ func RunFig6(ctx context.Context, w io.Writer, scale float64) error {
 	if err != nil {
 		return err
 	}
-	d, _, _, err := Gen(p, scale)
+	d, _, sp, err := Gen(p, scale)
 	if err != nil {
 		return err
 	}
-	tables, err := methodTables(ctx, d, p.MinSupport, p.Seed)
+	tables, err := methodTables(ctx, d, sp.MinSupport, sp.Seed)
 	if err != nil {
 		return err
 	}
@@ -135,11 +135,11 @@ func RunFig7(ctx context.Context, w io.Writer, scale float64) error {
 	if err != nil {
 		return err
 	}
-	d, _, _, err := Gen(p, scale)
+	d, _, sp, err := Gen(p, scale)
 	if err != nil {
 		return err
 	}
-	res, err := selectOne(ctx, d, p.MinSupport)
+	res, err := selectOne(ctx, d, sp.MinSupport)
 	if err != nil {
 		return err
 	}

@@ -48,7 +48,7 @@ var ctxprobeScopes = []string{
 // internal/pool: calling one inside a loop makes that loop a
 // round-structured hot path.
 var poolPhaseFuncs = map[string]bool{
-	"Run": true, "RunCtx": true, "RunErrCtx": true, "ForChunksCtxOn": true,
+	"Run": true, "RunCtx": true, "RunErrCtx": true, "ForChunksCtx": true,
 }
 
 // kernelFuncs are the fused word-loop kernels of internal/bitset (the

@@ -73,6 +73,17 @@ func RoundsLeased(ctx context.Context, p *pool.Pool[int], rounds, tasks int) err
 	return nil
 }
 
+// Allowed: the chunked-round idiom — each round's ForChunksCtx phase
+// threads the context, which is cancellation evidence by itself.
+func ChunkRounds(ctx context.Context, rounds, n int) error {
+	for r := 0; r < rounds; r++ {
+		if err := pool.ForChunksCtx(ctx, 2, n, 64, func(int, int) {}); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // Allowed: delegation — the serving-batch idiom, where each iteration
 // threads the request context into a callee that owns the probing.
 func SumDelegated(ctx context.Context, sets []*bitset.Set, q *bitset.Set) (int, error) {

@@ -22,8 +22,8 @@
 // frequent rest. Each worker keeps the kid tidsets and the itemsets in
 // per-depth storage that grows only when the walk first gets that deep
 // or that wide, so the only allocations that survive warm-up are the
-// emitted results themselves. Emitted tidsets and itemsets are
-// caller-owned copies.
+// emitted results themselves. Emitted itemsets are caller-owned copies;
+// no tidset leaves the walk.
 //
 // A top-level branch whose subtree pays for it runs over its own rows
 // (FP-growth's and LCM's projected database, on bit tidsets): after its
@@ -51,7 +51,6 @@ import (
 type FI struct {
 	Items itemset.Itemset // joined ids, canonical
 	Supp  int             // |supp(Items)| over the joined data
-	Tids  *bitset.Set     // supporting transactions (nil under DropTids)
 }
 
 // Split separates a joined itemset into its left and right parts, undoing
@@ -95,19 +94,10 @@ type Options struct {
 	// MaxResults aborts mining with an error when exceeded; it protects
 	// against accidental pattern explosions. 0 means unbounded.
 	MaxResults int
-	// DropTids omits the supporting tidsets from the results (FI.Tids
-	// is nil). Callers that only need the itemsets and supports — the
-	// candidate mine derives per-view tidsets separately — should set
-	// it: the mine then allocates almost nothing beyond the itemsets
-	// themselves.
-	DropTids bool
 	// Workers sets the worker-pool size for the tidset-intersection
 	// walk: 0 means GOMAXPROCS, 1 disables parallelism. The mined set
 	// is identical for any value.
 	Workers int
-	// Runtime is the persistent worker runtime to run the walk on; nil
-	// means the shared pool.Default runtime.
-	Runtime *pool.Runtime
 }
 
 // walk is everything the depth-first search reads but never writes: it is
@@ -182,7 +172,7 @@ func Mine(ctx context.Context, d *dataset.Dataset, opt Options) ([]FI, error) {
 	// are heavily skewed toward the rare early items); each worker
 	// appends to its own miner.out and keeps its own kid storage.
 	workers := pool.Size(opt.Workers, len(top))
-	p := pool.NewOn(opt.Runtime, workers, func(int) *miner { return &miner{walk: w} })
+	p := pool.New(workers, func(int) *miner { return &miner{walk: w} })
 	err := p.RunErrCtx(ctx, len(top), func(mi *miner, k int) error {
 		mi.cols, mi.rows, mi.n = w.cols, nil, d.Size()
 		return mi.visit(nil, top[k], top[k+1:], 0)
@@ -311,11 +301,7 @@ func (m *miner) visit(parent itemset.Itemset, kd kid, sibs []kid, depth int) err
 
 	if m.opt.MaxItems == 0 || len(cand) <= m.opt.MaxItems {
 		if !m.opt.TwoView || m.isTwoView(cand) {
-			fi := FI{Items: cand.Clone(), Supp: kd.supp}
-			if !m.opt.DropTids {
-				fi.Tids = m.fullTids(kd.tids)
-			}
-			m.out = append(m.out, fi)
+			m.out = append(m.out, FI{Items: cand.Clone(), Supp: kd.supp})
 			if m.opt.MaxResults > 0 && int(m.emitted.Add()) > m.opt.MaxResults {
 				return fmt.Errorf("eclat: more than %d itemsets; raise MinSupport", m.opt.MaxResults)
 			}
@@ -360,19 +346,6 @@ func (m *miner) canonical(cand itemset.Itemset, kd kid) bool {
 		}
 	}
 	return true
-}
-
-// fullTids returns a caller-owned copy of tids over all transactions.
-func (m *miner) fullTids(tids *bitset.Set) *bitset.Set {
-	if m.rows == nil {
-		return tids.Clone()
-	}
-	full := bitset.New(m.d.Size())
-	tids.ForEach(func(r int) bool {
-		full.Add(m.rows[r])
-		return true
-	})
-	return full
 }
 
 // projectCost weighs a projection's cost in pays, chosen by measurement.

@@ -61,9 +61,6 @@ func TestMineFrequentAll(t *testing.T) {
 		if want[fi.Items.String()] != fi.Supp {
 			t.Errorf("%v: supp=%d, want %d", fi.Items, fi.Supp, want[fi.Items.String()])
 		}
-		if fi.Tids.Count() != fi.Supp {
-			t.Errorf("%v: tids count %d != supp %d", fi.Items, fi.Tids.Count(), fi.Supp)
-		}
 	}
 }
 
@@ -188,8 +185,7 @@ func TestMineParallelDeterminism(t *testing.T) {
 						trial, workers, opt, len(par), len(serial))
 				}
 				for i := range serial {
-					if !par[i].Items.Equal(serial[i].Items) || par[i].Supp != serial[i].Supp ||
-						!par[i].Tids.Equal(serial[i].Tids) {
+					if !par[i].Items.Equal(serial[i].Items) || par[i].Supp != serial[i].Supp {
 						t.Fatalf("trial %d workers=%d: itemset %d differs", trial, workers, i)
 					}
 				}
@@ -424,7 +420,7 @@ func TestCancelInsideBranch(t *testing.T) {
 	}
 	for _, workers := range []int{1, 4} {
 		ctx := &countdownCtx{Context: context.Background(), limit: 2*items + 1}
-		_, err := Mine(ctx, d, Options{MinSupport: 1, DropTids: true, Workers: workers})
+		_, err := Mine(ctx, d, Options{MinSupport: 1, Workers: workers})
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
 		}

@@ -117,7 +117,6 @@ func TestProjectionMatchesReference(t *testing.T) {
 			{MinSupport: 8},
 			{MinSupport: 8, Closed: true},
 			{MinSupport: 4, Closed: true, TwoView: true},
-			{MinSupport: 4, Closed: true, TwoView: true, DropTids: true},
 			{MinSupport: 8, Closed: true, MaxItems: 3},
 		} {
 			if opt.MaxItems == 0 {
@@ -177,7 +176,7 @@ func TestCancelInsideProjectedBranch(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	opt := Options{MinSupport: 1, DropTids: true}
+	opt := Options{MinSupport: 1}
 	if !branchDecisions(d, opt)[0] {
 		t.Fatal("the rare item's branch does not project")
 	}

@@ -100,11 +100,7 @@ func (m *refMiner) branch(cur itemset.Itemset, tids *bitset.Set, k int) error {
 		}
 	}
 	if emit != nil && (!m.opt.TwoView || len(emit) >= 2 && emit[0] < m.nLeft && emit[len(emit)-1] >= m.nLeft) {
-		fi := FI{Items: emit, Supp: supp}
-		if !m.opt.DropTids {
-			fi.Tids = child
-		}
-		m.out = append(m.out, fi)
+		m.out = append(m.out, FI{Items: emit, Supp: supp})
 		if m.opt.MaxResults > 0 && len(m.out) > m.opt.MaxResults {
 			return errRefOverflow
 		}
@@ -147,8 +143,8 @@ func (refOverflow) Error() string { return "reference overflow" }
 
 var errRefOverflow = refOverflow{}
 
-// sameFIs requires bit-identical output sequences: itemsets, supports,
-// tidsets, in the same order.
+// sameFIs requires bit-identical output sequences: itemsets and
+// supports, in the same order.
 func sameFIs(t *testing.T, got, want []FI, ctx string) {
 	t.Helper()
 	if len(got) != len(want) {
@@ -158,14 +154,6 @@ func sameFIs(t *testing.T, got, want []FI, ctx string) {
 		if !got[i].Items.Equal(want[i].Items) || got[i].Supp != want[i].Supp {
 			t.Fatalf("%s: itemset %d = %v/%d, reference %v/%d",
 				ctx, i, got[i].Items, got[i].Supp, want[i].Items, want[i].Supp)
-		}
-		switch {
-		case want[i].Tids == nil:
-			if got[i].Tids != nil {
-				t.Fatalf("%s: itemset %d has tids under DropTids", ctx, i)
-			}
-		case got[i].Tids == nil || !got[i].Tids.Equal(want[i].Tids):
-			t.Fatalf("%s: itemset %d tidset differs", ctx, i)
 		}
 	}
 }
@@ -181,7 +169,6 @@ func TestRecyclingMatchesReference(t *testing.T) {
 			{MinSupport: 2},
 			{MinSupport: 1, Closed: true},
 			{MinSupport: 1, Closed: true, TwoView: true},
-			{MinSupport: 1, Closed: true, TwoView: true, DropTids: true},
 			{MinSupport: 1, MaxItems: 2},
 			{MinSupport: 1, Closed: true, MaxItems: 2},
 		} {
@@ -222,44 +209,10 @@ func TestQuickRecyclingMatchesReference(t *testing.T) {
 			if !got[i].Items.Equal(want[i].Items) || got[i].Supp != want[i].Supp {
 				return false
 			}
-			if (got[i].Tids == nil) != (want[i].Tids == nil) {
-				return false
-			}
-			if want[i].Tids != nil && !got[i].Tids.Equal(want[i].Tids) {
-				return false
-			}
 		}
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// DropTids must change nothing but the Tids fields: the walk retains no
-// tidset at all.
-func TestDropTids(t *testing.T) {
-	d := small(t)
-	with, err := Mine(context.Background(), d, Options{MinSupport: 1, Closed: true, TwoView: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	without, err := Mine(context.Background(), d, Options{MinSupport: 1, Closed: true, TwoView: true, DropTids: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(with) != len(without) {
-		t.Fatalf("%d vs %d itemsets", len(with), len(without))
-	}
-	for i := range with {
-		if !with[i].Items.Equal(without[i].Items) || with[i].Supp != without[i].Supp {
-			t.Fatalf("itemset %d differs under DropTids", i)
-		}
-		if without[i].Tids != nil {
-			t.Fatalf("itemset %d retains tids under DropTids", i)
-		}
-		if with[i].Tids == nil || with[i].Tids.Count() != with[i].Supp {
-			t.Fatalf("itemset %d lost its tids without DropTids", i)
-		}
 	}
 }

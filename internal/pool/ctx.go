@@ -7,10 +7,8 @@ import (
 
 // Context-aware phase submission. Every primitive in this file follows
 // one rule: once ctx is cancelled, no new tasks are dispensed. Tasks
-// already running finish normally, the phase barrier releases as usual,
-// and the Runtime stays fully reusable — a cancelled phase drains its
-// workers back to the parked state instead of wedging them. The
-// primitives then report ctx.Err().
+// already running finish normally, the phase barrier releases as usual
+// once its helpers exit, and the primitives then report ctx.Err().
 //
 // The determinism contract is unaffected: with an uncancelled context
 // the per-task ctx.Err() probe reads nil and every task runs, so
@@ -37,7 +35,7 @@ func (p *Pool[S]) RunCtx(ctx context.Context, tasks int, fn func(s S, task int))
 		}
 		return ctx.Err()
 	}
-	p.rt.phase(len(p.states), tasks, func(slot, t int) bool {
+	phase(len(p.states), tasks, func(slot, t int) bool {
 		if ctx.Err() != nil {
 			return false
 		}
@@ -69,7 +67,7 @@ func (p *Pool[S]) RunErrCtx(ctx context.Context, tasks int, fn func(s S, task in
 			mu    sync.Mutex
 			errAt = -1
 		)
-		p.rt.phase(len(p.states), tasks, func(slot, t int) bool {
+		phase(len(p.states), tasks, func(slot, t int) bool {
 			if ctx.Err() != nil {
 				return false
 			}
@@ -91,23 +89,20 @@ func (p *Pool[S]) RunErrCtx(ctx context.Context, tasks int, fn func(s S, task in
 	return first
 }
 
-// ForChunksCtxOn splits [0, n) into fixed-size chunks and runs fn on
-// each, dynamically scheduled on rt (nil means Default) with the
-// cancellation cut of RunCtx. Each chunk writes its results in place,
-// into its own slots of caller-owned storage, so a round-structured
-// caller allocates no per-phase output. The chunk size is the
+// ForChunksCtx splits [0, n) into fixed-size chunks and runs fn on
+// each, dynamically scheduled on up to Size(workers, chunks) executors
+// with the cancellation cut of RunCtx. Each chunk writes its results
+// in place, into its own slots of caller-owned storage, so a
+// round-structured caller allocates no per-phase output. The chunk size is the
 // caller's constant, never derived from the worker count, so every
 // chunk computes the same thing for every worker count. With one worker
 // the chunks run inline, in order, with ctx probed before each.
-func ForChunksCtxOn(rt *Runtime, ctx context.Context, workers, n, chunk int, fn func(lo, hi int)) error {
+func ForChunksCtx(ctx context.Context, workers, n, chunk int, fn func(lo, hi int)) error {
 	if chunk < 1 {
 		chunk = 1
 	}
 	tasks := (n + chunk - 1) / chunk
-	if rt == nil {
-		rt = Default()
-	}
-	rt.phase(Size(workers, tasks), tasks, func(_, t int) bool {
+	phase(Size(workers, tasks), tasks, func(_, t int) bool {
 		if ctx.Err() != nil {
 			return false
 		}

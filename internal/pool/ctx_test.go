@@ -11,9 +11,7 @@ import (
 func TestRunCtxPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	rt := NewRuntime()
-	defer rt.Close()
-	p := NewOn(rt, 4, func(int) int { return 0 })
+	p := New(4, func(int) int { return 0 })
 	var ran atomic.Int64
 	err := p.RunCtx(ctx, 100, func(int, int) { ran.Add(1) })
 	if !errors.Is(err, context.Canceled) {
@@ -29,14 +27,12 @@ func TestRunCtxPreCancelled(t *testing.T) {
 }
 
 // Cancelling mid-phase stops the dispensing of new tasks, drains the
-// running ones, and leaves the Runtime fully reusable: a follow-up
-// phase on the same runtime (and the same pool) completes normally.
+// running ones, and leaves the pool fully reusable: a follow-up phase
+// on the same pool completes normally.
 func TestRunCtxMidPhaseCancelDrainsAndReuses(t *testing.T) {
-	rt := NewRuntime()
-	defer rt.Close()
 	for _, workers := range []int{1, 2, 4, 7} {
 		ctx, cancel := context.WithCancel(context.Background())
-		p := NewOn(rt, workers, func(int) int { return 0 })
+		p := New(workers, func(int) int { return 0 })
 		var ran atomic.Int64
 		err := p.RunCtx(ctx, 1000, func(_ int, task int) {
 			if task == 3 {
@@ -50,7 +46,7 @@ func TestRunCtxMidPhaseCancelDrainsAndReuses(t *testing.T) {
 		if n := ran.Load(); n >= 1000 {
 			t.Fatalf("workers=%d: cancellation did not cut the phase (%d tasks ran)", workers, n)
 		}
-		// The runtime must not be wedged: a fresh phase completes.
+		// The pool must not be wedged: a fresh phase completes.
 		ran.Store(0)
 		if err := p.RunCtx(context.Background(), 50, func(int, int) { ran.Add(1) }); err != nil {
 			t.Fatalf("workers=%d: follow-up phase failed: %v", workers, err)
@@ -66,9 +62,7 @@ func TestRunCtxMidPhaseCancelDrainsAndReuses(t *testing.T) {
 // plain task errors still pass through untouched when the context stays
 // alive.
 func TestRunErrCtx(t *testing.T) {
-	rt := NewRuntime()
-	defer rt.Close()
-	p := NewOn(rt, 3, func(int) int { return 0 })
+	p := New(3, func(int) int { return 0 })
 
 	errBoom := errors.New("boom")
 	err := p.RunErrCtx(context.Background(), 20, func(_ int, task int) error {
@@ -98,11 +92,9 @@ func TestRunErrCtx(t *testing.T) {
 // Run computes: each task writing its own slot yields the ordered
 // output for every worker count.
 func TestCtxVariantsMatchPlainOnes(t *testing.T) {
-	rt := NewRuntime()
-	defer rt.Close()
 	const n = 500
 	for _, workers := range []int{1, 2, 4, 7} {
-		p := NewOn(rt, workers, func(int) struct{} { return struct{}{} })
+		p := New(workers, func(int) struct{} { return struct{}{} })
 		outs := make([][]int, 4)
 		for k := range outs {
 			outs[k] = make([]int, n)
@@ -114,7 +106,7 @@ func TestCtxVariantsMatchPlainOnes(t *testing.T) {
 		if err := p.RunErrCtx(context.Background(), n, func(_ struct{}, i int) error { outs[2][i] = i * i; return nil }); err != nil {
 			t.Fatal(err)
 		}
-		if err := ForChunksCtxOn(rt, context.Background(), workers, n, 16, func(lo, hi int) {
+		if err := ForChunksCtx(context.Background(), workers, n, 16, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				outs[3][i] = i * i
 			}
@@ -131,16 +123,14 @@ func TestCtxVariantsMatchPlainOnes(t *testing.T) {
 	}
 }
 
-// ForChunksCtxOn visits every index of [0, n) exactly once, in the
+// ForChunksCtx visits every index of [0, n) exactly once, in the
 // same fixed chunks for every worker count, and runs no chunk once the
 // context is cancelled.
-func TestForChunksCtxOn(t *testing.T) {
-	rt := NewRuntime()
-	defer rt.Close()
+func TestForChunksCtx(t *testing.T) {
 	for _, n := range []int{0, 1, 63, 64, 65, 500} {
 		for _, workers := range []int{1, 2, 4, 7} {
 			owner := make([]int, n)
-			err := ForChunksCtxOn(rt, context.Background(), workers, n, 64, func(lo, hi int) {
+			err := ForChunksCtx(context.Background(), workers, n, 64, func(lo, hi int) {
 				if lo%64 != 0 || hi != min(lo+64, n) {
 					t.Errorf("n=%d workers=%d: chunk [%d, %d)", n, workers, lo, hi)
 				}
@@ -163,19 +153,17 @@ func TestForChunksCtxOn(t *testing.T) {
 	cancel()
 	for _, workers := range []int{1, 4} {
 		ran := false
-		err := ForChunksCtxOn(rt, ctx, workers, 100, 8, func(lo, hi int) { ran = true })
+		err := ForChunksCtx(ctx, workers, 100, 8, func(lo, hi int) { ran = true })
 		if !errors.Is(err, context.Canceled) || ran {
-			t.Fatalf("workers=%d: cancelled ForChunksCtxOn err = %v, ran = %v", workers, err, ran)
+			t.Fatalf("workers=%d: cancelled ForChunksCtx err = %v, ran = %v", workers, err, ran)
 		}
 	}
 }
 
-// A storm of cancelled phases leaves the runtime healthy for a final
-// full phase — the drain path never leaks or wedges workers.
+// A storm of cancelled phases leaves the pool healthy for a final full
+// phase — the drain path never wedges an executor.
 func TestRepeatedCancelledPhases(t *testing.T) {
-	rt := NewRuntime()
-	defer rt.Close()
-	p := NewOn(rt, 6, func(int) int { return 0 })
+	p := New(6, func(int) int { return 0 })
 	for i := 0; i < 50; i++ {
 		ctx, cancel := context.WithCancel(context.Background())
 		_ = p.RunCtx(ctx, 200, func(_ int, task int) {

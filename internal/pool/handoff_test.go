@@ -1,11 +1,10 @@
 package pool
 
-// Stress tests and benchmarks for the cond-parked phase handoff: the
-// wake-all Broadcast that replaced the per-worker channel rendezvous.
-// The failure mode of a broken generation/broadcast protocol is a lost
-// wakeup — a worker parked forever while a phase waits for its helper —
-// which these tests surface as a test-binary timeout; the -race runs in
-// CI additionally check the claim bookkeeping under contention.
+// Stress tests and benchmarks for the phase handoff: starting a
+// phase's helpers, dispensing its tasks and waiting for the helpers at
+// its barrier. A task run twice or never shows as a wrong total; a
+// helper the barrier never sees exit shows as a test-binary timeout;
+// the -race runs in CI also check the shared dispensing counter.
 
 import (
 	"context"
@@ -15,13 +14,10 @@ import (
 	"testing"
 )
 
-// Thousands of tiny phases from concurrent submitters on one shared
-// Runtime: the worst case for handoff, every phase pays the full
-// submit/wake/claim/park round trip and the parked set is churning
-// constantly. Every task of every phase must run exactly once.
+// Thousands of tiny phases from concurrent submitters: the worst case
+// for handoff, every phase pays the full start/dispense/wait round
+// trip. Every task of every phase must run exactly once.
 func TestHandoffStressTinyPhases(t *testing.T) {
-	rt := NewRuntime()
-	defer rt.Close()
 	const (
 		submitters = 4
 		rounds     = 2000
@@ -31,7 +27,7 @@ func TestHandoffStressTinyPhases(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			p := NewOn(rt, 3, func(w int) *int { return new(int) })
+			p := New(3, func(w int) *int { return new(int) })
 			want := 0
 			for round := 0; round < rounds; round++ {
 				tasks := 1 + (g+round)%3
@@ -51,12 +47,10 @@ func TestHandoffStressTinyPhases(t *testing.T) {
 }
 
 // Panicking and context-cancelled phases interleaved with healthy ones
-// on one Runtime: neither may wedge a parked worker or leak a pending
-// claim that a later phase's helper could swallow.
+// on one pool: neither may wedge an executor or leave a later phase
+// short of a task.
 func TestHandoffStressPanicAndCancel(t *testing.T) {
-	rt := NewRuntime()
-	defer rt.Close()
-	p := NewOn(rt, 4, func(w int) struct{} { return struct{}{} })
+	p := New(4, func(w int) struct{} { return struct{}{} })
 	for round := 0; round < 200; round++ {
 		switch round % 3 {
 		case 0: // healthy phase
@@ -93,14 +87,11 @@ func TestHandoffStressPanicAndCancel(t *testing.T) {
 	}
 }
 
-// A Runtime reused across sequential pools with full drains in between
-// (the Session lifecycle: mine, idle, mine again) keeps waking its
-// parked workers; spawned workers are reused, not multiplied.
+// Sequential pools with full drains in between (the Session lifecycle:
+// mine, idle, mine again) run every task of every phase.
 func TestHandoffRuntimeReuse(t *testing.T) {
-	rt := NewRuntime()
-	defer rt.Close()
 	for session := 0; session < 20; session++ {
-		p := NewOn(rt, 4, func(w int) *int { return new(int) })
+		p := New(4, func(w int) *int { return new(int) })
 		for round := 0; round < 20; round++ {
 			p.Run(8, func(s *int, _ int) { *s++ })
 		}
@@ -112,27 +103,16 @@ func TestHandoffRuntimeReuse(t *testing.T) {
 			t.Fatalf("session %d: ran %d tasks, want 160", session, total)
 		}
 	}
-	rt.mu.Lock()
-	spawned, demand, pending := rt.spawned, rt.demand, len(rt.pending)
-	rt.mu.Unlock()
-	if spawned > 3 {
-		t.Fatalf("spawned %d workers for 4-slot phases, want <= 3", spawned)
-	}
-	if demand != 0 || pending != 0 {
-		t.Fatalf("after drain: demand=%d pending=%d, want 0/0", demand, pending)
-	}
 }
 
-// BenchmarkPhaseHandoff measures the cost of one empty phase — submit,
-// wake, claim, barrier — with zero-work tasks, so the number is pure
-// handoff overhead. One task per slot keeps every helper recruited.
+// BenchmarkPhaseHandoff measures the cost of one empty phase — start
+// the helpers, dispense, wait at the barrier — with zero-work tasks, so
+// the number is pure handoff overhead. One task per slot starts every
+// helper.
 func BenchmarkPhaseHandoff(b *testing.B) {
-	for _, workers := range []int{1, 4, 8} {
+	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			rt := NewRuntime()
-			defer rt.Close()
-			p := NewOn(rt, workers, func(w int) struct{} { return struct{}{} })
-			p.Run(workers, func(struct{}, int) {}) // spawn the workers up front
+			p := New(workers, func(w int) struct{} { return struct{}{} })
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				p.Run(workers, func(struct{}, int) {})

@@ -2,20 +2,20 @@ package pool
 
 import (
 	"context"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
-// Many small phases on one persistent pool: the round-structured shape
-// of the searches (SELECT rounds, GREEDY blocks). Every task of every
-// phase must run exactly once on the parked workers. Run under -race in
-// CI, this also checks the phase barrier publishes worker-state writes.
+// Many small phases on one pool: the round-structured shape of the
+// searches (SELECT rounds, GREEDY blocks). Every task of every phase
+// must run exactly once. Run under -race in CI, this also checks the
+// phase barrier publishes worker-state writes.
 func TestRuntimeManySmallPhases(t *testing.T) {
-	rt := NewRuntime()
-	defer rt.Close()
-	p := NewOn(rt, 4, func(w int) *int { return new(int) })
+	p := New(4, func(w int) *int { return new(int) })
 	want := 0
 	for round := 0; round < 300; round++ {
 		tasks := round % 9 // includes zero-task phases
@@ -31,12 +31,10 @@ func TestRuntimeManySmallPhases(t *testing.T) {
 	}
 }
 
-// Sequential pools on one runtime share its parked workers.
+// Sequential pools and a chunked phase, each running every task once.
 func TestRuntimeSharedAcrossPools(t *testing.T) {
-	rt := NewRuntime()
-	defer rt.Close()
 	for i := 0; i < 10; i++ {
-		p := NewOn(rt, 3, func(w int) *[]int { return new([]int) })
+		p := New(3, func(w int) *[]int { return new([]int) })
 		p.Run(50, func(s *[]int, task int) { *s = append(*s, task) })
 		n := 0
 		for _, s := range p.States() {
@@ -47,7 +45,7 @@ func TestRuntimeSharedAcrossPools(t *testing.T) {
 		}
 	}
 	chunks := make([]int, 100)
-	if err := ForChunksCtxOn(rt, context.Background(), 4, 100, 8, func(lo, hi int) {
+	if err := ForChunksCtx(context.Background(), 4, 100, 8, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			chunks[i] = i
 		}
@@ -56,18 +54,16 @@ func TestRuntimeSharedAcrossPools(t *testing.T) {
 	}
 	for i, v := range chunks {
 		if v != i {
-			t.Fatalf("ForChunksCtxOn: chunks[%d] = %d", i, v)
+			t.Fatalf("ForChunksCtx: chunks[%d] = %d", i, v)
 		}
 	}
 }
 
-// A panic in a task must propagate to the submitting goroutine and must
-// not wedge the parked workers: the same runtime keeps executing
-// subsequent phases, and the panicking phase's barrier still releases.
+// A panic in a task must propagate to the submitting goroutine after
+// the panicking phase's barrier releases, and the same pool keeps
+// executing subsequent phases.
 func TestRuntimePanicDoesNotWedgeWorkers(t *testing.T) {
-	rt := NewRuntime()
-	defer rt.Close()
-	p := NewOn(rt, 4, func(w int) struct{} { return struct{}{} })
+	p := New(4, func(w int) struct{} { return struct{}{} })
 
 	for round := 0; round < 3; round++ {
 		func() {
@@ -87,7 +83,7 @@ func TestRuntimePanicDoesNotWedgeWorkers(t *testing.T) {
 			})
 		}()
 
-		// The runtime must still be fully operational.
+		// The pool must still be fully operational.
 		var ran atomic.Int64
 		p.Run(64, func(struct{}, int) { ran.Add(1) })
 		if ran.Load() != 64 {
@@ -114,11 +110,9 @@ func TestRuntimePanicSerial(t *testing.T) {
 
 // Pool edge cases: more workers than tasks, and zero tasks.
 func TestPoolEdgeCases(t *testing.T) {
-	rt := NewRuntime()
-	defer rt.Close()
 
 	// workers > tasks: every task still runs exactly once.
-	p := NewOn(rt, 7, func(w int) *[]int { return new([]int) })
+	p := New(7, func(w int) *[]int { return new([]int) })
 	p.Run(3, func(s *[]int, task int) { *s = append(*s, task) })
 	seen := map[int]int{}
 	for _, s := range p.States() {
@@ -141,13 +135,10 @@ func TestPoolEdgeCases(t *testing.T) {
 	}
 }
 
-// RunErrCtx on the runtime: failures stop dispensing, the runtime
-// stays usable, and the phase barrier releases with undispensed tasks
-// refunded.
+// RunErrCtx: failures stop dispensing, the pool stays usable, and the
+// phase barrier releases with tasks left undispensed.
 func TestRuntimeRunErrStops(t *testing.T) {
-	rt := NewRuntime()
-	defer rt.Close()
-	p := NewOn(rt, 4, func(w int) struct{} { return struct{}{} })
+	p := New(4, func(w int) struct{} { return struct{}{} })
 	var dispensed atomic.Int64
 	err := p.RunErrCtx(context.Background(), 10_000, func(_ struct{}, task int) error {
 		dispensed.Add(1)
@@ -174,18 +165,15 @@ type errBoom struct{}
 
 func (errBoom) Error() string { return "boom" }
 
-// Concurrent submitters may share one runtime; phases must not corrupt
-// each other. (The searches submit sequentially, but the runtime's
-// contract is stronger.)
+// Concurrent submitters' phases must not corrupt each other. (The
+// searches submit sequentially, but the pool's contract is stronger.)
 func TestRuntimeConcurrentSubmitters(t *testing.T) {
-	rt := NewRuntime()
-	defer rt.Close()
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			p := NewOn(rt, 3, func(w int) *int { return new(int) })
+			p := New(3, func(w int) *int { return new(int) })
 			for round := 0; round < 50; round++ {
 				p.Run(20, func(s *int, _ int) { *s++ })
 			}
@@ -201,42 +189,74 @@ func TestRuntimeConcurrentSubmitters(t *testing.T) {
 	wg.Wait()
 }
 
-// Close is idempotent and leaves running work unharmed when called
-// after the last phase.
-func TestRuntimeCloseIdempotent(t *testing.T) {
-	rt := NewRuntime()
-	p := NewOn(rt, 2, func(w int) struct{} { return struct{}{} })
-	p.Run(10, func(struct{}, int) {})
-	rt.Close()
-	rt.Close()
+// A task panic re-raised on the submitter leaves nothing behind that a
+// fresh pool's phase could trip on — the Session lifecycle after a
+// poisoned phase. (The handoff stress test covers repeated panics on
+// one Pool.)
+func TestRuntimeReuseAcrossPoolsAfterTaskPanic(t *testing.T) {
+	for round := 0; round < 20; round++ {
+		p := New(4, func(w int) struct{} { return struct{}{} })
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("round %d: task panic did not propagate", round)
+				}
+			}()
+			p.Run(64, func(_ struct{}, task int) {
+				if task == 13 {
+					panic("poisoned task")
+				}
+			})
+		}()
+		// A fresh Pool: a full healthy phase must run.
+		q := New(4, func(w int) struct{} { return struct{}{} })
+		var ran atomic.Int64
+		q.Run(128, func(struct{}, int) { ran.Add(1) })
+		if ran.Load() != 128 {
+			t.Fatalf("round %d: %d tasks ran after panic, want 128", round, ran.Load())
+		}
+	}
 }
 
-// Close racing an in-flight phase must not panic or lose tasks: the
-// phase stops recruiting helpers and the submitter drains the tasks
-// itself. New submissions after Close panic with the pool's own
-// message.
-func TestRuntimeCloseMidPhase(t *testing.T) {
-	rt := NewRuntime()
-	p := NewOn(rt, 4, func(w int) struct{} { return struct{}{} })
-	var once sync.Once
-	var ran atomic.Int64
-	p.Run(200, func(_ struct{}, task int) {
-		// Close lands while the phase is running (and possibly still
-		// recruiting); every task must complete regardless.
-		once.Do(rt.Close)
-		ran.Add(1)
-	})
-	if ran.Load() != 200 {
-		t.Fatalf("%d tasks ran across Close, want 200", ran.Load())
+// Every phase waits for its helpers, so none outlives it: after
+// normal, panicking, cancelled and failing phases the goroutine count
+// returns to its baseline. A helper calls wg.Done just before it
+// returns, so the count is polled until the exits land.
+func TestPhasesLeaveNoGoroutine(t *testing.T) {
+	base := runtime.NumGoroutine()
+	for _, workers := range []int{2, 4} {
+		p := New(workers, func(int) struct{} { return struct{}{} })
+		p.Run(100, func(struct{}, int) {})
+		func() {
+			defer func() { _ = recover() }()
+			p.Run(100, func(_ struct{}, task int) {
+				if task == 7 {
+					panic("boom")
+				}
+			})
+		}()
+		ctx, cancel := context.WithCancel(context.Background())
+		_ = p.RunCtx(ctx, 100, func(_ struct{}, task int) {
+			if task == 3 {
+				cancel()
+			}
+		})
+		cancel()
+		if err := p.RunErrCtx(context.Background(), 100, func(_ struct{}, task int) error {
+			if task == 5 {
+				return errBoom{}
+			}
+			return nil
+		}); err == nil {
+			t.Fatalf("workers=%d: RunErrCtx lost its task error", workers)
+		}
+		_ = ForChunksCtx(context.Background(), workers, 100, 4, func(int, int) {})
 	}
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("submission after Close did not panic")
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the phases, %d before", runtime.NumGoroutine(), base)
 		}
-		if s, ok := r.(string); !ok || !strings.Contains(s, "closed Runtime") {
-			t.Fatalf("unexpected panic %v", r)
-		}
-	}()
-	p.Run(10, func(struct{}, int) {})
+		time.Sleep(time.Millisecond)
+	}
 }

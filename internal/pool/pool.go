@@ -3,22 +3,17 @@
 // branch-and-bound, TRANSLATOR-SELECT scoring,
 // TRANSLATOR-GREEDY block scoring, and the ECLAT candidate walk.
 //
-// # Persistent runtime
+// # Phases
 //
-// All parallel execution happens on a Runtime: a set of long-lived
-// worker goroutines parked on a run queue. Pool.Run, Pool.RunCtx,
-// Pool.RunErrCtx and ForChunksCtxOn are *phases* — batches of dynamically
-// scheduled tasks — submitted to an already-running Runtime, so the
-// round-structured searches (SELECT rescores its candidates each
-// round, GREEDY scores block after block, EXACT runs a seed and a DFS
-// phase per added rule) pay one wake-all broadcast per phase instead of
-// a goroutine launch per worker per phase. Parked workers also keep their
-// grown stacks, which the deeply recursive searches would otherwise
-// re-grow on every fresh goroutine.
-//
-// A lazily started package-wide Runtime (Default) serves callers that
-// do not manage one; long mining sessions can own a private Runtime
-// (see core.Session) and Close it when done.
+// All parallel execution happens in *phases*: batches of dynamically
+// scheduled tasks submitted by Pool.Run, Pool.RunCtx, Pool.RunErrCtx
+// and ForChunksCtx. A phase with more than one slot and more than one
+// task starts its own helper goroutines, min(slots, tasks) − 1 of them,
+// runs its share on the calling goroutine, and returns once every
+// helper has exited. Nothing outlives a phase: no goroutine is parked
+// between phases and there is nothing to close, so a phase leaves the
+// process (or a testing/synctest bubble) as it found it. With one slot
+// or one task the phase runs inline on the caller.
 //
 // # Determinism contract
 //
@@ -30,7 +25,7 @@
 //     task-level chunking uses sizes fixed by the caller, so the set of
 //     per-task computations (and their floating-point evaluation order)
 //     does not depend on the number of workers;
-//   - each task writes only its own chunk (ForChunksCtxOn) or its own
+//   - each task writes only its own chunk (ForChunksCtx) or its own
 //     worker-local state (Pool), so no result depends on cross-worker
 //     timing;
 //   - cross-worker communication is restricted to monotone values (Max,
@@ -38,18 +33,17 @@
 //     the order of updates — e.g. pruning thresholds that are strict
 //     lower bounds on what must still be visited.
 //
-// Scheduling is dynamic (workers pull task indices from a shared
+// Scheduling is dynamic (executors pull task indices from a shared
 // counter), because search-tree branch costs are heavily skewed;
-// dynamic assignment changes only *which worker* runs a task, which the
-// rules above make unobservable.
+// dynamic assignment changes only *which executor* runs a task, which
+// the rules above make unobservable.
 //
 // # Cancellation
 //
 // Every phase primitive but Run takes a context (RunCtx, RunErrCtx,
-// ForChunksCtxOn — see ctx.go): cancelling it stops the dispensing of
-// new tasks, drains the running ones, and returns ctx.Err(), leaving
-// the Runtime parked and reusable. Run is RunCtx on the background
-// context.
+// ForChunksCtx — see ctx.go): cancelling it stops the dispensing of
+// new tasks, drains the running ones, and returns ctx.Err(). Run is
+// RunCtx on the background context.
 package pool
 
 import (
@@ -78,176 +72,19 @@ func Size(workers, tasks int) int {
 	return workers
 }
 
-// Runtime is a persistent set of parked worker goroutines fed by a run
-// queue. Workers are spawned lazily, on the first phase that needs
-// them, and grow to the largest concurrency any phase has requested;
-// between phases they park on a condition variable guarded by a
-// generation counter, costing nothing. A Runtime is safe for concurrent
-// use; phases submitted concurrently share the workers.
-//
-// Phase handoff is wake-all, not per-worker: the submitter appends its
-// job to the pending queue, bumps the generation, and issues a single
-// Broadcast; every parked worker wakes and claims a helper slot from
-// the queue under the lock. Compared to the previous per-worker channel
-// rendezvous this makes submission cost independent of the helper count
-// — one lock acquisition and one futex wake for the whole phase instead
-// of `helpers` synchronous channel sends — which is what the
-// round-structured searches pay per round.
-//
-// The zero Runtime is not usable; use NewRuntime, or Default for the
-// shared package-wide instance.
-type Runtime struct {
-	mu      sync.Mutex
-	wake    sync.Cond   // workers park here; L is &mu
-	gen     uint64      // bumped on every announce and on Close
-	pending []*phaseJob // phases with unclaimed helper slots, FIFO
-
-	spawned int  // background workers launched so far
-	demand  int  // helpers wanted by phases currently in flight
-	closed  bool // no further submissions allowed
-}
-
-// NewRuntime returns a new, empty runtime. Workers are spawned on
-// demand by the phases submitted to it. Call Close when no more phases
-// will be submitted; the package Default runtime is never closed.
-func NewRuntime() *Runtime {
-	rt := &Runtime{}
-	rt.wake.L = &rt.mu
-	return rt
-}
-
-var (
-	defaultOnce sync.Once
-	defaultRT   *Runtime
-)
-
-// Default returns the shared package-wide runtime, starting it on first
-// use. It is never closed; its workers park between phases.
-func Default() *Runtime {
-	defaultOnce.Do(func() { defaultRT = NewRuntime() })
-	return defaultRT
-}
-
-// Close shuts the runtime down: parked workers exit, and submitting a
-// new phase panics. Close is idempotent and safe against in-flight
-// phases: a phase racing Close keeps its claimed helpers, loses its
-// unclaimed ones (workers check closed before claiming), and finishes
-// the remaining tasks on the submitting goroutine.
-func (rt *Runtime) Close() {
-	rt.mu.Lock()
-	if !rt.closed {
-		rt.closed = true
-		rt.gen++
-	}
-	rt.mu.Unlock()
-	rt.wake.Broadcast()
-}
-
-// announce registers a phase's helper demand, grows the worker set to
-// cover the demand of every phase in flight (so concurrent submitters
-// never compete for the same parked workers), enqueues the job, and
-// wakes all parked workers with a single Broadcast. Parked workers are
-// never torn down between phases (that is the point of the runtime), so
-// spawned only grows, up to the peak concurrent demand.
-func (rt *Runtime) announce(j *phaseJob, helpers int) {
-	rt.mu.Lock()
-	if rt.closed {
-		rt.mu.Unlock()
-		panic("pool: phase submitted to a closed Runtime")
-	}
-	rt.demand += helpers
-	for rt.spawned < rt.demand {
-		rt.spawned++
-		go rt.worker()
-	}
-	rt.pending = append(rt.pending, j)
-	rt.gen++
-	rt.mu.Unlock()
-	rt.wake.Broadcast()
-}
-
-// retract returns a phase's helper demand after its barrier and
-// withdraws the job's unclaimed helper slots, if any: when the
-// submitter finished every task before all helpers woke (tiny phases),
-// the job must not linger on the queue for a later worker to claim.
-func (rt *Runtime) retract(j *phaseJob, helpers int) {
-	rt.mu.Lock()
-	rt.demand -= helpers
-	if j.claims > 0 {
-		j.claims = 0
-		for i, p := range rt.pending {
-			if p == j {
-				last := len(rt.pending) - 1
-				rt.pending[i] = rt.pending[last]
-				rt.pending[last] = nil
-				rt.pending = rt.pending[:last]
-				break
-			}
-		}
-	}
-	rt.mu.Unlock()
-}
-
-// claimLocked takes one helper slot from the oldest pending phase,
-// dropping the phase from the queue when its last slot is claimed.
-// Callers hold rt.mu.
-func (rt *Runtime) claimLocked() *phaseJob {
-	if len(rt.pending) == 0 {
-		return nil
-	}
-	j := rt.pending[0]
-	j.claims--
-	if j.claims == 0 {
-		copy(rt.pending, rt.pending[1:])
-		last := len(rt.pending) - 1
-		rt.pending[last] = nil
-		rt.pending = rt.pending[:last]
-	}
-	return j
-}
-
-// worker is the body of one persistent background worker: claim a
-// helper slot from the pending queue, execute a share of that phase,
-// and park on the generation counter when the queue is empty. The
-// park loop re-reads gen under the lock after the queue was seen empty,
-// so an announce (which bumps gen under the same lock before
-// broadcasting) can never be missed — the classic lost-wakeup pattern.
-func (rt *Runtime) worker() {
-	rt.mu.Lock()
-	for {
-		for !rt.closed {
-			j := rt.claimLocked()
-			if j == nil {
-				break
-			}
-			rt.mu.Unlock()
-			j.run()
-			rt.mu.Lock()
-		}
-		if rt.closed {
-			rt.mu.Unlock()
-			return
-		}
-		gen := rt.gen
-		for rt.gen == gen && !rt.closed {
-			rt.wake.Wait()
-		}
-	}
-}
-
 // phase executes fn(slot, t) for every t in [0, tasks) with up to
-// `slots` concurrent executors: the calling goroutine plus at most
-// slots-1 recruited workers. Task indices are dispensed dynamically;
-// slot indices in [0, slots) identify executors, not fixed workers. A
-// task returning false stops the dispensing of new tasks (running ones
-// finish). phase returns when every dispensed task has finished — a
-// barrier, so consecutive phases are sequential and their writes are
-// visible to each other. A panic in a task cancels the phase and is
-// re-raised on the calling goroutine; the runtime's workers survive.
+// `slots` concurrent executors: the calling goroutine (slot 0) plus
+// min(slots, tasks) − 1 helper goroutines started for this phase. Task
+// indices are dispensed dynamically; a slot identifies an executor, not
+// a task. A task returning false stops the dispensing of new tasks
+// (running ones finish). phase returns when every helper has exited —
+// a barrier, so consecutive phases are sequential and their writes are
+// visible to each other. The first panic in a task stops the phase and
+// is re-raised on the calling goroutine after the barrier.
 //
 // With slots <= 1 (or a single task) the phase runs inline on the
 // calling goroutine: genuinely serial, no goroutines, no atomics.
-func (rt *Runtime) phase(slots, tasks int, fn func(slot, task int) bool) {
+func phase(slots, tasks int, fn func(slot, task int) bool) {
 	if tasks <= 0 {
 		return
 	}
@@ -255,10 +92,9 @@ func (rt *Runtime) phase(slots, tasks int, fn func(slot, task int) bool) {
 		// Chaos builds only (-tags faultinject; compiled away otherwise):
 		// scripted failpoints at phase submission and around individual
 		// tasks, so tests can inject a slow handoff or a panicking task
-		// and assert the drain/re-raise/reuse contract under -race. Which
-		// task a scheduled "pool.task" action lands on is
-		// schedule-dependent by design — recovery must hold wherever it
-		// strikes.
+		// and assert the drain/re-raise contract under -race. Which task
+		// a scheduled "pool.task" action lands on is schedule-dependent
+		// by design — recovery must hold wherever it strikes.
 		fault.Fire("pool.phase.submit")
 		inner := fn
 		fn = func(slot, task int) bool {
@@ -266,10 +102,7 @@ func (rt *Runtime) phase(slots, tasks int, fn func(slot, task int) bool) {
 			return inner(slot, task)
 		}
 	}
-	helpers := slots - 1
-	if helpers > tasks-1 {
-		helpers = tasks - 1
-	}
+	helpers := min(slots, tasks) - 1
 	if helpers <= 0 {
 		for t := 0; t < tasks; t++ {
 			if !fn(0, t) {
@@ -278,87 +111,52 @@ func (rt *Runtime) phase(slots, tasks int, fn func(slot, task int) bool) {
 		}
 		return
 	}
-	j := &phaseJob{fn: fn, tasks: tasks, slots: int32(helpers + 1), claims: helpers}
-	j.wg.Add(tasks)
-	// One announce wakes every parked worker; announce guarantees
-	// enough workers exist for every phase in flight, so the job's
-	// helper slots are claimed promptly. If the runtime is closed
-	// mid-phase, unclaimed slots are abandoned and the submitter
-	// finishes the tasks itself (the per-task barrier does not count
-	// helpers, so it releases regardless of how many claimed).
-	rt.announce(j, helpers)
-	j.run()
-	j.wg.Wait()
-	rt.retract(j, helpers)
+	j := &phaseJob{fn: fn, tasks: int64(tasks)}
+	var wg sync.WaitGroup
+	wg.Add(helpers)
+	for slot := 1; slot <= helpers; slot++ {
+		go func() {
+			defer wg.Done()
+			j.run(slot)
+		}()
+	}
+	j.run(0)
+	wg.Wait()
 	if p := j.panicked.Load(); p != nil {
 		panic(p.val)
 	}
 }
 
-// phaseJob is one submitted phase. Completion is tracked per task: the
-// WaitGroup starts at `tasks`, every finished task decrements it, and
-// stop refunds the tasks that will never be dispensed, so the barrier
-// in phase releases exactly when all dispensed work is done.
+// phaseJob is the state one phase's executors share.
 type phaseJob struct {
-	fn     func(slot, task int) bool
-	tasks  int
-	slots  int32
-	claims int // unclaimed helper slots; guarded by the Runtime's mu
-
+	fn       func(slot, task int) bool
+	tasks    int64
 	nextTask atomic.Int64 // tasks dispensed so far (may overshoot)
-	nextSlot atomic.Int32
-	wg       sync.WaitGroup
-	stopOnce sync.Once
 	panicked atomic.Pointer[panicValue]
 }
 
 type panicValue struct{ val any }
 
-// stopCutoff is added to nextTask on stop; it exceeds any real task
+// stopCutoff is stored in nextTask on stop; it exceeds any real task
 // count, so every subsequent pull sees an exhausted phase.
 const stopCutoff = int64(1) << 40
 
-// stop cancels the dispensing of new tasks and refunds the undispensed
-// ones to the completion barrier. Tasks already running finish and
-// account for themselves.
-func (j *phaseJob) stop() {
-	j.stopOnce.Do(func() {
-		dispensed := j.nextTask.Swap(stopCutoff)
-		if dispensed < int64(j.tasks) {
-			j.wg.Add(-(j.tasks - int(dispensed)))
-		}
-	})
-}
-
-// run is one executor's share of the phase: claim a slot, pull tasks
-// until exhausted or stopped. Executors beyond the slot budget (which
-// cannot happen with claim-counted recruitment, but is guarded anyway)
-// do not participate. A panicking task records the first panic, cancels the
-// phase, and leaves the executing worker healthy.
-func (j *phaseJob) run() {
-	slot := int(j.nextSlot.Add(1)) - 1
-	if slot >= int(j.slots) {
-		return
-	}
+// run is one executor's share of the phase: pull tasks until they are
+// exhausted or the phase stops. A panicking task records the first
+// panic and stops the phase.
+func (j *phaseJob) run(slot int) {
 	defer func() {
 		if p := recover(); p != nil {
 			j.panicked.CompareAndSwap(nil, &panicValue{val: p})
-			j.stop()
-			j.wg.Done() // the panicked task was dispensed but never finished
+			j.nextTask.Store(stopCutoff)
 		}
 	}()
-	for {
-		// Compare in int64: after stop() the counter holds stopCutoff,
-		// which must not be truncated into a small valid index on
-		// 32-bit platforms.
-		t64 := j.nextTask.Add(1) - 1
-		if t64 >= int64(j.tasks) {
-			return
-		}
-		keep := j.fn(slot, int(t64))
-		j.wg.Done()
-		if !keep {
-			j.stop()
+	// Compare in int64: after a stop the counter holds stopCutoff, which
+	// must not be truncated into a small valid index on 32-bit
+	// platforms.
+	for t := j.nextTask.Add(1) - 1; t < j.tasks; t = j.nextTask.Add(1) - 1 {
+		if !j.fn(slot, int(t)) {
+			j.nextTask.Store(stopCutoff)
 			return
 		}
 	}
@@ -415,39 +213,40 @@ func (c *Counter) Load() int64 { return c.n.Load() }
 // per-worker states. It is the shape used by searches that accumulate a
 // champion or a result list per worker and merge afterwards: build the
 // pool once, run one or more task phases, then fold States() under a
-// total order. The phases execute on the pool's Runtime; worker states
-// are handed to whichever executor claims the matching slot, which the
-// determinism rules make unobservable.
+// total order. Each phase hands state w to its executor in slot w,
+// which the determinism rules make unobservable.
 //
 // With one worker every phase executes inline on the calling goroutine,
-// so Workers==1 is genuinely serial (no goroutines, no atomics beyond
-// the task counter).
+// so Workers==1 is genuinely serial (no goroutines, no atomics).
 type Pool[S any] struct {
-	rt     *Runtime
 	states []S
 }
 
-// New builds a pool of `workers` states on the Default runtime, each
-// state created by mk (called with the worker index, in order, on the
-// calling goroutine).
+// New builds a pool of `workers` states, each created by mk (called
+// with the worker index, in order, on the calling goroutine).
 func New[S any](workers int, mk func(w int) S) *Pool[S] {
-	return NewOn[S](nil, workers, mk)
-}
-
-// NewOn is New on an explicit runtime; rt == nil means Default.
-func NewOn[S any](rt *Runtime, workers int, mk func(w int) S) *Pool[S] {
-	if workers < 1 {
-		workers = 1
-	}
-	if rt == nil {
-		rt = Default()
-	}
-	states := make([]S, workers)
+	states := make([]S, max(workers, 1))
 	for w := range states {
 		states[w] = mk(w)
 	}
-	return &Pool[S]{rt: rt, states: states}
+	return &Pool[S]{states: states}
 }
+
+// Runtime, NewRuntime and NewOn are a shim for the one caller outside
+// this module that still names them: perfbench's poolLayer, which
+// times empty phases on a Runtime. Phases own their goroutines, so the
+// Runtime holds nothing. The shim goes with ROADMAP item 1, the next
+// change to perfbench.
+type Runtime struct{}
+
+// NewRuntime returns an empty Runtime (see the shim note on Runtime).
+func NewRuntime() *Runtime { return &Runtime{} }
+
+// Close does nothing (see the shim note on Runtime).
+func (*Runtime) Close() {}
+
+// NewOn is New (see the shim note on Runtime).
+func NewOn[S any](_ *Runtime, workers int, mk func(w int) S) *Pool[S] { return New(workers, mk) }
 
 // States returns the per-worker states in worker order, for merging
 // after the phases have run. The order is deterministic, but callers

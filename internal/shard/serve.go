@@ -25,9 +25,9 @@ import (
 // fields sizes an allocation or indexes a column: on the worker side
 // they come off the network.
 //
-// Scoring phases run on rt with min(h.Workers, workers) workers
-// (at least one) under each request's lease.
-func Serve(ctx context.Context, d *dataset.Dataset, cands []core.Candidate, h *wire.Hello, rt *pool.Runtime, workers int, mailbox <-chan wire.Msg, send func(wire.Msg)) {
+// Scoring phases run with min(h.Workers, workers) workers (at least
+// one) under each request's lease.
+func Serve(ctx context.Context, d *dataset.Dataset, cands []core.Candidate, h *wire.Hello, workers int, mailbox <-chan wire.Msg, send func(wire.Msg)) {
 	crash := func() { send(&wire.Crash{Part: h.Part, Term: h.Term}) }
 	defer func() {
 		if r := recover(); r != nil {
@@ -38,14 +38,7 @@ func Serve(ctx context.Context, d *dataset.Dataset, cands []core.Candidate, h *w
 		crash()
 		return
 	}
-	inc := &incarnation{d: d, cands: cands, h: h}
-	inc.ps = core.NewPartialState(d, int(h.LoL), int(h.HiL), int(h.LoR), int(h.HiR))
-	inc.ps.Replay(h.Log, func(int, core.Rule) {
-		if fault.Enabled {
-			fault.Fire("shard.replay")
-		}
-	})
-	inc.scorers = pool.NewOn(rt, min(max(int(h.Workers), 1), workers), func(int) struct{} { return struct{}{} })
+	inc := boot(d, cands, h, workers)
 
 	for {
 		select {
@@ -87,6 +80,22 @@ type incarnation struct {
 	h       *wire.Hello
 	ps      *core.PartialState
 	scorers *pool.Pool[struct{}]
+}
+
+// boot builds the incarnation of a checked HELLO: the partition's
+// columns replayed from h.Log, and a scoring pool of
+// min(h.Workers, workers) slots (at least one). h.Workers comes off
+// the network; workers is the host's own cap.
+func boot(d *dataset.Dataset, cands []core.Candidate, h *wire.Hello, workers int) *incarnation {
+	inc := &incarnation{d: d, cands: cands, h: h}
+	inc.ps = core.NewPartialState(d, int(h.LoL), int(h.HiL), int(h.LoR), int(h.HiR))
+	inc.ps.Replay(h.Log, func(int, core.Rule) {
+		if fault.Enabled {
+			fault.Fire("shard.replay")
+		}
+	})
+	inc.scorers = pool.New(min(max(int(h.Workers), 1), workers), func(int) struct{} { return struct{}{} })
+	return inc
 }
 
 // score counts the request's candidates against the partition on the

@@ -8,7 +8,6 @@ import (
 
 	"twoview/internal/core"
 	"twoview/internal/itemset"
-	"twoview/internal/pool"
 	"twoview/internal/wire"
 )
 
@@ -21,8 +20,6 @@ import (
 func TestServeRejectsInvalidMessages(t *testing.T) {
 	d := plantedDataset(t, 53)
 	cands := mustCandidates(t, d)
-	rt := pool.NewRuntime()
-	defer rt.Close()
 
 	const part, term = 1, 3
 	hello := func(edit func(*wire.Hello)) *wire.Hello {
@@ -72,7 +69,7 @@ func TestServeRejectsInvalidMessages(t *testing.T) {
 			defer cancel()
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			Serve(ctx, d, cands, c.hello, rt, 2, mailbox, func(m wire.Msg) { sent = append(sent, m) })
+			Serve(ctx, d, cands, c.hello, 2, mailbox, func(m wire.Msg) { sent = append(sent, m) })
 			runtime.ReadMemStats(&after)
 
 			if len(sent) != 1 {
@@ -100,7 +97,7 @@ func TestServeRejectsInvalidMessages(t *testing.T) {
 	go func() {
 		defer close(done)
 		Serve(ctx, d, cands, hello(func(h *wire.Hello) { h.Log = []core.Rule{{X: itemset.New(1), Y: itemset.New(0), Dir: core.Backward}} }),
-			rt, 2, mailbox, func(m wire.Msg) { sent <- m })
+			2, mailbox, func(m wire.Msg) { sent <- m })
 	}()
 	for i, want := range []int{2, 1} {
 		rep, ok := (<-sent).(*wire.Reply)
@@ -110,4 +107,26 @@ func TestServeRejectsInvalidMessages(t *testing.T) {
 	}
 	cancel()
 	<-done
+}
+
+// TestBootCapsWorkers pins the scoring pool's size: min(h.Workers,
+// workers), at least one. h.Workers comes off the network, so a HELLO
+// asking for 1<<20 workers must get the host's cap; uncapped, each
+// scoring phase would start a helper goroutine per task.
+func TestBootCapsWorkers(t *testing.T) {
+	d := plantedDataset(t, 53)
+	cands := mustCandidates(t, d)
+	for _, c := range []struct {
+		asked int32
+		cap   int
+		want  int
+	}{{1 << 20, 1, 1}, {1 << 20, 3, 3}, {2, 8, 2}, {0, 4, 1}, {-5, 4, 1}} {
+		h := &wire.Hello{Part: 0, Term: 1, HiL: 6, HiR: 6, Workers: c.asked}
+		if err := checkHello(d, h); err != nil {
+			t.Fatal(err)
+		}
+		if got := len(boot(d, cands, h, c.cap).scorers.States()); got != c.want {
+			t.Errorf("HELLO Workers %d under cap %d: %d scoring slots, want %d", c.asked, c.cap, got, c.want)
+		}
+	}
 }

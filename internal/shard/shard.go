@@ -146,18 +146,16 @@ type runStats struct {
 }
 
 // run is the per-mining-call context shared by the supervisor and every
-// shard incarnation: the immutable inputs (dataset, candidates)
-// and the private worker runtime all shard scoring phases park on.
+// shard incarnation: the immutable inputs (dataset, candidates).
 type run struct {
 	d     *dataset.Dataset
 	cands []core.Candidate
 	cfg   Config
 	// workers is the resolved per-shard scoring pool size.
 	workers int
-	rt      *pool.Runtime
 	sv      *supervisor
 	// wg tracks every goroutine the run ever spawned, so close can wait
-	// for them all before releasing the worker runtime.
+	// for them all.
 	wg sync.WaitGroup
 
 	// Reused coordinator-side merge scratch: the partitions' count
@@ -189,7 +187,6 @@ func newRun(ctx context.Context, d *dataset.Dataset, cands []core.Candidate, cfg
 		cands:   cands,
 		cfg:     cfg,
 		workers: pool.Size(cfg.Workers, 1<<30),
-		rt:      pool.NewRuntime(),
 	}
 	r.fwdParts = make([][]core.ItemCount, cfg.Shards)
 	r.backParts = make([][]core.ItemCount, cfg.Shards)
@@ -211,12 +208,11 @@ func newRun(ctx context.Context, d *dataset.Dataset, cands []core.Candidate, cfg
 	return r
 }
 
-// close tears the run down: cancel every shard, wait for their
-// goroutines to drain, then release the worker runtime.
+// close tears the run down: cancel every shard and wait for their
+// goroutines to drain.
 func (r *run) close() {
 	r.sv.close()
 	r.wg.Wait()
-	r.rt.Close()
 }
 
 func (r *run) stats() *runStats {

@@ -71,7 +71,7 @@ func (t *localTransport) spawn(part int, term uint64, log []core.Rule) {
 	go func() {
 		defer r.wg.Done()
 		defer cancel()
-		Serve(ctx, r.d, r.cands, hello, r.rt, r.workers, p.mailbox, func(m wire.Msg) {
+		Serve(ctx, r.d, r.cands, hello, r.workers, p.mailbox, func(m wire.Msg) {
 			select {
 			case inbox <- m:
 			case <-ctx.Done(): // replaced: nobody waits for this incarnation

@@ -116,12 +116,11 @@ type (
 	// goes through one internal worker-pool abstraction whose contract
 	// is that results are bit-identical for any worker count.
 	ParallelOptions = core.ParallelOptions
-	// Session owns a persistent worker runtime shared by a whole mining
-	// session (candidate mining plus any number of miner calls); carry
+	// Session carries the scratch buffers a whole mining session
+	// (candidate mining plus any number of miner calls) reuses; carry
 	// it in ParallelOptions.Session and Close it when done. A nil
-	// Session means the shared package-wide runtime, which is also
-	// persistent. Sessions never change results, only where the
-	// parallel phases run.
+	// Session means a package-wide buffer pool. Sessions never change
+	// results, only which buffers the miners reuse.
 	Session = core.Session
 
 	// Metrics are the paper's evaluation criteria for a rule set.
@@ -172,10 +171,10 @@ func WriteDatasetFile(path string, d *Dataset) error { return dataset.WriteFile(
 // concise option literals: ExactOptions{ParallelOptions: Parallel(4)}.
 func Parallel(workers int) ParallelOptions { return core.Parallel(workers) }
 
-// NewSession starts a mining session with its own persistent worker
-// runtime: workers spawn lazily on the first parallel phase, park
-// between phases, and exit on Close. Use one Session for a batch of
-// related mining calls to avoid relaunching goroutines per round.
+// NewSession starts a mining session with an empty scratch free list.
+// Use one Session for a batch of related mining calls so SELECT and
+// GREEDY reuse their working buffers; every parallel phase starts and
+// ends its own goroutines either way.
 func NewSession() *Session { return core.NewSession() }
 
 // MineExact runs TRANSLATOR-EXACT (parameter-free, optimal rule per
