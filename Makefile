@@ -49,12 +49,14 @@ chaos-shard:
 chaos-net:
 	$(GO) test -tags faultinject -race -count=1 -run 'ChaosNet|TCP' ./internal/shard/
 
-# 30-second native-fuzzing smoke on the text readers, the wire decoder
-# and translatord's batch-body decoder, the four parsers of untrusted
-# input (see README, "Fuzzing"). Each target runs separately: `go test
-# -fuzz` accepts a single fuzz target per package invocation.
+# 30-second native-fuzzing smoke on the text readers, the wire decoder,
+# translatord's batch-body decoder and its single-row endpoint, the
+# parsers of untrusted input (see README, "Fuzzing"). Each target runs
+# separately: `go test -fuzz` accepts a single fuzz target per package
+# invocation.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzRowReader -fuzztime=30s ./internal/dataset
 	$(GO) test -fuzz=FuzzReadTable -fuzztime=30s ./internal/core
 	$(GO) test -fuzz=FuzzWireCodec -fuzztime=30s ./internal/wire
 	$(GO) test -fuzz=FuzzBatchRequest -fuzztime=30s ./internal/server
+	$(GO) test -fuzz=FuzzTranslateRequest -fuzztime=30s ./internal/server

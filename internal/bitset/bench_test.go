@@ -6,11 +6,10 @@ import (
 	"testing"
 )
 
-// Kernel microbenchmarks, width-parameterized so both sides of each
-// stripe gate show in one run: words=4 is one stripe (256 bits, the
-// planted datasets' tidset ballpark — below the count/logic gate, so
-// the one-word loop runs), words=256+ is where the stripes engage and
-// must pay off:
+// Kernel microbenchmarks, width-parameterized from one word to 1,024:
+// words=4 is the planted datasets' tidset ballpark, and the weighted
+// sums run their stripes from words=16 up (their gate is 8 words),
+// where the all-zero-stripe skip must pay off on the sparse variants:
 //
 //	go test -run='^$' -bench 'AndCount|IntersectInto' ./internal/bitset/
 var benchWords = []int{1, 4, 16, 64, 256, 1024}

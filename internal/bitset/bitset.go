@@ -3,13 +3,11 @@
 // item rows (one bit per item of a view). All operations are word-wise on
 // 64-bit words; none allocate unless explicitly documented.
 //
-// Every kernel and set operation runs on a shared layer of word cores
-// (see kernels_striped.go). The cores the miners run on long tidsets
-// process 4-word stripes per iteration with a one-word tail above a
-// measured width gate, and run the plain one-word loop below it; the
-// cores no workload runs wide are one-word loops at every width. Every
-// result, including the bit-exact float accumulation order of
-// IntersectIntoSum and WeightedSum, is independent of the path taken.
+// Every count, logic and predicate operation is one word loop at every
+// width. Only the weighted sums behind IntersectIntoSum and WeightedSum
+// are striped, from 8 words up (see kernels_striped.go); their float
+// accumulation order is the same on either path, so every result is
+// bit-identical whichever loop ran.
 package bitset
 
 import (
@@ -100,7 +98,11 @@ func (s *Set) check(i int) {
 
 // Count returns the number of set bits.
 func (s *Set) Count() int {
-	return countWords(s.words)
+	c := 0
+	for _, w := range s.words {
+		c += bits.OnesCount64(w)
+	}
+	return c
 }
 
 // Empty reports whether no bit is set.
@@ -176,25 +178,41 @@ func (s *Set) mustMatch(o *Set) {
 // And sets s = s ∩ o.
 func (s *Set) And(o *Set) {
 	s.mustMatch(o)
-	andWords(s.words, o.words)
+	a := s.words
+	b := o.words[:len(a)]
+	for i := range a {
+		a[i] &= b[i]
+	}
 }
 
 // Or sets s = s ∪ o (set union).
 func (s *Set) Or(o *Set) {
 	s.mustMatch(o)
-	orWords(s.words, o.words)
+	a := s.words
+	b := o.words[:len(a)]
+	for i := range a {
+		a[i] |= b[i]
+	}
 }
 
 // AndNot sets s = s \ o (set subtraction).
 func (s *Set) AndNot(o *Set) {
 	s.mustMatch(o)
-	andNotWords(s.words, o.words)
+	a := s.words
+	b := o.words[:len(a)]
+	for i := range a {
+		a[i] &^= b[i]
+	}
 }
 
 // Xor sets s = s △ o (symmetric difference).
 func (s *Set) Xor(o *Set) {
 	s.mustMatch(o)
-	xorWords(s.words, o.words)
+	a := s.words
+	b := o.words[:len(a)]
+	for i := range a {
+		a[i] ^= b[i]
+	}
 }
 
 // IntersectInto sets dst = a ∩ b, reusing dst's storage. All three must have
@@ -202,7 +220,11 @@ func (s *Set) Xor(o *Set) {
 func IntersectInto(dst, a, b *Set) {
 	a.mustMatch(b)
 	a.mustMatch(dst)
-	intersectWords(dst.words, a.words, b.words)
+	d := dst.words
+	x, y := a.words[:len(d)], b.words[:len(d)]
+	for i := range d {
+		d[i] = x[i] & y[i]
+	}
 }
 
 // IntersectIntoCount sets dst = a ∩ b like IntersectInto and returns
@@ -212,7 +234,15 @@ func IntersectInto(dst, a, b *Set) {
 func IntersectIntoCount(dst, a, b *Set) int {
 	a.mustMatch(b)
 	a.mustMatch(dst)
-	return intersectCountWords(dst.words, a.words, b.words)
+	d := dst.words
+	x, y := a.words[:len(d)], b.words[:len(d)]
+	c := 0
+	for i := range d {
+		w := x[i] & y[i]
+		d[i] = w
+		c += bits.OnesCount64(w)
+	}
+	return c
 }
 
 // Gather projects each src[k] onto the set positions of mask: it
@@ -289,29 +319,30 @@ func WeightedSum(s *Set, w []float64) float64 {
 	return weightedSumWords(s.words, w)
 }
 
-// addWeighted folds w[base+j] into total for every set bit j of word,
-// in ascending bit order, one addition at a time. Shared by the striped
-// and one-word paths so the association is identical by construction.
-func addWeighted(total float64, word uint64, w []float64, base int) float64 {
-	for word != 0 {
-		total += w[base+bits.TrailingZeros64(word)]
-		word &= word - 1
-	}
-	return total
-}
-
 // AndCount returns |a ∩ b| in one fused pass: no temporary set, one
 // popcount per word. It is the kernel behind the columnar cover state's
 // "items that become covered" count.
 func AndCount(a, b *Set) int {
 	a.mustMatch(b)
-	return andCountWords(a.words, b.words)
+	x := a.words
+	y := b.words[:len(x)]
+	c := 0
+	for i, w := range x {
+		c += bits.OnesCount64(w & y[i])
+	}
+	return c
 }
 
 // AndNotCount returns |a \ b| in one fused pass.
 func AndNotCount(a, b *Set) int {
 	a.mustMatch(b)
-	return andNotCountWords(a.words, b.words)
+	x := a.words
+	y := b.words[:len(x)]
+	c := 0
+	for i, w := range x {
+		c += bits.OnesCount64(w &^ y[i])
+	}
+	return c
 }
 
 // AndNotAndNotCount returns |a \ (b ∪ c)| in one fused pass: no
@@ -324,7 +355,13 @@ func AndNotCount(a, b *Set) int {
 func AndNotAndNotCount(a, b, c *Set) int {
 	a.mustMatch(b)
 	a.mustMatch(c)
-	return andNotAndNotCountWords(a.words, b.words, c.words)
+	x := a.words
+	y, z := b.words[:len(x)], c.words[:len(x)]
+	n := 0
+	for i, w := range x {
+		n += bits.OnesCount64(w &^ y[i] &^ z[i])
+	}
+	return n
 }
 
 // AndOrCount returns |a ∩ (b ∪ c)| in one fused pass. It is the kernel
@@ -333,30 +370,57 @@ func AndNotAndNotCount(a, b, c *Set) int {
 func AndOrCount(a, b, c *Set) int {
 	a.mustMatch(b)
 	a.mustMatch(c)
-	return andOrCountWords(a.words, b.words, c.words)
+	x := a.words
+	y, z := b.words[:len(x)], c.words[:len(x)]
+	n := 0
+	for i, w := range x {
+		n += bits.OnesCount64(w & (y[i] | z[i]))
+	}
+	return n
 }
 
 // Equal reports whether s and o contain exactly the same bits. It
-// early-exits on the first differing stripe.
+// early-exits on the first differing word.
 func (s *Set) Equal(o *Set) bool {
 	if s.n != o.n {
 		return false
 	}
-	return equalWords(s.words, o.words)
+	a := s.words
+	b := o.words[:len(a)]
+	for i, w := range a {
+		if w != b[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // SubsetOf reports whether every bit of s is also set in o. It
-// early-exits on the first violating stripe.
+// early-exits on the first violating word.
 func (s *Set) SubsetOf(o *Set) bool {
 	s.mustMatch(o)
-	return subsetWords(s.words, o.words)
+	a := s.words
+	b := o.words[:len(a)]
+	for i, w := range a {
+		if w&^b[i] != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // Intersects reports whether s and o share at least one bit. It
-// early-exits on the first intersecting stripe.
+// early-exits on the first intersecting word.
 func (s *Set) Intersects(o *Set) bool {
 	s.mustMatch(o)
-	return intersectsWords(s.words, o.words)
+	a := s.words
+	b := o.words[:len(a)]
+	for i, w := range a {
+		if w&b[i] != 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // ContainsAll reports whether every index in idx is set, exiting on the

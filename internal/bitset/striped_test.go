@@ -2,14 +2,14 @@ package bitset
 
 // Width-boundary property tests for the kernel layer: every exported
 // kernel must agree with a bit-level reference implementation (written
-// here with per-bit probes, independent of the word cores) on every
-// boundary the striped cores care about — the empty set, single-word
-// widths, the 64-bit word boundaries, the stripe boundary (stripeWords
-// words) ± 1 word, both width gates ± 1, and random large widths. That
-// covers the one-word path below each gate and the striped path with
-// its tail above it, including the trailing-word masking of the
-// `&^`-style kernels and the exact float accumulation order of
-// IntersectIntoSum / WeightedSum.
+// here with per-bit probes, independent of the word loops) on the empty
+// set, single-word widths, the 64-bit word boundaries, the stripe
+// boundary (stripeWords words) ± 1 word, the weighted sums' stripe gate
+// ± 1, and larger widths up to 8965 bits. That covers the one-word path
+// of the weighted sums below their gate and their striped path with its
+// tail above it, the one word loop of every other operation at each of
+// those widths, the trailing-word masking of the `&^`-style kernels and
+// the exact float accumulation order of IntersectIntoSum / WeightedSum.
 
 import (
 	"math/rand"
@@ -18,12 +18,12 @@ import (
 
 // boundaryWidths are the bit widths every kernel property is checked
 // at: 0, 1, the word boundary ±1, the stripe boundary ±1 (in words and
-// in bits), both width gates of the striped cores ±1 (so the one-word
-// fallthrough and the striped path are each exercised on both sides of
-// their crossover), and a couple of larger random-ish widths.
+// in bits), the weighted sums' stripe gate ±1 (so their one-word
+// fallthrough and striped path are each exercised on both sides of the
+// crossover), and larger widths with partial trailing words, up to
+// 8965 = 8192 + 3·256 + 5 bits.
 func boundaryWidths() []int {
 	stripeBits := stripeWords * wordBits
-	minBits := stripeMinWords * wordBits
 	minSumBits := stripeMinSumWords * wordBits
 	widths := []int{
 		0, 1, 63, 64, 65, 255, 256, 257,
@@ -31,10 +31,10 @@ func boundaryWidths() []int {
 		(stripeWords-1)*wordBits + 1, // one word short of a stripe, partial
 		(stripeWords+1)*wordBits - 1, // one word past a stripe, partial
 		2*stripeBits + 7,
-		minBits - 1, minBits, minBits + 1, minBits + 7,
+		8191, 8192, 8193, 8199,
 		minSumBits - 1, minSumBits, minSumBits + 1,
 		1000, 4096, 4099,
-		minBits + 3*stripeBits + 5, // deep in the striped path, partial tail
+		8965,
 	}
 	// Dedup while preserving order; stripe widths may collide with the
 	// fixed entries (with stripeWords=4, stripeBits=256 already listed).
@@ -258,9 +258,9 @@ func TestKernelsTrailingWordMasking(t *testing.T) {
 // SubsetOf, ContainsAll and Intersects in the first word, in the last
 // word of the last full stripe and in the last word, at every boundary
 // width. The random fills of TestKernelsMatchBitReference almost never
-// leave a single deciding bit in a stripe's last lane or in the tail,
-// which is where an early exit that folds a stripe's lanes, or a tail
-// loop with a wrong bound, would miss it.
+// leave a single deciding bit in one chosen word, which is where an
+// early exit that skips words, or a loop with a wrong bound, would miss
+// it.
 func TestPredicatesDecideOnOneBit(t *testing.T) {
 	places := []struct {
 		name string

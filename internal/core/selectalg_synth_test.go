@@ -9,8 +9,7 @@ import (
 )
 
 // The SELECT scoring cache against the uncached scorer on paper-profile
-// data: a narrow profile (15-word tidsets) and one wider than 128 words,
-// so both the one-word and the striped popcount paths run.
+// data: a narrow profile (15-word tidsets) and one wider than 128 words.
 func TestSelectCacheMatchesUncachedScoringOnProfiles(t *testing.T) {
 	for _, tc := range []struct {
 		profile  string

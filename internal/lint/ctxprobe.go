@@ -51,9 +51,9 @@ var poolPhaseFuncs = map[string]bool{
 	"Run": true, "RunCtx": true, "RunErrCtx": true, "ForChunksCtx": true,
 }
 
-// kernelFuncs are the fused word-loop kernels of internal/bitset (the
-// striped-core entry points of kernels_striped.go, and Gather); a loop
-// over kernel calls is a gain/update hot path.
+// kernelFuncs are the fused tidset-wide word loops of internal/bitset
+// (its count, intersection and weighted-sum kernels, and Gather); a
+// loop over kernel calls is a gain/update hot path.
 var kernelFuncs = map[string]bool{
 	"AndCount": true, "AndNotCount": true, "AndNotAndNotCount": true, "AndOrCount": true, "Gather": true,
 	"IntersectInto": true, "IntersectIntoCount": true, "IntersectIntoSum": true, "WeightedSum": true,

@@ -6,7 +6,8 @@ import (
 )
 
 // Scratchescape guards the pooled-scratch contract shared by
-// core.Session.scratchPool, the Translator's sync.Pool scratch and any
+// core.ParallelOptions.getScratch (a Session's free list, or
+// defaultScratchPool without one), core.Translator.getScratch and any
 // future pool: a value borrowed from a pool is valid only until the
 // matching Put, so storing it into a struct field, a composite
 // literal, a package variable, or returning it hands callers a buffer

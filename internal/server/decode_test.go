@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -88,6 +89,38 @@ func FuzzBatchRequest(f *testing.F) {
 			// errTooManyRows here is an earlier, replaced rows value
 			// over the limit.
 			t.Fatalf("limit %d: got %+v, %v; Decode gave %+v", small, got, err, want)
+		}
+	})
+}
+
+// FuzzTranslateRequest posts a fuzzed body with a fuzzed X-Deadline-Ms
+// header to POST /translate through the full handler chain. Whatever
+// arrives, the status is never 500 (contain turns a handler panic into
+// one), the response body is JSON, and a header that parses to at
+// least one second never times the request out.
+func FuzzTranslateRequest(f *testing.F) {
+	f.Add(`{"from":"L","items":[0,2,5]}`, "")
+	f.Add(`{"from":"X","items":[0]}`, "500")
+	f.Add(`{"from":"R","items":[1000000]}`, "")
+	f.Add(`{"from":"L","items":[0]}`, "9223372036854775807")
+	f.Add(`{"from":"L","items":[0]}`, "9300000000000")
+	tr, _ := serveFixture(f, 44)
+	h := New(tr, Options{}).Handler()
+	f.Fuzz(func(t *testing.T, body, deadline string) {
+		req := httptest.NewRequest(http.MethodPost, "/translate", strings.NewReader(body))
+		if deadline != "" {
+			req.Header.Set("X-Deadline-Ms", deadline)
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code == http.StatusInternalServerError {
+			t.Fatalf("status 500: %s", rec.Body)
+		}
+		if !json.Valid(rec.Body.Bytes()) {
+			t.Fatalf("status %d, body not JSON: %q", rec.Code, rec.Body)
+		}
+		if ms, err := strconv.ParseInt(deadline, 10, 64); err == nil && ms >= 1000 && rec.Code == http.StatusGatewayTimeout {
+			t.Fatalf("X-Deadline-Ms=%s timed out: %s", deadline, rec.Body)
 		}
 	})
 }

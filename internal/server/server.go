@@ -234,7 +234,9 @@ func (s *Server) gated(h http.HandlerFunc) http.HandlerFunc {
 }
 
 // deadlined runs the handler under the per-request deadline: the server
-// default, or the client's X-Deadline-Ms capped at MaxDeadline.
+// default, or the client's X-Deadline-Ms capped at MaxDeadline. The cap
+// is taken in milliseconds before converting, since the conversion
+// overflows a Duration for headers above about 9.2e12.
 func (s *Server) deadlined(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		d := s.opts.DefaultDeadline
@@ -244,7 +246,10 @@ func (s *Server) deadlined(h http.HandlerFunc) http.HandlerFunc {
 				writeError(w, http.StatusBadRequest, "X-Deadline-Ms must be a positive integer")
 				return
 			}
-			d = min(time.Duration(ms)*time.Millisecond, s.opts.MaxDeadline)
+			d = s.opts.MaxDeadline
+			if ms <= d.Milliseconds() {
+				d = time.Duration(ms) * time.Millisecond
+			}
 		}
 		ctx, cancel := context.WithTimeout(r.Context(), d)
 		defer cancel()

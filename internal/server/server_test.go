@@ -250,12 +250,15 @@ func TestServingRequestValidation(t *testing.T) {
 				t.Fatalf("X-Deadline-Ms=%q: status %d: %s", hdr, code, body)
 			}
 		}
-		// A valid header is accepted (capped server-side).
-		code, body, _ := postJSON(t, ts.URL+"/translate",
-			map[string]any{"from": "L", "items": []int{0}},
-			map[string]string{"X-Deadline-Ms": "600000"})
-		if code != http.StatusOK {
-			t.Fatalf("valid deadline: status %d: %s", code, body)
+		// A valid header is accepted (capped server-side), including
+		// ones whose conversion to a Duration would overflow.
+		for _, hdr := range []string{"600000", "9223372036854775807", "9300000000000"} {
+			code, body, _ := postJSON(t, ts.URL+"/translate",
+				map[string]any{"from": "L", "items": []int{0}},
+				map[string]string{"X-Deadline-Ms": hdr})
+			if code != http.StatusOK {
+				t.Fatalf("valid deadline %s: status %d: %s", hdr, code, body)
+			}
 		}
 	})
 	t.Run("wrong method", func(t *testing.T) {
