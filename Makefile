@@ -50,10 +50,10 @@ chaos-net:
 	$(GO) test -tags faultinject -race -count=1 -run 'ChaosNet|TCP' ./internal/shard/
 
 # 30-second native-fuzzing smoke on the text readers, the wire decoder,
-# translatord's batch-body decoder and its single-row endpoint, the
-# parsers of untrusted input (see README, "Fuzzing"). Each target runs
-# separately: `go test -fuzz` accepts a single fuzz target per package
-# invocation.
+# translatord's body decoders (both request shapes, against
+# encoding/json) and its single-row endpoint, the parsers of untrusted
+# input (see README, "Fuzzing"). Each target runs separately: `go test
+# -fuzz` accepts a single fuzz target per package invocation.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzRowReader -fuzztime=30s ./internal/dataset
 	$(GO) test -fuzz=FuzzReadTable -fuzztime=30s ./internal/core

@@ -29,7 +29,9 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -45,21 +47,53 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("translatord: ")
 
-	var (
-		data        = flag.String("data", "", "two-view dataset file the table was mined from (required)")
-		table       = flag.String("table", "", "stored translation table file (required)")
-		addr        = flag.String("addr", ":8117", "listen address")
-		deadline    = flag.Duration("deadline", 2*time.Second, "default per-request deadline")
-		maxDeadline = flag.Duration("max-deadline", 10*time.Second, "cap on client-requested deadlines (X-Deadline-Ms)")
-		maxInFlight = flag.Int("max-inflight", 64, "concurrent translate-request budget before shedding")
-		queueWait   = flag.Duration("queue-wait", 100*time.Millisecond, "max wait for an in-flight slot before 429")
-		maxBatch    = flag.Int("max-batch", 8192, "max rows per batch request")
-		drain       = flag.Duration("drain", 15*time.Second, "graceful shutdown drain deadline")
-	)
-	flag.Parse()
-	if *data == "" || *table == "" {
-		flag.Usage()
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	go func() {
+		<-ctx.Done()
+		stop() // a second signal now kills the process the default way
+	}()
+	err := run(ctx, os.Args[1:], os.Stderr, nil)
+	switch {
+	case errors.Is(err, flag.ErrHelp):
+		os.Exit(0)
+	case errors.Is(err, errUsage):
 		os.Exit(2)
+	case err != nil:
+		log.Fatal(err)
+	}
+}
+
+// errUsage is run's verdict on a command line it could not use; the
+// usage message is already printed.
+var errUsage = errors.New("usage")
+
+// run serves until ctx is done, then drains. Logs and the usage
+// message go to logw; listening, if not nil, learns the bound address
+// once the listener is open.
+func run(ctx context.Context, args []string, logw io.Writer, listening func(net.Addr)) error {
+	logger := log.New(logw, "translatord: ", 0)
+	fs := flag.NewFlagSet("translatord", flag.ContinueOnError)
+	fs.SetOutput(logw)
+	var (
+		data        = fs.String("data", "", "two-view dataset file the table was mined from (required)")
+		table       = fs.String("table", "", "stored translation table file (required)")
+		addr        = fs.String("addr", ":8117", "listen address")
+		deadline    = fs.Duration("deadline", 2*time.Second, "default per-request deadline")
+		maxDeadline = fs.Duration("max-deadline", 10*time.Second, "cap on client-requested deadlines (X-Deadline-Ms)")
+		maxInFlight = fs.Int("max-inflight", 64, "concurrent translate-request budget before shedding")
+		queueWait   = fs.Duration("queue-wait", 100*time.Millisecond, "max wait for an in-flight slot before 429")
+		maxBatch    = fs.Int("max-batch", 8192, "max rows per batch request")
+		drain       = fs.Duration("drain", 15*time.Second, "graceful shutdown drain deadline")
+	)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return err
+		}
+		return errUsage
+	}
+	if *data == "" || *table == "" {
+		fs.Usage()
+		return errUsage
 	}
 
 	compile := func() (*core.Translator, error) {
@@ -75,7 +109,7 @@ func main() {
 	}
 	tr, err := compile()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	srv := server.New(tr, server.Options{
@@ -87,30 +121,32 @@ func main() {
 		// POST /reload re-reads both files: a freshly mined table (or a
 		// regenerated dataset vocabulary) goes live without a restart.
 		Reload: func(context.Context) (*core.Translator, error) { return compile() },
-		Log:    log.Default(), // already carries the translatord: prefix
+		Log:    logger,
 	})
 
 	httpSrv := &http.Server{
-		Addr:              *addr,
 		Handler:           srv.Handler(),
 		ReadHeaderTimeout: 5 * time.Second,
 	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		return err
+	}
+	if listening != nil {
+		listening(ln.Addr())
+	}
 
 	errc := make(chan error, 1)
-	go func() { errc <- httpSrv.ListenAndServe() }()
-	log.Printf("serving %d rules on %s (epoch %d)", tr.Rules(), *addr, srv.Epoch())
+	go func() { errc <- httpSrv.Serve(ln) }()
+	logger.Printf("serving %d rules on %s (epoch %d)", tr.Rules(), *addr, srv.Epoch())
 
 	select {
 	case err := <-errc:
-		// The listener died on its own (port in use, ...): nothing to drain.
-		log.Fatal(err)
+		// The listener died on its own: nothing to drain.
+		return err
 	case <-ctx.Done():
 	}
-	stop() // second signal now kills the process the default way
-	log.Printf("signal received; draining for up to %v (second signal kills)", *drain)
+	logger.Printf("signal received; draining for up to %v (second signal kills)", *drain)
 
 	srv.BeginShutdown()
 	drainCtx, cancel := context.WithTimeout(context.Background(), *drain)
@@ -118,7 +154,8 @@ func main() {
 	cancel()
 	if err != nil && !errors.Is(err, http.ErrServerClosed) {
 		httpSrv.Close()
-		log.Fatal(fmt.Errorf("drain incomplete: %w", err))
+		return fmt.Errorf("drain incomplete: %w", err)
 	}
-	log.Print("drained; bye")
+	logger.Print("drained; bye")
+	return nil
 }

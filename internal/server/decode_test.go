@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -44,11 +45,11 @@ func sameBatch(a, b batchRequest) bool {
 	return a.From == b.From && slices.EqualFunc(a.Rows, b.Rows, slices.Equal[[]int])
 }
 
-// FuzzBatchRequest: batchRequest.decode is a drop-in for
-// json.NewDecoder(body).Decode(&batchRequest{}). Wherever Decode
-// succeeds within the row limit, decode yields the same request; a
-// body Decode rejects, decode rejects too; and under a small limit
-// every longer batch is shed with errTooManyRows.
+// FuzzBatchRequest: the request decoders are drop-ins for
+// json.NewDecoder(body).Decode on both request shapes. Wherever Decode
+// succeeds (within the row limit, for a batch), the decoder yields the
+// same request; a body Decode rejects, the decoder rejects too; and
+// under a small limit every longer batch is shed with errTooManyRows.
 func FuzzBatchRequest(f *testing.F) {
 	f.Add(`{"from":"L","rows":[[0,1],[2]]}`)
 	f.Add(`{"FROM":"R","Rows":[[3]],"fRoM":"L"}`)
@@ -64,12 +65,34 @@ func FuzzBatchRequest(f *testing.F) {
 	f.Add(`{"from":1}`)
 	f.Add(`[{"from":"L"}]`)
 	f.Add(`{"from":"L",`)
+	// Depth counts from the body: the object plus 10,000 arrays is one
+	// level too deep, and one array fewer is at the limit.
+	for _, n := range []int{10000, 9999} {
+		f.Add(`{"from":"L","x":` + strings.Repeat("[", n) + strings.Repeat("]", n) + `,"rows":[[1]]}`)
+	}
+	f.Add(`{"\u0066rom":"L","items":[1],"rows":[[1]]}`)
+	f.Add(`{"from":"L","ITEMſ":[1],"rowſ":[[2]]}`) // U+017F folds to s
+	f.Add(`{"from":"L","items":[1],"rows":[[1]],"from":null}`)
+	for _, n := range []string{"-0", "1e2", "1.0", "01", "9223372036854775808", "-9223372036854775808"} {
+		f.Add(`{"from":"L","items":[` + n + `],"rows":[[` + n + `]]}`)
+	}
+	f.Add(`{"from":"L","rows":[1]}`)
+	f.Add(`{"from":"L","items":[[1]]}`)
+	f.Add("{\"from\":\"L\x1f\",\"items\":[1]}")
+	f.Add("{\"from\":\"L\xff\",\"items\":[1]}")
+	f.Add(`{"from":"L","items":[1,2`)
+	f.Add(`{"from":"L","items":[1]}{"from":"R"}`)
+	// A null element keeps what the slice being decoded into holds.
+	f.Add(`{"items":[1,2,3],"items":[4],"items":[null,null],"rows":[[1,2],[3]],"rows":[[5]],"rows":[[null,null],[null]]}`)
+	f.Add(`{"items":[1],"items":[],"items":[null],"rows":[[1,2]],"rows":[],"rows":[[null]]}`) // [] drops the old array
 	limit := Options{}.withDefaults().MaxBatchRows
 	f.Fuzz(func(t *testing.T, body string) {
 		var want batchRequest
 		wantErr := json.NewDecoder(strings.NewReader(body)).Decode(&want)
+		d := getScratch(strings.NewReader(body))
+		defer putScratch(d)
 		var got batchRequest
-		err := got.decode(json.NewDecoder(strings.NewReader(body)), limit)
+		err := got.decode(d, limit)
 		switch {
 		case wantErr != nil && err == nil:
 			t.Fatalf("accepted a body Decode rejects (%v): %+v", wantErr, got)
@@ -78,8 +101,10 @@ func FuzzBatchRequest(f *testing.F) {
 		}
 
 		const small = 2
+		d = getScratch(strings.NewReader(body))
+		defer putScratch(d)
 		got = batchRequest{}
-		err = got.decode(json.NewDecoder(strings.NewReader(body)), small)
+		err = got.decode(d, small)
 		switch {
 		case wantErr != nil && err == nil:
 			t.Fatalf("limit %d: accepted a body Decode rejects (%v): %+v", small, wantErr, got)
@@ -90,7 +115,61 @@ func FuzzBatchRequest(f *testing.F) {
 			// over the limit.
 			t.Fatalf("limit %d: got %+v, %v; Decode gave %+v", small, got, err, want)
 		}
+
+		var wantOne translateRequest
+		wantErr = json.NewDecoder(strings.NewReader(body)).Decode(&wantOne)
+		d = getScratch(strings.NewReader(body))
+		defer putScratch(d)
+		var one translateRequest
+		err = one.decode(d)
+		switch {
+		case wantErr != nil && err == nil:
+			t.Fatalf("translate: accepted a body Decode rejects (%v): %+v", wantErr, one)
+		case wantErr == nil && (err != nil || one.From != wantOne.From || !slices.Equal(one.Items, wantOne.Items)):
+			t.Fatalf("translate: got %+v, %v; Decode gave %+v", one, err, wantOne)
+		}
 	})
+}
+
+// The response bodies are json.Encoder's bytes, trailing newline
+// included, with nil lists written as [].
+func TestResponseBodiesMatchEncoder(t *testing.T) {
+	long := make([]int, 3000)
+	for i := range long {
+		long[i] = i * 7919
+	}
+	lists := [][]int{nil, {}, long, {0, -1, math.MaxInt, math.MinInt, 1 << 53}}
+	orEmpty := func(ids []int) []int {
+		if ids == nil {
+			return []int{}
+		}
+		return ids
+	}
+	encode := func(v any) string {
+		var buf bytes.Buffer
+		if err := json.NewEncoder(&buf).Encode(v); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
+	}
+	for _, epoch := range []uint64{0, 1, math.MaxUint64} {
+		for _, ids := range lists {
+			got := string(translateResponse{Items: ids, Epoch: epoch}.appendJSON(nil))
+			if want := encode(translateResponse{Items: orEmpty(ids), Epoch: epoch}); got != want {
+				t.Fatalf("translate %d ids, epoch %d:\n got %.80q\nwant %.80q", len(ids), epoch, got, want)
+			}
+		}
+		for _, rows := range [][][]int{nil, {}, {nil}, lists, {long, long, {}, nil, {7}}} {
+			norm := [][]int{}
+			for _, ids := range rows {
+				norm = append(norm, orEmpty(ids))
+			}
+			got := string(batchResponse{Rows: rows, Epoch: epoch}.appendJSON(nil))
+			if want := encode(batchResponse{Rows: norm, Epoch: epoch}); got != want {
+				t.Fatalf("batch of %d rows, epoch %d:\n got %.80q\nwant %.80q", len(rows), epoch, got, want)
+			}
+		}
+	}
 }
 
 // FuzzTranslateRequest posts a fuzzed body with a fuzzed X-Deadline-Ms

@@ -12,7 +12,9 @@ import (
 	"testing"
 	"time"
 
+	"twoview/internal/core"
 	"twoview/internal/dataset"
+	"twoview/internal/synth"
 )
 
 // BenchmarkTranslatordLoad is the daemon's closed-loop load harness:
@@ -104,3 +106,64 @@ func BenchmarkTranslatordLoad(b *testing.B) {
 		b.ReportMetric(float64(p99.Microseconds())/1000, "p99-ms")
 	}
 }
+
+// BenchmarkServeCodec times the HTTP decode, match and encode layers of
+// one translate request without the network: a body shaped like
+// perfbench's serve traffic (left-view rows of synth's adult profile,
+// translated by its planted rules) goes through Handler into an
+// in-memory response writer. "batch" posts a 64-row body to
+// /translate/batch, "single" a one-row body to /translate.
+func BenchmarkServeCodec(b *testing.B) {
+	p, err := synth.ProfileByName("adult")
+	if err != nil {
+		b.Fatal(err)
+	}
+	d, rules, err := synth.Generate(p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	tr, err := core.CompileTranslator(d, &core.Table{Rules: rules})
+	if err != nil {
+		b.Fatal(err)
+	}
+	h := New(tr, Options{}).Handler()
+	rows := make([][]int, 64)
+	for i := range rows {
+		rows[i] = d.Row(dataset.Left, i*d.Size()/len(rows)).Indices()
+	}
+	for _, bc := range []struct {
+		name, path string
+		body       map[string]any
+	}{
+		{"batch", "/translate/batch", map[string]any{"from": "L", "rows": rows}},
+		{"single", "/translate", map[string]any{"from": "L", "items": rows[0]}},
+	} {
+		body, err := json.Marshal(bc.body)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(bc.name, func(b *testing.B) {
+			rd := bytes.NewReader(body)
+			req := httptest.NewRequest(http.MethodPost, bc.path, io.NopCloser(rd))
+			w := &discardWriter{header: http.Header{}}
+			b.ReportAllocs()
+			for b.Loop() {
+				rd.Reset(body)
+				h.ServeHTTP(w, req)
+				if w.status != http.StatusOK {
+					b.Fatalf("status %d", w.status)
+				}
+			}
+		})
+	}
+}
+
+// discardWriter is an http.ResponseWriter that keeps only the status.
+type discardWriter struct {
+	header http.Header
+	status int
+}
+
+func (w *discardWriter) Header() http.Header         { return w.header }
+func (w *discardWriter) WriteHeader(status int)      { w.status = status }
+func (w *discardWriter) Write(p []byte) (int, error) { return len(p), nil }

@@ -35,6 +35,15 @@
 //	GET  /readyz           readiness         503 until loaded / while draining
 //	POST /reload           zero-downtime table swap (single-flight)
 //
+// The translate bodies are streamed: the request body is parsed through
+// a small fixed buffer straight into the request (codec.go), accepting
+// exactly what json.NewDecoder(body).Decode accepts and decoding it to
+// the same values, and the response is appended with strconv into one
+// buffer whose bytes are json.Encoder's. A body is bounded by
+// MaxBodyBytes, by encoding/json's nesting depth of 10,000 counted from
+// the body, and, for a batch, by MaxBatchRows, which sheds the request
+// with 413 at row MaxBatchRows+1 while the body is still being read.
+//
 // The chaos suite (-tags faultinject, see internal/fault) drives the
 // failure paths deterministically: handler panics, slow handlers
 // blowing deadlines, reload compiles failing or racing live batches.
@@ -48,7 +57,6 @@ import (
 	"log"
 	"net/http"
 	"strconv"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -260,8 +268,10 @@ func (s *Server) deadlined(h http.HandlerFunc) http.HandlerFunc {
 // ---- handlers ----
 
 func (s *Server) handleTranslate(w http.ResponseWriter, r *http.Request) {
+	d := getScratch(http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes))
+	defer putScratch(d)
 	var req translateRequest
-	if !s.decodeJSON(w, r, func(dec *json.Decoder) error { return dec.Decode(&req) }) {
+	if !s.bodyOK(w, req.decode(d)) {
 		return
 	}
 	from, ok := parseView(w, req.From)
@@ -282,15 +292,14 @@ func (s *Server) handleTranslate(w http.ResponseWriter, r *http.Request) {
 	if deadlineBlown(w, r.Context()) {
 		return
 	}
-	if ids == nil {
-		ids = []int{}
-	}
-	writeJSON(w, http.StatusOK, translateResponse{Items: ids, Epoch: e.Epoch()})
+	writeOK(w, translateResponse{Items: ids, Epoch: e.Epoch()}.appendJSON(make([]byte, 0, 64)))
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
+	d := getScratch(http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes))
+	defer putScratch(d)
 	var req batchRequest
-	if !s.decodeJSON(w, r, func(dec *json.Decoder) error { return req.decode(dec, s.opts.MaxBatchRows) }) {
+	if !s.bodyOK(w, req.decode(d, s.opts.MaxBatchRows)) {
 		return
 	}
 	from, ok := parseView(w, req.From)
@@ -317,12 +326,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if deadlineBlown(w, r.Context()) {
 		return
 	}
-	for i, row := range rows {
-		if row == nil {
-			rows[i] = []int{}
-		}
-	}
-	writeJSON(w, http.StatusOK, batchResponse{Rows: rows, Epoch: e.Epoch()})
+	writeOK(w, batchResponse{Rows: rows, Epoch: e.Epoch()}.appendJSON(make([]byte, 0, 1024)))
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
@@ -400,13 +404,10 @@ func deadlineBlown(w http.ResponseWriter, ctx context.Context) bool {
 	return false
 }
 
-// decodeJSON runs decode over the size-capped request body, answering
+// bodyOK reports whether the request body decoded; otherwise it answers
 // 413 for a body over MaxBodyBytes or a batch over MaxBatchRows and 400
-// for any other decode error; the false return means the response is
-// already written.
-func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, decode func(*json.Decoder) error) bool {
-	body := http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes)
-	err := decode(json.NewDecoder(body))
+// for any other decode error.
+func (s *Server) bodyOK(w http.ResponseWriter, err error) bool {
 	var tooLarge *http.MaxBytesError
 	switch {
 	case err == nil:
@@ -421,75 +422,6 @@ func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, decode func(
 		writeError(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
 	}
 	return false
-}
-
-// errTooManyRows is batchRequest.decode's verdict on a rows array longer than
-// the row limit.
-var errTooManyRows = errors.New("too many rows")
-
-// decode decodes one batch request into the zero req as dec.Decode(req)
-// would (keys matched case-insensitively in any order, unknown keys
-// skipped, a repeated key's last value winning, null rows meaning none),
-// but it reads the rows one at a time and stops with errTooManyRows at
-// row maxRows+1. So an oversized rows array sheds the request even when
-// a later repeated "rows" key would replace it, and the nesting-depth
-// limit counts from each value rather than from the body.
-func (req *batchRequest) decode(dec *json.Decoder, maxRows int) error {
-	tok, err := dec.Token()
-	if err != nil || tok == nil { // a null body leaves req zero, as Decode does
-		return err
-	}
-	if tok != json.Delim('{') {
-		return fmt.Errorf("batch body is %v, not an object", tok)
-	}
-	for dec.More() {
-		tok, err := dec.Token()
-		if err != nil {
-			return err
-		}
-		// In key position Token returns a string or fails.
-		key, _ := tok.(string)
-		switch {
-		case strings.EqualFold(key, "from"):
-			err = dec.Decode(&req.From)
-		case strings.EqualFold(key, "rows"):
-			req.Rows, err = decodeRows(dec, maxRows)
-		default:
-			var skip json.RawMessage
-			err = dec.Decode(&skip)
-		}
-		if err != nil {
-			return err
-		}
-	}
-	_, err = dec.Token() // the closing '}'
-	return err
-}
-
-// decodeRows decodes a rows value (an array of item-id arrays, or
-// null), failing with errTooManyRows at row maxRows+1.
-func decodeRows(dec *json.Decoder, maxRows int) ([][]int, error) {
-	tok, err := dec.Token()
-	if err != nil || tok == nil {
-		return nil, err
-	}
-	if tok != json.Delim('[') {
-		return nil, fmt.Errorf("rows is %v, not an array", tok)
-	}
-	rows := [][]int{}
-	for dec.More() {
-		if len(rows) == maxRows {
-			return nil, errTooManyRows
-		}
-		// Decoding in place keeps the row's slice header in rows'
-		// backing array instead of a fresh allocation per row.
-		rows = append(rows, nil)
-		if err := dec.Decode(&rows[len(rows)-1]); err != nil {
-			return nil, err
-		}
-	}
-	_, err = dec.Token() // the closing ']'
-	return rows, err
 }
 
 // parseView resolves the wire name of a view ("L"/"R", case-insensitive
