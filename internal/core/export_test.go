@@ -1,6 +1,10 @@
 package core
 
-import "context"
+import (
+	"context"
+
+	"twoview/internal/dataset"
+)
 
 // CheckSelectAgainstOracle exposes checkSelectAgainstOracle to the
 // external tests of this package, which can import internal/synth
@@ -22,4 +26,14 @@ func BuildCoverIndex(ctx context.Context, c Cover) error {
 func DropIndexLayout(cands []Candidate) {
 	ix := cands[0].ix
 	ix.cells, ix.cellOf, ix.cellOff = nil, nil, nil
+}
+
+// GreedyOrder returns the indices of d's candidates in GREEDY's order.
+func GreedyOrder(d *dataset.Dataset, cands []Candidate) []int {
+	keys, _ := greedyOrder(d, cands, nil, nil)
+	order := make([]int, len(keys))
+	for i, ci := range keys {
+		order[i] = int(ci)
+	}
+	return order
 }

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"context"
+	"math/bits"
 	"slices"
 
 	"twoview/internal/dataset"
@@ -87,28 +89,10 @@ func MineGreedyOn(ctx context.Context, c Cover, d *dataset.Dataset, cands []Cand
 	res := &Result{Totals: NewCoverTotals(d, coder)}
 	var table Table
 
-	// Order: length desc, then support desc, then deterministic. The
-	// order, the qub verdicts and the window buffers come from the
-	// session's scratch pool, so repeated greedy passes allocate nothing
-	// here.
+	// The order, qub verdicts and window buffers come from the session's
+	// scratch pool: repeated greedy passes allocate nothing here.
 	scr := opt.getScratch()
-	order := slices.Grow(scr.order[:0], len(cands))[:len(cands)]
-	for i := range order {
-		order[i] = i
-	}
-	slices.SortFunc(order, func(a, b int) int {
-		ca, cb := &cands[a], &cands[b]
-		la, lb := len(ca.X)+len(ca.Y), len(cb.X)+len(cb.Y)
-		if la != lb {
-			return lb - la
-		}
-		if ca.Supp != cb.Supp {
-			return cb.Supp - ca.Supp
-		}
-		ra := Rule{X: ca.X, Y: ca.Y}
-		rb := Rule{X: cb.X, Y: cb.Y}
-		return ra.Compare(rb)
-	})
+	order, prefix := greedyOrder(d, cands, scr.order, scr.prefix)
 	// The state-free qub verdict of every candidate, once for the run.
 	ok := qubVerdicts(coder, c, d, cands, scr.qubOK)
 
@@ -184,10 +168,52 @@ func MineGreedyOn(ctx context.Context, c Cover, d *dataset.Dataset, cands []Cand
 		}
 		pos = next
 	}
-	scr.order, scr.qubOK, scr.idx, scr.delta, scr.views = order, ok, idx, delta, views
+	scr.order, scr.prefix, scr.qubOK, scr.idx, scr.delta, scr.views = order, prefix, ok, idx, delta, views
 	opt.putScratch(scr)
 	res.Table = table.clipped()
 	return res, err
+}
+
+// greedyOrder returns cands' indices in GREEDY's order (length, then
+// support descending, then Rule.Compare), reusing keys and prefix. It
+// sorts packed (length, support, index) keys, then each run of equal
+// length and support by prefix, the first w-bit fields of (|X|, X, Y).
+func greedyOrder(d *dataset.Dataset, cands []Candidate, keys, prefix []uint64) ([]uint64, []uint64) {
+	ib, sb, w := bits.Len(uint(len(cands))), bits.Len(uint(d.Size())), bits.Len(uint(max(d.Items(dataset.Left), d.Items(dataset.Right))))
+	mask := ^uint64(0) // if the three need over 64 bits, all of cands is one run
+	if bits.Len(uint(d.Items(dataset.Left)+d.Items(dataset.Right)))+sb+ib <= 64 {
+		mask = 1<<ib - 1
+	}
+	keys, prefix = keys[:0], prefix[:0]
+	for ci := range cands {
+		cd, shift := &cands[ci], 64-w
+		keys = append(keys, uint64(ci)|^mask&^(uint64(len(cd.X)+len(cd.Y))<<(sb+ib)|uint64(cd.Supp)<<ib))
+		prefix = append(prefix, uint64(len(cd.X))<<shift)
+		for _, items := range [2][]int{cd.X, cd.Y} {
+			for _, it := range items {
+				if shift -= w; shift >= 0 {
+					prefix[ci] |= uint64(it) << shift
+				}
+			}
+		}
+	}
+	slices.Sort(keys) // the complements: length and support descending
+	for i, j := 0, 0; i < len(keys); i = j {
+		for j = i + 1; j < len(keys) && keys[j]&^mask == keys[i]&^mask; j++ {
+		}
+		slices.SortFunc(keys[i:j], func(a, b uint64) int {
+			if pa, pb := prefix[a&mask], prefix[b&mask]; pa != pb && mask != ^uint64(0) {
+				return cmp.Compare(pa, pb)
+			}
+			ca, cb := &cands[a&mask], &cands[b&mask]
+			return cmp.Or(cmp.Compare(len(cb.X)+len(cb.Y), len(ca.X)+len(ca.Y)), cmp.Compare(cb.Supp, ca.Supp),
+				Rule{X: ca.X, Y: ca.Y}.Compare(Rule{X: cb.X, Y: cb.Y}))
+		})
+	}
+	for i := range keys {
+		keys[i] &= mask
+	}
+	return keys, prefix
 }
 
 // bestOfThree is the single-pass filter's per-candidate verdict: the best

@@ -50,12 +50,13 @@ type Result struct {
 // reads a count. TestWorkBudget gates the counts against the budgets in
 // testdata/work.json.
 type Work struct {
-	// SELECT: scoring rounds, and the (slot, item) pairs the driver asks
-	// the cover to recount: per round, the consequent items its Score
-	// mask marks of each slot in its batch (the stale slots whose bound
-	// reaches the round's k-th best gain).
+	// SELECT: scoring rounds, the (slot, item) pairs the driver asks
+	// the cover to recount (per round, the consequent items its Score
+	// mask marks of each slot in its batch: the stale slots whose bound
+	// reaches the round's k-th best gain), and the bounds it refolds.
 	Rounds   int64 `json:"rounds,omitempty"`
 	Recounts int64 `json:"recounts,omitempty"`
+	Refolds  int64 `json:"refolds,omitempty"`
 	// GREEDY: speculation windows, and the candidates scored in them.
 	Windows int64 `json:"windows,omitempty"`
 	Scored  int64 `json:"scored,omitempty"`

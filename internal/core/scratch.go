@@ -18,15 +18,16 @@ import (
 // sizes the qub verdicts read, the memo layout and its counts) is not
 // scratch: it lives in the candidates' candIndex.
 type miningScratch struct {
-	cache selectCache // SELECT: incremental scoring state
-	top   topRules    // SELECT: the round's k best rules
-	usedL bitset.Set  // SELECT: items used this round, left view
-	usedR bitset.Set  // SELECT: items used this round, right view
-	qubOK []bool      // per-candidate qub verdicts, from the index's sizes
-	order []int       // GREEDY: candidate order
-	idx   []int32     // GREEDY: the window's qub survivors
-	delta []int32     // GREEDY: the window's cover deltas
-	views [][]int32   // GREEDY: per-survivor slices of delta
+	cache  selectCache // SELECT: incremental scoring state
+	top    topRules    // SELECT: the round's k best rules
+	usedL  bitset.Set  // SELECT: items used this round, left view
+	usedR  bitset.Set  // SELECT: items used this round, right view
+	qubOK  []bool      // per-candidate qub verdicts, from the index's sizes
+	order  []uint64    // GREEDY: candidate order
+	prefix []uint64    // GREEDY: per-candidate itemset prefixes
+	idx    []int32     // GREEDY: the window's qub survivors
+	delta  []int32     // GREEDY: the window's cover deltas
+	views  [][]int32   // GREEDY: per-survivor slices of delta
 }
 
 // defaultScratchPool recycles scratch for callers without a Session.

@@ -43,20 +43,37 @@ import (
 // least the true one, times L(y) ≥ 0, and correctly rounded + and × are
 // monotone, so each direction's bound dominates its exact gain bit for
 // bit, with no slack. By the same monotonicity a bound only grows as E
-// does, and at a count it equals the slot's best gain; so a slot whose
-// items changed since its last bound is refolded only when that bound
-// is below τ. (A zero-support item's infinite L(y) can make a bound
-// NaN; a NaN bound is never skipped.)
+// does, and at a count it equals the slot's best gain. (A zero-support
+// item's infinite L(y) can make a bound NaN; a NaN bound is never
+// skipped.)
 //
-// A round. τ is the k-th best gain among the fresh slots (GainEpsilon
-// while they offer fewer than k rules). Every stale slot whose bound is
-// at least τ, ties included, is counted in one Cover.Score batch, and
-// the top k is built from the fresh and the counted slots. A skipped
-// slot's gains are all below τ, so k fresh rules rank before each of
-// them (or, at τ = GainEpsilon, they fail the GainEpsilon filter): it
-// cannot reach the top k, and it stays stale with its old deltas. The
-// batch's mask marks every item touched since the oldest count in the
-// batch, so the deltas Score leaves alone are exact for all its slots.
+// The carried bound. A stale slot also carries its bound forward
+// without reading its items: the walk over the postings of the items
+// the last round touched adds L(y)·ΔE_y to each slot of y, ΔE_y the
+// growth of |E_y| since y's last walk (skipped at 0, so an infinite L(y)
+// never meets a zero); a count or refold resets it to the bound. Every
+// term weighs δ₀ + (|E_y| − e₀) by L(y) or 0, so in exact arithmetic it
+// dominates the refold, whatever the deltas' signs. Its margin: with
+// u = 2^-53, N rows and A = (2N + 2)·L(X→Y) ≥ 2N·Σ L(y) + L(X→Y) + L(X↔Y)
+// for a slot of n items, each partial sum (integers in [−N, 2N] weighed
+// by L(y)) is at most A(1 + O((n + m)u)), m the increments since the
+// last count or refold. The computed refold R̂ and that bound C₀ are
+// within γA of exact, γ = γ_{n+2} ≤ 1.01(n + 2)u (Higham, §3.1); the
+// exact refold grew by at most the exact increment sum G; and the
+// carried C ≥ C₀ + G − (2m + 1)uA. So R̂ ≤ C + 2γA + (2m + 1)uA, and as
+// m ≤ n·r after r rounds, margin() = 4uA(n(r + 2) + 3) (largest A, n)
+// is at least twice that, the slack covering the rounding of A and the
+// margin. Rounding is monotone: fl(C + margin) < τ implies R̂ < τ. An
+// infinite L(y) makes A and the margin infinite.
+//
+// A round. τ is the k-th best gain the fresh slots offer (GainEpsilon
+// while fewer than k). A stale slot is skipped if its carried bound plus
+// margin is below τ, else refolded if its bound is below τ, and counted,
+// ties included, in one Cover.Score batch if its bound reaches τ. A slot
+// left out has all its gains below τ, so k fresh rules rank before each
+// (or they fail the GainEpsilon filter): it stays stale with its old
+// deltas. The batch's mask marks every item touched since its oldest
+// count, so the deltas Score leaves alone are exact for all its slots.
 //
 // The Line-8 re-check (the rule must still improve compression against
 // the current table) reuses the scored gain. That is exact, not a
@@ -198,7 +215,7 @@ func MineSelectOn(ctx context.Context, c Cover, d *dataset.Dataset, cands []Cand
 			break
 		}
 	}
-	res.Work.Recounts = cache.recounts
+	res.Work.Recounts, res.Work.Refolds = cache.recounts, cache.refolds
 	opt.putScratch(sc)
 	res.Table = table.clipped()
 	return res, err
@@ -246,21 +263,26 @@ type selectCache struct {
 	// errs[v][y] is |E_y| now: the last Apply's totals, or noErrs.
 	errs, noErrs [2][]int32
 	// dirty marks, per target view, the items the last round's rules
-	// touched; touched[v][y] is the last round that touched y (0: none).
-	dirty   DirtyItems
-	touched [2][]int32
+	// touched; touched[v][y] is the last round that touched y (0: none),
+	// and walked[v][y] is |E_y| at y's last walk.
+	dirty           DirtyItems
+	touched, walked [2][]int32
 	// post lists, per target view and consequent item, the slots whose
 	// candidate has the item on that view's side.
-	post  [2][][]int32
-	round int32
-	// The round's stale slots, its batch (the stale slots whose bound
-	// reaches τ) with their candidates and deltas, and its Score mask.
-	stale, batch []int
-	idx          []int32
-	views        [][]int32
-	mask         DirtyItems
-	// recounts sums the pairs score asks the cover to recount.
-	recounts int64
+	post [2][][]int32
+	// Per slot, fresh and its carried bound; the margin's largest A and n.
+	fresh        []bool
+	carried      []float64
+	scale        float64
+	width, round int32
+	// The round's batch (the stale slots whose bound reaches τ) with
+	// their candidates and deltas, and its Score mask.
+	batch []int
+	idx   []int32
+	views [][]int32
+	mask  DirtyItems
+	// recounts sums the pairs score has recounted, refolds its refolds.
+	recounts, refolds int64
 }
 
 // selectSlot is the cache entry of one candidate that passed the qub
@@ -269,8 +291,6 @@ type selectSlot struct {
 	cand          int32   // index into the candidates
 	counted       int32   // the round of the last count (0: never)
 	off, ny, n    int32   // the deltas are delta[off:off+n], Y's the first ny
-	stale         bool    // an item was touched since the last count
-	outdated      bool    // an item was touched since the last count or refold
 	lenUni, lenBi float64 // L(X→Y) = L(X←Y), and L(X↔Y)
 	gainF, gainB  float64 // Δ_{D|T} of the X→Y and X←Y directions, exact while fresh
 	bound         float64 // the best gain at the last count, or the last refold
@@ -287,17 +307,17 @@ func (c *selectCache) reset(d *dataset.Dataset, coder *mdl.Coder, cands []Candid
 		for it := range c.post[v] {
 			c.post[v][it] = c.post[v][it][:0]
 		}
-		c.touched[v], c.noErrs[v] = zeroed(c.touched[v], items), zeroed(c.noErrs[v], items)
+		c.touched[v], c.walked[v], c.noErrs[v] = zeroed(c.touched[v], items), zeroed(c.walked[v], items), zeroed(c.noErrs[v], items)
 		c.dirty[v].Reset(items)
 		c.mask[v].Reset(items)
 	}
-	c.slots, c.item = c.slots[:0], c.item[:0]
+	c.slots, c.item, c.fresh, c.carried, c.scale, c.width = c.slots[:0], c.item[:0], c.fresh[:0], c.carried[:0], 0, 0
 	for ci := range cands {
 		if !ok[ci] {
 			continue // qub bounds all three directions: never evaluated
 		}
 		cd, i := &cands[ci], int32(len(c.slots))
-		c.slots = append(c.slots, selectSlot{
+		sl := selectSlot{
 			cand:   int32(ci),
 			off:    int32(len(c.item)),
 			ny:     int32(len(cd.Y)),
@@ -305,8 +325,9 @@ func (c *selectCache) reset(d *dataset.Dataset, coder *mdl.Coder, cands []Candid
 			lenUni: coder.RuleLen(cd.X, cd.Y, false),
 			lenBi:  coder.RuleLen(cd.X, cd.Y, true),
 			bound:  math.Inf(1),
-			stale:  true,
-		})
+		}
+		c.slots, c.fresh, c.carried = append(c.slots, sl), append(c.fresh, false), append(c.carried, math.Inf(1))
+		c.scale, c.width = max(c.scale, float64(2*d.Size()+2)*sl.lenUni), max(c.width, sl.n)
 		for _, y := range cd.Y {
 			c.item = append(c.item, int32(y))
 			c.post[dataset.Right][y] = append(c.post[dataset.Right][y], i)
@@ -317,7 +338,7 @@ func (c *selectCache) reset(d *dataset.Dataset, coder *mdl.Coder, cands []Candid
 		}
 	}
 	c.delta, c.seen = zeroed(c.delta, len(c.item)), zeroed(c.seen, len(c.item))
-	c.errs, c.round, c.recounts = c.noErrs, 0, 0
+	c.errs, c.round, c.recounts, c.refolds = c.noErrs, 0, 0, 0
 }
 
 // zeroed returns s resized to n zeros, reusing its storage.
@@ -342,8 +363,12 @@ func (c *selectCache) score(ctx context.Context, cv Cover, coder *mdl.Coder, can
 	for _, v := range [2]dataset.View{dataset.Left, dataset.Right} {
 		c.dirty[v].ForEach(func(it int) bool {
 			c.touched[v][it] = c.round - 1
+			grown := 0.0
+			if e := c.errs[v][it] - c.walked[v][it]; e != 0 {
+				grown, c.walked[v][it] = coder.ItemLen(v, it)*float64(e), c.errs[v][it]
+			}
 			for _, i := range c.post[v][it] {
-				c.slots[i].stale, c.slots[i].outdated = true, true
+				c.fresh[i], c.carried[i] = false, c.carried[i]+grown
 			}
 			return true
 		})
@@ -351,12 +376,9 @@ func (c *selectCache) score(ctx context.Context, cv Cover, coder *mdl.Coder, can
 	c.dirty.Clear()
 
 	top.reset(k)
-	c.stale = c.stale[:0]
-	for i := range c.slots {
-		if sl := &c.slots[i]; sl.stale {
-			c.stale = append(c.stale, i)
-		} else {
-			sl.offer(top, &cands[sl.cand])
+	for i, fresh := range c.fresh {
+		if g := c.carried[i]; fresh && !(g <= GainEpsilon) && (len(top.rules) < k || !(g < top.rules[k-1].Gain)) {
+			c.slots[i].offer(top, &cands[c.slots[i].cand]) // its best gain may enter the top k
 		}
 	}
 	tau := GainEpsilon
@@ -365,10 +387,15 @@ func (c *selectCache) score(ctx context.Context, cv Cover, coder *mdl.Coder, can
 	}
 	c.batch, c.idx, c.views = c.batch[:0], c.idx[:0], c.views[:0]
 	oldest := c.round
-	for _, i := range c.stale {
+	margin := c.margin()
+	for i, fresh := range c.fresh {
+		if fresh || c.carried[i]+margin < tau {
+			continue // fresh, or its refold is below τ
+		}
 		sl := &c.slots[i]
-		if sl.outdated && sl.bound < tau {
-			c.refold(coder, sl)
+		if sl.bound < tau {
+			sl.bound = c.refold(coder, sl)
+			c.carried[i], c.refolds = sl.bound, c.refolds+1
 		}
 		if !(sl.bound < tau) {
 			c.batch = append(c.batch, i)
@@ -394,8 +421,8 @@ func (c *selectCache) score(ctx context.Context, cv Cover, coder *mdl.Coder, can
 		sl := &c.slots[i]
 		cd := &cands[sl.cand]
 		sl.gainF, sl.gainB = ruleGains(coder, cd, c.views[j])
-		sl.counted, sl.stale, sl.outdated = c.round, false, false
 		sl.bound = max(sl.gainF-sl.lenUni, sl.gainB-sl.lenUni, sl.gainF+sl.gainB-sl.lenBi)
+		sl.counted, c.fresh[i], c.carried[i] = c.round, true, sl.bound
 		for at := sl.off; at < sl.off+sl.n; at++ {
 			v := dataset.Left
 			if at < sl.off+sl.ny {
@@ -411,13 +438,18 @@ func (c *selectCache) score(ctx context.Context, cv Cover, coder *mdl.Coder, can
 	return nil
 }
 
-// refold sets sl.bound from its cached deltas and its items' error
+// refold returns sl's bound from its cached deltas and its items' error
 // growth since their count (see the file comment).
-func (c *selectCache) refold(coder *mdl.Coder, sl *selectSlot) {
+func (c *selectCache) refold(coder *mdl.Coder, sl *selectSlot) float64 {
 	y, x, end := sl.off, sl.off+sl.ny, sl.off+sl.n
 	gainF := foldBound(coder, dataset.Right, c.item[y:x], c.delta[y:x], c.seen[y:x], c.errs[dataset.Right])
 	gainB := foldBound(coder, dataset.Left, c.item[x:end], c.delta[x:end], c.seen[x:end], c.errs[dataset.Left])
-	sl.bound, sl.outdated = max(gainF-sl.lenUni, gainB-sl.lenUni, gainF+gainB-sl.lenBi), false
+	return max(gainF-sl.lenUni, gainB-sl.lenUni, gainF+gainB-sl.lenBi)
+}
+
+// margin is the rounding margin of the round's carried bounds.
+func (c *selectCache) margin() float64 {
+	return 0x1p-51 * c.scale * (float64(c.width)*float64(c.round+2) + 3)
 }
 
 // foldBound is foldGain over the bounded deltas δ₀ + (|E_y| − e₀) of

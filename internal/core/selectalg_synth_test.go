@@ -3,6 +3,7 @@ package core_test
 import (
 	"context"
 	"testing"
+	"time"
 
 	"twoview/internal/core"
 	"twoview/internal/synth"
@@ -39,4 +40,46 @@ func TestSelectCacheMatchesUncachedScoringOnProfiles(t *testing.T) {
 			}
 		}
 	}
+}
+
+// BenchmarkSelectRounds times SELECT's rounds past the first on
+// chesskrvk at scale 1.0 and minimum support 64 (16,693 candidates),
+// SELECT(1) capped at 24 rules, one worker and one Session, with the
+// candidates mined outside the timer. Round 1 counts every slot and
+// builds the cover's index, so it is left out: us/round is the mean
+// time from the first added rule to the 24th (rounds 2–24, scoring and
+// applying), and refolds/op the exact bound refolds of a run
+// (Work.Refolds).
+func BenchmarkSelectRounds(b *testing.B) {
+	const rules = 24
+	d, cands := synthCandidates(b, "chesskrvk", 1.0, 64, 1)
+	sess := core.NewSession()
+	defer sess.Close()
+	ctx := context.Background()
+	var rounds time.Duration
+	var refolds int64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var first time.Time
+		opt := core.SelectOptions{K: 1, MaxRules: rules, ParallelOptions: core.ParallelOptions{Workers: 1, Session: sess},
+			OnIteration: func(it core.IterationStats) bool {
+				switch it.Iteration {
+				case 1:
+					first = time.Now()
+				case rules:
+					rounds += time.Since(first)
+				}
+				return true
+			}}
+		res, err := core.MineSelect(ctx, d, cands, opt)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(res.Table.Rules) != rules {
+			b.Fatalf("%d rules, want %d", len(res.Table.Rules), rules)
+		}
+		refolds += res.Work.Refolds
+	}
+	b.ReportMetric(float64(rounds.Nanoseconds())/1e3/float64(b.N*(rules-1)), "us/round")
+	b.ReportMetric(float64(refolds)/float64(b.N), "refolds/op")
 }

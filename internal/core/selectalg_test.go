@@ -49,9 +49,13 @@ func scoreUncached(s *State, cands []Candidate) []scoredRule {
 //   - the cache's slots are exactly the candidates scoreUncached scores;
 //     every round, every fresh slot's cached gainF and gainB (those of
 //     the slots the round counted included) equal a from-scratch
-//     gainDir bit for bit, and every slot the round left stale has a
-//     bound at least each direction's from-scratch gain and below the
-//     round's k-th best gain (GainEpsilon while the top is short);
+//     gainDir bit for bit, and its carried bound is its best gain;
+//     every slot the round left stale has a carried bound, plus the
+//     round's margin, at least its exact refold, and a refold at least
+//     each direction's from-scratch gain and below the round's k-th
+//     best gain (GainEpsilon while the top is short); a stale slot's
+//     last count or refold is at most its refold now, and some slots
+//     are skipped on a carried bound above their last one;
 //   - every round's top k equal sort-then-truncate of scoreUncached's
 //     list: same rules, same gain bits, same order;
 //   - every added rule's scored gain equals its gain recomputed against
@@ -69,7 +73,7 @@ func checkSelectAgainstOracle(t testing.TB, d *dataset.Dataset, cands []Candidat
 	usedL := bitset.New(d.Items(dataset.Left))
 	usedR := bitset.New(d.Items(dataset.Right))
 	var top topRules
-	rounds, skipped := 0, 0
+	rounds, skipped, unrefolded := 0, 0, 0
 	for maxRules == 0 || len(s.table.Rules) < maxRules {
 		if err := c.score(ctx, cv, coder, cands, &top, k); err != nil {
 			t.Fatal(err)
@@ -88,25 +92,38 @@ func checkSelectAgainstOracle(t testing.TB, d *dataset.Dataset, cands []Candidat
 			if slot == len(c.slots) || int(c.slots[slot].cand) != ci {
 				t.Fatalf("round %d: candidate %d passes qub but has no slot", rounds, ci)
 			}
-			sl := &c.slots[slot]
+			i, sl := slot, &c.slots[slot]
 			slot++
 			wantF := s.gainDir(dataset.Left, cd.TidX, cd.Y)
 			wantB := s.gainDir(dataset.Right, cd.TidY, cd.X)
-			if sl.stale {
+			if !c.fresh[i] {
 				skipped++
+				bound := c.refold(coder, sl)
+				if !(c.carried[i]+c.margin() >= bound) {
+					t.Fatalf("round %d, candidate %d: carried bound %v (margin %v) below the refold %v", rounds, ci, c.carried[i], c.margin(), bound)
+				}
+				if math.Float64bits(sl.bound) != math.Float64bits(bound) {
+					unrefolded++
+				}
+				if !(sl.bound <= bound) {
+					t.Fatalf("round %d, candidate %d: last bound %v above its refold now %v", rounds, ci, sl.bound, bound)
+				}
 				for dir, g := range [3]float64{wantF - sl.lenUni, wantB - sl.lenUni, wantF + wantB - sl.lenBi} {
-					if !(sl.bound >= g) {
-						t.Fatalf("round %d, candidate %d: bound %v below the %v gain %v", rounds, ci, sl.bound, Directions[dir], g)
+					if !(bound >= g) {
+						t.Fatalf("round %d, candidate %d: bound %v below the %v gain %v", rounds, ci, bound, Directions[dir], g)
 					}
 				}
-				if !(sl.bound < tau) {
-					t.Fatalf("round %d, candidate %d: skipped with bound %v, k-th best %v", rounds, ci, sl.bound, tau)
+				if !(bound < tau) {
+					t.Fatalf("round %d, candidate %d: skipped with bound %v, k-th best %v", rounds, ci, bound, tau)
 				}
 				continue
 			}
 			if math.Float64bits(sl.gainF) != math.Float64bits(wantF) || math.Float64bits(sl.gainB) != math.Float64bits(wantB) {
 				t.Fatalf("round %d, candidate %d: cached gains %v/%v, from scratch %v/%v",
 					rounds, ci, sl.gainF, sl.gainB, wantF, wantB)
+			}
+			if best := max(wantF-sl.lenUni, wantB-sl.lenUni, wantF+wantB-sl.lenBi); math.Float64bits(c.carried[i]) != math.Float64bits(best) {
+				t.Fatalf("round %d, candidate %d: fresh with carried bound %v, best gain %v", rounds, ci, c.carried[i], best)
 			}
 		}
 		if slot != len(c.slots) {
@@ -153,8 +170,9 @@ func checkSelectAgainstOracle(t testing.TB, d *dataset.Dataset, cands []Candidat
 	if rounds < 2 {
 		t.Fatalf("only %d rounds: the cache was never reused", rounds)
 	}
-	if skipped == 0 {
-		t.Fatalf("%d rounds and no slot left stale: the bound never skipped a count", rounds)
+	if skipped == 0 || unrefolded == 0 {
+		t.Fatalf("%d rounds, %d slots left stale, %d of them by their carried bound alone: a bound never skipped a count or a refold",
+			rounds, skipped, unrefolded)
 	}
 
 	res, err := MineSelect(ctx, d, cands, SelectOptions{K: k, MaxRules: maxRules, ParallelOptions: Parallel(workers)})
@@ -255,7 +273,7 @@ func TestLazyBoundDominatesGains(t *testing.T) {
 			for i := range c.slots {
 				sl := &c.slots[i]
 				cd := &cands[sl.cand]
-				c.refold(s.totals.coder, sl)
+				sl.bound = c.refold(s.totals.coder, sl)
 				y, x, end := sl.off, sl.off+sl.ny, sl.off+sl.n
 				boundF := foldBound(s.totals.coder, dataset.Right, c.item[y:x], c.delta[y:x], c.seen[y:x], c.errs[dataset.Right])
 				boundB := foldBound(s.totals.coder, dataset.Left, c.item[x:end], c.delta[x:end], c.seen[x:end], c.errs[dataset.Left])
@@ -291,4 +309,31 @@ func TestLazyBoundDominatesGains(t *testing.T) {
 		t.Fatalf("vacuous: %d zero deltas, %d zero bounded deltas, %d slots whose Both gain is their best", zeroDelta, zeroBound, bothBinds)
 	}
 	t.Logf("%d zero deltas, %d zero bounded deltas, %d slots whose Both gain is their best", zeroDelta, zeroBound, bothBinds)
+}
+
+// Ties at the k-th best fresh gain resolve as sort-then-truncate does:
+// three copies of a random planted dataset on disjoint items and rows
+// give every rule two equal-gain copies that a rule of another copy
+// leaves fresh, and with the candidates reversed the slot Rule.Compare
+// ranks last comes first in every pass over the slots.
+func TestSelectCacheBreaksTiesLikeSort(t *testing.T) {
+	r := rand.New(rand.NewSource(32))
+	for trial := 0; trial < 8; trial++ {
+		nL, nR := 3+r.Intn(4), 4+r.Intn(5)
+		base := randomPlantedDataset(r, nL, nR, 40+r.Intn(40))
+		d := dataset.MustNew(dataset.GenericNames("l", 3*nL), dataset.GenericNames("r", 3*nR))
+		for c := 0; c < 3; c++ {
+			for row := 0; row < base.Size(); row++ {
+				var left, right []int
+				base.Row(dataset.Left, row).ForEach(func(i int) bool { left = append(left, c*nL+i); return true })
+				base.Row(dataset.Right, row).ForEach(func(i int) bool { right = append(right, c*nR+i); return true })
+				d.AddRow(left, right)
+			}
+		}
+		cands := mustCandidates(t, d, 2, 0, Parallel(1))
+		slices.Reverse(cands)
+		for _, k := range []int{1, 3} {
+			checkSelectAgainstOracle(t, d, cands, k, 1, 0)
+		}
+	}
 }

@@ -65,11 +65,6 @@ func FuzzBatchRequest(f *testing.F) {
 	f.Add(`{"from":1}`)
 	f.Add(`[{"from":"L"}]`)
 	f.Add(`{"from":"L",`)
-	// Depth counts from the body: the object plus 10,000 arrays is one
-	// level too deep, and one array fewer is at the limit.
-	for _, n := range []int{10000, 9999} {
-		f.Add(`{"from":"L","x":` + strings.Repeat("[", n) + strings.Repeat("]", n) + `,"rows":[[1]]}`)
-	}
 	f.Add(`{"\u0066rom":"L","items":[1],"rows":[[1]]}`)
 	f.Add(`{"from":"L","ITEMſ":[1],"rowſ":[[2]]}`) // U+017F folds to s
 	f.Add(`{"from":"L","items":[1],"rows":[[1]],"from":null}`)
@@ -85,50 +80,73 @@ func FuzzBatchRequest(f *testing.F) {
 	// A null element keeps what the slice being decoded into holds.
 	f.Add(`{"items":[1,2,3],"items":[4],"items":[null,null],"rows":[[1,2],[3]],"rows":[[5]],"rows":[[null,null],[null]]}`)
 	f.Add(`{"items":[1],"items":[],"items":[null],"rows":[[1,2]],"rows":[],"rows":[[null]]}`) // [] drops the old array
+	f.Fuzz(checkRequestDecoders)
+}
+
+// The depth limit, as a table rather than as FuzzBatchRequest seeds:
+// bodies of about 20 KB each slow every fuzzing run that starts from
+// them. Depth counts from the body: the object plus 10,000 arrays is
+// one level too deep, and one array fewer is at the limit.
+func TestRequestDecodersAtDepthLimit(t *testing.T) {
+	for _, tc := range []struct {
+		n  int
+		ok bool
+	}{{10000, false}, {9999, true}} {
+		body := `{"from":"L","x":` + strings.Repeat("[", tc.n) + strings.Repeat("]", tc.n) + `,"rows":[[1]]}`
+		t.Run(strconv.Itoa(tc.n), func(t *testing.T) {
+			var req batchRequest
+			if err := json.NewDecoder(strings.NewReader(body)).Decode(&req); (err == nil) != tc.ok {
+				t.Fatalf("Decode: %v; want it to accept the body: %v", err, tc.ok)
+			}
+			checkRequestDecoders(t, body)
+		})
+	}
+}
+
+// checkRequestDecoders holds FuzzBatchRequest's checks of one body.
+func checkRequestDecoders(t *testing.T, body string) {
 	limit := Options{}.withDefaults().MaxBatchRows
-	f.Fuzz(func(t *testing.T, body string) {
-		var want batchRequest
-		wantErr := json.NewDecoder(strings.NewReader(body)).Decode(&want)
-		d := getScratch(strings.NewReader(body))
-		defer putScratch(d)
-		var got batchRequest
-		err := got.decode(d, limit)
-		switch {
-		case wantErr != nil && err == nil:
-			t.Fatalf("accepted a body Decode rejects (%v): %+v", wantErr, got)
-		case wantErr == nil && len(want.Rows) <= limit && (err != nil || !sameBatch(got, want)):
-			t.Fatalf("got %+v, %v; Decode gave %+v", got, err, want)
-		}
+	var want batchRequest
+	wantErr := json.NewDecoder(strings.NewReader(body)).Decode(&want)
+	d := getScratch(strings.NewReader(body))
+	defer putScratch(d)
+	var got batchRequest
+	err := got.decode(d, limit)
+	switch {
+	case wantErr != nil && err == nil:
+		t.Fatalf("accepted a body Decode rejects (%v): %+v", wantErr, got)
+	case wantErr == nil && len(want.Rows) <= limit && (err != nil || !sameBatch(got, want)):
+		t.Fatalf("got %+v, %v; Decode gave %+v", got, err, want)
+	}
 
-		const small = 2
-		d = getScratch(strings.NewReader(body))
-		defer putScratch(d)
-		got = batchRequest{}
-		err = got.decode(d, small)
-		switch {
-		case wantErr != nil && err == nil:
-			t.Fatalf("limit %d: accepted a body Decode rejects (%v): %+v", small, wantErr, got)
-		case wantErr == nil && len(want.Rows) > small && !errors.Is(err, errTooManyRows):
-			t.Fatalf("limit %d: %d rows not shed: %v", small, len(want.Rows), err)
-		case wantErr == nil && len(want.Rows) <= small && !errors.Is(err, errTooManyRows) && (err != nil || !sameBatch(got, want)):
-			// errTooManyRows here is an earlier, replaced rows value
-			// over the limit.
-			t.Fatalf("limit %d: got %+v, %v; Decode gave %+v", small, got, err, want)
-		}
+	const small = 2
+	d = getScratch(strings.NewReader(body))
+	defer putScratch(d)
+	got = batchRequest{}
+	err = got.decode(d, small)
+	switch {
+	case wantErr != nil && err == nil:
+		t.Fatalf("limit %d: accepted a body Decode rejects (%v): %+v", small, wantErr, got)
+	case wantErr == nil && len(want.Rows) > small && !errors.Is(err, errTooManyRows):
+		t.Fatalf("limit %d: %d rows not shed: %v", small, len(want.Rows), err)
+	case wantErr == nil && len(want.Rows) <= small && !errors.Is(err, errTooManyRows) && (err != nil || !sameBatch(got, want)):
+		// errTooManyRows here is an earlier, replaced rows value
+		// over the limit.
+		t.Fatalf("limit %d: got %+v, %v; Decode gave %+v", small, got, err, want)
+	}
 
-		var wantOne translateRequest
-		wantErr = json.NewDecoder(strings.NewReader(body)).Decode(&wantOne)
-		d = getScratch(strings.NewReader(body))
-		defer putScratch(d)
-		var one translateRequest
-		err = one.decode(d)
-		switch {
-		case wantErr != nil && err == nil:
-			t.Fatalf("translate: accepted a body Decode rejects (%v): %+v", wantErr, one)
-		case wantErr == nil && (err != nil || one.From != wantOne.From || !slices.Equal(one.Items, wantOne.Items)):
-			t.Fatalf("translate: got %+v, %v; Decode gave %+v", one, err, wantOne)
-		}
-	})
+	var wantOne translateRequest
+	wantErr = json.NewDecoder(strings.NewReader(body)).Decode(&wantOne)
+	d = getScratch(strings.NewReader(body))
+	defer putScratch(d)
+	var one translateRequest
+	err = one.decode(d)
+	switch {
+	case wantErr != nil && err == nil:
+		t.Fatalf("translate: accepted a body Decode rejects (%v): %+v", wantErr, one)
+	case wantErr == nil && (err != nil || one.From != wantOne.From || !slices.Equal(one.Items, wantOne.Items)):
+		t.Fatalf("translate: got %+v, %v; Decode gave %+v", one, err, wantOne)
+	}
 }
 
 // The response bodies are json.Encoder's bytes, trailing newline
