@@ -28,10 +28,6 @@ import (
 
 	"twoview/internal/core"
 	"twoview/internal/eval"
-
-	// Arm the -shards flag for SELECT and GREEDY (registers the sharded
-	// cover with core).
-	_ "twoview/internal/shard"
 )
 
 type experiment struct {
@@ -92,21 +88,13 @@ func main() {
 		out     = flag.String("out", "", "directory for per-experiment output files (default: stdout only)")
 		list    = flag.Bool("list", false, "list experiments and exit")
 		workers = flag.Int("workers", 0, "worker goroutines for mining and candidate generation (0 = GOMAXPROCS, 1 = serial); results are identical")
-		shards  = flag.Int("shards", 0, "item-range shards for the supervised sharded SELECT/GREEDY engine (0 = monolithic; EXACT always runs in-process); results are identical")
-		shardAt = flag.String("shard-addrs", "", "comma-separated shardworker addresses; SELECT/GREEDY partitions run in those daemons over TCP instead of in-process (implies -shards len(addrs) when -shards is 0; EXACT ignores it); results are identical")
 	)
 	flag.Parse()
-	eval.Workers = *workers
-	eval.Shards = *shards
-	for _, a := range strings.Split(*shardAt, ",") {
-		if a = strings.TrimSpace(a); a != "" {
-			eval.ShardAddrs = append(eval.ShardAddrs, a)
-		}
-	}
 	// One session serves the whole batch: every experiment's SELECT and
 	// GREEDY runs reuse the same scratch buffers.
-	eval.Session = core.NewSession()
-	defer eval.Session.Close()
+	sess := core.NewSession()
+	defer sess.Close()
+	eval.Par = core.ParallelOptions{Workers: *workers, Session: sess}
 
 	// SIGINT/SIGTERM cancel the context threaded through every runner;
 	// a long experiment batch then unwinds at the next mining

@@ -5,8 +5,7 @@
 // Usage:
 //
 //	translator -in data.tv [-algo select|exact|greedy] [-k 1] [-minsup 1]
-//	           [-max-rules 0] [-workers 0] [-shards 0] [-shard-addrs host:port,...]
-//	           [-trace] [-dot out.dot]
+//	           [-max-rules 0] [-workers 0] [-trace] [-dot out.dot]
 package main
 
 import (
@@ -17,17 +16,12 @@ import (
 	"log"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 
 	"twoview/internal/core"
 	"twoview/internal/dataset"
 	"twoview/internal/eval"
 	"twoview/internal/mdl"
-
-	// Arm the -shards flag for SELECT and GREEDY (registers the sharded
-	// cover with core).
-	_ "twoview/internal/shard"
 )
 
 func main() {
@@ -41,8 +35,6 @@ func main() {
 		minsup   = flag.Int("minsup", 1, "minimum candidate support for select/greedy")
 		maxRules = flag.Int("max-rules", 0, "stop after this many rules (0 = MDL stopping only)")
 		workers  = flag.Int("workers", 0, "worker goroutines for search and candidate mining (0 = GOMAXPROCS, 1 = serial); results are identical")
-		shards   = flag.Int("shards", 0, "item-range shards for the supervised sharded SELECT/GREEDY engine (0 = monolithic; EXACT always runs in-process); results are identical")
-		shardAt  = flag.String("shard-addrs", "", "comma-separated shardworker addresses; SELECT/GREEDY partitions run in those daemons over TCP instead of in-process (implies -shards len(addrs) when -shards is 0; EXACT ignores it); results are identical")
 		trace    = flag.Bool("trace", false, "print each iteration as it happens")
 		dotOut   = flag.String("dot", "", "also write a Graphviz visualization to this file")
 		saveOut  = flag.String("save", "", "write the mined translation table to this file")
@@ -106,7 +98,7 @@ func main() {
 	// scratch buffers).
 	sess := core.NewSession()
 	defer sess.Close()
-	par := core.ParallelOptions{Workers: *workers, Shards: *shards, ShardAddrs: splitAddrs(*shardAt), Session: sess}
+	par := core.ParallelOptions{Workers: *workers, Session: sess}
 	var res *core.Result
 	var mineErr error
 	switch *algo {
@@ -177,16 +169,4 @@ func main() {
 		}
 		fmt.Printf("wrote %s (reload with -load)\n", *saveOut)
 	}
-}
-
-// splitAddrs parses the -shard-addrs comma list, dropping empty entries
-// so a trailing comma is harmless.
-func splitAddrs(s string) []string {
-	var addrs []string
-	for _, a := range strings.Split(s, ",") {
-		if a = strings.TrimSpace(a); a != "" {
-			addrs = append(addrs, a)
-		}
-	}
-	return addrs
 }

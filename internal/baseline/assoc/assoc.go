@@ -33,10 +33,6 @@ type Options struct {
 	MinSupport int
 	// MinConfidence is the minimal confidence in at least one direction.
 	MinConfidence float64
-	// MaxResults aborts when the rule explosion exceeds this many rules
-	// (0 = unbounded). The count is still reported in the error case by
-	// Count, which never materializes rules.
-	MaxResults int
 }
 
 // Mine returns all cross-view association rules clearing the thresholds.
@@ -46,7 +42,6 @@ func Mine(d *dataset.Dataset, opt Options) ([]Rule, error) {
 	fis, err := eclat.Mine(context.Background(), d, eclat.Options{
 		MinSupport: opt.MinSupport,
 		TwoView:    true,
-		MaxResults: 0,
 	})
 	if err != nil {
 		return nil, err
@@ -68,9 +63,6 @@ func Mine(d *dataset.Dataset, opt Options) ([]Rule, error) {
 			out = append(out, Rule{X: x, Y: y, Dir: core.Forward, Supp: fi.Supp, Conf: confF})
 		case okB:
 			out = append(out, Rule{X: x, Y: y, Dir: core.Backward, Supp: fi.Supp, Conf: confB})
-		}
-		if opt.MaxResults > 0 && len(out) > opt.MaxResults {
-			return nil, &ExplosionError{AtLeast: len(out)}
 		}
 	}
 	sort.Slice(out, func(a, b int) bool {
@@ -102,23 +94,6 @@ func Count(d *dataset.Dataset, opt Options) (int, error) {
 		}
 	}
 	return n, nil
-}
-
-// ExplosionError reports that MaxResults was exceeded.
-type ExplosionError struct{ AtLeast int }
-
-func (e *ExplosionError) Error() string {
-	return "assoc: pattern explosion: more rules than the configured maximum"
-}
-
-// ToTable converts mined association rules into a translation table so
-// they can be scored under the paper's encoding.
-func ToTable(rules []Rule) *core.Table {
-	t := &core.Table{Rules: make([]core.Rule, len(rules))}
-	for i, r := range rules {
-		t.Rules[i] = core.Rule{X: r.X, Dir: r.Dir, Y: r.Y}
-	}
-	return t
 }
 
 func ruleOf(r Rule) core.Rule { return core.Rule{X: r.X, Dir: r.Dir, Y: r.Y} }

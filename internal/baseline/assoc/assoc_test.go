@@ -1,7 +1,6 @@
 package assoc
 
 import (
-	"errors"
 	"math"
 	"testing"
 
@@ -86,33 +85,6 @@ func TestCountMatchesMine(t *testing.T) {
 	}
 	if n != len(rules) {
 		t.Fatalf("Count = %d, Mine = %d", n, len(rules))
-	}
-}
-
-func TestExplosionGuard(t *testing.T) {
-	d := testData(t)
-	_, err := Mine(d, Options{MinSupport: 1, MinConfidence: 0, MaxResults: 1})
-	var ex *ExplosionError
-	if !errors.As(err, &ex) {
-		t.Fatalf("expected ExplosionError, got %v", err)
-	}
-	if ex.AtLeast < 2 || ex.Error() == "" {
-		t.Fatalf("explosion error incomplete: %+v", ex)
-	}
-}
-
-func TestToTableScorable(t *testing.T) {
-	d := testData(t)
-	rules, err := Mine(d, Options{MinSupport: 1, MinConfidence: 0.7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tab := ToTable(rules)
-	if tab.Size() != len(rules) {
-		t.Fatal("ToTable lost rules")
-	}
-	if err := tab.Validate(d); err != nil {
-		t.Fatal(err)
 	}
 }
 

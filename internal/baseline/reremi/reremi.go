@@ -213,20 +213,3 @@ func ToTable(rds []Redescription) *core.Table {
 	}
 	return t
 }
-
-// MaxConfidence returns c+ of a redescription interpreted as a
-// bidirectional rule on the dataset.
-func MaxConfidence(d *dataset.Dataset, rd Redescription) float64 {
-	suppX := d.Support(dataset.Left, rd.X)
-	suppY := d.Support(dataset.Right, rd.Y)
-	best := 0.0
-	if suppX > 0 {
-		best = float64(rd.Supp) / float64(suppX)
-	}
-	if suppY > 0 {
-		if c := float64(rd.Supp) / float64(suppY); c > best {
-			best = c
-		}
-	}
-	return best
-}

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"twoview/internal/core"
 	"twoview/internal/dataset"
 	"twoview/internal/itemset"
 )
@@ -134,26 +133,5 @@ func TestJaccardDefinition(t *testing.T) {
 		if math.Abs(rd.Jaccard-float64(inter)/float64(union)) > 1e-12 {
 			t.Fatalf("Jaccard mismatch for %v/%v", rd.X, rd.Y)
 		}
-	}
-}
-
-func TestToTableAndMaxConfidence(t *testing.T) {
-	d := redescData(t)
-	rds := Mine(d, Options{MinJaccard: 0.5})
-	tab := ToTable(rds)
-	if tab.Size() != len(rds) {
-		t.Fatal("ToTable lost redescriptions")
-	}
-	for _, r := range tab.Rules {
-		if r.Dir != core.Both {
-			t.Fatal("redescription rules must be bidirectional")
-		}
-	}
-	if err := tab.Validate(d); err != nil {
-		t.Fatal(err)
-	}
-	// c+ of the perfect redescription is 1.
-	if c := MaxConfidence(d, rds[0]); math.Abs(c-1) > 1e-12 {
-		t.Fatalf("MaxConfidence = %v, want 1", c)
 	}
 }

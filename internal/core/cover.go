@@ -52,9 +52,9 @@ type Cover interface {
 }
 
 // NewCover returns the cover of d's empty table that a SELECT or GREEDY
-// run over cands mines against: the sharded engine's when par asks for
-// it (see ParallelOptions.Shards), a local State otherwise. The caller
-// closes it.
+// run over cands mines against: a local State, or the sharded engine's
+// when par asks for it and the binary links internal/shard (see
+// ParallelOptions.Shards). The caller closes it.
 func NewCover(ctx context.Context, d *dataset.Dataset, cands []Candidate, par ParallelOptions) (Cover, error) {
 	if par.Shards > 0 || len(par.ShardAddrs) > 0 {
 		if shardCover == nil {
@@ -342,9 +342,9 @@ func (c *localCover) Apply(r Rule) (*CoverTotals, error) {
 	return c.s.totals, nil
 }
 
-// ScoresAhead is true only with more than one worker: a single worker
-// scores each candidate exactly once at its turn, which strictly
-// dominates scoring ahead and discarding on accept.
+// ScoresAhead is true only with more than one worker. At one worker
+// the lazy walk is not always the faster one: it wins where rules are
+// accepted often and loses where they are rare (see greedy.go).
 func (c *localCover) ScoresAhead() bool { return pool.Size(c.workers, len(c.cands)) > 1 }
 
 func (c *localCover) Close() {}

@@ -51,30 +51,19 @@ type ParallelOptions struct {
 	// regardless of the value.
 	Workers int
 	// Shards opts SELECT and GREEDY into the supervised sharded engine
-	// (internal/shard): the columnar cover state is partitioned by item
-	// range into this many shard goroutine groups that exchange only
-	// messages with a coordinator — no shared State — with lease-based
-	// crash recovery. 0 (the default) runs the monolithic in-process
-	// engine; any value >= 1 runs the sharded one (1 still exercises
-	// the full message protocol, with a single shard). Results are
-	// bit-identical to the monolith for every shard count, worker
-	// count, and injected failure schedule. Requires the shard engine
-	// to be linked in: importing the twoview facade (or
-	// twoview/internal/shard directly) registers it; with neither
-	// linked, Shards > 0 is an error. MineExact ignores Shards: EXACT
-	// always runs in-process.
+	// of internal/shard: the cover state is partitioned by item range
+	// into this many shards that exchange only messages with a
+	// coordinator. 0 (the default) runs the in-process cover. Results
+	// are bit-identical for every shard count. Only a binary that links
+	// internal/shard can set it (the benchmark does; the facade and the
+	// commands do not): elsewhere Shards > 0 makes SELECT and GREEDY
+	// return an error. MineExact ignores it. ROADMAP item 2 removes it
+	// with the engine.
 	Shards int
-	// ShardAddrs lifts the sharded SELECT and GREEDY engine onto TCP:
-	// each address is a shardworker daemon (cmd/shardworker) that hosts
-	// partitions, dialed and supervised by the coordinator with the
-	// same lease-based crash recovery as the in-process engine — a
-	// broken or timed-out connection is a crash, redialed with
-	// deterministic backoff. Partitions are placed round-robin over the
-	// addresses. Empty (the default) keeps every shard in-process. When
-	// ShardAddrs is set and Shards is 0, Shards defaults to
-	// len(ShardAddrs). Results are bit-identical to the monolith for
-	// every placement, connection-failure schedule, and worker count.
-	// MineExact ignores ShardAddrs and never dials.
+	// ShardAddrs runs the sharded engine's partitions in shardworker
+	// daemons (cmd/shardworker) over TCP, placed round-robin over the
+	// addresses; Shards defaults to len(ShardAddrs). It needs
+	// internal/shard linked in, like Shards, and goes with it.
 	ShardAddrs []string
 	// Session recycles the miners' scratch across calls; nil means a
 	// package-wide pool. See Session.

@@ -11,9 +11,11 @@ import (
 // and ShardAddrs: the supervised engine of internal/shard, on which the
 // SELECT and GREEDY drivers mine unchanged. core cannot import
 // internal/shard (shard builds on core), so the constructor is injected:
-// internal/shard registers it in an init function, and linking it in —
-// the twoview facade and both CLIs blank-import it — arms the knobs.
-// EXACT never uses it.
+// internal/shard registers it in an init function. Only a binary that
+// links internal/shard can use the knobs, and none of the library's
+// commands or its facade does: the engine is a benchmark fixture
+// (perfbench's shard-tcp workload), and ROADMAP item 2 deletes this hook
+// with it. EXACT never uses it.
 type ShardCoverFunc func(ctx context.Context, d *dataset.Dataset, cands []Candidate, par ParallelOptions) Cover
 
 // shardCover is written once from internal/shard's init (which
@@ -21,11 +23,11 @@ type ShardCoverFunc func(ctx context.Context, d *dataset.Dataset, cands []Candid
 var shardCover ShardCoverFunc
 
 // RegisterShardCover installs the sharded cover constructor. It is
-// called from an init function; calling it later than that is a race
-// with mining.
+// called from internal/shard's init function; calling it later than
+// that is a race with mining.
 func RegisterShardCover(f ShardCoverFunc) { shardCover = f }
 
-// errNoShardCover reports a sharded SELECT or GREEDY request without a
-// linked engine.
+// errNoShardCover reports a sharded SELECT or GREEDY request in a binary
+// that does not link the engine.
 var errNoShardCover = errors.New(
-	"core: ParallelOptions.Shards or ShardAddrs set but no sharded engine is linked in (import the twoview facade or twoview/internal/shard)")
+	"core: ParallelOptions.Shards or ShardAddrs set but internal/shard is not linked in (only the benchmark links the sharded engine, which is being retired)")

@@ -20,37 +20,12 @@ import (
 // accept a scale factor that shrinks the datasets proportionally, so the
 // full suite stays tractable on one machine; shapes are preserved.
 
-// Workers is the worker-pool size every runner passes to the mining
-// algorithms — candidate mining included: 0 means GOMAXPROCS, 1 forces
-// serial execution. Results are identical regardless (every parallel
-// path is deterministic in the worker count); cmd/experiments exposes it
-// as -workers.
-var Workers int
-
-// Shards is the item-range shard count every runner passes to the
-// miners: 0 runs the monolithic engine, > 0 opts SELECT and GREEDY
-// into the supervised sharded engine (which the caller must link in —
-// cmd/experiments blank-imports internal/shard and exposes this as
-// -shards); EXACT always runs in-process. Results are identical
-// regardless.
-var Shards int
-
-// ShardAddrs lifts the sharded SELECT and GREEDY engine onto TCP: each
-// entry is a shardworker daemon address the coordinator dials and
-// supervises (cmd/experiments exposes this as -shard-addrs). Empty keeps
-// every shard in-process. Results are identical regardless.
-var ShardAddrs []string
-
-// Session is the mining session the runners share; nil means none. A
-// caller running a long batch of experiments can install one (and Close
-// it afterwards) so every table and figure reuses the miners' scratch
-// buffers.
-var Session *core.Session
-
-// par returns the shared ParallelOptions of the runners.
-func par() core.ParallelOptions {
-	return core.ParallelOptions{Workers: Workers, Shards: Shards, ShardAddrs: ShardAddrs, Session: Session}
-}
+// Par is the ParallelOptions every runner passes to the miners,
+// candidate mining included; cmd/experiments sets its Workers (-workers)
+// and a Session shared by the whole batch. Results are identical for
+// every value: each parallel path is deterministic in the worker count,
+// and a session only recycles scratch buffers.
+var Par core.ParallelOptions
 
 // Gen materializes a profile at the given scale (≤ 0 or 1: paper size).
 // It returns the dataset, its planted rules and the profile they were
@@ -72,7 +47,7 @@ const maxCandidates = 200_000
 // until the candidate set stays below maxCandidates. It returns the
 // candidates and the effective minimum support.
 func cappedCandidates(ctx context.Context, d *dataset.Dataset, minsup int) ([]core.Candidate, int, error) {
-	return core.MineCandidatesCapped(ctx, d, minsup, maxCandidates, par())
+	return core.MineCandidatesCapped(ctx, d, minsup, maxCandidates, Par)
 }
 
 // selectOne mines d with TRANSLATOR-SELECT(1) over the candidates
@@ -82,7 +57,7 @@ func selectOne(ctx context.Context, d *dataset.Dataset, minsup int) (*core.Resul
 	if err != nil {
 		return nil, err
 	}
-	return core.MineSelect(ctx, d, cands, core.SelectOptions{K: 1, ParallelOptions: par()})
+	return core.MineSelect(ctx, d, cands, core.SelectOptions{K: 1, ParallelOptions: Par})
 }
 
 // RunTable1 regenerates Table 1: dataset properties and uncompressed
@@ -130,7 +105,7 @@ type MethodCells struct {
 func runTranslators(ctx context.Context, d *dataset.Dataset, minsup int, withExact bool) ([]MethodCells, int, error) {
 	var out []MethodCells
 	if withExact {
-		res, err := core.MineExact(ctx, d, core.ExactOptions{ParallelOptions: par()})
+		res, err := core.MineExact(ctx, d, core.ExactOptions{ParallelOptions: Par})
 		if err != nil {
 			return nil, minsup, err
 		}
@@ -147,14 +122,14 @@ func runTranslators(ctx context.Context, d *dataset.Dataset, minsup int, withExa
 		name string
 		k    int
 	}{{"T-SELECT(1)", 1}, {"T-SELECT(25)", 25}} {
-		res, err := core.MineSelect(ctx, d, cands, core.SelectOptions{K: cfg.k, ParallelOptions: par()})
+		res, err := core.MineSelect(ctx, d, cands, core.SelectOptions{K: cfg.k, ParallelOptions: Par})
 		if err != nil {
 			return nil, minsup, err
 		}
 		m := FromResult(d, res)
 		out = append(out, MethodCells{cfg.name, m.NumRules, m.LPct, m.Runtime + candTime})
 	}
-	res, err := core.MineGreedy(ctx, d, cands, core.GreedyOptions{ParallelOptions: par()})
+	res, err := core.MineGreedy(ctx, d, cands, core.GreedyOptions{ParallelOptions: Par})
 	if err != nil {
 		return nil, minsup, err
 	}

@@ -297,10 +297,10 @@ func RunAblation(ctx context.Context, w io.Writer, scale float64, rules int, pro
 		}
 		var times []time.Duration
 		for _, opt := range []core.ExactOptions{
-			{MaxRules: rules, ParallelOptions: par()},
-			{MaxRules: rules, DisableRub: true, ParallelOptions: par()},
-			{MaxRules: rules, DisableQub: true, ParallelOptions: par()},
-			{MaxRules: rules, DisableRub: true, DisableQub: true, ParallelOptions: par()},
+			{MaxRules: rules, ParallelOptions: Par},
+			{MaxRules: rules, DisableRub: true, ParallelOptions: Par},
+			{MaxRules: rules, DisableQub: true, ParallelOptions: Par},
+			{MaxRules: rules, DisableRub: true, DisableQub: true, ParallelOptions: Par},
 		} {
 			start := time.Now()
 			if _, err := core.MineExact(ctx, d, opt); err != nil {

@@ -26,15 +26,6 @@ import (
 // cancelled, the dispensing of new tasks stops, running tasks finish,
 // and ctx.Err() is returned. A nil error means every task ran.
 func (p *Pool[S]) RunCtx(ctx context.Context, tasks int, fn func(s S, task int)) error {
-	if len(p.states) == 1 {
-		for t := 0; t < tasks; t++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			fn(p.states[0], t)
-		}
-		return ctx.Err()
-	}
 	phase(len(p.states), tasks, func(slot, t int) bool {
 		if ctx.Err() != nil {
 			return false
@@ -57,32 +48,26 @@ func (p *Pool[S]) RunCtx(ctx context.Context, tasks int, fn func(s S, task int))
 // observed mid-cancellation are schedule-dependent, while ctx.Err() is
 // not.
 func (p *Pool[S]) RunErrCtx(ctx context.Context, tasks int, fn func(s S, task int) error) error {
-	var first error
-	if len(p.states) == 1 {
-		for t := 0; t < tasks && first == nil && ctx.Err() == nil; t++ {
-			first = fn(p.states[0], t)
-		}
-	} else {
-		var (
-			mu    sync.Mutex
-			errAt = -1
-		)
-		phase(len(p.states), tasks, func(slot, t int) bool {
-			if ctx.Err() != nil {
-				return false
-			}
-			err := fn(p.states[slot], t)
-			if err == nil {
-				return true
-			}
-			mu.Lock()
-			if errAt < 0 || t < errAt {
-				errAt, first = t, err
-			}
-			mu.Unlock()
+	var (
+		mu    sync.Mutex
+		first error
+		errAt = -1
+	)
+	phase(len(p.states), tasks, func(slot, t int) bool {
+		if ctx.Err() != nil {
 			return false
-		})
-	}
+		}
+		err := fn(p.states[slot], t)
+		if err == nil {
+			return true
+		}
+		mu.Lock()
+		if errAt < 0 || t < errAt {
+			errAt, first = t, err
+		}
+		mu.Unlock()
+		return false
+	})
 	if cerr := ctx.Err(); cerr != nil {
 		return cerr
 	}

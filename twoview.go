@@ -69,11 +69,6 @@ import (
 	"twoview/internal/eval"
 	"twoview/internal/mdl"
 	"twoview/internal/synth"
-
-	// Arm ParallelOptions.Shards for SELECT and GREEDY: the sharded cover
-	// registers itself in an init (core cannot import it — see
-	// core.RegisterShardCover).
-	_ "twoview/internal/shard"
 )
 
 // Core data types, re-exported from the implementation packages. The
