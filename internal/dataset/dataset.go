@@ -8,6 +8,7 @@ package dataset
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 
 	"twoview/internal/bitset"
@@ -41,14 +42,19 @@ func (v View) String() string {
 }
 
 // Dataset is a Boolean two-view dataset. Rows are stored per view as
-// bitsets over that view's vocabulary; column tidsets are built lazily by
-// Columns and cached. A Dataset must be built with New and AddRow (or the
-// readers in this package); the zero value is not usable. Its read
-// methods are safe for concurrent use; AddRow must not run concurrently
-// with them.
+// bitsets over that view's vocabulary, carved from per-view batches
+// that grow with the dataset, so a row costs no allocation of its own.
+// A Row pointer stays valid and unchanged for the life of the dataset:
+// adding rows carves new batches and never moves a carved row. Column
+// tidsets are built lazily by Columns and cached. A Dataset must be
+// built with New and AddRow (or the readers in this package); the zero
+// value is not usable. Its read methods are safe for concurrent use;
+// AddRow must not run concurrently with them.
 type Dataset struct {
-	namesL, namesR []string
-	rowsL, rowsR   []*bitset.Set
+	names [2][]string
+	rows  [2][]*bitset.Set
+	// free holds each view's carved rows not yet handed out by newRow.
+	free [2][]bitset.Set
 
 	// cols holds each view's lazily built tidsets (width |D|) and supps
 	// their sizes, built once per view under colsOnce.
@@ -56,6 +62,10 @@ type Dataset struct {
 	cols     [2][]*bitset.Set
 	supps    [2][]int
 }
+
+// minRowBatch is the number of rows of a view's first batch; each later
+// batch holds as many rows as the view already has.
+const minRowBatch = 16
 
 // New returns an empty dataset whose vocabularies are given by item names.
 // Names must be unique within a view; they may be autogenerated via
@@ -73,10 +83,10 @@ func New(namesL, namesR []string) (*Dataset, error) {
 			seen[n] = true
 		}
 	}
-	return &Dataset{
-		namesL: append([]string(nil), namesL...),
-		namesR: append([]string(nil), namesR...),
-	}, nil
+	return &Dataset{names: [2][]string{
+		append([]string(nil), namesL...),
+		append([]string(nil), namesR...),
+	}}, nil
 }
 
 // MustNew is New for static inputs known to be valid; it panics on error.
@@ -98,74 +108,95 @@ func GenericNames(prefix string, n int) []string {
 }
 
 // AddRow appends a transaction given the item ids present in each view.
-// Ids must be within range; duplicates are tolerated.
+// Ids must be within range; duplicates are tolerated. A rejected row
+// leaves the dataset unchanged.
 func (d *Dataset) AddRow(left, right []int) error {
 	for _, i := range left {
-		if i < 0 || i >= len(d.namesL) {
-			return fmt.Errorf("dataset: left item %d out of range [0,%d)", i, len(d.namesL))
+		if i < 0 || i >= d.Items(Left) {
+			return fmt.Errorf("dataset: left item %d out of range [0,%d)", i, d.Items(Left))
 		}
 	}
 	for _, i := range right {
-		if i < 0 || i >= len(d.namesR) {
-			return fmt.Errorf("dataset: right item %d out of range [0,%d)", i, len(d.namesR))
+		if i < 0 || i >= d.Items(Right) {
+			return fmt.Errorf("dataset: right item %d out of range [0,%d)", i, d.Items(Right))
 		}
 	}
-	d.rowsL = append(d.rowsL, bitset.FromIndices(len(d.namesL), left))
-	d.rowsR = append(d.rowsR, bitset.FromIndices(len(d.namesR), right))
+	for v, ids := range [2][]int{left, right} {
+		row := d.newRow(View(v))
+		for _, i := range ids {
+			row.Add(i)
+		}
+	}
 	d.colsOnce, d.cols, d.supps = [2]sync.Once{}, [2][]*bitset.Set{}, [2][]int{} // invalidate column cache
 	return nil
 }
 
+// newRow appends an empty row to view v and returns it. It is the only
+// place rows are made: it carves them from the view's current batch,
+// starting a new one, as large as the view so far, when that runs out.
+func (d *Dataset) newRow(v View) *bitset.Set {
+	if len(d.free[v]) == 0 {
+		d.free[v] = bitset.NewBatch(max(minRowBatch, len(d.rows[v])), len(d.names[v]))
+	}
+	row := &d.free[v][0]
+	d.free[v] = d.free[v][1:]
+	d.rows[v] = append(d.rows[v], row)
+	return row
+}
+
 // Size returns |D|, the number of transactions.
-func (d *Dataset) Size() int { return len(d.rowsL) }
+func (d *Dataset) Size() int { return len(d.rows[Left]) }
 
 // Items returns |I_v|, the vocabulary size of view v.
-func (d *Dataset) Items(v View) int {
-	if v == Left {
-		return len(d.namesL)
-	}
-	return len(d.namesR)
-}
+func (d *Dataset) Items(v View) int { return len(d.names[v]) }
 
 // Names returns the item names of view v. The slice must not be modified.
-func (d *Dataset) Names(v View) []string {
-	if v == Left {
-		return d.namesL
-	}
-	return d.namesR
-}
+func (d *Dataset) Names(v View) []string { return d.names[v] }
 
 // Name returns the name of item i in view v.
 func (d *Dataset) Name(v View, i int) string { return d.Names(v)[i] }
 
 // Row returns transaction t projected on view v as a bitset over I_v.
 // The returned set must not be modified.
-func (d *Dataset) Row(v View, t int) *bitset.Set {
-	if v == Left {
-		return d.rowsL[t]
-	}
-	return d.rowsR[t]
-}
+func (d *Dataset) Row(v View, t int) *bitset.Set { return d.rows[v][t] }
 
 // Columns returns the tidset of every item of view v (bit t set iff item
 // occurs in transaction t). Built once on first use and cached; the
 // returned sets must not be modified.
 func (d *Dataset) Columns(v View) []*bitset.Set {
-	d.colsOnce[v].Do(func() {
-		built, supps := make([]*bitset.Set, d.Items(v)), make([]int, d.Items(v))
-		for i := range built {
-			built[i] = bitset.New(d.Size())
-		}
-		for t := 0; t < d.Size(); t++ {
-			d.Row(v, t).ForEach(func(i int) bool {
-				built[i].Add(t)
-				supps[i]++
-				return true
-			})
-		}
-		d.cols[v], d.supps[v] = built, supps
-	})
+	d.colsOnce[v].Do(func() { d.cols[v], d.supps[v] = transpose(d.rows[v], d.Items(v)) })
 	return d.cols[v]
+}
+
+// transpose turns rows over n items into the n item tidsets and their
+// sizes. It walks the rows 64 at a time: each block's set bits are
+// gathered into one word per item, which is then the item's tidset word
+// for that block.
+func transpose(rows []*bitset.Set, n int) ([]*bitset.Set, []int) {
+	batch := bitset.NewBatch(n, len(rows))
+	cols, words := make([]*bitset.Set, n), make([][]uint64, n)
+	for i := range batch {
+		cols[i], words[i] = &batch[i], batch[i].Words()
+	}
+	supps, acc := make([]int, n), make([]uint64, n)
+	for lo := 0; lo < len(rows); lo += bitset.WordBits {
+		block := rows[lo:min(lo+bitset.WordBits, len(rows))]
+		for t, row := range block {
+			bit := uint64(1) << uint(t)
+			for k, w := range row.Words() {
+				for w != 0 {
+					acc[k*bitset.WordBits+bits.TrailingZeros64(w)] |= bit
+					w &= w - 1
+				}
+			}
+		}
+		for i, w := range acc {
+			words[i][lo/bitset.WordBits] = w
+			supps[i] += bits.OnesCount64(w)
+			acc[i] = 0
+		}
+	}
+	return cols, supps
 }
 
 // ItemSupport returns |supp({i})| for item i of view v, counted when the
@@ -254,12 +285,9 @@ func (d *Dataset) Stats() Stats {
 
 // Clone returns a deep copy of the dataset (without the column cache).
 func (d *Dataset) Clone() *Dataset {
-	c := MustNew(d.namesL, d.namesR)
-	c.rowsL = make([]*bitset.Set, len(d.rowsL))
-	c.rowsR = make([]*bitset.Set, len(d.rowsR))
-	for t := range d.rowsL {
-		c.rowsL[t] = d.rowsL[t].Clone()
-		c.rowsR[t] = d.rowsR[t].Clone()
+	c := MustNew(d.names[Left], d.names[Right])
+	for t := 0; t < d.Size(); t++ {
+		c.copyRow(d, t)
 	}
 	return c
 }
@@ -267,13 +295,20 @@ func (d *Dataset) Clone() *Dataset {
 // Subset returns a new dataset containing only the transactions whose
 // indices are listed (in the given order). Used by holdout evaluation.
 func (d *Dataset) Subset(tids []int) (*Dataset, error) {
-	c := MustNew(d.namesL, d.namesR)
+	c := MustNew(d.names[Left], d.names[Right])
 	for _, t := range tids {
 		if t < 0 || t >= d.Size() {
 			return nil, fmt.Errorf("dataset: transaction %d out of range [0,%d)", t, d.Size())
 		}
-		c.rowsL = append(c.rowsL, d.rowsL[t].Clone())
-		c.rowsR = append(c.rowsR, d.rowsR[t].Clone())
+		c.copyRow(d, t)
 	}
 	return c, nil
+}
+
+// copyRow appends a copy of transaction t of src, whose vocabularies
+// must be d's.
+func (d *Dataset) copyRow(src *Dataset, t int) {
+	for v := range d.rows {
+		d.newRow(View(v)).Copy(src.rows[v][t])
+	}
 }

@@ -22,9 +22,11 @@ package synth
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"sort"
 
+	"twoview/internal/bitset"
 	"twoview/internal/core"
 	"twoview/internal/dataset"
 	"twoview/internal/itemset"
@@ -108,8 +110,8 @@ func Generate(p Profile) (*dataset.Dataset, []core.Rule, error) {
 	}
 	r := rand.New(rand.NewSource(p.Seed))
 
-	rowsL := newMatrix(p.Size, p.ItemsL)
-	rowsR := newMatrix(p.Size, p.ItemsR)
+	rowsL := newBitRows(p.Size, p.ItemsL)
+	rowsR := newBitRows(p.Size, p.ItemsR)
 
 	rules := plantRules(p, r, rowsL, rowsR)
 
@@ -123,30 +125,55 @@ func Generate(p Profile) (*dataset.Dataset, []core.Rule, error) {
 	if err != nil {
 		return nil, nil, err
 	}
+	var left, right []int
 	for t := 0; t < p.Size; t++ {
-		if err := d.AddRow(indices(rowsL[t]), indices(rowsR[t])); err != nil {
+		left, right = rowsL.appendItems(left[:0], t), rowsR.appendItems(right[:0], t)
+		if err := d.AddRow(left, right); err != nil {
 			return nil, nil, err
 		}
 	}
 	return d, rules, nil
 }
 
-func newMatrix(rows, cols int) [][]bool {
-	m := make([][]bool, rows)
-	for i := range m {
-		m[i] = make([]bool, cols)
-	}
-	return m
+// bitRows is one view's rows as a row-major bit matrix: row t is the
+// stride words from t·stride, and item i its bit i.
+type bitRows struct {
+	words         []uint64
+	stride, items int
 }
 
-func indices(row []bool) []int {
-	var out []int
-	for i, b := range row {
-		if b {
-			out = append(out, i)
+func newBitRows(rows, items int) bitRows {
+	stride := (items + bitset.WordBits - 1) / bitset.WordBits
+	return bitRows{words: make([]uint64, rows*stride), stride: stride, items: items}
+}
+
+// row returns the words of row t.
+func (m bitRows) row(t int) []uint64 { return m.words[t*m.stride : (t+1)*m.stride] }
+
+// appendItems appends the items of row t to dst, in increasing order.
+func (m bitRows) appendItems(dst []int, t int) []int {
+	for k, w := range m.row(t) {
+		for w != 0 {
+			dst = append(dst, k*bitset.WordBits+bits.TrailingZeros64(w))
+			w &= w - 1
 		}
 	}
-	return out
+	return dst
+}
+
+// perm returns rand.Perm(n), drawn from r call for call as Perm does,
+// in buf's storage when it is large enough.
+func perm(r *rand.Rand, buf []int, n int) []int {
+	if cap(buf) < n {
+		buf = make([]int, n)
+	}
+	m := buf[:n]
+	for i := range m {
+		j := r.Intn(i + 1)
+		m[i] = m[j]
+		m[j] = i
+	}
+	return m
 }
 
 // plantRules embeds the cross-view associations and returns the ground
@@ -154,7 +181,7 @@ func indices(row []bool) []int {
 // Per-rule coverage is capped so that the planted structure consumes at
 // most ~60% of each view's density budget, leaving room for background
 // noise and keeping the final density on target.
-func plantRules(p Profile, r *rand.Rand, rowsL, rowsR [][]bool) []core.Rule {
+func plantRules(p Profile, r *rand.Rand, rowsL, rowsR bitRows) []core.Rule {
 	var rules []core.Rule
 	seen := map[string]bool{}
 	total := p.BidirRules + p.UniRules
@@ -175,6 +202,9 @@ func plantRules(p Profile, r *rand.Rand, rowsL, rowsR [][]bool) []core.Rule {
 		covMin = covMax / 2
 	}
 	p.CoverageMin, p.CoverageMax = covMin, covMax
+	// The supports of all rules are drawn into one buffer: each is done
+	// with before the next is drawn.
+	var buf []int
 	for len(rules) < total {
 		x := randomItemset(r, p.ItemsL, p.RuleItemsMin, p.RuleItemsMax)
 		y := randomItemset(r, p.ItemsR, p.RuleItemsMin, p.RuleItemsMax)
@@ -185,25 +215,26 @@ func plantRules(p Profile, r *rand.Rand, rowsL, rowsR [][]bool) []core.Rule {
 		seen[key] = true
 		bidir := len(rules) < p.BidirRules
 		cov := p.CoverageMin + r.Float64()*(p.CoverageMax-p.CoverageMin)
-		support := r.Perm(p.Size)[:maxInt(1, int(cov*float64(p.Size)))]
+		buf = perm(r, buf, p.Size)
+		support := buf[:maxInt(1, int(cov*float64(p.Size)))]
 		if bidir {
 			for _, t := range support {
-				setBits(r, rowsL[t], x, p.Dropout)
-				setBits(r, rowsR[t], y, p.Dropout)
+				setBits(r, rowsL.row(t), x, p.Dropout)
+				setBits(r, rowsR.row(t), y, p.Dropout)
 			}
 			rules = append(rules, core.Rule{X: x, Dir: core.Both, Y: y})
 		} else {
 			for _, t := range support {
-				setBits(r, rowsL[t], x, p.Dropout)
+				setBits(r, rowsL.row(t), x, p.Dropout)
 				if r.Float64() < p.Confidence {
-					setBits(r, rowsR[t], y, p.Dropout)
+					setBits(r, rowsR.row(t), y, p.Dropout)
 				}
 			}
 			// Y also fires alone on extra rows, so Y ⇒ X does not hold
 			// and the association stays unidirectional.
-			extra := r.Perm(p.Size)[:maxInt(1, len(support)/2)]
-			for _, t := range extra {
-				setBits(r, rowsR[t], y, p.Dropout)
+			buf = perm(r, buf, p.Size)
+			for _, t := range buf[:maxInt(1, len(support)/2)] {
+				setBits(r, rowsR.row(t), y, p.Dropout)
 			}
 			rules = append(rules, core.Rule{X: x, Dir: core.Forward, Y: y})
 		}
@@ -224,28 +255,21 @@ func randomItemset(r *rand.Rand, n, minItems, maxItems int) itemset.Itemset {
 	return itemset.Itemset(perm)
 }
 
-func setBits(r *rand.Rand, row []bool, items itemset.Itemset, dropout float64) {
+func setBits(r *rand.Rand, row []uint64, items itemset.Itemset, dropout float64) {
 	for _, i := range items {
 		if r.Float64() >= dropout {
-			row[i] = true
+			row[i/bitset.WordBits] |= 1 << uint(i%bitset.WordBits)
 		}
 	}
 }
 
 // fillBackground adds independent per-item noise with Zipf-skewed
 // marginals, calibrated so the final expected density hits the target.
-func fillBackground(r *rand.Rand, rows [][]bool, target, skew float64) {
-	n, m := len(rows), len(rows[0])
-	if n == 0 || m == 0 {
-		return
-	}
+func fillBackground(r *rand.Rand, rows bitRows, target, skew float64) {
+	n, m := len(rows.words)/rows.stride, rows.items
 	planted := 0
-	for _, row := range rows {
-		for _, b := range row {
-			if b {
-				planted++
-			}
-		}
+	for _, w := range rows.words {
+		planted += bits.OnesCount64(w)
 	}
 	need := target*float64(n*m) - float64(planted)
 	if need <= 0 {
@@ -297,10 +321,12 @@ func fillBackground(r *rand.Rand, rows [][]bool, target, skew float64) {
 		}
 		active = next
 	}
-	for _, row := range rows {
-		for i := range row {
-			if !row[i] && r.Float64() < probs[i] {
-				row[i] = true
+	for t := 0; t < n; t++ {
+		row := rows.row(t)
+		for i, p := range probs {
+			k, bit := i/bitset.WordBits, uint64(1)<<uint(i%bitset.WordBits)
+			if row[k]&bit == 0 && r.Float64() < p {
+				row[k] |= bit
 			}
 		}
 	}

@@ -220,3 +220,22 @@ func TestMinedTablesRecoverPlantedStructure(t *testing.T) {
 		t.Fatalf("only %d/%d planted rules overlapped by mined rules", recovered, len(planted))
 	}
 }
+
+// BenchmarkGenerate generates the datasets of perfbench's mine-dense
+// (chesskrvk) and serve (adult) workloads at scale 1.0.
+func BenchmarkGenerate(b *testing.B) {
+	for _, name := range []string{"chesskrvk", "adult"} {
+		p, err := ProfileByName(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := Generate(p); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
