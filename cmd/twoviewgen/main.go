@@ -12,8 +12,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 
@@ -24,58 +26,81 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("twoviewgen: ")
+	err := run(os.Args[1:], os.Stdout)
+	switch {
+	case errors.Is(err, flag.ErrHelp):
+		os.Exit(0)
+	case errors.Is(err, errUsage):
+		os.Exit(2)
+	case err != nil:
+		log.Fatal(err)
+	}
+}
 
+// errUsage is run's verdict on a command line it could not parse; the
+// flag package has already printed the error and the usage message.
+var errUsage = errors.New("usage")
+
+// run generates or converts one dataset as the command line asks.
+// Without -out the dataset goes to stdout, and so do the reports.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("twoviewgen", flag.ContinueOnError)
 	var (
-		profile  = flag.String("profile", "", "paper profile name (see -list)")
-		fromCSV  = flag.String("from-csv", "", "convert a headered CSV file instead of synthesizing")
-		fromARFF = flag.String("from-arff", "", "convert a dense ARFF file instead of synthesizing")
-		bins     = flag.Int("bins", 5, "equal-height bins per numeric attribute (conversion)")
-		maxFreq  = flag.Float64("max-freq", 0, "drop items above this frequency, e.g. 0.5 (conversion)")
-		list     = flag.Bool("list", false, "list available profiles and exit")
-		out      = flag.String("out", "", "output file (default: stdout)")
-		scale    = flag.Float64("scale", 1, "scale the number of transactions")
-		truth    = flag.String("truth", "", "also write the planted ground-truth rules to this file")
-		size     = flag.Int("size", 1000, "transactions (custom profile)")
-		itemsL   = flag.Int("items-l", 20, "left items (custom profile)")
-		itemsR   = flag.Int("items-r", 20, "right items (custom profile)")
-		densityL = flag.Float64("density-l", 0.2, "left density (custom profile)")
-		densityR = flag.Float64("density-r", 0.2, "right density (custom profile)")
-		bidir    = flag.Int("bidir", 4, "planted bidirectional rules (custom profile)")
-		uni      = flag.Int("uni", 4, "planted unidirectional rules (custom profile)")
-		seed     = flag.Int64("seed", 1, "random seed (custom profile)")
+		profile  = fs.String("profile", "", "paper profile name (see -list)")
+		fromCSV  = fs.String("from-csv", "", "convert a headered CSV file instead of synthesizing")
+		fromARFF = fs.String("from-arff", "", "convert a dense ARFF file instead of synthesizing")
+		bins     = fs.Int("bins", 5, "equal-height bins per numeric attribute (conversion)")
+		maxFreq  = fs.Float64("max-freq", 0, "drop items above this frequency, e.g. 0.5 (conversion)")
+		list     = fs.Bool("list", false, "list available profiles and exit")
+		out      = fs.String("out", "", "output file (default: stdout)")
+		scale    = fs.Float64("scale", 1, "scale the number of transactions")
+		truth    = fs.String("truth", "", "also write the planted ground-truth rules to this file")
+		size     = fs.Int("size", 1000, "transactions (custom profile)")
+		itemsL   = fs.Int("items-l", 20, "left items (custom profile)")
+		itemsR   = fs.Int("items-r", 20, "right items (custom profile)")
+		densityL = fs.Float64("density-l", 0.2, "left density (custom profile)")
+		densityR = fs.Float64("density-r", 0.2, "right density (custom profile)")
+		bidir    = fs.Int("bidir", 4, "planted bidirectional rules (custom profile)")
+		uni      = fs.Int("uni", 4, "planted unidirectional rules (custom profile)")
+		seed     = fs.Int64("seed", 1, "random seed (custom profile)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return err
+		}
+		return errUsage
+	}
 
 	if *list {
-		fmt.Println("available profiles (|D|, |I_L|, |I_R|, d_L, d_R):")
+		fmt.Fprintln(stdout, "available profiles (|D|, |I_L|, |I_R|, d_L, d_R):")
 		for _, p := range synth.Profiles() {
-			fmt.Printf("  %-10s %6d %4d %4d  %.3f %.3f\n",
+			fmt.Fprintf(stdout, "  %-10s %6d %4d %4d  %.3f %.3f\n",
 				p.Name, p.Size, p.ItemsL, p.ItemsR, p.DensityL, p.DensityR)
 		}
-		return
+		return nil
 	}
 
 	if *fromCSV != "" || *fromARFF != "" {
 		d, err := convert(*fromCSV, *fromARFF, *bins, *maxFreq)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		if err := writeDataset(d, *out); err != nil {
-			log.Fatal(err)
+		if err := writeDataset(d, *out, stdout); err != nil {
+			return err
 		}
 		if *out != "" {
 			st := d.Stats()
-			fmt.Printf("wrote %s: %d transactions, %d+%d items, densities %.3f/%.3f\n",
+			fmt.Fprintf(stdout, "wrote %s: %d transactions, %d+%d items, densities %.3f/%.3f\n",
 				*out, st.Size, st.ItemsL, st.ItemsR, st.DensityL, st.DensityR)
 		}
-		return
+		return nil
 	}
 
 	var p synth.Profile
 	if *profile != "" {
 		var err error
 		if p, err = synth.ProfileByName(*profile); err != nil {
-			log.Fatal(err)
+			return err
 		}
 	} else {
 		p = synth.Profile{
@@ -90,30 +115,31 @@ func main() {
 
 	d, rules, err := synth.Generate(p)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	if err := writeDataset(d, *out); err != nil {
-		log.Fatal(err)
+	if err := writeDataset(d, *out, stdout); err != nil {
+		return err
 	}
 	if *out != "" {
 		st := d.Stats()
-		fmt.Printf("wrote %s: %d transactions, %d+%d items, densities %.3f/%.3f, %d planted rules\n",
+		fmt.Fprintf(stdout, "wrote %s: %d transactions, %d+%d items, densities %.3f/%.3f, %d planted rules\n",
 			*out, st.Size, st.ItemsL, st.ItemsR, st.DensityL, st.DensityR, len(rules))
 	}
 
 	if *truth != "" {
 		f, err := os.Create(*truth)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		for _, r := range rules {
 			fmt.Fprintf(f, "%s\n", r.Format(d))
 		}
 		if err := f.Close(); err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Printf("wrote %s: %d ground-truth rules\n", *truth, len(rules))
+		fmt.Fprintf(stdout, "wrote %s: %d ground-truth rules\n", *truth, len(rules))
 	}
+	return nil
 }
 
 // convert ingests a CSV or ARFF file through the paper's preprocessing
@@ -141,15 +167,9 @@ func convert(csvPath, arffPath string, bins int, maxFreq float64) (*dataset.Data
 	return dataset.Ingest(cols, dataset.BooleanizeOptions{Bins: bins, MaxFrequency: maxFreq})
 }
 
-func writeDataset(d *dataset.Dataset, out string) error {
-	w := os.Stdout
-	if out != "" {
-		f, err := os.Create(out)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
+func writeDataset(d *dataset.Dataset, out string, stdout io.Writer) error {
+	if out == "" {
+		return dataset.Write(stdout, d)
 	}
-	return dataset.Write(w, d)
+	return dataset.WriteFile(out, d)
 }
