@@ -63,9 +63,12 @@ type Dataset struct {
 	supps    [2][]int
 }
 
-// minRowBatch is the number of rows of a view's first batch; each later
-// batch holds as many rows as the view already has.
-const minRowBatch = 16
+// A view's first row batch holds minRowBatch rows, and each later one
+// as many rows as the view already has, up to maxRowBatch: few batches
+// for a large dataset, and an unused tail that stays small next to it.
+// Without the cap up to half of the last batch would sit unused: 1.3 MB
+// on adult's 48,842 rows, enough to raise the peak heap of a set-up.
+const minRowBatch, maxRowBatch = 16, 1024
 
 // New returns an empty dataset whose vocabularies are given by item names.
 // Names must be unique within a view; they may be autogenerated via
@@ -133,10 +136,10 @@ func (d *Dataset) AddRow(left, right []int) error {
 
 // newRow appends an empty row to view v and returns it. It is the only
 // place rows are made: it carves them from the view's current batch,
-// starting a new one, as large as the view so far, when that runs out.
+// starting a new one when that runs out.
 func (d *Dataset) newRow(v View) *bitset.Set {
 	if len(d.free[v]) == 0 {
-		d.free[v] = bitset.NewBatch(max(minRowBatch, len(d.rows[v])), len(d.names[v]))
+		d.free[v] = bitset.NewBatch(min(max(minRowBatch, len(d.rows[v])), maxRowBatch), len(d.names[v]))
 	}
 	row := &d.free[v][0]
 	d.free[v] = d.free[v][1:]

@@ -17,6 +17,11 @@
 //
 // The planted rules are returned as ground truth, enabling the recovery
 // experiments that real data cannot support.
+//
+// The generated data is pinned across commits: TestGenerateGolden
+// checks every profile's dataset bytes and planted rules, at scales 1.0
+// and 0.1, against the digests in testdata/golden.json. A faster
+// generator must draw the same random numbers in the same order.
 package synth
 
 import (
@@ -250,9 +255,9 @@ func randomItemset(r *rand.Rand, n, minItems, maxItems int) itemset.Itemset {
 	if k > n {
 		k = n
 	}
-	perm := r.Perm(n)[:k]
-	sort.Ints(perm)
-	return itemset.Itemset(perm)
+	ids := r.Perm(n)[:k]
+	sort.Ints(ids)
+	return itemset.Itemset(ids)
 }
 
 func setBits(r *rand.Rand, row []uint64, items itemset.Itemset, dropout float64) {
